@@ -8,7 +8,6 @@ nn         minimal dense-network engine with analytic gradients
 codec      point-block autoencoder, pruning/quantization, octree baseline
 scheduler  actor-critic codec-model scheduler
 sim        synthetic scenes, bandwidth traces, streaming simulator
-cli        experiment runner (``pcvstream`` console script)
 """
 
 __version__ = "0.1.0"

@@ -168,11 +168,26 @@ def estimate_flow(prev: PointCloud, curr: PointCloud) -> FlowField:
 
 def dynamic_saliency(grid: BlockGrid, flow: FlowField) -> dict[int, float]:
     """Mean flow magnitude per block of the gridded frame."""
-    total = sum(len(v) for v in grid.blocks.values())
-    if len(flow.vectors) != total:
+    ids, rows, counts = _block_rows(grid)
+    if len(flow.vectors) != len(rows):
         raise ValueError("flow field does not annotate this grid")
-    mags = flow.magnitudes()
-    return {bid: float(mags[idx].mean()) for bid, idx in grid.blocks.items()}
+    means = _block_means(rows, counts, flow.magnitudes())
+    return dict(zip(ids, means.tolist()))
+
+
+def _block_rows(grid: BlockGrid):
+    """(sorted block ids, block row of every point, points per block)."""
+    ids = grid.block_ids()
+    counts = np.array([len(grid.blocks[b]) for b in ids], dtype=np.intp)
+    rows = np.empty(counts.sum(), dtype=np.intp)
+    rows[np.concatenate([grid.blocks[b] for b in ids])] = np.repeat(
+        np.arange(len(ids)), counts)
+    return ids, rows, counts
+
+
+def _block_means(rows, counts, values) -> np.ndarray:
+    """Mean of the per-point values over each block row."""
+    return np.bincount(rows, weights=values, minlength=len(counts)) / counts
 
 
 def _rank_blocks(scores: dict[int, float]) -> list[int]:
@@ -196,29 +211,29 @@ def _coarse_kept_ids(grid: BlockGrid, scores: dict[int, float],
     return kept
 
 
-def coarse_select(frame: PointCloud, prev_frame: PointCloud,
-                  history: PoseHistory, cfg: RoiConfig,
-                  camera_intrinsics: Intrinsics) -> PointCloud:
-    """Stage-one ROI: predicted-frustum cull plus motion-ranked block keep."""
-    cloud, _, _, _ = coarse_select_details(frame, prev_frame, history, cfg,
-                                           camera_intrinsics)
-    return cloud
+def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
+                          history: PoseHistory, cfg: RoiConfig,
+                          camera_intrinsics: Intrinsics):
+    """Stage-one ROI: predicted-frustum cull plus motion-ranked block keep.
 
-
-def coarse_select_details(frame, prev_frame, history, cfg, camera_intrinsics):
-    """coarse_select returning (cloud, grid, block scores, camera)."""
+    Returns (cloud, grid, block scores, camera, flow). The grid and scores
+    cover the whole culled cloud; flow annotates the kept points only, so
+    the fine stage needs no second flow pass. An empty frustum returns an
+    empty cloud with grid and flow None.
+    """
     pose = predict_pose(history, 1)[0]
     camera = Camera.at(pose, camera_intrinsics)
     culled = frustum_cull(frame, camera)
     if len(culled) == 0:
         log.warning("frame %d: predicted frustum is empty", frame.frame_index)
-        return culled, None, {}, camera
+        return culled, None, {}, camera, None
     grid = partition(culled, cfg.coarse_cell_size)
     flow = estimate_flow(prev_frame, culled)
     scores = dynamic_saliency(grid, flow)
     kept = _coarse_kept_ids(grid, scores, cfg)
     indices = np.sort(np.concatenate([grid.blocks[b] for b in kept]))
-    return culled.select(indices), grid, scores, camera
+    return (culled.select(indices), grid, scores, camera,
+            FlowField(flow.vectors[indices]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,48 +315,102 @@ def block_features(points, sub_bins: int, bounds=None,
     return np.concatenate([geo, tex])
 
 
-def _static_scores(grid: BlockGrid, cloud: PointCloud, viewpoint,
-                   view_direction, cfg: RoiConfig):
-    """Per-block (viewpoint, texture, static) scores on a fine grid."""
-    ids = grid.block_ids()
-    centers = np.array([grid.cell_center(b) for b in ids])
-    feats = []
-    for b in ids:
-        idx = grid.blocks[b]
-        colors = cloud.colors[idx] if cloud.colors is not None else None
-        feats.append(block_features(cloud.points[idx], cfg.sub_bins,
-                                    bounds=grid.cell_bounds(b), colors=colors))
-    view_scores = np.array([
-        viewpoint_descriptor(c, viewpoint, view_direction, cfg.beta)
-        for c in centers])
+def _viewpoint_scores(centers, viewpoint, view_direction, beta: float):
+    """viewpoint_descriptor of every row of centers."""
+    v = np.asarray(viewpoint, dtype=np.float64)
+    w = np.asarray(view_direction, dtype=np.float64)
+    w_norm = np.linalg.norm(w)
+    if w_norm == 0.0:
+        raise ValueError("view direction must be non-zero")
+    d = centers - v
+    phi = np.linalg.norm(d, axis=1)
+    cos_theta = np.divide(d @ w, phi * w_norm, out=np.ones_like(phi),
+                          where=phi != 0.0)  # a block at the eye: ahead
+    return beta / np.log(np.maximum(phi, math.e)) + (1.0 - beta) * cos_theta
+
+
+def _feature_matrix(cloud: PointCloud, rows, counts, lo, hi,
+                    sub_bins: int) -> np.ndarray:
+    """block_features of every block row, as one (B, F) matrix; lo and hi
+    are the (B, 3) cell bounds."""
+    n_blocks, cells = len(counts), sub_bins ** 3
+    span = np.where(hi > lo, hi - lo, 1.0)
+    pts = cloud.points.astype(np.float64)
+    sub = np.floor((pts - lo[rows]) / span[rows] * sub_bins).astype(np.int64)
+    sub = np.clip(sub, 0, sub_bins - 1)
+    flat = sub[:, 0] + sub_bins * (sub[:, 1] + sub_bins * sub[:, 2])
+    geo = np.bincount(rows * cells + flat, minlength=n_blocks * cells)
+    geo = geo.reshape(n_blocks, cells) / counts[:, None]
+
+    tex = np.zeros((n_blocks, TEXTURE_BINS))
+    if cloud.colors is not None:
+        rgb = cloud.colors.astype(np.float64)
+        luma = 0.299 * rgb[:, 0] + 0.587 * rgb[:, 1] + 0.114 * rgb[:, 2]
+        bins = np.clip((luma / 256.0 * TEXTURE_BINS).astype(np.int64),
+                       0, TEXTURE_BINS - 1)
+        tex = np.bincount(rows * TEXTURE_BINS + bins,
+                          minlength=n_blocks * TEXTURE_BINS)
+        tex = tex.reshape(n_blocks, TEXTURE_BINS) / counts[:, None]
+    return np.concatenate([geo, tex], axis=1)
+
+
+def _neighbor_rows(nbrs: np.ndarray, k: int) -> np.ndarray:
+    """Per row i, the first k entries of nbrs[i] other than i."""
+    keep = nbrs != np.arange(len(nbrs))[:, None]
+    keep[keep.all(axis=1), -1] = False  # self absent: drop the farthest
+    return nbrs[keep].reshape(len(nbrs), k)
+
+
+def _texture_scores(feats: np.ndarray, others: np.ndarray, lambda_: float):
+    """texture_descriptor of every block row against its neighbor rows."""
+    t_i = feats[:, None, :]
+    t_j = feats[others]
+    diff = t_i - t_j
+    chi = diff ** 2 / (t_i + t_j + CHI2_EPS)
+    split = feats.shape[1] - TEXTURE_BINS
+    psi2 = chi[..., :split].sum(axis=-1) + lambda_ * chi[..., split:].sum(axis=-1)
+    acc = (psi2 / (1.0 + np.linalg.norm(diff, axis=-1))).sum(axis=1)
+    return 1.0 - np.exp(-acc / others.shape[1])
+
+
+def _static_scores(grid: BlockGrid, cloud: PointCloud, ids, rows, counts,
+                   viewpoint, view_direction, cfg: RoiConfig):
+    """Per-block (centers, viewpoint, texture, static) scores on a fine grid,
+    for the blocks ids with the point rows and counts of _block_rows."""
+    idx = np.asarray(ids, dtype=np.int64)
+    nx, ny, _ = grid.dims
+    coords = np.stack([idx % nx, (idx // nx) % ny, idx // (nx * ny)],
+                      axis=1).astype(np.float64)
+    centers = grid.origin + (coords + 0.5) * grid.cell_size
+    view_scores = _viewpoint_scores(centers, viewpoint, view_direction,
+                                    cfg.beta)
 
     tex_scores = np.zeros(len(ids))
     if len(ids) > 1:
-        tree = cKDTree(centers)
+        # the same arithmetic as BlockGrid.cell_bounds, so edge points bin alike
+        lo = grid.origin + coords * grid.cell_size
+        feats = _feature_matrix(cloud, rows, counts, lo, lo + grid.cell_size,
+                                cfg.sub_bins)
         k = min(cfg.R, len(ids) - 1)
-        _, nbrs = tree.query(centers, k=k + 1)
-        nbrs = np.atleast_2d(nbrs)
-        for i in range(len(ids)):
-            others = [j for j in nbrs[i] if j != i][:k]
-            tex_scores[i] = texture_descriptor(
-                feats[i], [feats[j] for j in others], cfg.lambda_)
-    return ids, centers, view_scores, tex_scores, view_scores * tex_scores
+        _, nbrs = cKDTree(centers).query(centers, k=k + 1)
+        tex_scores = _texture_scores(feats, _neighbor_rows(nbrs, k),
+                                     cfg.lambda_)
+    return centers, view_scores, tex_scores, view_scores * tex_scores
 
 
-def fine_select(coarse: PointCloud, viewpoint, view_direction,
-                cfg: RoiConfig, seed: int) -> PointCloud:
-    """Stage-two ROI: saliency-proportional per-block downsampling."""
-    cloud, _ = fine_select_details(coarse, viewpoint, view_direction, cfg, seed)
-    return cloud
+def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
+                        cfg: RoiConfig, seed: int, dynamic_by_point=None):
+    """Stage-two ROI: saliency-proportional per-block downsampling.
 
-
-def fine_select_details(coarse, viewpoint, view_direction, cfg, seed,
-                        dynamic_by_point=None):
+    Returns (cloud, SaliencyMap); dynamic_by_point, when given, fills the
+    map's per-block dynamic scores.
+    """
     if len(coarse) == 0:
-        raise ValueError("fine_select requires a non-empty coarse ROI")
+        raise ValueError("fine_select_details requires a non-empty coarse ROI")
     grid = partition(coarse, cfg.fine_cell_size)
-    ids, centers, view_s, tex_s, static = _static_scores(
-        grid, coarse, viewpoint, view_direction, cfg)
+    ids, rows, counts = _block_rows(grid)
+    centers, view_s, tex_s, static = _static_scores(
+        grid, coarse, ids, rows, counts, viewpoint, view_direction, cfg)
 
     lo, hi = static.min(), static.max()
     if hi > lo:
@@ -360,8 +429,8 @@ def fine_select_details(coarse, viewpoint, view_direction, cfg, seed,
 
     dyn = np.zeros(len(ids))
     if dynamic_by_point is not None:
-        mags = np.asarray(dynamic_by_point, dtype=np.float64)
-        dyn = np.array([mags[grid.blocks[b]].mean() for b in ids])
+        dyn = _block_means(rows, counts,
+                           np.asarray(dynamic_by_point, dtype=np.float64))
     saliency = SaliencyMap(np.asarray(ids), centers, dyn, view_s, tex_s,
                            static, cfg.beta, cfg.lambda_, cfg.R)
     return coarse.select(indices), saliency
@@ -382,11 +451,10 @@ def select_roi(frame: PointCloud, prev_frame: PointCloud,
                history: PoseHistory, cfg: RoiConfig,
                camera_intrinsics: Intrinsics, seed: int) -> RoiResult:
     """Run both ROI stages on one frame; empty frustum yields an empty ROI."""
-    coarse, grid, _, camera = coarse_select_details(
+    coarse, grid, _, camera, flow = coarse_select_details(
         frame, prev_frame, history, cfg, camera_intrinsics)
     if len(coarse) == 0:
         return RoiResult(coarse, None, camera, 0)
-    flow = estimate_flow(prev_frame, coarse)
     cloud, saliency = fine_select_details(
         coarse, camera.pose.position, camera.pose.forward(), cfg, seed,
         dynamic_by_point=flow.magnitudes())

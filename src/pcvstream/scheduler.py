@@ -162,10 +162,11 @@ class ActorCritic:
             raise ValueError("not a scheduler checkpoint")
         trunk = next(layer for kind, layer, _, _ in entries
                      if kind == "dense" and layer.weights is not None)
-        net = cls(trunk, by_kind["actor_head"], by_kind["critic_head"])
-        if len(net.actor.weights) == len(actions):
-            net.actions = tuple(actions)
-        return net
+        actor = by_kind["actor_head"]
+        if len(actor.weights) != len(actions):
+            raise ValueError(f"checkpoint has {len(actor.weights)} actions, "
+                             f"expected {len(actions)}")
+        return cls(trunk, actor, by_kind["critic_head"], tuple(actions))
 
     def snapshot(self) -> "ActorCritic":
         return ActorCritic(

@@ -103,6 +103,8 @@ class NetworkTrace:
                 raise ValueError(
                     "trace CSV needs a 't_seconds,bandwidth_mbps' header")
             rows = [(float(a), float(b)) for a, b in reader]
+        if not rows:
+            raise ValueError("trace CSV has no rows")
         t, bw = zip(*rows)
         return cls(np.array(t), np.array(bw))
 

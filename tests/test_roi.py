@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
     Camera, Intrinsics, PointCloud, Pose, frustum_cull, partition,
     quat_from_axis_angle, quat_to_matrix,
 )
 from pcvstream.roi import (
-    FlowField, PoseHistory, RoiConfig, block_features, coarse_select,
-    coarse_select_details, dynamic_saliency, estimate_flow, fine_select,
+    FlowField, PoseHistory, RoiConfig, _block_rows, _coarse_kept_ids,
+    _feature_matrix, _neighbor_rows, _static_scores, _viewpoint_scores,
+    block_features, coarse_select_details, dynamic_saliency, estimate_flow,
     fine_select_details, predict_pose, select_roi, texture_descriptor,
     viewpoint_descriptor,
 )
+from pcvstream.sim import generate_scene
 
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
@@ -168,7 +171,7 @@ def test_coarse_select_keep_all_equals_frustum():
     prev, curr = cluster_scene(moving=())
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=1.0, coarse_cell_size=1.0)
-    out = coarse_select(curr, prev, hist, cfg, intr)
+    out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
     cam = Camera.at(predict_pose(hist, 1)[0], intr)
     np.testing.assert_array_equal(out.points, frustum_cull(curr, cam).points)
 
@@ -177,7 +180,8 @@ def test_coarse_select_finds_moving_blocks():
     prev, curr = cluster_scene(moving=(2, 5, 7))
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.3, coarse_cell_size=1.0)
-    out, grid, scores, _ = coarse_select_details(curr, prev, hist, cfg, intr)
+    out, grid, scores, _, _ = coarse_select_details(curr, prev, hist, cfg,
+                                                    intr)
     assert len(grid.blocks) == 10
     assert len(out) == 3 * 20
     xs = np.floor(out.points[:, 0] + 0.5).astype(int)
@@ -188,8 +192,8 @@ def test_coarse_select_default_block_count():
     prev, curr = cluster_scene(moving=(1,))
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_cell_size=1.0)  # default 60% keep
-    _, grid, scores, _ = coarse_select_details(curr, prev, hist, cfg, intr)
-    out = coarse_select(curr, prev, hist, cfg, intr)
+    out, grid, scores, _, _ = coarse_select_details(curr, prev, hist, cfg,
+                                                    intr)
     b = len(grid.blocks)
     kept_blocks = math.ceil(0.6 * b - 1e-9)
     assert len(out) == kept_blocks * 20
@@ -198,8 +202,9 @@ def test_coarse_select_default_block_count():
 def test_coarse_select_empty_frustum():
     prev, curr = cluster_scene(moving=())
     hist = static_history((0.0, 0.0, 1000.0))  # looking away from the scene
-    out = coarse_select(curr, prev, hist, RoiConfig(coarse_cell_size=1.0),
-                        Intrinsics(60.0, 1.0, 0.1, 10.0))
+    out = coarse_select_details(curr, prev, hist,
+                                RoiConfig(coarse_cell_size=1.0),
+                                Intrinsics(60.0, 1.0, 0.1, 10.0))[0]
     assert len(out) == 0
 
 
@@ -207,7 +212,7 @@ def test_coarse_subset_of_frustum_subset_of_frame():
     prev, curr = cluster_scene()
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.5, coarse_cell_size=1.0)
-    out = coarse_select(curr, prev, hist, cfg, intr)
+    out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
     cam = Camera.at(predict_pose(hist, 1)[0], intr)
     frustum = set(map(tuple, frustum_cull(curr, cam).points.tolist()))
     frame = set(map(tuple, curr.points.tolist()))
@@ -335,7 +340,7 @@ def test_fine_select_constant_saliency_keeps_r_max():
     rng = np.random.default_rng(7)
     cloud = PointCloud(rng.random((30, 3)).astype(np.float32))
     cfg = RoiConfig(fine_cell_size=10.0, r_min=0.2, r_max=0.8)  # single block
-    out = fine_select(cloud, [0, 0, -5.0], [0, 0, 1.0], cfg, seed=1)
+    out, _ = fine_select_details(cloud, [0, 0, -5.0], [0, 0, 1.0], cfg, seed=1)
     assert len(out) == math.ceil(0.8 * 30 - 1e-9)
 
 
@@ -376,8 +381,8 @@ def test_fine_select_cardinality_oracle():
 def test_fine_select_deterministic():
     cloud = two_cluster_cloud()
     cfg = RoiConfig(fine_cell_size=5.0, r_min=0.5, r_max=0.9, R=1)
-    a = fine_select(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
-    b = fine_select(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
+    a, _ = fine_select_details(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
+    b, _ = fine_select_details(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
     np.testing.assert_array_equal(a.points, b.points)
 
 
@@ -409,3 +414,151 @@ def test_select_roi_saliency_export(tmp_path):
     assert len(data["blocks"]) == len(result.saliency.block_ids)
     first = data["blocks"][0]
     assert first["static"] == pytest.approx(first["viewpoint"] * first["texture"])
+
+
+# ---------------------------------------------------------------------------
+# vectorised scoring against the scalar descriptors
+
+def scalar_static_scores(grid, cloud, viewpoint, view_direction, cfg):
+    """Per-block loop over block_features, viewpoint_descriptor and
+    texture_descriptor: the oracle for the vectorised scoring."""
+    ids = grid.block_ids()
+    centers = np.array([grid.cell_center(b) for b in ids])
+    feats = [block_features(cloud.points[grid.blocks[b]], cfg.sub_bins,
+                            bounds=grid.cell_bounds(b),
+                            colors=None if cloud.colors is None
+                            else cloud.colors[grid.blocks[b]])
+             for b in ids]
+    view = np.array([viewpoint_descriptor(c, viewpoint, view_direction,
+                                          cfg.beta) for c in centers])
+    tex = np.zeros(len(ids))
+    if len(ids) > 1:
+        k = min(cfg.R, len(ids) - 1)
+        _, nbrs = cKDTree(centers).query(centers, k=k + 1)
+        for i in range(len(ids)):
+            others = [j for j in nbrs[i] if j != i][:k]
+            tex[i] = texture_descriptor(feats[i], [feats[j] for j in others],
+                                        cfg.lambda_)
+    return ids, centers, np.array(feats), view, tex
+
+
+def colored_cloud(n, seed, colors=True, extent=3.0):
+    rng = np.random.default_rng(seed)
+    pts = (rng.random((n, 3)) * extent).astype(np.float32)
+    rgb = rng.integers(0, 256, size=(n, 3)) if colors else None
+    return PointCloud(pts, rgb)
+
+
+@pytest.mark.parametrize("cloud, cell, R", [
+    (colored_cloud(500, 20), 0.5, 6),             # many blocks, colours
+    (colored_cloud(500, 21, colors=False), 0.6, 6),
+    (colored_cloud(300, 22), 0.75, 4),
+    (colored_cloud(40, 23, extent=1.0), 0.5, 8),  # B <= R, so k = B - 1
+    (colored_cloud(20, 24, extent=1.0), 5.0, 6),  # B = 1, texture 0
+])
+def test_static_scores_match_scalar_oracle(cloud, cell, R):
+    cfg = RoiConfig(fine_cell_size=cell, R=R)
+    grid = partition(cloud, cell)
+    viewpoint, direction = [1.0, 0.5, 1.2], [0.1, 0.0, 1.0]  # blocks behind too
+    ids, centers, feats, view, tex = scalar_static_scores(
+        grid, cloud, viewpoint, direction, cfg)
+    got_ids, rows, counts = _block_rows(grid)
+    assert got_ids == ids
+    got = _static_scores(grid, cloud, ids, rows, counts, viewpoint,
+                         direction, cfg)
+    np.testing.assert_array_equal(got[0], centers)
+    np.testing.assert_allclose(got[1], view, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[2], tex, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[3], view * tex, rtol=0, atol=1e-12)
+    if len(ids) == 1:
+        assert got[2].tolist() == [0.0]
+    lo = np.array([grid.cell_bounds(b)[0] for b in ids])
+    hi = np.array([grid.cell_bounds(b)[1] for b in ids])
+    np.testing.assert_array_equal(
+        _feature_matrix(cloud, rows, counts, lo, hi, cfg.sub_bins), feats)
+
+
+@pytest.mark.parametrize("cell, xs", [(0.3, [2.25]),
+                                      (0.1, [4.25, 4.75, 5.25, 5.75])])
+def test_feature_matrix_bins_sub_cell_edges_like_block_features(cell, xs):
+    # each x sits on a sub-cell edge where (x - lo) / cell_size and
+    # (x - lo) / (hi - lo) fall on opposite sides of the bin boundary
+    pts = [[0.0, 0.0, 0.0]] + [[x, 0.01, 0.01] for x in xs]
+    cloud = PointCloud(pts)
+    grid = partition(cloud, cell)
+    ids, rows, counts = _block_rows(grid)
+    expect = [block_features(cloud.points[grid.blocks[b]], 2,
+                             bounds=grid.cell_bounds(b)) for b in ids]
+    lo = np.array([grid.cell_bounds(b)[0] for b in ids])
+    hi = np.array([grid.cell_bounds(b)[1] for b in ids])
+    np.testing.assert_array_equal(
+        _feature_matrix(cloud, rows, counts, lo, hi, 2), np.array(expect))
+
+
+def test_viewpoint_scores_match_scalar_descriptor():
+    centers = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 0, 5.0], [0, 1.0, -3.0]])
+    expect = [viewpoint_descriptor(c, [0, 0, 0], [0, 0, 2.0], 0.25)
+              for c in centers]  # includes a block at the eye
+    np.testing.assert_allclose(
+        _viewpoint_scores(centers, [0, 0, 0], [0, 0, 2.0], 0.25), expect,
+        rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        _viewpoint_scores(centers, [0, 0, 0], [0, 0, 0], 0.25)
+
+
+def test_neighbor_rows_match_list_filter():
+    nbrs = np.array([[0, 2, 1], [0, 1, 2], [1, 0, 3], [3, 2, 0]])
+    expect = [[j for j in row if j != i][:2] for i, row in enumerate(nbrs)]
+    assert _neighbor_rows(nbrs, 2).tolist() == expect
+
+
+def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
+    """Both ROI stages from the scalar pieces, with a second flow pass on
+    the coarse cloud; returns (ROI point indices into the culled cloud,
+    culled cloud)."""
+    camera = Camera.at(predict_pose(history, 1)[0], intrinsics)
+    culled = frustum_cull(frame, camera)
+    grid = partition(culled, cfg.coarse_cell_size)
+    mags = estimate_flow(prev, culled).magnitudes()
+    scores = {b: float(mags[idx].mean()) for b, idx in grid.blocks.items()}
+    kept = _coarse_kept_ids(grid, scores, cfg)
+    coarse_idx = np.sort(np.concatenate([grid.blocks[b] for b in kept]))
+    coarse = culled.select(coarse_idx)
+    fine = partition(coarse, cfg.fine_cell_size)
+    ids, _, _, view, tex = scalar_static_scores(
+        fine, coarse, camera.pose.position, camera.pose.forward(), cfg)
+    static = view * tex
+    lo, hi = static.min(), static.max()
+    norm = (static - lo) / (hi - lo) if hi > lo else np.ones_like(static)
+    rng = np.random.default_rng(seed)
+    picked = []
+    for i, b in enumerate(ids):
+        idx = fine.blocks[b]
+        ratio = cfg.r_min + (cfg.r_max - cfg.r_min) * norm[i]
+        picked.append(rng.choice(idx, size=math.ceil(ratio * len(idx) - 1e-9),
+                                 replace=False))
+    return coarse_idx[np.sort(np.concatenate(picked))], culled
+
+
+@pytest.mark.parametrize("seed, keep_by", [(0, "blocks"), (1, "blocks"),
+                                           (2, "points")])
+def test_select_roi_matches_scalar_oracle(seed, keep_by):
+    scene = generate_scene(rooms=1, frames=4, subject_points=400,
+                           background_points=3000, seed=seed)
+    cfg = RoiConfig(coarse_keep_by=keep_by)
+    history = PoseHistory(scene.poses[:3])
+    frame, prev = scene.frames[2], scene.frames[1]
+    result = select_roi(frame, prev, history, cfg, scene.intrinsics, seed=7)
+    idx, culled = scalar_select_roi(frame, prev, history, cfg,
+                                    scene.intrinsics, seed=7)
+    assert result.frustum_points == len(culled)
+    np.testing.assert_array_equal(result.cloud.points, culled.points[idx])
+
+
+def test_coarse_flow_equals_second_flow_pass():
+    prev, curr = cluster_scene(moving=(2, 5, 7))
+    hist, intr = wide_camera_history()
+    cfg = RoiConfig(coarse_keep_fraction=0.5, coarse_cell_size=1.0)
+    coarse, _, _, _, flow = coarse_select_details(curr, prev, hist, cfg, intr)
+    np.testing.assert_array_equal(flow.vectors,
+                                  estimate_flow(prev, coarse).vectors)

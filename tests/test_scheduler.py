@@ -304,6 +304,13 @@ def test_checkpoint_round_trip(tmp_path):
         select_action(result.net, state, "greedy")
 
 
+def test_checkpoint_load_rejects_action_count_mismatch(tmp_path):
+    path = tmp_path / "policy.iscm"
+    ActorCritic.create(actions=("a", "b", "c"), seed=1).save(path)
+    with pytest.raises(ValueError, match="3 actions"):
+        ActorCritic.load(path)  # DEFAULT_ACTIONS has six entries
+
+
 def test_bandit_env_oracle_structure():
     env = TwoContextBanditEnv()
     # stated context structure: high bandwidth wants action 2, low wants 0

@@ -48,6 +48,13 @@ def test_trace_csv_requires_header(tmp_path):
         NetworkTrace.from_csv(path)
 
 
+def test_trace_csv_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t_seconds,bandwidth_mbps\n")
+    with pytest.raises(ValueError, match="no rows"):
+        NetworkTrace.from_csv(path)
+
+
 def test_transmit_time_zero_payload():
     trace = NetworkTrace.constant(50.0)
     assert transmit_time(0, trace) == 0.0
