@@ -13,7 +13,7 @@ import copy
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,14 @@ from ._util import ceil_count
 from .cloud import PointCloud, chamfer_distance, quat_to_matrix
 from .nn import (
     Layer, LossSpec, Network, adam_step, backward, dense, forward,
-    rotate_points, rotate_points_backward, sgd_step, total_loss,
+    rotate_points, rotate_points_backward, total_loss,
 )
 
 log = logging.getLogger(__name__)
 
 LATENT_SIZES = {"4x4": 16, "8x8": 64, "16x16": 256}
 DEFAULT_BLOCK_POINTS = 128
+BLOCK_ORDER_BITS = 10  # Morton grid resolution per axis in chunk_blocks
 
 MAGIC = b"ISCM"
 FORMAT_VERSION = 1
@@ -76,7 +77,6 @@ class CodecModel:
     dtype: str = "f32"
     quant_meta: list | None = None  # per dense layer, encoder then decoder
     zeta_applied: float = 0.0
-    input_quant: dict | None = None
 
     def dense_layers(self):
         return [l for l in self.encoder.layers + self.decoder.layers
@@ -134,17 +134,16 @@ def denormalize_block(points, centroid, scale):
     return np.asarray(points, dtype=np.float64) * scale + np.asarray(centroid)
 
 
-def _morton_order(points, bits: int = 10):
-    pts = np.asarray(points, dtype=np.float64)
-    lo = pts.min(axis=0)
-    span = np.where(pts.max(axis=0) > lo, pts.max(axis=0) - lo, 1.0)
-    cells = np.clip(((pts - lo) / span * (1 << bits)).astype(np.uint64),
-                    0, (1 << bits) - 1)
-    key = np.zeros(len(pts), dtype=np.uint64)
+def morton_key(cells, bits: int) -> np.ndarray:
+    """Morton (Z-order) key of non-negative integer (N, 3) cells: bit b of
+    axis a lands at key bit 3*b + a, for the low `bits` bits."""
+    cells = np.asarray(cells, dtype=np.uint64)
+    key = np.zeros(len(cells), dtype=np.uint64)
     for b in range(bits):
         for axis in range(3):
-            key |= ((cells[:, axis] >> b) & 1) << np.uint64(3 * b + axis)
-    return np.argsort(key, kind="stable")
+            key |= ((cells[:, axis] >> np.uint64(b)) & np.uint64(1)) \
+                << np.uint64(3 * b + axis)
+    return key
 
 
 def chunk_blocks(points, n_points: int):
@@ -157,8 +156,11 @@ def chunk_blocks(points, n_points: int):
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         return np.empty((0, n_points, 3)), np.empty(0, dtype=int)
-    order = _morton_order(pts)
-    pts = pts[order]
+    res = 1 << BLOCK_ORDER_BITS
+    lo = pts.min(axis=0)
+    span = np.where(pts.max(axis=0) > lo, pts.max(axis=0) - lo, 1.0)
+    cells = np.clip(((pts - lo) / span * res).astype(np.uint64), 0, res - 1)
+    pts = pts[np.argsort(morton_key(cells, BLOCK_ORDER_BITS), kind="stable")]
     n_blocks = math.ceil(len(pts) / n_points)
     blocks = np.empty((n_blocks, n_points, 3))
     valid = np.empty(n_blocks, dtype=int)
@@ -183,9 +185,6 @@ def encode(model: CodecModel, block) -> np.ndarray:
     if block.shape != (model.n_points, 3):
         raise ValueError(
             f"block must be ({model.n_points}, 3), got {block.shape}")
-    if model.input_quant is not None:
-        codes, qm = quantize_with_meta(block, model.input_quant)
-        block = dequantize_with_meta(codes, qm)
     return forward(model.encoder, block)[0]
 
 
@@ -197,19 +196,6 @@ def decode(model: CodecModel, latent) -> np.ndarray:
             f"latent must have length {model.latent_dim}, got {latent.shape}")
     out = forward(model.decoder, latent)[0]
     return out.reshape(model.n_points, 3)
-
-
-def reconstruct_points(model: CodecModel, points):
-    """Round-trip a whole cloud through the codec; returns decoded points."""
-    blocks, _ = chunk_blocks(points, model.n_points)
-    out = []
-    for block in blocks:
-        norm, centroid, scale = normalize_block(block)
-        rebuilt = decode(model, encode(model, norm))
-        out.append(denormalize_block(rebuilt, centroid, scale))
-    if not out:
-        return np.empty((0, 3))
-    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +216,18 @@ def _clip_grads(grad_lists, extra, max_norm):
 
 
 def train(model: CodecModel, dataset, spec: LossSpec = LossSpec(),
-          epochs: int = 50, lr: float = 0.002, momentum: float = 0.9,
-          seed: int = 0, clip_norm: float | None = 25.0,
-          lr_decay: float = 1.0, batch_size: int = 8,
-          optimizer: str = "adam") -> np.ndarray:
+          epochs: int = 50, lr: float = 0.002, seed: int = 0,
+          clip_norm: float | None = 25.0, lr_decay: float = 1.0,
+          batch_size: int = 8) -> np.ndarray:
     """Mini-batch training over normalized blocks; returns per-epoch mean
     loss.
 
     Each sample owns a learned axis-angle alignment (zero-initialized) that
     rotates the decoded block before the loss; its squared norm is
     penalized. Batch-mean gradients are clipped by global norm; lr_decay
-    multiplies the learning rate once per epoch. Adam is the default
-    optimizer (momentum SGD stalls well short of convergence on the
-    matching loss; pass optimizer="sgd" for the plain path).
+    multiplies the learning rate once per epoch. The optimizer is Adam
+    (momentum SGD stalls well short of convergence on the matching loss).
     """
-    if optimizer not in ("adam", "sgd"):
-        raise ValueError("optimizer must be 'adam' or 'sgd'")
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty (S, n, 3) array")
@@ -283,16 +265,10 @@ def train(model: CodecModel, dataset, spec: LossSpec = LossSpec(),
             if clip_norm is not None:
                 (dec_grads, enc_grads), d_rots = _clip_grads(
                     [dec_grads, enc_grads], d_rots, clip_norm)
-            if optimizer == "adam":
-                dec_state = adam_step(model.decoder, dec_grads, step_lr,
-                                      state=dec_state)
-                enc_state = adam_step(model.encoder, enc_grads, step_lr,
-                                      state=enc_state)
-            else:
-                dec_state = sgd_step(model.decoder, dec_grads, step_lr,
-                                     momentum, dec_state)
-                enc_state = sgd_step(model.encoder, enc_grads, step_lr,
-                                     momentum, enc_state)
+            dec_state = adam_step(model.decoder, dec_grads, step_lr,
+                                  state=dec_state)
+            enc_state = adam_step(model.encoder, enc_grads, step_lr,
+                                  state=enc_state)
             rot[idx] -= step_lr * d_rots
         curve[epoch] = total / n_samples
     return curve
@@ -396,49 +372,12 @@ def dequantize(codes, meta) -> np.ndarray:
     return np.asarray(codes, dtype=np.float64) / q + mn
 
 
-def quantize_with_meta(tensor, meta):
-    """Quantize against a fixed calibration range (values are clipped)."""
-    flat = np.asarray(tensor, dtype=np.float64)
-    shape = flat.shape
-    mn, mx, m = meta["min"], meta["max"], meta["bits"]
-    if mx == mn:
-        return np.zeros(shape, dtype=np.int64), {**meta, "size": flat.size,
-                                                 "shape": shape}
-    q = (2 ** m - 1) / (mx - mn)
-    codes = np.round(q * (np.clip(flat, mn, mx) - mn)).astype(np.int64)
-    return codes, {**meta, "size": flat.size, "shape": shape}
-
-
-def dequantize_with_meta(codes, meta):
-    out = dequantize(np.asarray(codes).ravel(), meta)
-    return out.reshape(meta.get("shape", (meta["size"],)))
-
-
-def quantize_inputs(batch, m: int, clip_percentiles=(0.5, 99.5)):
-    """Outlier-clipped input quantization.
-
-    The calibration range is the [lo, hi] percentile band of the batch;
-    values outside saturate to the range ends. Returns (codes, meta).
-    """
-    flat = np.asarray(batch, dtype=np.float64)
-    if flat.size == 0:
-        raise ValueError("empty batch")
-    lo_p, hi_p = clip_percentiles
-    if not 0.0 <= lo_p < hi_p <= 100.0:
-        raise ValueError("percentiles must satisfy 0 <= lo < hi <= 100")
-    mn, mx = np.percentile(flat, [lo_p, hi_p])
-    meta = {"min": float(mn), "max": float(mx), "bits": m}
-    return quantize_with_meta(flat, meta)
-
-
 # ---------------------------------------------------------------------------
 # the joint lightweight-training procedure
 
 def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
                       m: int, spec: LossSpec = LossSpec(), lr: float = 0.001,
-                      momentum: float = 0.9, seed: int = 0,
-                      calibrate_inputs: bool = False,
-                      optimizer: str = "adam") -> CodecModel:
+                      seed: int = 0) -> CodecModel:
     """Prune-and-quantize a pre-trained f32 model.
 
     Per round: fine-tune until the running loss drops below the trigger
@@ -465,8 +404,8 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
     for rnd in range(1, prune_cfg.rounds + 1):
         budget = prune_cfg.finetune_epochs
         while current >= l_th and budget > 0:
-            train(out, data, spec, epochs=1, lr=lr, momentum=momentum,
-                  seed=seed + 1000 * rnd + budget, optimizer=optimizer)
+            train(out, data, spec, epochs=1, lr=lr,
+                  seed=seed + 1000 * rnd + budget)
             budget -= 1
             current = mean_reconstruction_loss(out, data, spec)
         if current >= l_th:
@@ -478,8 +417,8 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
         prune_model(out, prune_cfg.cumulative_target(rnd))
         rounds_done = rnd
         if budget > 0:
-            train(out, data, spec, epochs=budget, lr=lr, momentum=momentum,
-                  seed=seed + 1000 * rnd, optimizer=optimizer)
+            train(out, data, spec, epochs=budget, lr=lr,
+                  seed=seed + 1000 * rnd)
         current = mean_reconstruction_loss(out, data, spec)
 
     out.zeta_applied = prune_cfg.cumulative_target(rounds_done) \
@@ -503,9 +442,6 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
                 layer.weights *= layer.prune_mask
         out.quant_meta = metas
         out.dtype = f"q{m}"
-    if calibrate_inputs:
-        _, meta = quantize_inputs(data, m if m != 32 else 16)
-        out.input_quant = {k: meta[k] for k in ("min", "max", "bits")}
     return out
 
 
@@ -651,15 +587,6 @@ def deserialize(path) -> CodecModel:
 # ---------------------------------------------------------------------------
 # octree baseline
 
-def _interleave(cells, depth):
-    key = np.zeros(len(cells), dtype=np.uint64)
-    for b in range(depth):
-        for axis in range(3):
-            key |= ((cells[:, axis] >> np.uint64(b)) & np.uint64(1)) \
-                << np.uint64(3 * b + axis)
-    return key
-
-
 def octree_encode(cloud: PointCloud, depth: int) -> bytes:
     """Breadth-first occupancy-byte octree of the cloud's bounding cube.
 
@@ -679,7 +606,7 @@ def octree_encode(cloud: PointCloud, depth: int) -> bytes:
         edge = 1.0
     res = 1 << depth
     cells = np.clip(((pts - mn) / edge * res).astype(np.int64), 0, res - 1)
-    leaves = np.unique(_interleave(cells.astype(np.uint64), depth))
+    leaves = np.unique(morton_key(cells, depth))
     levels = [leaves]
     for _ in range(depth):
         levels.append(np.unique(levels[-1] >> np.uint64(3)))

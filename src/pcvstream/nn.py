@@ -145,39 +145,13 @@ def backward(network: Network, caches, d_out: np.ndarray):
     return d, grads
 
 
-def sgd_step(network: Network, grads, lr: float, momentum: float = 0.9,
-             state: dict | None = None) -> dict:
-    """One SGD-with-momentum step; returns the velocity state to pass back.
-
-    Pruned weights are re-zeroed after the update so masked entries stay
-    exact fixed points of training.
-    """
-    if state is None:
-        state = {}
-    for i, (layer, grad) in enumerate(zip(network.layers, grads)):
-        if grad is None or layer.weights is None:
-            continue
-        dw, db = grad
-        if i in state:
-            vw, vb = state[i]
-            vw = momentum * vw + dw
-            vb = momentum * vb + db
-        else:
-            vw, vb = dw.copy(), db.copy()
-        state[i] = (vw, vb)
-        layer.weights -= lr * vw
-        layer.bias -= lr * vb
-        if layer.prune_mask is not None:
-            layer.weights *= layer.prune_mask
-    return state
-
-
 def adam_step(network: Network, grads, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8,
               state: dict | None = None) -> dict:
     """One Adam step; returns the moment state to pass back.
 
-    Same masking contract as sgd_step: pruned entries stay exactly zero.
+    Pruned weights are re-zeroed after the update so masked entries stay
+    exact fixed points of training.
     """
     if state is None:
         state = {"t": 0}

@@ -28,7 +28,8 @@ from .codec import (
 )
 from .roi import PoseHistory, RoiConfig, select_roi
 from .scheduler import (
-    ActorCritic, RewardSpec, SchedulerState, build_state, select_action,
+    ActorCritic, RewardSpec, SchedulerState, build_state, normalized_accuracy,
+    reward, select_action,
 )
 
 TRACE_PRESETS = {"3g": 2.0, "4g": 25.0, "wifi": 60.0, "5g": 100.0}
@@ -182,6 +183,14 @@ class RegistryEntry:
     def payload_per_block(self) -> int:
         return self.latent_dim * LATENT_BYTES_PER_VALUE + BLOCK_HEADER_BYTES
 
+    def frame_costs(self, blocks: int,
+                    device: DeviceModel) -> tuple[int, float, float]:
+        """(payload bytes, encode s, decode s) of a frame of `blocks`
+        blocks, decode scaled to the device."""
+        return (blocks * self.payload_per_block(),
+                blocks * self.encode_cost_s,
+                device.decode_time(blocks * self.decode_cost_s))
+
 
 class ModelRegistry:
     """Trained codec models plus their offline measurements."""
@@ -196,10 +205,10 @@ class ModelRegistry:
         self._renormalize()
 
     def _renormalize(self):
-        table = {k: 1.0 / e.test_cd for k, e in self.entries.items()}
-        top = max(table.values())
+        table = normalized_accuracy(
+            {k: e.test_cd for k, e in self.entries.items()})
         for k, e in self.entries.items():
-            e.accuracy = table[k] / top
+            e.accuracy = table[k]
 
     def accuracy_table(self) -> dict:
         return {k: e.accuracy for k, e in self.entries.items()}
@@ -426,37 +435,35 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
                 device: DeviceModel, registry: ModelRegistry | None = None,
                 policy_net: ActorCritic | None = None, roi: str = "on",
                 roi_cfg: RoiConfig | None = None, frames: int | None = None,
-                seed: int = 0, reward_spec: RewardSpec | None = None,
-                score_against_full_frame: bool = False) -> StreamSession:
+                seed: int = 0) -> StreamSession:
     """Stream a scene through encode -> transmit -> decode, one frame at a
     time.
 
-    ISCom-style policies score CD/HD against the ROI selection (what was
-    meant to be sent) unless score_against_full_frame is set; the octree
-    baseline always scores against the full frame. Frame rate uses the
-    three-stage pipeline approximation 1/max(encode, transmit, decode);
-    see `pipeline_fps`.
+    Codec policies score CD/HD against the ROI selection (what was meant to
+    be sent); the octree baseline scores against the full frame. Frame
+    timing comes from `frame_timing`, shared with the scheduler's training
+    environment.
     """
     kind, arg = _parse_policy(policy)
     if kind in ("drl", "fixed") and registry is None:
         raise ValueError("codec policies need a model registry")
     if kind == "drl" and policy_net is None:
         raise ValueError("the drl policy needs a trained policy net")
+    if kind == "drl" and not set(policy_net.actions) <= set(registry.entries):
+        missing = sorted(set(policy_net.actions) - set(registry.entries))
+        raise ValueError(f"policy actions {missing} are not in the registry")
     if roi not in ("on", "off"):
         raise ValueError("roi must be 'on' or 'off'")
     roi_cfg = roi_cfg or RoiConfig()
     total = len(scene.frames) if frames is None else min(frames + 1,
                                                          len(scene.frames))
-    model_ids = sorted(registry.entries) if registry else []
-    spec = reward_spec or RewardSpec(
-        accuracy_table=registry.accuracy_table() if registry else {"x": 1.0})
 
     records = []
     clock_encode_end = 0.0
     clock_send_end = 0.0
     if kind == "fixed":
         current_model = arg
-        if registry is not None and current_model not in registry.entries:
+        if current_model not in registry.entries:
             raise KeyError(f"model '{current_model}' not in registry")
     elif kind == "drl":  # start from the most accurate model
         current_model = max(registry.entries,
@@ -470,30 +477,27 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         frame_seed = seed * 100003 + t
 
         if roi == "on":
-            history = PoseHistory(scene.poses[max(0, t - roi_cfg.k):t + 1]) \
-                if t >= 1 else None
+            history = PoseHistory(scene.poses[max(0, t - roi_cfg.k):t + 1])
             result = select_roi(frame, prev, history, roi_cfg,
                                 scene.intrinsics, frame_seed)
             roi_cloud = result.cloud
         else:
             roi_cloud = frame
-        ground_truth = frame if (kind == "octree" or
-                                 score_against_full_frame) else roi_cloud
 
         if kind == "octree":
+            ground_truth = frame
             stream = octree_encode(roi_cloud, arg)
-            payload = len(stream)
             decoded = octree_decode(stream).points.astype(np.float64)
-            n_points = len(roi_cloud)
-            encode_s = n_points * OCTREE_ENCODE_S_PER_POINT
+            payload = len(stream)
+            encode_s = len(roi_cloud) * OCTREE_ENCODE_S_PER_POINT
             decode_s = device.decode_time(
                 len(decoded) * OCTREE_DECODE_S_PER_POINT)
             model_id = f"octree:{arg}"
         else:
-            entry = registry.entries[current_model]
+            ground_truth = roi_cloud
             model = registry.model(current_model)
-            decoded_parts = []
             blocks, _ = chunk_blocks(roi_cloud.points, model.n_points)
+            decoded_parts = []
             for block in blocks:
                 norm, centroid, scale = normalize_block(block)
                 rebuilt = decode(model, encode(model, norm))
@@ -501,17 +505,10 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
                     denormalize_block(rebuilt, centroid, scale))
             decoded = np.concatenate(decoded_parts) if decoded_parts \
                 else np.empty((0, 3))
-            payload = len(blocks) * entry.payload_per_block()
-            encode_s = len(blocks) * entry.encode_cost_s
-            decode_s = device.decode_time(len(blocks) * entry.decode_cost_s)
+            payload, encode_s, decode_s = \
+                registry.entries[current_model].frame_costs(len(blocks),
+                                                            device)
             model_id = current_model
-
-        clock_encode_end += encode_s
-        send_start = max(clock_send_end, clock_encode_end)
-        transmit_s = transmit_time(payload, trace, send_start)
-        clock_send_end = send_start + transmit_s
-        bandwidth = payload * 8.0 / transmit_s / 1e6 if transmit_s > 0 \
-            else trace.bandwidth_at(send_start)
 
         if len(decoded) and len(ground_truth):
             cd = chamfer_distance(decoded, ground_truth.points)
@@ -519,7 +516,11 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         else:
             cd = hd = float("nan")
 
-        fps = pipeline_fps(encode_s, transmit_s, decode_s)
+        clock_encode_end += encode_s
+        send_start = max(clock_send_end, clock_encode_end)
+        transmit_s, bandwidth, fps = frame_timing(payload, encode_s, decode_s,
+                                                  trace, send_start)
+        clock_send_end = send_start + transmit_s
         records.append(FrameRecord(
             frame_idx=t, input_points=len(frame), roi_points=len(roi_cloud),
             payload_bytes=int(payload), encode_s=encode_s,
@@ -530,16 +531,28 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         if kind == "drl":
             state = build_state(records, k=roi_cfg.k)
             action = select_action(policy_net, state, "greedy")
-            current_model = policy_net.actions[action] \
-                if action < len(policy_net.actions) else model_ids[-1]
-            if current_model not in registry.entries:
-                current_model = model_ids[-1]
+            current_model = policy_net.actions[action]
 
     config = {"policy": policy, "roi": roi, "trace": trace.tag,
               "device": device.name, "seed": seed,
               "frames": total - 1,
               "roi_cfg": {k: v for k, v in vars(roi_cfg).items()}}
     return StreamSession(records, config, seed)
+
+
+def frame_timing(payload: int, encode_s: float, decode_s: float,
+                 trace: NetworkTrace,
+                 send_start: float) -> tuple[float, float, float]:
+    """(transmit s, effective bandwidth Mbps, fps) of one frame whose
+    payload starts sending at send_start.
+
+    An empty payload reports the trace bandwidth at send_start. This is the
+    one timing model of both sessions and scheduler training.
+    """
+    transmit_s = transmit_time(payload, trace, send_start)
+    bandwidth = payload * 8.0 / transmit_s / 1e6 if transmit_s > 0 \
+        else trace.bandwidth_at(send_start)
+    return transmit_s, bandwidth, pipeline_fps(encode_s, transmit_s, decode_s)
 
 
 def pipeline_fps(encode_s: float, transmit_s: float, decode_s: float) -> float:
@@ -581,21 +594,19 @@ def comparison_to_json(report: dict, path) -> None:
 class StreamingSchedulerEnv:
     """Lightweight frame-timing environment for scheduler training.
 
-    Reuses the session timing model (payload -> transmit time, registry
-    decode costs, pipeline fps) without geometry, so episodes are cheap.
-    Each episode draws a fresh seeded trace around the configured mean and
-    a fresh ROI-size profile.
+    Charges each frame with the session timing model (`frame_costs`, then
+    `frame_timing`) and scores it with `scheduler.reward`, without
+    geometry, so episodes are cheap. Each episode draws a fresh seeded
+    trace around the configured mean and a fresh ROI-size profile.
     """
 
     def __init__(self, registry: ModelRegistry, device: DeviceModel,
                  mean_bandwidth_mbps: float = 25.0,
                  jitter: float = TRACE_JITTER, eta: float = 0.5,
                  f_target: float = 30.0, episode_len: int = 64,
-                 blocks_mean: float = 120.0, k: int = 8,
-                 b_ref: float = 100.0, t_ref: float = 1.0 / 30.0):
+                 blocks_mean: float = 120.0, k: int = 8):
         self.entries = [registry.entries[k] for k in sorted(registry.entries)]
         self.actions = tuple(sorted(registry.entries))
-        self.accuracy = [e.accuracy for e in self.entries]
         self.device = device
         self.mean_bw = mean_bandwidth_mbps
         self.jitter = jitter
@@ -604,8 +615,6 @@ class StreamingSchedulerEnv:
         self.episode_len = episode_len
         self.blocks_mean = blocks_mean
         self.k = k
-        self.b_ref = b_ref
-        self.t_ref = t_ref
         self._records = []
         self._trace = None
         self._t = 0.0
@@ -617,7 +626,7 @@ class StreamingSchedulerEnv:
                                            0.15 * self.blocks_mean)))
 
     def _state(self):
-        return build_state(self._records, self.k, self.b_ref, self.t_ref)
+        return build_state(self._records, self.k)
 
     def reset(self, rng) -> SchedulerState:
         self._rng = rng
@@ -632,18 +641,13 @@ class StreamingSchedulerEnv:
     def step(self, action: int):
         entry = self.entries[action]
         blocks = self._blocks()
-        payload = blocks * entry.payload_per_block()
-        encode_s = blocks * entry.encode_cost_s
-        transmit_s = transmit_time(payload, self._trace, self._t)
-        decode_s = self.device.decode_time(blocks * entry.decode_cost_s)
-        fps = pipeline_fps(encode_s, transmit_s, decode_s)
-        bandwidth = payload * 8.0 / transmit_s / 1e6 if transmit_s > 0 \
-            else self._trace.bandwidth_at(self._t)
+        payload, encode_s, decode_s = entry.frame_costs(blocks, self.device)
+        transmit_s, bandwidth, fps = frame_timing(payload, encode_s, decode_s,
+                                                  self._trace, self._t)
         self._records.append({
             "input_points": blocks * 128, "roi_points": blocks * 128,
             "decode_s": decode_s, "bandwidth_mbps": bandwidth})
         self._t += max(transmit_s, 1.0 / self.spec.f_target)
-        rew = (self.spec.eta * min(1.0, fps / self.spec.f_target)
-               + (1.0 - self.spec.eta) * self.accuracy[action])
         self._left -= 1
-        return self._state(), rew, self._left <= 0
+        return (self._state(), reward(fps, entry.model_id, self.spec),
+                self._left <= 0)

@@ -8,9 +8,9 @@ from pcvstream.cloud import PointCloud, chamfer_distance, hausdorff_distance
 from pcvstream.codec import (
     CodecFormatError, CodecModel, PruneConfig, chunk_blocks, decode,
     dequantize, deserialize, encode, lightweight_train, make_codec_model,
-    mean_chamfer, normalize_block, octree_decode, octree_encode, prune_layer,
-    prune_model, prune_threshold, quantize_inputs, quantize_weights,
-    reconstruct_points, serialize, toy_block_dataset, train,
+    mean_chamfer, morton_key, normalize_block, octree_decode, octree_encode,
+    prune_layer, prune_model, prune_threshold, quantize_weights, serialize,
+    toy_block_dataset, train,
 )
 from pcvstream.nn import Layer, LossSpec
 
@@ -91,6 +91,14 @@ def test_chunk_blocks_pads_tail_by_repetition():
     tail = blocks[3]
     uniq = np.unique(tail, axis=0)
     assert len(uniq) == 4  # only the four real points, repeated
+
+
+def test_morton_key_interleaves_axis_bits():
+    cells = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, 0, 0],
+                      [3, 2, 1]])
+    # bit b of axis a lands at key bit 3*b + a
+    assert morton_key(cells, 2).tolist() == [1, 2, 4, 7, 8, 1 + 8 + 4 + 16]
+    assert morton_key(cells, 1).tolist() == [1, 2, 4, 7, 0, 1 + 4]
 
 
 def test_chunk_blocks_covers_all_points():
@@ -217,35 +225,6 @@ def test_quantize_half_step_error_bound(m):
         err = np.abs(dequantize(codes, meta) - w).max()
         bound = (w.max() - w.min()) / (2 * (2 ** m - 1)) + 1e-9
         assert err <= bound
-
-
-def test_quantize_inputs_outlier_clipped():
-    rng = np.random.default_rng(14)
-    batch = rng.random(1000)
-    batch[500] = 1e6
-    codes, meta = quantize_inputs(batch, 8)
-    assert meta["max"] < 2.0  # outlier excluded from the range
-    assert codes.ravel()[500] == 255  # saturates at the top code
-
-
-def test_quantize_inputs_full_percentiles_match_weights():
-    rng = np.random.default_rng(15)
-    batch = rng.normal(size=300)
-    ci, mi = quantize_inputs(batch, 8, clip_percentiles=(0.0, 100.0))
-    cw, mw = quantize_weights(batch, 8)
-    np.testing.assert_array_equal(np.asarray(ci).ravel(), cw)
-    assert mi["min"] == pytest.approx(mw["min"])
-    assert mi["max"] == pytest.approx(mw["max"])
-
-
-def test_quantize_inputs_range_monotone_in_hi():
-    rng = np.random.default_rng(16)
-    batch = rng.normal(size=500)
-    widths = []
-    for hi in (90.0, 99.0, 100.0):
-        _, meta = quantize_inputs(batch, 8, clip_percentiles=(0.5, hi))
-        widths.append(meta["max"] - meta["min"])
-    assert widths[0] <= widths[1] <= widths[2]
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +417,3 @@ def test_octree_validates_depth_and_stream():
     with pytest.raises(CodecFormatError):
         octree_decode(stream + b"\x00")
 
-
-# ---------------------------------------------------------------------------
-# reconstruction plumbing
-
-def test_reconstruct_points_shape():
-    model = tiny_model(seed=26)
-    rng = np.random.default_rng(27)
-    pts = rng.normal(size=(40, 3))
-    out = reconstruct_points(model, pts)
-    assert out.shape == (3 * 16, 3)  # ceil(40/16) blocks, n points each

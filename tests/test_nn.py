@@ -6,7 +6,7 @@ import pytest
 from pcvstream.nn import (
     EMD_CAP, Layer, LossSpec, Network, NumericsError, backward, chamfer_loss,
     dense, emd_loss, forward, rotate_points, rotate_points_backward,
-    rotation_matrix, sgd_step, total_loss,
+    adam_step, rotation_matrix, total_loss,
 )
 
 H = 1e-5
@@ -248,37 +248,30 @@ def test_total_loss_joint_gradient_finite_difference():
 # ---------------------------------------------------------------------------
 # optimizer
 
-def test_sgd_zero_lr_keeps_network():
+def test_adam_zero_lr_keeps_network():
     rng = np.random.default_rng(10)
     net = Network([dense(3, 2, rng)])
     before = net.layers[0].weights.copy()
-    sgd_step(net, [(np.ones((3, 2)), np.ones(3))], lr=0.0, momentum=0.0)
+    adam_step(net, [(np.ones((3, 2)), np.ones(3))], lr=0.0)
     np.testing.assert_array_equal(net.layers[0].weights, before)
 
 
-def test_sgd_single_weight():
-    net = Network([Layer("dense", np.array([[1.0]]), np.zeros(1))])
-    sgd_step(net, [(np.array([[0.5]]), np.zeros(1))], lr=0.1, momentum=0.0)
-    assert net.layers[0].weights[0, 0] == pytest.approx(0.95)
+def test_adam_first_step_moves_by_lr():
+    # bias-corrected first step: m_hat / sqrt(v_hat) = g / |g|
+    net = Network([Layer("dense", np.array([[1.0, 1.0]]), np.zeros(1))])
+    adam_step(net, [(np.array([[0.5, -2.0]]), np.zeros(1))], lr=0.1)
+    np.testing.assert_allclose(net.layers[0].weights, [[0.9, 1.1]],
+                               rtol=1e-7)
 
 
-def test_sgd_momentum_accumulates():
-    net = Network([Layer("dense", np.array([[0.0]]), np.zeros(1))])
-    g = [(np.array([[1.0]]), np.zeros(1))]
-    state = sgd_step(net, g, lr=1.0, momentum=0.5)
-    sgd_step(net, g, lr=1.0, momentum=0.5, state=state)
-    # steps: -1.0 then -(0.5*1+1) = -1.5
-    assert net.layers[0].weights[0, 0] == pytest.approx(-2.5)
-
-
-def test_sgd_respects_prune_mask():
+def test_adam_respects_prune_mask():
     layer = Layer("dense", np.array([[0.0, 1.0]]), np.zeros(1))
     layer.prune_mask = np.array([[0.0, 1.0]])
     net = Network([layer])
     state = None
     for _ in range(5):
-        state = sgd_step(net, [(np.array([[1.0, 1.0]]), np.zeros(1))],
-                         lr=0.1, momentum=0.9, state=state)
+        state = adam_step(net, [(np.array([[1.0, 1.0]]), np.zeros(1))],
+                          lr=0.1, state=state)
     assert layer.weights[0, 0] == 0.0
     assert layer.weights[0, 1] != 1.0
 

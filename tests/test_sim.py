@@ -9,11 +9,12 @@ from pcvstream.codec import (
     PruneConfig, lightweight_train, make_codec_model, mean_chamfer, serialize,
     toy_block_dataset, train,
 )
+from pcvstream.scheduler import ActorCritic
 from pcvstream.sim import (
     DeviceModel, ModelRegistry, NetworkTrace, RegistryEntry, Scene,
     StreamingSchedulerEnv, compare_policies, comparison_to_csv,
-    comparison_to_json, generate_scene, measure_block_costs, pipeline_fps,
-    run_session, transmit_time,
+    comparison_to_json, frame_timing, generate_scene, measure_block_costs,
+    pipeline_fps, run_session, transmit_time,
 )
 
 
@@ -97,6 +98,25 @@ def test_transmit_time_extends_last_sample():
 
 # ---------------------------------------------------------------------------
 # devices
+
+def test_frame_timing_matches_its_parts():
+    trace = NetworkTrace(np.array([0.0, 1.0]), np.array([50.0, 100.0]))
+    payload = 12_500_000
+    transmit_s, bandwidth, fps = frame_timing(payload, 0.5, 0.25, trace, 0.0)
+    assert transmit_s == transmit_time(payload, trace, 0.0)
+    assert bandwidth == pytest.approx(payload * 8 / transmit_s / 1e6)
+    assert fps == pipeline_fps(0.5, transmit_s, 0.25)
+    # an empty payload reports the trace bandwidth at the send time
+    assert frame_timing(0, 0.1, 0.05, trace, 1.5) == (0.0, 100.0, 10.0)
+
+
+def test_frame_costs_scale_with_blocks():
+    entry = RegistryEntry("8x8-q8", "unused.iscm", 64, 8, 2e-4, 1e-4, 0.05)
+    payload, encode_s, decode_s = entry.frame_costs(10, DeviceModel("x2", 2.0))
+    assert payload == 10 * (64 * 4 + 16)
+    assert encode_s == pytest.approx(2e-3)
+    assert decode_s == pytest.approx(5e-4)  # twice the reference speed
+
 
 def test_device_presets_ordering():
     d1 = DeviceModel.preset("device-1")
@@ -338,6 +358,16 @@ def test_unknown_policy_and_missing_model(tmp_path):
     registry = toy_registry(tmp_path, latents=(16,))
     with pytest.raises(KeyError):
         run_session(scene, "fixed:nope", trace, device, registry=registry)
+
+
+def test_drl_policy_actions_must_be_in_registry(tmp_path):
+    registry = ModelRegistry(tmp_path, {"4x4-q8": RegistryEntry(
+        "4x4-q8", "unused.iscm", 16, 8, 1e-4, 1e-4, 0.05)})
+    net = ActorCritic.create(actions=("4x4-q8", "8x8-q8"), seed=0)
+    with pytest.raises(ValueError, match="8x8-q8"):
+        run_session(small_scene(frames=3), "drl", NetworkTrace.constant(60.0),
+                    DeviceModel.preset("device-2"), registry=registry,
+                    policy_net=net)
 
 
 # ---------------------------------------------------------------------------
