@@ -447,11 +447,13 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
     kind, arg = _parse_policy(policy)
     if kind in ("drl", "fixed") and registry is None:
         raise ValueError("codec policies need a model registry")
-    if kind == "drl" and policy_net is None:
-        raise ValueError("the drl policy needs a trained policy net")
-    if kind == "drl" and not set(policy_net.actions) <= set(registry.entries):
+    if kind == "drl":
+        if policy_net is None:
+            raise ValueError("the drl policy needs a trained policy net")
         missing = sorted(set(policy_net.actions) - set(registry.entries))
-        raise ValueError(f"policy actions {missing} are not in the registry")
+        if missing:
+            raise ValueError(f"policy actions {missing} are not in the "
+                             "registry")
     if roi not in ("on", "off"):
         raise ValueError("roi must be 'on' or 'off'")
     roi_cfg = roi_cfg or RoiConfig()
@@ -487,8 +489,8 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         if kind == "octree":
             ground_truth = frame
             stream = octree_encode(roi_cloud, arg)
-            decoded = octree_decode(stream).points.astype(np.float64)
             payload = len(stream)
+            decoded = octree_decode(stream).points.astype(np.float64)
             encode_s = len(roi_cloud) * OCTREE_ENCODE_S_PER_POINT
             decode_s = device.decode_time(
                 len(decoded) * OCTREE_DECODE_S_PER_POINT)
@@ -496,8 +498,8 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         else:
             ground_truth = roi_cloud
             model = registry.model(current_model)
-            blocks, _ = chunk_blocks(roi_cloud.points, model.n_points)
             decoded_parts = []
+            blocks, _ = chunk_blocks(roi_cloud.points, model.n_points)
             for block in blocks:
                 norm, centroid, scale = normalize_block(block)
                 rebuilt = decode(model, encode(model, norm))

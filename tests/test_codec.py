@@ -416,4 +416,3 @@ def test_octree_validates_depth_and_stream():
         octree_decode(stream[:-1])
     with pytest.raises(CodecFormatError):
         octree_decode(stream + b"\x00")
-
