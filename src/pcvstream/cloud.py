@@ -475,27 +475,29 @@ def nearest_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return cKDTree(q).query(p)[0]
 
 
-def chamfer_distance(p, q, normalize: bool = False) -> float:
-    """Symmetric Chamfer distance: mean NN distance in both directions.
+def chamfer_hausdorff(p, q, normalize: bool = False) -> tuple[float, float]:
+    """(Chamfer, Hausdorff) distance from one pair of NN queries.
 
-    With normalize=True both clouds are first mapped into the unit cube of
-    their joint bounding box (the raw-coordinate form is the default).
+    Chamfer is the mean NN distance summed over both directions, Hausdorff
+    the worst NN distance in either. With normalize=True both clouds are
+    first mapped into the unit cube of their joint bounding box (the
+    raw-coordinate form is the default).
     """
     pa, qa = _as_points(p), _as_points(q)
     if len(pa) == 0 or len(qa) == 0:
-        raise ValueError("chamfer_distance requires non-empty clouds")
+        raise ValueError("cloud distances require non-empty clouds")
     if normalize:
         pa, qa = _normalize_pair(pa, qa)
-    return float(nearest_distances(pa, qa).mean()
-                 + nearest_distances(qa, pa).mean())
+    d_pq, d_qp = nearest_distances(pa, qa), nearest_distances(qa, pa)
+    return (float(d_pq.mean() + d_qp.mean()),
+            float(max(d_pq.max(), d_qp.max())))
+
+
+def chamfer_distance(p, q, normalize: bool = False) -> float:
+    """Symmetric Chamfer distance: mean NN distance in both directions."""
+    return chamfer_hausdorff(p, q, normalize)[0]
 
 
 def hausdorff_distance(p, q, normalize: bool = False) -> float:
     """Symmetric Hausdorff distance: worst-case NN distance, both ways."""
-    pa, qa = _as_points(p), _as_points(q)
-    if len(pa) == 0 or len(qa) == 0:
-        raise ValueError("hausdorff_distance requires non-empty clouds")
-    if normalize:
-        pa, qa = _normalize_pair(pa, qa)
-    return float(max(nearest_distances(pa, qa).max(),
-                     nearest_distances(qa, pa).max()))
+    return chamfer_hausdorff(p, q, normalize)[1]

@@ -637,17 +637,17 @@ def octree_decode(data: bytes) -> PointCloud:
     mn = np.array([x, y, z], dtype=np.float64)
     off = 17
     nodes = np.zeros(1, dtype=np.uint64)
+    octants = np.arange(8, dtype=np.uint64)
     for _ in range(depth):
         if off + len(nodes) > len(data):
             raise CodecFormatError(f"truncated octree stream at byte {off}")
-        occupancy = np.frombuffer(data[off:off + len(nodes)], np.uint8)
+        occupancy = np.frombuffer(data, np.uint8, len(nodes), off)
         off += len(nodes)
-        children = []
-        for node, occ in zip(nodes, occupancy):
-            for k in range(8):
-                if occ & (1 << k):
-                    children.append((node << np.uint64(3)) | np.uint64(k))
-        nodes = np.array(children, dtype=np.uint64)
+        # row i, column k: node i has child octant k (bit k of its byte);
+        # row-major selection keeps the breadth-first child order
+        mask = np.unpackbits(occupancy[:, None], axis=1,
+                             bitorder="little").astype(bool)
+        nodes = ((nodes[:, None] << np.uint64(3)) | octants)[mask]
         if len(nodes) == 0:
             break
     if off != len(data):

@@ -131,6 +131,11 @@ class ActorCritic:
         return cls(dense(hidden, 3 * k, rng), dense(len(actions), hidden, rng),
                    dense(1, hidden, rng), tuple(actions))
 
+    @property
+    def k(self) -> int:
+        """State window in frames: the trunk reads 3 values per frame."""
+        return self.trunk.weights.shape[1] // 3
+
     def hidden(self, state_vec):
         return np.tanh(self.trunk.weights @ state_vec + self.trunk.bias)
 

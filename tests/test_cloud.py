@@ -5,8 +5,8 @@ import pytest
 
 from pcvstream.cloud import (
     BlockGrid, Camera, Intrinsics, PlyError, PointCloud, Pose,
-    chamfer_distance, downsample, frustum_cull, hausdorff_distance, load_ply,
-    partition, quat_from_axis_angle, save_ply,
+    chamfer_distance, chamfer_hausdorff, downsample, frustum_cull,
+    hausdorff_distance, load_ply, partition, quat_from_axis_angle, save_ply,
 )
 
 
@@ -359,11 +359,14 @@ def test_hausdorff_analytic_pair():
 
 def test_metrics_match_bruteforce_oracle():
     rng = np.random.default_rng(8)
-    for _ in range(30):
-        p = rng.normal(size=(8, 3))
-        q = rng.normal(size=(8, 3))
-        assert chamfer_distance(p, q) == pytest.approx(brute_chamfer(p, q), abs=1e-9)
-        assert hausdorff_distance(p, q) == pytest.approx(brute_hausdorff(p, q), abs=1e-9)
+    sizes = [(8, 8)] * 30 + [(13, 5), (5, 13), (1, 9), (9, 1), (1, 1)]
+    for n_p, n_q in sizes:
+        p = rng.normal(size=(n_p, 3))
+        q = rng.normal(size=(n_q, 3))
+        cd, hd = chamfer_hausdorff(p, q)
+        assert cd == pytest.approx(brute_chamfer(p, q), abs=1e-9)
+        assert hd == pytest.approx(brute_hausdorff(p, q), abs=1e-9)
+        assert (cd, hd) == (chamfer_distance(p, q), hausdorff_distance(p, q))
 
 
 def test_metrics_symmetric():
@@ -380,6 +383,9 @@ def test_metrics_reject_empty():
         chamfer_distance(empty, full)
     with pytest.raises(ValueError):
         hausdorff_distance(full, empty)
+    for p, q in ((empty, full), (full, empty), (empty, empty)):
+        with pytest.raises(ValueError):
+            chamfer_hausdorff(p, q)
 
 
 def test_metrics_normalize_flag():

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -403,6 +404,79 @@ def test_octree_deeper_never_increases_cd():
         decoded = octree_decode(octree_encode(cloud, depth))
         cds.append(chamfer_distance(decoded, cloud))
     assert all(b <= a + 1e-12 for a, b in zip(cds, cds[1:]))
+
+
+def node_walk_octree_decode(data: bytes) -> PointCloud:
+    """Reference decoder: expands the occupancy bytes one node at a time."""
+    if len(data) < 17:
+        raise CodecFormatError("octree stream too short")
+    x, y, z, edge, depth = struct.unpack("<3ffB", data[:17])
+    if not 1 <= depth <= 16:
+        raise CodecFormatError(f"invalid octree depth {depth}")
+    mn = np.array([x, y, z], dtype=np.float64)
+    off = 17
+    nodes = np.zeros(1, dtype=np.uint64)
+    for _ in range(depth):
+        if off + len(nodes) > len(data):
+            raise CodecFormatError(f"truncated octree stream at byte {off}")
+        occupancy = np.frombuffer(data[off:off + len(nodes)], np.uint8)
+        off += len(nodes)
+        children = []
+        for node, occ in zip(nodes, occupancy):
+            for k in range(8):
+                if occ & (1 << k):
+                    children.append((node << np.uint64(3)) | np.uint64(k))
+        nodes = np.array(children, dtype=np.uint64)
+        if len(nodes) == 0:
+            break
+    if off != len(data):
+        raise CodecFormatError(f"{len(data) - off} trailing bytes")
+    if len(nodes) == 0:
+        return PointCloud(np.empty((0, 3), np.float32))
+    cells = np.zeros((len(nodes), 3), dtype=np.float64)
+    for b in range(depth):
+        for axis in range(3):
+            cells[:, axis] += ((nodes >> np.uint64(3 * b + axis))
+                               & np.uint64(1)).astype(np.float64) * (1 << b)
+    centers = mn + (cells + 0.5) * (float(edge) / (1 << depth))
+    return PointCloud(centers.astype(np.float32))
+
+
+def decode_error(decoder, data):
+    try:
+        decoder(data)
+    except CodecFormatError as exc:
+        return str(exc)
+    return None
+
+
+def test_octree_decode_matches_node_walk_oracle():
+    rng = np.random.default_rng(26)
+    clouds = [rng.normal(size=(400, 3)) for _ in range(2)]
+    clouds.append(np.repeat(rng.random((30, 3)), 4, axis=0))  # duplicates
+    clouds.append(np.array([[1.0, -2.0, 3.0]]))
+    clouds.append(np.empty((0, 3)))
+    for points in clouds:
+        cloud = PointCloud(points.astype(np.float32))
+        for depth in (1, 3, 10, 16):
+            stream = octree_encode(cloud, depth)
+            got = octree_decode(stream).points
+            want = node_walk_octree_decode(stream).points
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), (len(points), depth)
+
+
+def test_octree_decode_errors_match_node_walk_oracle():
+    stream = octree_encode(PointCloud(np.random.default_rng(27).random(
+        (50, 3)).astype(np.float32)), 4)
+    header = bytearray(stream[:17])
+    header[16] = 0
+    bad = [stream[:10], bytes(header) + stream[17:], stream + b"\x00"]
+    bad += [stream[:cut] for cut in range(17, len(stream))]
+    for data in bad:
+        want = decode_error(node_walk_octree_decode, data)
+        assert want is not None
+        assert decode_error(octree_decode, data) == want
 
 
 def test_octree_validates_depth_and_stream():

@@ -9,6 +9,7 @@ from pcvstream.codec import (
     PruneConfig, lightweight_train, make_codec_model, mean_chamfer, serialize,
     toy_block_dataset, train,
 )
+from pcvstream.roi import RoiConfig
 from pcvstream.scheduler import ActorCritic
 from pcvstream.sim import (
     DeviceModel, ModelRegistry, NetworkTrace, RegistryEntry, Scene,
@@ -368,6 +369,21 @@ def test_drl_policy_actions_must_be_in_registry(tmp_path):
         run_session(small_scene(frames=3), "drl", NetworkTrace.constant(60.0),
                     DeviceModel.preset("device-2"), registry=registry,
                     policy_net=net)
+
+
+def test_drl_state_uses_the_policy_window(tmp_path):
+    model = make_codec_model(16, 32, seed=16, enc_hidden=(8,),
+                             dec_hidden=(16,))
+    serialize(model, tmp_path / "tiny.iscm")
+    registry = ModelRegistry(tmp_path, {"tiny": RegistryEntry(
+        "tiny", "tiny.iscm", 16, 32, 1e-4, 5e-5, 0.05)})
+    net = ActorCritic.create(k=4, actions=("tiny",), seed=0)
+    assert net.k == 4 != RoiConfig().k
+    session = run_session(small_scene(frames=4), "drl",
+                          NetworkTrace.constant(60.0),
+                          DeviceModel.preset("device-2"), registry=registry,
+                          policy_net=net, seed=1)
+    assert [rec.model_id for rec in session.records] == ["tiny"] * 3
 
 
 # ---------------------------------------------------------------------------
