@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 LATENT_SIZES = {"4x4": 16, "8x8": 64, "16x16": 256}
 DEFAULT_BLOCK_POINTS = 128
 BLOCK_ORDER_BITS = 10  # Morton grid resolution per axis in chunk_blocks
+# blocks per encoder forward of a stack: (8, 128, 256) float64 activations
+# are 2 MB, where a whole 157-block frame at once holds 41 MB per layer
+ENCODE_CHUNK_BLOCKS = 8
 
 MAGIC = b"ISCM"
 FORMAT_VERSION = 1
@@ -119,19 +122,28 @@ def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
 def normalize_block(points):
     """Center on the centroid and scale into the unit ball.
 
-    Returns (normalized, centroid, scale); degenerate blocks get scale 1.
+    Takes one (n, 3) block or a (B, n, 3) stack of blocks. Returns
+    (normalized, centroid, scale): for a stack, centroids are (B, 3) and
+    scales (B,). Degenerate blocks get scale 1.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    centroid = pts.mean(axis=0)
-    shifted = pts - centroid
-    scale = float(np.linalg.norm(shifted, axis=1).max())
-    if scale <= 0.0:
-        scale = 1.0
-    return shifted / scale, centroid, scale
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 3:
+        pts = pts.reshape(-1, 3)
+    centroid = pts.mean(axis=-2)
+    shifted = pts - centroid[..., None, :]
+    scale = np.linalg.norm(shifted, axis=-1).max(axis=-1)
+    scale = np.where(scale <= 0.0, 1.0, scale)
+    if pts.ndim == 2:
+        return shifted / scale, centroid, float(scale)
+    return shifted / scale[:, None, None], centroid, scale
 
 
 def denormalize_block(points, centroid, scale):
-    return np.asarray(points, dtype=np.float64) * scale + np.asarray(centroid)
+    """Inverse of normalize_block, for one block or a stack."""
+    scale, centroid = np.asarray(scale), np.asarray(centroid)
+    if scale.ndim:  # a stack: one scale and centroid per block
+        scale, centroid = scale[:, None, None], centroid[:, None, :]
+    return np.asarray(points, dtype=np.float64) * scale + centroid
 
 
 def morton_key(cells, bits: int) -> np.ndarray:
@@ -157,20 +169,18 @@ def chunk_blocks(points, n_points: int):
     if len(pts) == 0:
         return np.empty((0, n_points, 3)), np.empty(0, dtype=int)
     res = 1 << BLOCK_ORDER_BITS
-    lo = pts.min(axis=0)
-    span = np.where(pts.max(axis=0) > lo, pts.max(axis=0) - lo, 1.0)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
     cells = np.clip(((pts - lo) / span * res).astype(np.uint64), 0, res - 1)
     pts = pts[np.argsort(morton_key(cells, BLOCK_ORDER_BITS), kind="stable")]
-    n_blocks = math.ceil(len(pts) / n_points)
-    blocks = np.empty((n_blocks, n_points, 3))
-    valid = np.empty(n_blocks, dtype=int)
-    for b in range(n_blocks):
-        chunk = pts[b * n_points:(b + 1) * n_points]
-        valid[b] = len(chunk)
-        if len(chunk) < n_points:
-            reps = math.ceil(n_points / len(chunk))
-            chunk = np.tile(chunk, (reps, 1))[:n_points]
-        blocks[b] = chunk
+    n_full, tail = divmod(len(pts), n_points)
+    blocks = np.empty((n_full + (tail > 0), n_points, 3))
+    blocks[:n_full] = pts[:n_full * n_points].reshape(n_full, n_points, 3)
+    valid = np.full(len(blocks), n_points)
+    if tail:
+        reps = math.ceil(n_points / tail)
+        blocks[-1] = np.tile(pts[n_full * n_points:], (reps, 1))[:n_points]
+        valid[-1] = tail
     return blocks, valid
 
 
@@ -178,8 +188,20 @@ def chunk_blocks(points, n_points: int):
 # inference
 
 def encode(model: CodecModel, block) -> np.ndarray:
-    """Latent feature vector (latent_dim,) of one n-point block."""
+    """Latent feature vector (latent_dim,) of one n-point block, or the
+    (B, latent_dim) latents of a (B, n, 3) stack.
+
+    A stack runs through the encoder ENCODE_CHUNK_BLOCKS blocks at a time,
+    so its activation memory does not grow with B.
+    """
     block = np.asarray(block, dtype=np.float64)
+    if block.ndim == 3:
+        if block.shape[0] == 0 or block.shape[1:] != (model.n_points, 3):
+            raise ValueError(f"block stack must be (B > 0, {model.n_points}"
+                             f", 3), got {block.shape}")
+        return np.concatenate([
+            forward(model.encoder, block[i:i + ENCODE_CHUNK_BLOCKS])[0]
+            for i in range(0, len(block), ENCODE_CHUNK_BLOCKS)])
     if block.size == 0:
         raise ValueError("cannot encode an empty block")
     if block.shape != (model.n_points, 3):
@@ -189,8 +211,15 @@ def encode(model: CodecModel, block) -> np.ndarray:
 
 
 def decode(model: CodecModel, latent) -> np.ndarray:
-    """Reconstructed (n_points, 3) block from a latent vector."""
+    """Reconstructed (n_points, 3) block from a latent vector, or the
+    (B, n_points, 3) stack of a (B, latent_dim) latent batch."""
     latent = np.asarray(latent, dtype=np.float64)
+    if latent.ndim == 2:
+        if latent.shape[0] == 0 or latent.shape[1] != model.latent_dim:
+            raise ValueError(f"latents must be (B > 0, {model.latent_dim}), "
+                             f"got {latent.shape}")
+        out = forward(model.decoder, latent)[0]
+        return out.reshape(len(latent), model.n_points, 3)
     if latent.shape != (model.latent_dim,):
         raise ValueError(
             f"latent must have length {model.latent_dim}, got {latent.shape}")
@@ -280,8 +309,7 @@ def mean_reconstruction_loss(model: CodecModel, dataset,
     data = np.asarray(dataset, dtype=np.float64)
     zero = np.zeros(3)
     total = 0.0
-    for target in data:
-        pred = decode(model, encode(model, target))
+    for pred, target in zip(decode(model, encode(model, data)), data):
         total += total_loss(pred, target, zero, spec)[0]
     return total / len(data)
 
@@ -289,8 +317,9 @@ def mean_reconstruction_loss(model: CodecModel, dataset,
 def mean_chamfer(model: CodecModel, dataset) -> float:
     """Mean Chamfer distance of codec round trips over normalized blocks."""
     data = np.asarray(dataset, dtype=np.float64)
-    return float(np.mean([
-        chamfer_distance(decode(model, encode(model, b)), b) for b in data]))
+    rebuilt = decode(model, encode(model, data))
+    return float(np.mean([chamfer_distance(r, b)
+                          for r, b in zip(rebuilt, data)]))
 
 
 # ---------------------------------------------------------------------------
@@ -606,25 +635,23 @@ def octree_encode(cloud: PointCloud, depth: int) -> bytes:
         edge = 1.0
     res = 1 << depth
     cells = np.clip(((pts - mn) / edge * res).astype(np.int64), 0, res - 1)
-    leaves = np.unique(morton_key(cells, depth))
-    levels = [leaves]
+    keys = np.unique(morton_key(cells, depth))
+    levels = []  # occupancy bytes per level, leaves' parents first
     for _ in range(depth):
-        levels.append(np.unique(levels[-1] >> np.uint64(3)))
-    levels.reverse()  # levels[0] = root, levels[depth] = leaves
-
-    out = bytearray()
-    for lvl in range(depth):
-        parents = levels[lvl]
-        children = levels[lvl + 1]
-        occupancy = np.zeros(len(parents), dtype=np.uint8)
-        slot = np.searchsorted(parents, children >> np.uint64(3))
-        np.bitwise_or.at(occupancy, slot,
-                         (1 << (children & np.uint64(7))).astype(np.uint8))
-        out += occupancy.tobytes()
+        # parents of sorted unique keys come sorted: each run is one parent
+        up = keys >> np.uint64(3)
+        first = np.empty(len(up), dtype=bool)
+        first[0] = True
+        np.not_equal(up[1:], up[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        bits = np.uint8(1) << (keys & np.uint64(7)).astype(np.uint8)
+        levels.append(np.bitwise_or.reduceat(bits, starts))
+        keys = up[starts]
+    out = b"".join(level.tobytes() for level in reversed(levels))
     mn32 = mn.astype(np.float32)
     header = struct.pack("<3ffB", mn32[0], mn32[1], mn32[2],
                          np.float32(edge), depth)
-    return header + bytes(out)
+    return header + out
 
 
 def octree_decode(data: bytes) -> PointCloud:

@@ -503,15 +503,14 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         else:
             ground_truth = roi_cloud
             model = registry.model(current_model)
-            decoded_parts = []
             blocks, _ = chunk_blocks(roi_cloud.points, model.n_points)
-            for block in blocks:
-                norm, centroid, scale = normalize_block(block)
+            if len(blocks):
+                norm, centroid, scale = normalize_block(blocks)
                 rebuilt = decode(model, encode(model, norm))
-                decoded_parts.append(
-                    denormalize_block(rebuilt, centroid, scale))
-            decoded = np.concatenate(decoded_parts) if decoded_parts \
-                else np.empty((0, 3))
+                decoded = denormalize_block(rebuilt, centroid,
+                                            scale).reshape(-1, 3)
+            else:
+                decoded = np.empty((0, 3))
             payload, encode_s, decode_s = \
                 registry.entries[current_model].frame_costs(len(blocks),
                                                             device)

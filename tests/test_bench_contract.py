@@ -46,6 +46,12 @@ def tiny_registry(root):
     return registry
 
 
+def forward_rows(spans, parent):
+    """Rows processed by the nn.forward calls made inside span `parent`."""
+    return sum(s[5] for s in spans.spans
+               if s[0] == "nn.forward" and s[3] == parent)
+
+
 def test_traced_frames_end_at_pipeline_fps(tmp_path):
     tracer = load_tracer()
     registry = tiny_registry(tmp_path)
@@ -67,11 +73,17 @@ def test_traced_frames_end_at_pipeline_fps(tmp_path):
                 assert names.count("codec.octree_encode") == 1
                 assert names.count("codec.octree_decode") == 1
             if policy.startswith("fixed:"):
-                chunks = [s[5] for s in spans.spans
-                          if s[4] == rec.frame_idx
-                          and s[0] == "codec.chunk_blocks"]
-                assert chunks == [names.count("codec.encode")]
-                assert names.count("codec.decode") == chunks[0]
+                frame = [(i, s) for i, s in enumerate(spans.spans)
+                         if s[4] == rec.frame_idx]
+                chunks = [s[5] for _, s in frame
+                          if s[0] == "codec.chunk_blocks"]
+                enc = [i for i, s in frame if s[0] == "codec.encode"]
+                dec = [i for i, s in frame if s[0] == "codec.decode"]
+                assert len(chunks) == len(enc) == len(dec) == 1
+                # every block of the frame goes through the encoder's and
+                # the decoder's nn.forward calls
+                assert forward_rows(spans, enc[0]) == chunks[0] * 32
+                assert forward_rows(spans, dec[0]) == chunks[0]
 
 
 def test_traced_drl_decisions_fall_on_the_frames_they_serve(tmp_path):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
     BlockGrid, Camera, Intrinsics, PlyError, PointCloud, Pose,
     chamfer_distance, chamfer_hausdorff, downsample, frustum_cull,
-    hausdorff_distance, load_ply, partition, quat_from_axis_angle, save_ply,
+    hausdorff_distance, load_ply, nearest_distances, partition,
+    quat_from_axis_angle, save_ply,
 )
 
 
@@ -367,6 +369,20 @@ def test_metrics_match_bruteforce_oracle():
         assert cd == pytest.approx(brute_chamfer(p, q), abs=1e-9)
         assert hd == pytest.approx(brute_hausdorff(p, q), abs=1e-9)
         assert (cd, hd) == (chamfer_distance(p, q), hausdorff_distance(p, q))
+
+
+def test_nearest_distances_equal_default_tree_distances():
+    rng = np.random.default_rng(10)
+    surface = rng.random((3000, 3)) * [4.0, 4.0, 0.01]  # a thin slab
+    clouds = [
+        (rng.normal(scale=3.0, size=(500, 3)), surface),  # far from q
+        (surface[::7] + 1e-3, surface),
+        (np.repeat(surface[:50], 3, axis=0), surface[:50]),  # exact ties
+        (rng.normal(size=(1, 3)), rng.normal(size=(1, 3))),
+    ]
+    for p, q in clouds:
+        want = cKDTree(q).query(p)[0]
+        np.testing.assert_array_equal(nearest_distances(p, q), want)
 
 
 def test_metrics_symmetric():

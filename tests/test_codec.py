@@ -7,13 +7,14 @@ import pytest
 
 from pcvstream.cloud import PointCloud, chamfer_distance, hausdorff_distance
 from pcvstream.codec import (
-    CodecFormatError, CodecModel, PruneConfig, chunk_blocks, decode,
-    dequantize, deserialize, encode, lightweight_train, make_codec_model,
-    mean_chamfer, morton_key, normalize_block, octree_decode, octree_encode,
-    prune_layer, prune_model, prune_threshold, quantize_weights, serialize,
-    toy_block_dataset, train,
+    BLOCK_ORDER_BITS, ENCODE_CHUNK_BLOCKS, CodecFormatError, CodecModel,
+    PruneConfig, chunk_blocks, decode, denormalize_block, dequantize,
+    deserialize, encode, lightweight_train, make_codec_model, mean_chamfer,
+    mean_reconstruction_loss, morton_key, normalize_block, octree_decode,
+    octree_encode, prune_layer, prune_model, prune_threshold,
+    quantize_weights, serialize, toy_block_dataset, train,
 )
-from pcvstream.nn import Layer, LossSpec
+from pcvstream.nn import Layer, LossSpec, total_loss
 
 
 def tiny_model(latent=8, n_points=16, seed=0):
@@ -71,6 +72,78 @@ def test_encode_validates_shape():
         encode(model, np.empty((0, 3)))
 
 
+def stream_model(seed=30):
+    """Codec of the stream registry's shape: 128-point blocks."""
+    return make_codec_model(64, seed=seed)
+
+
+def block_stack(count, n_points=128, seed=31):
+    rng = np.random.default_rng(seed)
+    return normalize_block(rng.normal(loc=rng.normal(size=(count, 1, 3)),
+                                      size=(count, n_points, 3)))[0]
+
+
+@pytest.mark.parametrize("count", [1, ENCODE_CHUNK_BLOCKS - 1,
+                                   ENCODE_CHUNK_BLOCKS,
+                                   ENCODE_CHUNK_BLOCKS + 1, 157])
+def test_stacked_encode_equals_per_block_encode(count):
+    model = stream_model()
+    blocks = block_stack(count)
+    got = encode(model, blocks)
+    assert got.shape == (count, 64)
+    np.testing.assert_array_equal(got, [encode(model, b) for b in blocks])
+
+
+def test_stacked_decode_matches_per_block_decode():
+    model = stream_model()
+    latents = encode(model, block_stack(157))
+    got = decode(model, latents)
+    assert got.shape == (157, 128, 3)
+    want = np.stack([decode(model, z) for z in latents])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_stacked_normalize_round_trip_equals_per_block():
+    rng = np.random.default_rng(32)
+    blocks = rng.normal(loc=5.0, scale=3.0, size=(9, 20, 3))
+    blocks[4] = [2.0, -1.0, 0.5]  # degenerate: every point the same
+    norm, centroid, scale = normalize_block(blocks)
+    assert scale[4] == 1.0
+    for b, block in enumerate(blocks):
+        want = normalize_block(block)
+        np.testing.assert_array_equal(norm[b], want[0])
+        np.testing.assert_array_equal(centroid[b], want[1])
+        assert scale[b] == want[2]
+    restored = denormalize_block(norm, centroid, scale)
+    for b in range(len(blocks)):
+        np.testing.assert_array_equal(
+            restored[b], denormalize_block(norm[b], centroid[b], scale[b]))
+
+
+def test_stacked_codec_rejects_bad_shapes():
+    model = tiny_model()
+    for bad in (np.zeros((0, 16, 3)), np.zeros((2, 17, 3)),
+                np.zeros((2, 16, 2))):
+        with pytest.raises(ValueError):
+            encode(model, bad)
+    for bad in (np.zeros((0, 8)), np.zeros((2, 9))):
+        with pytest.raises(ValueError):
+            decode(model, bad)
+
+
+def test_dataset_means_match_per_sample_round_trips():
+    model = tiny_model(seed=33)
+    data = toy_block_dataset(11, 16, seed=3)
+    rebuilt = [decode(model, encode(model, b)) for b in data]
+    zero = np.zeros(3)
+    want_loss = sum(total_loss(r, b, zero, LossSpec())[0]
+                    for r, b in zip(rebuilt, data)) / len(data)
+    want_cd = np.mean([chamfer_distance(r, b) for r, b in zip(rebuilt, data)])
+    assert mean_reconstruction_loss(model, data) == \
+        pytest.approx(want_loss, rel=1e-12)
+    assert mean_chamfer(model, data) == pytest.approx(want_cd, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # block plumbing
 
@@ -79,7 +152,6 @@ def test_normalize_block_round_trip():
     pts = rng.normal(loc=4.0, scale=2.0, size=(30, 3))
     norm, centroid, scale = normalize_block(pts)
     assert np.linalg.norm(norm, axis=1).max() == pytest.approx(1.0)
-    from pcvstream.codec import denormalize_block
     np.testing.assert_allclose(denormalize_block(norm, centroid, scale), pts)
 
 
@@ -100,6 +172,35 @@ def test_morton_key_interleaves_axis_bits():
     # bit b of axis a lands at key bit 3*b + a
     assert morton_key(cells, 2).tolist() == [1, 2, 4, 7, 8, 1 + 8 + 4 + 16]
     assert morton_key(cells, 1).tolist() == [1, 2, 4, 7, 0, 1 + 4]
+
+
+def per_block_chunk_blocks(points, n_points):
+    """Reference: Morton-sort the points, then cut and pad one run at a
+    time."""
+    pts = np.asarray(points, dtype=np.float64)
+    res = 1 << BLOCK_ORDER_BITS
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    cells = np.clip(((pts - lo) / span * res).astype(np.uint64), 0, res - 1)
+    pts = pts[np.argsort(morton_key(cells, BLOCK_ORDER_BITS), kind="stable")]
+    blocks, valid = [], []
+    for start in range(0, len(pts), n_points):
+        run = pts[start:start + n_points]
+        valid.append(len(run))
+        reps = math.ceil(n_points / len(run))
+        blocks.append(np.tile(run, (reps, 1))[:n_points])
+    return np.array(blocks), np.array(valid)
+
+
+def test_chunk_blocks_matches_per_block_loop():
+    rng = np.random.default_rng(34)
+    for count in (1, 31, 32, 33, 96, 100):
+        pts = rng.normal(size=(count, 3))
+        blocks, valid = chunk_blocks(pts, 32)
+        want_blocks, want_valid = per_block_chunk_blocks(pts, 32)
+        np.testing.assert_array_equal(blocks, want_blocks)
+        np.testing.assert_array_equal(valid, want_valid)
+        assert valid.dtype == want_valid.dtype
 
 
 def test_chunk_blocks_covers_all_points():
@@ -440,6 +541,45 @@ def node_walk_octree_decode(data: bytes) -> PointCloud:
                                & np.uint64(1)).astype(np.float64) * (1 << b)
     centers = mn + (cells + 0.5) * (float(edge) / (1 << depth))
     return PointCloud(centers.astype(np.float32))
+
+
+def unique_per_level_octree_encode(cloud: PointCloud, depth: int) -> bytes:
+    """Reference encoder: np.unique on every level, occupancy by scatter."""
+    pts = cloud.points.astype(np.float64)
+    if len(pts) == 0:
+        return struct.pack("<3ffB", 0.0, 0.0, 0.0, 1.0, depth) + b"\x00"
+    mn = pts.min(axis=0)
+    edge = float((pts.max(axis=0) - mn).max()) or 1.0
+    res = 1 << depth
+    cells = np.clip(((pts - mn) / edge * res).astype(np.int64), 0, res - 1)
+    levels = [np.unique(morton_key(cells, depth))]
+    for _ in range(depth):
+        levels.append(np.unique(levels[-1] >> np.uint64(3)))
+    levels.reverse()
+    out = bytearray()
+    for parents, children in zip(levels, levels[1:]):
+        occupancy = np.zeros(len(parents), dtype=np.uint8)
+        slot = np.searchsorted(parents, children >> np.uint64(3))
+        np.bitwise_or.at(occupancy, slot,
+                         (1 << (children & np.uint64(7))).astype(np.uint8))
+        out += occupancy.tobytes()
+    mn32 = mn.astype(np.float32)
+    return struct.pack("<3ffB", mn32[0], mn32[1], mn32[2], np.float32(edge),
+                       depth) + bytes(out)
+
+
+def test_octree_encode_matches_unique_per_level_oracle():
+    rng = np.random.default_rng(35)
+    clouds = [rng.normal(size=(400, 3)) for _ in range(2)]
+    clouds.append(np.repeat(rng.random((30, 3)), 4, axis=0))  # duplicates
+    clouds.append(np.array([[1.0, -2.0, 3.0]]))
+    clouds.append(np.empty((0, 3)))
+    for points in clouds:
+        cloud = PointCloud(points.astype(np.float32))
+        for depth in (1, 3, 10, 16):
+            assert octree_encode(cloud, depth) == \
+                unique_per_level_octree_encode(cloud, depth), \
+                (len(points), depth)
 
 
 def decode_error(decoder, data):
