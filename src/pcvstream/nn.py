@@ -51,10 +51,6 @@ class Layer:
 class Network:
     layers: list[Layer] = field(default_factory=list)
 
-    def parameter_count(self):
-        return sum(l.weights.size + l.bias.size
-                   for l in self.layers if l.weights is not None)
-
 
 def dense(n_out: int, n_in: int, rng: np.random.Generator,
           scale: float | None = None) -> Layer:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,6 +27,10 @@ DEFAULT_EPOCHS = 500
 DEFAULT_LR = 0.005
 DEFAULT_GAMMA = 0.88
 NEUTRAL_FILL = 0.5
+B_REF = 100.0          # Mbps that reads as full bandwidth
+T_REF = 1.0 / 30.0     # decode seconds that read as full compute
+# the largest |sum(p) - 1| that `sample_index` accepts, as Generator.choice
+PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 # default action space: three latent sizes times two bit widths
 DEFAULT_ACTIONS = ("4x4-q8", "4x4-q16", "8x8-q8", "8x8-q16",
@@ -33,28 +39,37 @@ DEFAULT_ACTIONS = ("4x4-q8", "4x4-q16", "8x8-q8", "8x8-q16",
 
 @dataclass(frozen=True)
 class SchedulerState:
-    """Normalized k-frame windows: ROI significance, compute, bandwidth."""
+    """Normalized k-frame windows: ROI significance, compute, bandwidth.
+
+    The windows are read-only rows of one (3, k) array.
+    """
 
     n_hist: np.ndarray
     c_hist: np.ndarray
     b_hist: np.ndarray
+    _hist: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n_hist", "c_hist", "b_hist"):
-            v = np.clip(np.asarray(getattr(self, name), dtype=np.float64),
-                        0.0, 1.0)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
         k = len(self.n_hist)
         if len(self.c_hist) != k or len(self.b_hist) != k:
             raise ValueError("history windows must share one length")
+        hist = np.array([self.n_hist, self.c_hist, self.b_hist],
+                        dtype=np.float64)
+        if not np.isfinite(hist).all():
+            raise ValueError("history values must be finite")
+        np.clip(hist, 0.0, 1.0, out=hist)
+        hist.flags.writeable = False
+        object.__setattr__(self, "_hist", hist)
+        for name, row in zip(("n_hist", "c_hist", "b_hist"), hist):
+            object.__setattr__(self, name, row)
 
     @property
     def k(self):
         return len(self.n_hist)
 
     def vector(self):
-        return np.concatenate([self.n_hist, self.c_hist, self.b_hist])
+        """The (3k,) trunk input: n, c and b windows back to back."""
+        return self._hist.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -90,28 +105,38 @@ def normalized_accuracy(test_cds: dict) -> dict:
     return {k: v / top for k, v in inv.items()}
 
 
-def build_state(records, k: int = DEFAULT_WINDOW, b_ref: float = 100.0,
-                t_ref: float = 1.0 / 30.0) -> SchedulerState:
+def state_slot(input_points: int, roi_points: int, decode_s: float,
+               bandwidth_mbps: float, b_ref: float = B_REF,
+               t_ref: float = T_REF) -> tuple[float, float, float]:
+    """(n, c, b) state values of one frame: the ROI share of the input
+    points, decode speed against t_ref, and bandwidth against b_ref, each
+    capped at 1. A NaN input stays NaN (`min` returns its first argument
+    when the comparison fails), for SchedulerState to reject."""
+    n = roi_points / max(1, input_points)
+    c = 1.0 if decode_s <= 0 else min(t_ref / decode_s, 1.0)
+    return n, c, min(bandwidth_mbps / b_ref, 1.0)
+
+
+def build_state(records, k: int = DEFAULT_WINDOW, b_ref: float = B_REF,
+                t_ref: float = T_REF) -> SchedulerState:
     """State from the tail of per-frame records.
 
     Records need attributes/keys input_points, roi_points, decode_s, and
     bandwidth_mbps; frames before warm-up are padded with 0.5.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
+
     def get(rec, name):
         return rec[name] if isinstance(rec, dict) else getattr(rec, name)
 
     tail = list(records)[-k:]
-    n = np.full(k, NEUTRAL_FILL)
-    c = np.full(k, NEUTRAL_FILL)
-    b = np.full(k, NEUTRAL_FILL)
+    hist = np.full((3, k), NEUTRAL_FILL)
     for i, rec in enumerate(tail):
-        slot = k - len(tail) + i
-        total = max(1, get(rec, "input_points"))
-        n[slot] = get(rec, "roi_points") / total
-        decode_s = get(rec, "decode_s")
-        c[slot] = 1.0 if decode_s <= 0 else min(1.0, t_ref / decode_s)
-        b[slot] = min(1.0, get(rec, "bandwidth_mbps") / b_ref)
-    return SchedulerState(n, c, b)
+        hist[:, k - len(tail) + i] = state_slot(
+            get(rec, "input_points"), get(rec, "roi_points"),
+            get(rec, "decode_s"), get(rec, "bandwidth_mbps"), b_ref, t_ref)
+    return SchedulerState(*hist)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +206,28 @@ class ActorCritic:
             self.actions)
 
 
+def sample_index(probs, rng: np.random.Generator) -> int:
+    """Index drawn with probabilities `probs`: the same draw, from the same
+    one `rng.random()` call, as `rng.choice(len(probs), p=probs)`, and the
+    same checks on `probs`.
+
+    Like `choice`, it searches the cumulative sum, normalised by its last
+    value, for the uniform draw (right side). The sums and the search run
+    on a Python list: for a handful of actions that is cheaper than numpy
+    calls, and the float operations are the same.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or not len(p):
+        raise ValueError("probabilities must be a non-empty 1-d array")
+    values = p.tolist()
+    cdf = list(accumulate(values))
+    total = cdf[-1]
+    # a NaN makes the total NaN and fails the sum check
+    if not abs(total - 1.0) <= PROB_SUM_ATOL or min(values) < 0.0:
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    return bisect_right([c / total for c in cdf], rng.random())
+
+
 def select_action(policy: ActorCritic, state: SchedulerState,
                   mode: str = "greedy", seed=None) -> int:
     """Pick an action index: softmax sample ('sample') or argmax ('greedy',
@@ -191,14 +238,20 @@ def select_action(policy: ActorCritic, state: SchedulerState,
     if mode == "sample":
         rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
-        return int(rng.choice(len(probs), p=probs))
+        return sample_index(probs, rng)
     raise ValueError("mode must be 'sample' or 'greedy'")
 
 
-def entropy(probs) -> float:
-    p = np.asarray(probs)
-    nz = p > 0
-    return float(-(p[nz] * np.log(p[nz])).sum())
+def _safe_log(probs):
+    """log p where p > 0, else 0, so that 0 log 0 counts as 0."""
+    return np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), 0.0)
+
+
+def entropy(probs):
+    """Entropy in nats of each distribution along the last axis: a float
+    for one distribution, an array for a (T, |A|) stack."""
+    p = np.asarray(probs, dtype=np.float64)
+    return -(p * _safe_log(p)).sum(axis=-1)
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -221,52 +274,38 @@ def a3c_gradients(net: ActorCritic, trajectory, gamma: float,
     Actor gradients point along the objective ascent direction
     (log-probability times advantage plus the entropy bonus); critic
     gradients descend the squared advantage. Advantages are treated as
-    constants in the actor term.
+    constants in the actor term. The T steps go through the nets as one
+    (T, 3k) batch, and each weight gradient is one matrix product summing
+    the per-step outer products.
     """
     if not trajectory:
         raise ValueError("empty trajectory")
     states, actions, rewards = zip(*trajectory)
     returns = discounted_returns(np.asarray(rewards, dtype=np.float64), gamma)
+    x = np.stack([state.vector() for state in states])       # (T, 3k)
+    h = np.tanh(x @ net.trunk.weights.T + net.trunk.bias)    # (T, H)
+    logits = h @ net.actor.weights.T + net.actor.bias
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)                 # (T, |A|)
+    values = h @ net.critic.weights[0] + net.critic.bias[0]
+    adv = returns - values
+    slope = 1.0 - h ** 2                                     # tanh'
 
-    zeros = lambda l: (np.zeros_like(l.weights), np.zeros_like(l.bias))
-    d_trunk_a, db_trunk_a = zeros(net.trunk)
-    d_actor, db_actor = zeros(net.actor)
-    d_trunk_c, db_trunk_c = zeros(net.trunk)
-    d_critic, db_critic = zeros(net.critic)
+    # actor: d logits = (onehot - probs) * adv + entropy term
+    d_logits = -probs * adv[:, None]
+    d_logits[np.arange(len(adv)), actions] += adv
+    if entropy_weight:
+        d_logits += entropy_weight * (
+            -probs * (_safe_log(probs) + entropy(probs)[:, None]))
+    dpre = (d_logits @ net.actor.weights) * slope
+    actor_grads = {"trunk": (dpre.T @ x, dpre.sum(axis=0)),
+                   "actor": (d_logits.T @ h, d_logits.sum(axis=0))}
 
-    for state, action, ret in zip(states, actions, returns):
-        vec = state.vector()
-        probs, h = net.policy(vec)
-        value = net.value(vec, h)
-        adv = ret - value
-
-        # actor: d logits = (onehot - probs) * adv + entropy term
-        d_logits = -probs * adv
-        d_logits[action] += adv
-        if entropy_weight:
-            ent = entropy(probs)
-            safe = np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), 0.0)
-            d_logits += entropy_weight * (-probs * (safe + ent))
-        d_actor += np.outer(d_logits, h)
-        db_actor += d_logits
-        dh = net.actor.weights.T @ d_logits
-        dpre = dh * (1.0 - h ** 2)
-        d_trunk_a += np.outer(dpre, vec)
-        db_trunk_a += dpre
-
-        # critic: d (ret - V)^2 / d theta_v = -2 adv dV/dtheta_v
-        dv = -2.0 * adv
-        d_critic += dv * h[None, :]
-        db_critic += np.array([dv])
-        dh_c = net.critic.weights[0] * dv
-        dpre_c = dh_c * (1.0 - h ** 2)
-        d_trunk_c += np.outer(dpre_c, vec)
-        db_trunk_c += dpre_c
-
-    actor_grads = {"trunk": (d_trunk_a, db_trunk_a),
-                   "actor": (d_actor, db_actor)}
-    critic_grads = {"trunk": (d_trunk_c, db_trunk_c),
-                    "critic": (d_critic, db_critic)}
+    # critic: d (ret - V)^2 / d theta_v = -2 adv dV/dtheta_v
+    dv = -2.0 * adv
+    dpre_c = np.outer(dv, net.critic.weights[0]) * slope
+    critic_grads = {"trunk": (dpre_c.T @ x, dpre_c.sum(axis=0)),
+                    "critic": ((dv @ h)[None, :], np.array([dv.sum()]))}
     return actor_grads, critic_grads
 
 
@@ -363,11 +402,12 @@ def train_scheduler(env_factory, workers: int = 1,
             snapshot = net.snapshot() if workers > 1 else net
             state = env.reset(rngs[w])
             trajectory = []
+            episode_probs = []
             done = False
             while not done:
                 probs, _ = snapshot.policy(state.vector())
-                epoch_entropy.append(entropy(probs))
-                action = int(rngs[w].choice(len(probs), p=probs))
+                episode_probs.append(probs)
+                action = sample_index(probs, rngs[w])
                 nxt, rew, done = env.step(action)
                 if not math.isfinite(rew):
                     raise FloatingPointError("environment produced a "
@@ -378,78 +418,7 @@ def train_scheduler(env_factory, workers: int = 1,
                        worker_net=snapshot if workers > 1 else None,
                        clip_norm=clip_norm)
             epoch_rewards.extend(r for _, _, r in trajectory)
+            epoch_entropy.extend(entropy(np.stack(episode_probs)))
         means[epoch] = float(np.mean(epoch_rewards))
         ents[epoch] = float(np.mean(epoch_entropy))
     return TrainResult(net, np.arange(epochs), means, ents)
-
-
-# ---------------------------------------------------------------------------
-# reference bandit environments
-
-BANDIT_FIXED_REWARDS = {  # context -> per-action reward
-    "low": (1.0, 0.5, 0.2),
-    "high": (0.2, 0.5, 1.0),
-}
-BANDIT_FPS = {  # normalized frame-rate term per context/action
-    "low": (0.95, 0.8, 0.75),
-    "high": (0.9, 0.95, 1.0),
-}
-BANDIT_ACCURACY = (0.2, 0.45, 0.7)  # per-action reconstruction term
-
-
-class TwoContextBanditEnv:
-    """Bandit over bandwidth contexts: b_hist > 0.5 wants the big model,
-    b_hist < 0.5 the small one.
-
-    With eta=None rewards come from the fixed strong-separation table;
-    with a float eta they blend the frame-rate and accuracy terms the way
-    the streaming reward does, which keeps oracle rewards non-decreasing
-    in eta. Episodes draw `steps` independent contexts.
-    """
-
-    n_actions = 3
-
-    def __init__(self, eta: float | None = None, steps: int = 32,
-                 k: int = DEFAULT_WINDOW, noise: float = 0.05):
-        self.eta = eta
-        self.steps = steps
-        self.k = k
-        self.noise = noise
-        self._rng = None
-        self._left = 0
-        self._context = None
-
-    def _state(self):
-        b = 0.75 if self._context == "high" else 0.25
-        jitter = self._rng.uniform(-self.noise, self.noise, size=self.k)
-        return SchedulerState(np.full(self.k, NEUTRAL_FILL),
-                              np.full(self.k, NEUTRAL_FILL),
-                              np.clip(b + jitter, 0.0, 1.0))
-
-    def _draw(self):
-        self._context = "high" if self._rng.random() < 0.5 else "low"
-
-    def reset(self, rng) -> SchedulerState:
-        self._rng = rng
-        self._left = self.steps
-        self._draw()
-        return self._state()
-
-    def action_reward(self, context: str, action: int,
-                      eta: float | None = None) -> float:
-        eta = self.eta if eta is None else eta
-        if eta is None:
-            return BANDIT_FIXED_REWARDS[context][action]
-        return (eta * BANDIT_FPS[context][action]
-                + (1.0 - eta) * BANDIT_ACCURACY[action])
-
-    def oracle_mean_reward(self) -> float:
-        return 0.5 * (max(self.action_reward("low", a) for a in range(3))
-                      + max(self.action_reward("high", a) for a in range(3)))
-
-    def step(self, action: int):
-        rew = self.action_reward(self._context, action)
-        self._left -= 1
-        done = self._left <= 0
-        self._draw()
-        return self._state(), rew, done

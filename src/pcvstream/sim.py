@@ -29,8 +29,8 @@ from .codec import (
 )
 from .roi import PoseHistory, RoiConfig, select_roi
 from .scheduler import (
-    ActorCritic, RewardSpec, SchedulerState, build_state, normalized_accuracy,
-    reward, select_action,
+    NEUTRAL_FILL, ActorCritic, RewardSpec, SchedulerState, build_state,
+    normalized_accuracy, reward, select_action, state_slot,
 )
 
 TRACE_PRESETS = {"3g": 2.0, "4g": 25.0, "wifi": 60.0, "5g": 100.0}
@@ -597,7 +597,9 @@ class StreamingSchedulerEnv:
     Charges each frame with the session timing model (`frame_costs`, then
     `frame_timing`) and scores it with `scheduler.reward`, without
     geometry, so episodes are cheap. Each episode draws a fresh seeded
-    trace around the configured mean and a fresh ROI-size profile.
+    trace around the configured mean and a fresh ROI-size profile. The
+    state window is a (3, k) array shifted one frame per step, each new
+    frame scored by `state_slot` as `build_state` does.
     """
 
     def __init__(self, registry: ModelRegistry, device: DeviceModel,
@@ -605,6 +607,8 @@ class StreamingSchedulerEnv:
                  jitter: float = TRACE_JITTER, eta: float = 0.5,
                  f_target: float = 30.0, episode_len: int = 64,
                  blocks_mean: float = 120.0, k: int = 8):
+        if k < 1:
+            raise ValueError("k must be positive")
         self.entries = [registry.entries[k] for k in sorted(registry.entries)]
         self.actions = tuple(sorted(registry.entries))
         self.device = device
@@ -615,7 +619,7 @@ class StreamingSchedulerEnv:
         self.episode_len = episode_len
         self.blocks_mean = blocks_mean
         self.k = k
-        self._records = []
+        self._hist = np.full((3, k), NEUTRAL_FILL)
         self._trace = None
         self._t = 0.0
         self._left = 0
@@ -625,18 +629,15 @@ class StreamingSchedulerEnv:
         return max(1, int(self._rng.normal(self.blocks_mean,
                                            0.15 * self.blocks_mean)))
 
-    def _state(self):
-        return build_state(self._records, self.k)
-
     def reset(self, rng) -> SchedulerState:
         self._rng = rng
         self._trace = NetworkTrace.fluctuating(
             self.mean_bw, duration_s=(self.episode_len + 2) / 8.0,
             seed=int(rng.integers(2 ** 31)), jitter=self.jitter)
-        self._records = []
+        self._hist.fill(NEUTRAL_FILL)
         self._t = 0.0
         self._left = self.episode_len
-        return self._state()
+        return SchedulerState(*self._hist)
 
     def step(self, action: int):
         entry = self.entries[action]
@@ -644,10 +645,10 @@ class StreamingSchedulerEnv:
         payload, encode_s, decode_s = entry.frame_costs(blocks, self.device)
         transmit_s, bandwidth, fps = frame_timing(payload, encode_s, decode_s,
                                                   self._trace, self._t)
-        self._records.append({
-            "input_points": blocks * 128, "roi_points": blocks * 128,
-            "decode_s": decode_s, "bandwidth_mbps": bandwidth})
+        # every block is streamed: the ROI share of the points is 1
+        self._hist[:, :-1] = self._hist[:, 1:]
+        self._hist[:, -1] = state_slot(blocks, blocks, decode_s, bandwidth)
         self._t += max(transmit_s, 1.0 / self.spec.f_target)
         self._left -= 1
-        return (self._state(), reward(fps, entry.model_id, self.spec),
-                self._left <= 0)
+        return (SchedulerState(*self._hist),
+                reward(fps, entry.model_id, self.spec), self._left <= 0)

@@ -101,3 +101,29 @@ def test_traced_drl_decisions_fall_on_the_frames_they_serve(tmp_path):
     assert [rec.frame_idx for rec in session.records] == [1, 2, 3]
     frames = [s[4] for s in spans.spans if s[0] == "scheduler.policy"]
     assert frames == [2, 3]
+
+
+def test_traced_scheduler_training_spans_one_per_step(tmp_path):
+    tracer = load_tracer()
+    registry = tiny_registry(tmp_path)
+    registry.add(sim.RegistryEntry("tiny-2", "tiny.iscm", 16, 32, 2e-4,
+                                   1e-4, 0.04))
+    device = sim.DeviceModel.preset("device-3")
+    workers, epochs, episode = 2, 3, 5
+    spans = tracer.Tracer()
+    with tracer.traced(pcvstream, spans):
+        scheduler.train_scheduler(
+            lambda w: sim.StreamingSchedulerEnv(registry, device,
+                                                episode_len=episode),
+            workers=workers, epochs=epochs, hidden=8,
+            actions=tuple(sorted(registry.entries)), seed=5)
+    names = [s[0] for s in spans.spans]
+    steps = workers * epochs * episode
+    assert names.count("sim.env_step") == steps
+    assert names.count("sim.transmit_time") == steps
+    assert names.count("scheduler.policy") == steps
+    assert names.count("scheduler.a3c_gradients") == workers * epochs
+    # each episode's steps come before the gradient batch they feed
+    episodes = "".join("s" if n == "sim.env_step" else "g" for n in names
+                       if n in ("sim.env_step", "scheduler.a3c_gradients"))
+    assert episodes == ("s" * episode + "g") * (workers * epochs)

@@ -4,14 +4,86 @@ import numpy as np
 import pytest
 
 from pcvstream.scheduler import (
-    ActorCritic, RewardSpec, SchedulerState, TwoContextBanditEnv,
+    DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, SchedulerState,
     a3c_gradients, a3c_update, build_state, discounted_returns, entropy,
-    normalized_accuracy, reward, select_action, train_scheduler,
+    normalized_accuracy, reward, sample_index, select_action, train_scheduler,
 )
 
 
 def state_of(n=0.5, c=0.5, b=0.5, k=4):
     return SchedulerState(np.full(k, n), np.full(k, c), np.full(k, b))
+
+
+# ---------------------------------------------------------------------------
+# reference bandit environment
+
+BANDIT_FIXED_REWARDS = {  # context -> per-action reward
+    "low": (1.0, 0.5, 0.2),
+    "high": (0.2, 0.5, 1.0),
+}
+BANDIT_FPS = {  # normalized frame-rate term per context/action
+    "low": (0.95, 0.8, 0.75),
+    "high": (0.9, 0.95, 1.0),
+}
+BANDIT_ACCURACY = (0.2, 0.45, 0.7)  # per-action reconstruction term
+
+
+class TwoContextBanditEnv:
+    """Bandit over bandwidth contexts: b_hist > 0.5 wants the big model,
+    b_hist < 0.5 the small one.
+
+    With eta=None rewards come from the fixed strong-separation table;
+    with a float eta they blend the frame-rate and accuracy terms the way
+    the streaming reward does, which keeps oracle rewards non-decreasing
+    in eta. Episodes draw `steps` independent contexts.
+    """
+
+    n_actions = 3
+
+    def __init__(self, eta: float | None = None, steps: int = 32,
+                 k: int = DEFAULT_WINDOW, noise: float = 0.05):
+        self.eta = eta
+        self.steps = steps
+        self.k = k
+        self.noise = noise
+        self._rng = None
+        self._left = 0
+        self._context = None
+
+    def _state(self):
+        b = 0.75 if self._context == "high" else 0.25
+        jitter = self._rng.uniform(-self.noise, self.noise, size=self.k)
+        return SchedulerState(np.full(self.k, NEUTRAL_FILL),
+                              np.full(self.k, NEUTRAL_FILL),
+                              np.clip(b + jitter, 0.0, 1.0))
+
+    def _draw(self):
+        self._context = "high" if self._rng.random() < 0.5 else "low"
+
+    def reset(self, rng) -> SchedulerState:
+        self._rng = rng
+        self._left = self.steps
+        self._draw()
+        return self._state()
+
+    def action_reward(self, context: str, action: int,
+                      eta: float | None = None) -> float:
+        eta = self.eta if eta is None else eta
+        if eta is None:
+            return BANDIT_FIXED_REWARDS[context][action]
+        return (eta * BANDIT_FPS[context][action]
+                + (1.0 - eta) * BANDIT_ACCURACY[action])
+
+    def oracle_mean_reward(self) -> float:
+        return 0.5 * (max(self.action_reward("low", a) for a in range(3))
+                      + max(self.action_reward("high", a) for a in range(3)))
+
+    def step(self, action: int):
+        rew = self.action_reward(self._context, action)
+        self._left -= 1
+        done = self._left <= 0
+        self._draw()
+        return self._state(), rew, done
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +117,33 @@ def test_build_state_hand_log():
     np.testing.assert_allclose(state.n_hist, expect_n)
     np.testing.assert_allclose(state.c_hist, expect_c)
     np.testing.assert_allclose(state.b_hist, expect_b)
+
+
+def test_build_state_rejects_nonpositive_window():
+    rec = {"input_points": 10, "roi_points": 5, "decode_s": 0.01,
+           "bandwidth_mbps": 20.0}
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be positive"):
+            build_state([rec] * 3, k=k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_history(bad):
+    window = np.full(4, 0.5)
+    window[2] = bad
+    for pos in range(3):
+        hists = [np.full(4, 0.5)] * 3
+        hists[pos] = window
+        with pytest.raises(ValueError, match="finite"):
+            SchedulerState(*hists)
+
+
+@pytest.mark.parametrize("field", ["roi_points", "decode_s", "bandwidth_mbps"])
+def test_build_state_rejects_nan_records(field):
+    rec = {"input_points": 10, "roi_points": 5, "decode_s": 0.01,
+           "bandwidth_mbps": 20.0, field: np.nan}
+    with pytest.raises(ValueError, match="finite"):
+        build_state([rec], k=4)
 
 
 def test_state_clamps_to_unit_interval():
@@ -117,6 +216,37 @@ def test_dominant_logits_sampled_almost_always():
     assert hits >= 990
 
 
+def test_sample_index_matches_generator_choice():
+    rng = np.random.default_rng(12)
+    cases = [np.full(6, 1 / 6), np.array([1.0, 0.0, 0.0]),
+             np.array([0.0, 0.0, 1.0]),
+             np.array([1 - 5e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12]),
+             np.array([1e-9, 1 - 2e-9, 1e-9])]
+    for _ in range(6):  # softmax outputs, as the policy gives
+        e = np.exp(rng.normal(scale=3.0, size=6))
+        cases.append(e / e.sum())
+    for i, probs in enumerate(cases):  # 11 000 draws in all
+        ours, theirs = (np.random.default_rng(100 + i) for _ in range(2))
+        got = [sample_index(probs, ours) for _ in range(1000)]
+        want = [int(theirs.choice(len(probs), p=probs)) for _ in range(1000)]
+        assert got == want, probs
+        # one draw each: both generators are left in the same state
+        assert ours.random() == theirs.random()
+
+
+def test_sample_index_rejects_what_choice_rejects():
+    rng = np.random.default_rng(0)
+    off = np.sqrt(np.finfo(np.float64).eps) * 4
+    for bad in ([0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.5 - off],
+                [0.5, 0.5 + off], [np.inf, 0.0], []):
+        with pytest.raises(ValueError):
+            rng.choice(max(1, len(bad)), p=bad)
+        with pytest.raises(ValueError):
+            sample_index(bad, rng)
+    with pytest.raises(ValueError):
+        sample_index(np.full((2, 2), 0.25), rng)
+
+
 def test_greedy_invariant_under_logit_shift():
     net = ActorCritic.create(k=4, hidden=8, actions=("a", "b", "c"), seed=3)
     state = state_of(0.3, 0.6, 0.9)
@@ -152,6 +282,69 @@ def test_discounted_returns_matches_bruteforce():
     for t in range(12):
         brute = sum(gamma ** j * rewards[t + j] for j in range(12 - t))
         assert returns[t] == pytest.approx(brute, abs=1e-12)
+
+
+def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
+    """Oracle: a3c_gradients as one forward pass and outer products per
+    step."""
+    states, actions, rewards = zip(*trajectory)
+    returns = discounted_returns(np.asarray(rewards, dtype=np.float64), gamma)
+
+    zeros = lambda l: (np.zeros_like(l.weights), np.zeros_like(l.bias))
+    d_trunk_a, db_trunk_a = zeros(net.trunk)
+    d_actor, db_actor = zeros(net.actor)
+    d_trunk_c, db_trunk_c = zeros(net.trunk)
+    d_critic, db_critic = zeros(net.critic)
+
+    for state, action, ret in zip(states, actions, returns):
+        vec = state.vector()
+        probs, h = net.policy(vec)
+        value = net.value(vec, h)
+        adv = ret - value
+
+        d_logits = -probs * adv
+        d_logits[action] += adv
+        if entropy_weight:
+            ent = entropy(probs)
+            safe = np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), 0.0)
+            d_logits += entropy_weight * (-probs * (safe + ent))
+        d_actor += np.outer(d_logits, h)
+        db_actor += d_logits
+        dh = net.actor.weights.T @ d_logits
+        dpre = dh * (1.0 - h ** 2)
+        d_trunk_a += np.outer(dpre, vec)
+        db_trunk_a += dpre
+
+        dv = -2.0 * adv
+        d_critic += dv * h[None, :]
+        db_critic += np.array([dv])
+        dh_c = net.critic.weights[0] * dv
+        dpre_c = dh_c * (1.0 - h ** 2)
+        d_trunk_c += np.outer(dpre_c, vec)
+        db_trunk_c += dpre_c
+
+    return ({"trunk": (d_trunk_a, db_trunk_a), "actor": (d_actor, db_actor)},
+            {"trunk": (d_trunk_c, db_trunk_c),
+             "critic": (d_critic, db_critic)})
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64])
+@pytest.mark.parametrize("entropy_weight", [0.0, 0.01])
+def test_batched_gradients_match_per_step_oracle(steps, entropy_weight):
+    rng = np.random.default_rng(steps)
+    net = ActorCritic.create(k=8, hidden=24, seed=steps)
+    trajectory = [(SchedulerState(rng.random(8), rng.random(8),
+                                  rng.random(8)),
+                   int(rng.integers(len(net.actions))), float(rng.random()))
+                  for _ in range(steps)]
+    got = a3c_gradients(net, trajectory, 0.88, entropy_weight)
+    want = per_step_a3c_gradients(net, trajectory, 0.88, entropy_weight)
+    for got_part, want_part in zip(got, want):
+        assert got_part.keys() == want_part.keys()
+        for key in want_part:
+            for g, w in zip(got_part[key], want_part[key]):
+                assert g.shape == w.shape
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
 def test_zero_advantage_kills_actor_gradient():

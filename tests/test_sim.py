@@ -10,7 +10,8 @@ from pcvstream.codec import (
     toy_block_dataset, train,
 )
 from pcvstream.roi import RoiConfig
-from pcvstream.scheduler import ActorCritic
+from pcvstream import sim
+from pcvstream.scheduler import ActorCritic, build_state
 from pcvstream.sim import (
     DeviceModel, ModelRegistry, NetworkTrace, RegistryEntry, Scene,
     StreamingSchedulerEnv, compare_policies, comparison_to_csv,
@@ -403,3 +404,66 @@ def test_streaming_env_protocol(tmp_path):
         assert 0.0 <= rew <= 1.0 + 1e-9
         steps += 1
     assert steps == 5
+
+
+def cost_only_registry(root):
+    """Registry entries without model files: all the env reads."""
+    registry = ModelRegistry(root)
+    for i, (model_id, latent) in enumerate((("4x4-q8", 16), ("8x8-q8", 64),
+                                            ("16x16-q8", 256))):
+        registry.add(RegistryEntry(model_id, f"{model_id}.iscm", latent, 8,
+                                   1e-4 * (i + 1), 4e-4 * (i + 1),
+                                   0.06 - 0.01 * i))
+    return registry
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_env_window_equals_build_state_over_its_frames(tmp_path, monkeypatch,
+                                                      k):
+    """The env's shifted window equals build_state over the frames it
+    charged, recorded the way sessions record them."""
+    frames = []
+
+    def recording_timing(payload, encode_s, decode_s, trace, send_start):
+        out = frame_timing(payload, encode_s, decode_s, trace, send_start)
+        frames.append({"decode_s": decode_s, "bandwidth_mbps": out[1]})
+        return out
+
+    monkeypatch.setattr(sim, "frame_timing", recording_timing)
+    # slow decodes and a low mean keep the compute and bandwidth terms
+    # below their caps
+    env = StreamingSchedulerEnv(cost_only_registry(tmp_path),
+                                DeviceModel.preset("device-2"),
+                                mean_bandwidth_mbps=40.0, episode_len=3 * k + 5,
+                                k=k)
+    draw_blocks = env._blocks
+
+    def recording_blocks():
+        blocks = draw_blocks()
+        frames.append({"input_points": blocks * 128,
+                       "roi_points": blocks * 128})
+        return blocks
+
+    env._blocks = recording_blocks
+    rng = np.random.default_rng(k)
+    for episode in range(3):
+        frames.clear()
+        state = env.reset(rng)
+        records = []
+        np.testing.assert_array_equal(state.vector(),
+                                      build_state([], k).vector())
+        done = False
+        while not done:
+            state, _, done = env.step(int(rng.integers(len(env.actions))))
+            records.append({**frames[-2], **frames[-1]})
+            assert state.vector().tolist() == \
+                build_state(records, k).vector().tolist()
+        assert len(records) > k
+    assert 0.0 < state.c_hist.min() and state.c_hist.max() < 1.0
+    assert 0.0 < state.b_hist.min() and state.b_hist.max() < 1.0
+
+
+def test_env_rejects_nonpositive_window(tmp_path):
+    with pytest.raises(ValueError, match="k must be positive"):
+        StreamingSchedulerEnv(cost_only_registry(tmp_path),
+                              DeviceModel.preset("device-2"), k=0)
