@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -172,31 +172,36 @@ class Camera:
 
 @dataclass(frozen=True)
 class BlockGrid:
-    """Uniform spatial partition of one cloud; empty cells are omitted."""
+    """Uniform spatial partition of one cloud; empty cells are omitted.
+
+    Block row i is the occupied cell with flat id ids[i] (ascending) and
+    owns the point indices order[offsets[i]:offsets[i + 1]] (ascending);
+    rows[p] is the block row of point p.
+    """
 
     origin: np.ndarray
     cell_size: float
     dims: tuple[int, int, int]
-    blocks: dict[int, np.ndarray]  # flat cell index -> point indices
+    ids: np.ndarray      # (B,)
+    rows: np.ndarray     # (N,)
+    order: np.ndarray    # (N,)
+    offsets: np.ndarray  # (B + 1,)
 
-    def cell_coords(self, block_id: int):
+    @property
+    def counts(self) -> np.ndarray:
+        """Points per block row, (B,)."""
+        return np.diff(self.offsets)
+
+    def indices(self, row: int) -> np.ndarray:
+        """Point indices of one block row, ascending."""
+        return self.order[self.offsets[row]:self.offsets[row + 1]]
+
+    def cell_lows(self) -> np.ndarray:
+        """(B, 3) minimum corner of every block row's cell."""
         nx, ny, _ = self.dims
-        ix = block_id % nx
-        iy = (block_id // nx) % ny
-        iz = block_id // (nx * ny)
-        return ix, iy, iz
-
-    def cell_bounds(self, block_id: int):
-        idx = np.array(self.cell_coords(block_id), dtype=np.float64)
-        lo = self.origin + idx * self.cell_size
-        return lo, lo + self.cell_size
-
-    def cell_center(self, block_id: int):
-        idx = np.array(self.cell_coords(block_id), dtype=np.float64)
-        return self.origin + (idx + 0.5) * self.cell_size
-
-    def block_ids(self):
-        return sorted(self.blocks)
+        coords = np.stack([self.ids % nx, (self.ids // nx) % ny,
+                           self.ids // (nx * ny)], axis=1)
+        return self.origin + coords * self.cell_size
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +413,15 @@ def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
     idx = np.clip(idx, 0, dims - 1)
     flat = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])
     order = np.argsort(flat, kind="stable")
-    uniq, starts = np.unique(flat[order], return_index=True)
-    blocks = {}
-    for k, bid in enumerate(uniq):
-        stop = starts[k + 1] if k + 1 < len(starts) else len(order)
-        blocks[int(bid)] = np.sort(order[starts[k]:stop])
-    origin.flags.writeable = False
+    ids, starts, inverse = np.unique(flat[order], return_index=True,
+                                     return_inverse=True)
+    rows = np.empty(len(flat), dtype=np.intp)
+    rows[order] = inverse
+    offsets = np.append(starts, len(flat))
+    for arr in (origin, ids, rows, order, offsets):
+        arr.flags.writeable = False
     return BlockGrid(origin, float(cell_size), tuple(int(d) for d in dims),
-                     blocks)
+                     ids, rows, order, offsets)
 
 
 def frustum_cull(cloud: PointCloud, camera: Camera) -> PointCloud:

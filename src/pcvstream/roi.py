@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -166,49 +166,30 @@ def estimate_flow(prev: PointCloud, curr: PointCloud) -> FlowField:
     return FlowField(vectors)
 
 
-def dynamic_saliency(grid: BlockGrid, flow: FlowField) -> dict[int, float]:
-    """Mean flow magnitude per block of the gridded frame."""
-    ids, rows, counts = _block_rows(grid)
-    if len(flow.vectors) != len(rows):
+def dynamic_saliency(grid: BlockGrid, flow: FlowField) -> np.ndarray:
+    """Mean flow magnitude of every block row of the gridded frame, (B,)."""
+    if len(flow.vectors) != len(grid.rows):
         raise ValueError("flow field does not annotate this grid")
-    means = _block_means(rows, counts, flow.magnitudes())
-    return dict(zip(ids, means.tolist()))
+    return _block_means(grid, flow.magnitudes())
 
 
-def _block_rows(grid: BlockGrid):
-    """(sorted block ids, block row of every point, points per block)."""
-    ids = grid.block_ids()
-    counts = np.array([len(grid.blocks[b]) for b in ids], dtype=np.intp)
-    rows = np.empty(counts.sum(), dtype=np.intp)
-    rows[np.concatenate([grid.blocks[b] for b in ids])] = np.repeat(
-        np.arange(len(ids)), counts)
-    return ids, rows, counts
-
-
-def _block_means(rows, counts, values) -> np.ndarray:
+def _block_means(grid: BlockGrid, values) -> np.ndarray:
     """Mean of the per-point values over each block row."""
-    return np.bincount(rows, weights=values, minlength=len(counts)) / counts
+    return np.bincount(grid.rows, weights=values,
+                       minlength=len(grid.ids)) / grid.counts
 
 
-def _rank_blocks(scores: dict[int, float]) -> list[int]:
-    # descending score, ties broken by ascending block id
-    return sorted(scores, key=lambda b: (-scores[b], b))
-
-
-def _coarse_kept_ids(grid: BlockGrid, scores: dict[int, float],
-                     cfg: RoiConfig) -> list[int]:
-    ranked = _rank_blocks(scores)
+def _coarse_kept_rows(grid: BlockGrid, scores: np.ndarray,
+                      cfg: RoiConfig) -> np.ndarray:
+    """Block rows kept by the coarse stage, best first: descending score,
+    ties broken by ascending block id."""
+    ranked = np.lexsort((grid.ids, -scores))
     if cfg.coarse_keep_by == "blocks":
         return ranked[:ceil_count(cfg.coarse_keep_fraction, len(ranked))]
-    total = sum(len(grid.blocks[b]) for b in ranked)
-    need = ceil_count(cfg.coarse_keep_fraction, total)
-    kept, acc = [], 0
-    for bid in ranked:
-        if acc >= need:
-            break
-        kept.append(bid)
-        acc += len(grid.blocks[bid])
-    return kept
+    # the smallest best-first prefix that holds `need` points
+    need = ceil_count(cfg.coarse_keep_fraction, len(grid.rows))
+    counts = grid.counts[ranked]
+    return ranked[:np.searchsorted(np.cumsum(counts) - counts, need)]
 
 
 def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
@@ -216,52 +197,29 @@ def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
                           camera_intrinsics: Intrinsics):
     """Stage-one ROI: predicted-frustum cull plus motion-ranked block keep.
 
-    Returns (cloud, grid, block scores, camera, flow). The grid and scores
-    cover the whole culled cloud; flow annotates the kept points only, so
-    the fine stage needs no second flow pass. An empty frustum returns an
-    empty cloud with grid and flow None.
+    Returns (cloud, grid, scores, camera, flow). The grid and the (B,)
+    per-row scores cover the whole culled cloud; flow annotates the kept
+    points only, so the fine stage needs no second flow pass. An empty
+    frustum returns an empty cloud, empty scores, and grid and flow None.
     """
     pose = predict_pose(history, 1)[0]
     camera = Camera.at(pose, camera_intrinsics)
     culled = frustum_cull(frame, camera)
     if len(culled) == 0:
         log.warning("frame %d: predicted frustum is empty", frame.frame_index)
-        return culled, None, {}, camera, None
+        return culled, None, np.zeros(0), camera, None
     grid = partition(culled, cfg.coarse_cell_size)
     flow = estimate_flow(prev_frame, culled)
     scores = dynamic_saliency(grid, flow)
-    kept = _coarse_kept_ids(grid, scores, cfg)
-    indices = np.sort(np.concatenate([grid.blocks[b] for b in kept]))
+    keep = np.zeros(len(grid.ids), dtype=bool)
+    keep[_coarse_kept_rows(grid, scores, cfg)] = True
+    indices = np.flatnonzero(keep[grid.rows])
     return (culled.select(indices), grid, scores, camera,
             FlowField(flow.vectors[indices]))
 
 
 # ---------------------------------------------------------------------------
 # stage two
-
-def viewpoint_descriptor(block_center, viewpoint, view_direction,
-                         beta: float) -> float:
-    """Distance/angle significance of one block center.
-
-    Distance enters as beta/ln(phi) with phi clamped to at least e, angle as
-    (1-beta) times the cosine between the center direction and the view
-    direction. A block at the eye counts as straight ahead.
-    """
-    o = np.asarray(block_center, dtype=np.float64)
-    v = np.asarray(viewpoint, dtype=np.float64)
-    w = np.asarray(view_direction, dtype=np.float64)
-    w_norm = np.linalg.norm(w)
-    if w_norm == 0.0:
-        raise ValueError("view direction must be non-zero")
-    d = o - v
-    phi = float(np.linalg.norm(d))
-    cos_theta = 1.0 if phi == 0.0 else float(d @ w / (phi * w_norm))
-    return beta / math.log(max(phi, math.e)) + (1.0 - beta) * cos_theta
-
-
-def _chi2(a, b):
-    return float(((a - b) ** 2 / (a + b + CHI2_EPS)).sum())
-
 
 def texture_descriptor(features, neighbor_features, lambda_: float) -> float:
     """Distinctiveness of a block relative to its R neighbors, in [0, 1).
@@ -276,47 +234,17 @@ def texture_descriptor(features, neighbor_features, lambda_: float) -> float:
         raise ValueError("texture descriptor needs at least one neighbor")
     if any(t.shape != t_i.shape for t in neighbors):
         raise ValueError("feature vectors must have matching lengths")
-    split = t_i.size - TEXTURE_BINS
-    acc = 0.0
-    for t_j in neighbors:
-        psi2 = (_chi2(t_i[:split], t_j[:split])
-                + lambda_ * _chi2(t_i[split:], t_j[split:]))
-        acc += psi2 / (1.0 + float(np.linalg.norm(t_i - t_j)))
-    return 1.0 - math.exp(-acc / len(neighbors))
-
-
-def block_features(points, sub_bins: int, bounds=None,
-                   colors=None) -> np.ndarray:
-    """Feature vector of one block: occupancy histogram over sub_bins^3
-    sub-cells plus an 8-bin luminance histogram (zeros without color)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        raise ValueError("block_features requires a non-empty block")
-    if bounds is None:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-    else:
-        lo = np.asarray(bounds[0], dtype=np.float64)
-        hi = np.asarray(bounds[1], dtype=np.float64)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    idx = np.floor((pts - lo) / span * sub_bins).astype(np.int64)
-    idx = np.clip(idx, 0, sub_bins - 1)
-    flat = idx[:, 0] + sub_bins * (idx[:, 1] + sub_bins * idx[:, 2])
-    geo = np.bincount(flat, minlength=sub_bins ** 3).astype(np.float64)
-    geo /= geo.sum()
-
-    tex = np.zeros(TEXTURE_BINS)
-    if colors is not None and len(colors):
-        rgb = np.asarray(colors, dtype=np.float64)
-        luma = 0.299 * rgb[:, 0] + 0.587 * rgb[:, 1] + 0.114 * rgb[:, 2]
-        tex = np.bincount(np.clip((luma / 256.0 * TEXTURE_BINS).astype(np.int64),
-                                  0, TEXTURE_BINS - 1),
-                          minlength=TEXTURE_BINS).astype(np.float64)
-        tex /= tex.sum()
-    return np.concatenate([geo, tex])
+    return float(_texture_scores(t_i[None], np.stack(neighbors)[None],
+                                 lambda_)[0])
 
 
 def _viewpoint_scores(centers, viewpoint, view_direction, beta: float):
-    """viewpoint_descriptor of every row of centers."""
+    """Distance/angle significance of every row of centers.
+
+    Distance enters as beta/ln(phi) with phi clamped to at least e, angle as
+    (1-beta) times the cosine between the center direction and the view
+    direction.
+    """
     v = np.asarray(viewpoint, dtype=np.float64)
     w = np.asarray(view_direction, dtype=np.float64)
     w_norm = np.linalg.norm(w)
@@ -329,11 +257,15 @@ def _viewpoint_scores(centers, viewpoint, view_direction, beta: float):
     return beta / np.log(np.maximum(phi, math.e)) + (1.0 - beta) * cos_theta
 
 
-def _feature_matrix(cloud: PointCloud, rows, counts, lo, hi,
+def _feature_matrix(cloud: PointCloud, grid: BlockGrid,
                     sub_bins: int) -> np.ndarray:
-    """block_features of every block row, as one (B, F) matrix; lo and hi
-    are the (B, 3) cell bounds."""
+    """(B, F) block features: an occupancy histogram over the sub_bins^3
+    sub-cells of each block row's cell, then TEXTURE_BINS luminance bins
+    (zeros without color), both normalized by the block's point count."""
+    rows, counts = grid.rows, grid.counts
     n_blocks, cells = len(counts), sub_bins ** 3
+    lo = grid.cell_lows()
+    hi = lo + grid.cell_size
     span = np.where(hi > lo, hi - lo, 1.0)
     pts = cloud.points.astype(np.float64)
     sub = np.floor((pts - lo[rows]) / span[rows] * sub_bins).astype(np.int64)
@@ -361,39 +293,32 @@ def _neighbor_rows(nbrs: np.ndarray, k: int) -> np.ndarray:
     return nbrs[keep].reshape(len(nbrs), k)
 
 
-def _texture_scores(feats: np.ndarray, others: np.ndarray, lambda_: float):
-    """texture_descriptor of every block row against its neighbor rows."""
-    t_i = feats[:, None, :]
-    t_j = feats[others]
+def _texture_scores(t_i: np.ndarray, t_j: np.ndarray, lambda_: float):
+    """texture_descriptor of every (F,) row of t_i against its (k, F)
+    neighbor rows in t_j."""
+    t_i = t_i[:, None, :]
     diff = t_i - t_j
     chi = diff ** 2 / (t_i + t_j + CHI2_EPS)
-    split = feats.shape[1] - TEXTURE_BINS
+    split = t_i.shape[-1] - TEXTURE_BINS
     psi2 = chi[..., :split].sum(axis=-1) + lambda_ * chi[..., split:].sum(axis=-1)
     acc = (psi2 / (1.0 + np.linalg.norm(diff, axis=-1))).sum(axis=1)
-    return 1.0 - np.exp(-acc / others.shape[1])
+    return 1.0 - np.exp(-acc / t_j.shape[1])
 
 
-def _static_scores(grid: BlockGrid, cloud: PointCloud, ids, rows, counts,
-                   viewpoint, view_direction, cfg: RoiConfig):
-    """Per-block (centers, viewpoint, texture, static) scores on a fine grid,
-    for the blocks ids with the point rows and counts of _block_rows."""
-    idx = np.asarray(ids, dtype=np.int64)
-    nx, ny, _ = grid.dims
-    coords = np.stack([idx % nx, (idx // nx) % ny, idx // (nx * ny)],
-                      axis=1).astype(np.float64)
-    centers = grid.origin + (coords + 0.5) * grid.cell_size
+def _static_scores(grid: BlockGrid, cloud: PointCloud, viewpoint,
+                   view_direction, cfg: RoiConfig):
+    """Per-row (centers, viewpoint, texture, static) scores on a fine grid."""
+    centers = grid.cell_lows() + 0.5 * grid.cell_size
     view_scores = _viewpoint_scores(centers, viewpoint, view_direction,
                                     cfg.beta)
 
-    tex_scores = np.zeros(len(ids))
-    if len(ids) > 1:
-        # the same arithmetic as BlockGrid.cell_bounds, so edge points bin alike
-        lo = grid.origin + coords * grid.cell_size
-        feats = _feature_matrix(cloud, rows, counts, lo, lo + grid.cell_size,
-                                cfg.sub_bins)
-        k = min(cfg.R, len(ids) - 1)
+    n_blocks = len(centers)
+    tex_scores = np.zeros(n_blocks)
+    if n_blocks > 1:
+        feats = _feature_matrix(cloud, grid, cfg.sub_bins)
+        k = min(cfg.R, n_blocks - 1)
         _, nbrs = cKDTree(centers).query(centers, k=k + 1)
-        tex_scores = _texture_scores(feats, _neighbor_rows(nbrs, k),
+        tex_scores = _texture_scores(feats, feats[_neighbor_rows(nbrs, k)],
                                      cfg.lambda_)
     return centers, view_scores, tex_scores, view_scores * tex_scores
 
@@ -408,9 +333,8 @@ def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
     if len(coarse) == 0:
         raise ValueError("fine_select_details requires a non-empty coarse ROI")
     grid = partition(coarse, cfg.fine_cell_size)
-    ids, rows, counts = _block_rows(grid)
     centers, view_s, tex_s, static = _static_scores(
-        grid, coarse, ids, rows, counts, viewpoint, view_direction, cfg)
+        grid, coarse, viewpoint, view_direction, cfg)
 
     lo, hi = static.min(), static.max()
     if hi > lo:
@@ -418,20 +342,18 @@ def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
     else:
         norm = np.ones_like(static)  # constant saliency: keep fully
 
+    ratios = cfg.r_min + (cfg.r_max - cfg.r_min) * norm
+    takes = map(ceil_count, ratios.tolist(), grid.counts.tolist())
     rng = np.random.default_rng(seed)
-    kept = []
-    for i, bid in enumerate(ids):
-        idx = grid.blocks[bid]
-        ratio = cfg.r_min + (cfg.r_max - cfg.r_min) * norm[i]
-        take = ceil_count(ratio, len(idx))
-        kept.append(rng.choice(idx, size=take, replace=False))
-    indices = np.sort(np.concatenate(kept))
+    indices = np.sort(np.concatenate([
+        rng.choice(grid.indices(i), size=take, replace=False)
+        for i, take in enumerate(takes)]))
 
-    dyn = np.zeros(len(ids))
+    dyn = np.zeros(len(grid.ids))
     if dynamic_by_point is not None:
-        dyn = _block_means(rows, counts,
-                           np.asarray(dynamic_by_point, dtype=np.float64))
-    saliency = SaliencyMap(np.asarray(ids), centers, dyn, view_s, tex_s,
+        dyn = _block_means(grid, np.asarray(dynamic_by_point,
+                                            dtype=np.float64))
+    saliency = SaliencyMap(grid.ids, centers, dyn, view_s, tex_s,
                            static, cfg.beta, cfg.lambda_, cfg.R)
     return coarse.select(indices), saliency
 
@@ -453,10 +375,9 @@ def select_roi(frame: PointCloud, prev_frame: PointCloud,
     """Run both ROI stages on one frame; empty frustum yields an empty ROI."""
     coarse, grid, _, camera, flow = coarse_select_details(
         frame, prev_frame, history, cfg, camera_intrinsics)
-    if len(coarse) == 0:
+    if grid is None:  # empty frustum
         return RoiResult(coarse, None, camera, 0)
     cloud, saliency = fine_select_details(
         coarse, camera.pose.position, camera.pose.forward(), cfg, seed,
         dynamic_by_point=flow.magnitudes())
-    frustum_points = int(sum(len(v) for v in grid.blocks.values()))
-    return RoiResult(cloud, saliency, camera, frustum_points)
+    return RoiResult(cloud, saliency, camera, len(grid.rows))

@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .codec import read_layer_stream, write_layer_stream
-from .nn import Layer, dense
+from .nn import Layer, NumericsError, dense
 
 DEFAULT_WINDOW = 8
 DEFAULT_HIDDEN = 96
@@ -231,9 +231,12 @@ def sample_index(probs, rng: np.random.Generator) -> int:
 def select_action(policy: ActorCritic, state: SchedulerState,
                   mode: str = "greedy", seed=None) -> int:
     """Pick an action index: softmax sample ('sample') or argmax ('greedy',
-    lowest index on ties)."""
+    lowest index on ties). Greedy raises NumericsError on non-finite
+    probabilities instead of falling back to action 0."""
     probs, _ = policy.policy(state.vector())
     if mode == "greedy":
+        if not np.isfinite(probs).all():
+            raise NumericsError("non-finite action probabilities")
         return int(np.argmax(probs))
     if mode == "sample":
         rng = seed if isinstance(seed, np.random.Generator) \

@@ -18,9 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import (
-    Intrinsics, PointCloud, Pose, chamfer_hausdorff, quat_from_axis_angle,
-)
+from .cloud import Intrinsics, PointCloud, Pose, chamfer_hausdorff
 # unused here; kept because the benchmark's tracer patches these names
 from .cloud import chamfer_distance, hausdorff_distance  # noqa: F401
 from .codec import (

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
-    BlockGrid, Camera, Intrinsics, PlyError, PointCloud, Pose,
+    Camera, Intrinsics, PlyError, PointCloud, Pose,
     chamfer_distance, chamfer_hausdorff, downsample, frustum_cull,
     hausdorff_distance, load_ply, nearest_distances, partition,
     quat_from_axis_angle, save_ply,
@@ -184,20 +184,24 @@ def test_truncated_binary_payload(tmp_path):
 def test_partition_two_corner_points():
     cloud = PointCloud([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]])
     grid = partition(cloud, 0.5)
-    assert len(grid.blocks) == 2
+    assert len(grid.ids) == 2
+    np.testing.assert_allclose(grid.cell_lows(),
+                               [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]], atol=1e-7)
 
 
 def test_partition_single_point():
     grid = partition(PointCloud([[1.0, 2.0, 3.0]]), 0.5)
-    assert len(grid.blocks) == 1
-    np.testing.assert_array_equal(next(iter(grid.blocks.values())), [0])
+    assert len(grid.ids) == 1
+    np.testing.assert_array_equal(grid.indices(0), [0])
+    np.testing.assert_array_equal(grid.cell_lows(), [[1.0, 2.0, 3.0]])
 
 
 def test_partition_covers_exactly_once():
     rng = np.random.default_rng(7)
     cloud = PointCloud(rng.random((1000, 3)).astype(np.float32))
     grid = partition(cloud, 0.25)
-    everything = np.concatenate(list(grid.blocks.values()))
+    assert len(grid.cell_lows()) == len(grid.ids)
+    everything = np.concatenate([grid.indices(i) for i in range(len(grid.ids))])
     assert len(everything) == 1000
     assert set(everything.tolist()) == set(range(1000))
 
@@ -206,12 +210,32 @@ def test_partition_points_inside_cell_bounds():
     rng = np.random.default_rng(19)
     cloud = PointCloud((rng.random((500, 3)) * 4 - 2).astype(np.float32))
     grid = partition(cloud, 0.7)
-    for bid, idx in grid.blocks.items():
-        lo, hi = grid.cell_bounds(bid)
-        pts = cloud.points[idx].astype(np.float64)
+    for i, lo in enumerate(grid.cell_lows()):
+        hi = lo + grid.cell_size
+        pts = cloud.points[grid.indices(i)].astype(np.float64)
         assert (pts >= lo - 1e-9).all()
         # half-open upper bound except for max-corner clamping
         assert (pts <= hi + 1e-9).all()
+
+
+@pytest.mark.parametrize("n, cell", [(1, 0.5), (500, 0.7), (2000, 0.25)])
+def test_partition_arrays_are_consistent(n, cell):
+    rng = np.random.default_rng(n)
+    cloud = PointCloud((rng.random((n, 3)) * 3).astype(np.float32))
+    grid = partition(cloud, cell)
+    assert (np.diff(grid.ids) > 0).all()
+    assert grid.offsets[0] == 0 and grid.offsets[-1] == n
+    assert len(grid.offsets) == len(grid.ids) + 1
+    assert len(grid.rows) == n and (grid.counts > 0).all()
+    for i in range(len(grid.ids)):
+        idx = grid.indices(i)
+        assert (np.diff(idx) > 0).all()
+        assert (grid.rows[idx] == i).all()
+    # ids are the flat cell index x + nx * (y + ny * z) of each cell
+    nx, ny, _ = grid.dims
+    cell_idx = np.round((grid.cell_lows() - grid.origin) / cell).astype(int)
+    np.testing.assert_array_equal(
+        cell_idx[:, 0] + nx * (cell_idx[:, 1] + ny * cell_idx[:, 2]), grid.ids)
 
 
 def test_partition_rejects_empty_and_bad_cell():

@@ -1,0 +1,43 @@
+"""Every name a pcvstream module imports at module level is used there.
+
+The one exception is a name that `perfbench/tracer.py` patches in that
+module (PATCH_POINTS): it is imported only so the traced run can swap it.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "pcvstream").glob("*.py"))
+
+
+def patch_points():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PATCH_POINTS
+
+
+def imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    patched = {attr.split(".")[0] for module, attr, _ in patch_points()
+               if module == path.stem}
+    unused = [name for name in imported_names(tree)
+              if name not in used and name not in patched]
+    assert not unused, f"{path.name} imports unused names: {unused}"

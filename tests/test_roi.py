@@ -8,16 +8,106 @@ from pcvstream.cloud import (
     Camera, Intrinsics, PointCloud, Pose, frustum_cull, partition,
     quat_from_axis_angle, quat_to_matrix,
 )
+from pcvstream._util import ceil_count
 from pcvstream.roi import (
-    FlowField, PoseHistory, RoiConfig, _block_rows, _coarse_kept_ids,
-    _feature_matrix, _neighbor_rows, _static_scores, _viewpoint_scores,
-    block_features, coarse_select_details, dynamic_saliency, estimate_flow,
+    CHI2_EPS, TEXTURE_BINS, FlowField, PoseHistory, RoiConfig,
+    _coarse_kept_rows, _feature_matrix, _neighbor_rows, _static_scores,
+    _viewpoint_scores, coarse_select_details, dynamic_saliency, estimate_flow,
     fine_select_details, predict_pose, select_roi, texture_descriptor,
-    viewpoint_descriptor,
 )
 from pcvstream.sim import generate_scene
 
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles: one block at a time, for the array code in roi
+
+def blocks_of(grid):
+    """{flat cell id: ascending point indices} of every occupied cell."""
+    return {int(b): grid.indices(i) for i, b in enumerate(grid.ids)}
+
+
+def cell_bounds(grid, block_id):
+    nx, ny, _ = grid.dims
+    idx = np.array([block_id % nx, (block_id // nx) % ny,
+                    block_id // (nx * ny)], dtype=np.float64)
+    lo = grid.origin + idx * grid.cell_size
+    return lo, lo + grid.cell_size
+
+
+def viewpoint_descriptor(block_center, viewpoint, view_direction, beta):
+    """Distance/angle significance of one block center; a block at the eye
+    counts as straight ahead."""
+    o = np.asarray(block_center, dtype=np.float64)
+    v = np.asarray(viewpoint, dtype=np.float64)
+    w = np.asarray(view_direction, dtype=np.float64)
+    w_norm = np.linalg.norm(w)
+    if w_norm == 0.0:
+        raise ValueError("view direction must be non-zero")
+    d = o - v
+    phi = float(np.linalg.norm(d))
+    cos_theta = 1.0 if phi == 0.0 else float(d @ w / (phi * w_norm))
+    return beta / math.log(max(phi, math.e)) + (1.0 - beta) * cos_theta
+
+
+def chi2(a, b):
+    return float(((a - b) ** 2 / (a + b + CHI2_EPS)).sum())
+
+
+def scalar_texture_descriptor(features, neighbor_features, lambda_):
+    """texture_descriptor as a loop over the neighbors."""
+    t_i = np.asarray(features, dtype=np.float64)
+    split = t_i.size - TEXTURE_BINS
+    acc = 0.0
+    for t_j in neighbor_features:
+        t_j = np.asarray(t_j, dtype=np.float64)
+        psi2 = (chi2(t_i[:split], t_j[:split])
+                + lambda_ * chi2(t_i[split:], t_j[split:]))
+        acc += psi2 / (1.0 + float(np.linalg.norm(t_i - t_j)))
+    return 1.0 - math.exp(-acc / len(neighbor_features))
+
+
+def block_features(points, sub_bins, bounds, colors=None):
+    """Feature vector of one block: occupancy histogram over sub_bins^3
+    sub-cells of bounds (lo, hi) plus an 8-bin luminance histogram (zeros
+    without color)."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    idx = np.floor((pts - lo) / span * sub_bins).astype(np.int64)
+    idx = np.clip(idx, 0, sub_bins - 1)
+    flat = idx[:, 0] + sub_bins * (idx[:, 1] + sub_bins * idx[:, 2])
+    geo = np.bincount(flat, minlength=sub_bins ** 3).astype(np.float64)
+    geo /= geo.sum()
+
+    tex = np.zeros(TEXTURE_BINS)
+    if colors is not None and len(colors):
+        rgb = np.asarray(colors, dtype=np.float64)
+        luma = 0.299 * rgb[:, 0] + 0.587 * rgb[:, 1] + 0.114 * rgb[:, 2]
+        tex = np.bincount(np.clip((luma / 256.0 * TEXTURE_BINS).astype(np.int64),
+                                  0, TEXTURE_BINS - 1),
+                          minlength=TEXTURE_BINS).astype(np.float64)
+        tex /= tex.sum()
+    return np.concatenate([geo, tex])
+
+
+def coarse_kept_ids(blocks, scores, cfg):
+    """Coarse keep as a loop: block ids by descending score, ties to the
+    lower id, cut by block count or by the first prefix holding `need`
+    points."""
+    ranked = sorted(scores, key=lambda b: (-scores[b], b))
+    if cfg.coarse_keep_by == "blocks":
+        return ranked[:ceil_count(cfg.coarse_keep_fraction, len(ranked))]
+    total = sum(len(blocks[b]) for b in ranked)
+    need = ceil_count(cfg.coarse_keep_fraction, total)
+    kept, acc = [], 0
+    for bid in ranked:
+        if acc >= need:
+            break
+        kept.append(bid)
+        acc += len(blocks[bid])
+    return kept
 
 
 def static_history(position=(0.0, 0.0, 0.0), n=3):
@@ -109,7 +199,8 @@ def test_dynamic_saliency_zero_flow():
     cloud = PointCloud(np.random.default_rng(2).random((40, 3)).astype(np.float32))
     grid = partition(cloud, 0.5)
     scores = dynamic_saliency(grid, FlowField(np.zeros((40, 3))))
-    assert all(v == 0.0 for v in scores.values())
+    assert scores.shape == grid.ids.shape
+    assert all(v == 0.0 for v in scores)
 
 
 def test_dynamic_saliency_constant_block():
@@ -117,7 +208,7 @@ def test_dynamic_saliency_constant_block():
     grid = partition(cloud, 1.0)
     vecs = np.tile([0.2, 0.0, 0.0], (2, 1))
     scores = dynamic_saliency(grid, FlowField(vecs))
-    assert list(scores.values()) == [pytest.approx(0.2)]
+    assert scores.tolist() == [pytest.approx(0.2)]
 
 
 def test_dynamic_saliency_matches_direct_summation():
@@ -126,9 +217,10 @@ def test_dynamic_saliency_matches_direct_summation():
     grid = partition(cloud, 0.8)
     vecs = rng.normal(size=(200, 3))
     scores = dynamic_saliency(grid, FlowField(vecs))
-    for bid, idx in grid.blocks.items():
+    assert len(scores) == len(grid.ids)
+    for row, idx in enumerate(blocks_of(grid).values()):
         expect = np.mean([np.sqrt((vecs[i] ** 2).sum()) for i in idx])
-        assert scores[bid] == pytest.approx(expect, abs=1e-12)
+        assert scores[row] == pytest.approx(expect, abs=1e-12)
 
 
 def test_dynamic_saliency_ranking_scale_invariant():
@@ -138,7 +230,7 @@ def test_dynamic_saliency_ranking_scale_invariant():
     vecs = rng.normal(size=(300, 3))
     s1 = dynamic_saliency(grid, FlowField(vecs))
     s2 = dynamic_saliency(grid, FlowField(vecs * 3.7))
-    rank = lambda s: sorted(s, key=lambda b: (-s[b], b))
+    rank = lambda s: sorted(range(len(s)), key=lambda i: (-s[i], i))
     assert rank(s1) == rank(s2)
 
 
@@ -182,7 +274,7 @@ def test_coarse_select_finds_moving_blocks():
     cfg = RoiConfig(coarse_keep_fraction=0.3, coarse_cell_size=1.0)
     out, grid, scores, _, _ = coarse_select_details(curr, prev, hist, cfg,
                                                     intr)
-    assert len(grid.blocks) == 10
+    assert len(grid.ids) == 10
     assert len(out) == 3 * 20
     xs = np.floor(out.points[:, 0] + 0.5).astype(int)
     assert set(xs.tolist()) == {2, 5, 7}
@@ -194,7 +286,7 @@ def test_coarse_select_default_block_count():
     cfg = RoiConfig(coarse_cell_size=1.0)  # default 60% keep
     out, grid, scores, _, _ = coarse_select_details(curr, prev, hist, cfg,
                                                     intr)
-    b = len(grid.blocks)
+    b = len(grid.ids)
     kept_blocks = math.ceil(0.6 * b - 1e-9)
     assert len(out) == kept_blocks * 20
 
@@ -291,6 +383,15 @@ def test_texture_descriptor_monotone_in_distinctiveness():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_texture_descriptor_matches_scalar_loop(k):
+    rng = np.random.default_rng(k)
+    feats = rng.dirichlet(np.ones(8 + TEXTURE_BINS), size=k + 1)
+    got = texture_descriptor(feats[0], list(feats[1:]), 0.35)
+    assert got == pytest.approx(
+        scalar_texture_descriptor(feats[0], feats[1:], 0.35), abs=1e-15)
+
+
 def test_texture_descriptor_validation():
     t = np.zeros(12)
     with pytest.raises(ValueError):
@@ -367,14 +468,14 @@ def test_fine_select_cardinality_oracle():
     cfg = RoiConfig(fine_cell_size=0.75, r_min=0.3, r_max=0.9)
     out, sal = fine_select_details(cloud, [1.5, 1.5, -4.0], [0, 0, 1.0], cfg,
                                    seed=5)
-    grid = partition(cloud, cfg.fine_cell_size)
+    blocks = blocks_of(partition(cloud, cfg.fine_cell_size))
     lo, hi = sal.static_.min(), sal.static_.max()
     norm = (sal.static_ - lo) / (hi - lo) if hi > lo else np.ones_like(sal.static_)
     expect = 0
     for i, bid in enumerate(sal.block_ids):
         r = cfg.r_min + (cfg.r_max - cfg.r_min) * norm[i]
         assert cfg.r_min - 1e-12 <= r <= cfg.r_max + 1e-12
-        expect += math.ceil(r * len(grid.blocks[int(bid)]) - 1e-9)
+        expect += math.ceil(r * len(blocks[int(bid)]) - 1e-9)
     assert len(out) == expect
 
 
@@ -400,6 +501,17 @@ def test_identity_bypass_equals_frustum():
                                   frustum_cull(curr, cam).points)
 
 
+@pytest.mark.parametrize("keep_by", ["blocks", "points"])
+def test_select_roi_rejects_a_coarse_stage_that_keeps_nothing(keep_by):
+    prev, curr = cluster_scene()
+    hist, intr = wide_camera_history()
+    # ceil_count rounds 1e-12 of 10 blocks (200 points) down to 0
+    cfg = RoiConfig(coarse_keep_fraction=1e-12, coarse_keep_by=keep_by,
+                    coarse_cell_size=1.0)
+    with pytest.raises(ValueError, match="non-empty coarse ROI"):
+        select_roi(curr, prev, hist, cfg, intr, seed=0)
+
+
 def test_select_roi_saliency_export(tmp_path):
     prev, curr = cluster_scene()
     hist, intr = wide_camera_history()
@@ -422,12 +534,14 @@ def test_select_roi_saliency_export(tmp_path):
 def scalar_static_scores(grid, cloud, viewpoint, view_direction, cfg):
     """Per-block loop over block_features, viewpoint_descriptor and
     texture_descriptor: the oracle for the vectorised scoring."""
-    ids = grid.block_ids()
-    centers = np.array([grid.cell_center(b) for b in ids])
-    feats = [block_features(cloud.points[grid.blocks[b]], cfg.sub_bins,
-                            bounds=grid.cell_bounds(b),
+    blocks = blocks_of(grid)
+    ids = sorted(blocks)
+    centers = np.array([cell_bounds(grid, b)[0] + 0.5 * grid.cell_size
+                        for b in ids])
+    feats = [block_features(cloud.points[blocks[b]], cfg.sub_bins,
+                            bounds=cell_bounds(grid, b),
                             colors=None if cloud.colors is None
-                            else cloud.colors[grid.blocks[b]])
+                            else cloud.colors[blocks[b]])
              for b in ids]
     view = np.array([viewpoint_descriptor(c, viewpoint, view_direction,
                                           cfg.beta) for c in centers])
@@ -437,8 +551,8 @@ def scalar_static_scores(grid, cloud, viewpoint, view_direction, cfg):
         _, nbrs = cKDTree(centers).query(centers, k=k + 1)
         for i in range(len(ids)):
             others = [j for j in nbrs[i] if j != i][:k]
-            tex[i] = texture_descriptor(feats[i], [feats[j] for j in others],
-                                        cfg.lambda_)
+            tex[i] = scalar_texture_descriptor(
+                feats[i], [feats[j] for j in others], cfg.lambda_)
     return ids, centers, np.array(feats), view, tex
 
 
@@ -462,20 +576,18 @@ def test_static_scores_match_scalar_oracle(cloud, cell, R):
     viewpoint, direction = [1.0, 0.5, 1.2], [0.1, 0.0, 1.0]  # blocks behind too
     ids, centers, feats, view, tex = scalar_static_scores(
         grid, cloud, viewpoint, direction, cfg)
-    got_ids, rows, counts = _block_rows(grid)
-    assert got_ids == ids
-    got = _static_scores(grid, cloud, ids, rows, counts, viewpoint,
-                         direction, cfg)
+    assert grid.ids.tolist() == ids
+    got = _static_scores(grid, cloud, viewpoint, direction, cfg)
     np.testing.assert_array_equal(got[0], centers)
     np.testing.assert_allclose(got[1], view, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got[2], tex, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got[3], view * tex, rtol=0, atol=1e-12)
     if len(ids) == 1:
         assert got[2].tolist() == [0.0]
-    lo = np.array([grid.cell_bounds(b)[0] for b in ids])
-    hi = np.array([grid.cell_bounds(b)[1] for b in ids])
     np.testing.assert_array_equal(
-        _feature_matrix(cloud, rows, counts, lo, hi, cfg.sub_bins), feats)
+        grid.cell_lows(), [cell_bounds(grid, b)[0] for b in ids])
+    np.testing.assert_array_equal(
+        _feature_matrix(cloud, grid, cfg.sub_bins), feats)
 
 
 @pytest.mark.parametrize("cell, xs", [(0.3, [2.25]),
@@ -486,13 +598,11 @@ def test_feature_matrix_bins_sub_cell_edges_like_block_features(cell, xs):
     pts = [[0.0, 0.0, 0.0]] + [[x, 0.01, 0.01] for x in xs]
     cloud = PointCloud(pts)
     grid = partition(cloud, cell)
-    ids, rows, counts = _block_rows(grid)
-    expect = [block_features(cloud.points[grid.blocks[b]], 2,
-                             bounds=grid.cell_bounds(b)) for b in ids]
-    lo = np.array([grid.cell_bounds(b)[0] for b in ids])
-    hi = np.array([grid.cell_bounds(b)[1] for b in ids])
+    expect = [block_features(cloud.points[idx], 2,
+                             bounds=cell_bounds(grid, b))
+              for b, idx in blocks_of(grid).items()]
     np.testing.assert_array_equal(
-        _feature_matrix(cloud, rows, counts, lo, hi, 2), np.array(expect))
+        _feature_matrix(cloud, grid, 2), np.array(expect))
 
 
 def test_viewpoint_scores_match_scalar_descriptor():
@@ -518,13 +628,14 @@ def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
     culled cloud)."""
     camera = Camera.at(predict_pose(history, 1)[0], intrinsics)
     culled = frustum_cull(frame, camera)
-    grid = partition(culled, cfg.coarse_cell_size)
+    blocks = blocks_of(partition(culled, cfg.coarse_cell_size))
     mags = estimate_flow(prev, culled).magnitudes()
-    scores = {b: float(mags[idx].mean()) for b, idx in grid.blocks.items()}
-    kept = _coarse_kept_ids(grid, scores, cfg)
-    coarse_idx = np.sort(np.concatenate([grid.blocks[b] for b in kept]))
+    scores = {b: float(mags[idx].mean()) for b, idx in blocks.items()}
+    kept = coarse_kept_ids(blocks, scores, cfg)
+    coarse_idx = np.sort(np.concatenate([blocks[b] for b in kept]))
     coarse = culled.select(coarse_idx)
     fine = partition(coarse, cfg.fine_cell_size)
+    fine_blocks = blocks_of(fine)
     ids, _, _, view, tex = scalar_static_scores(
         fine, coarse, camera.pose.position, camera.pose.forward(), cfg)
     static = view * tex
@@ -533,7 +644,7 @@ def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
     rng = np.random.default_rng(seed)
     picked = []
     for i, b in enumerate(ids):
-        idx = fine.blocks[b]
+        idx = fine_blocks[b]
         ratio = cfg.r_min + (cfg.r_max - cfg.r_min) * norm[i]
         picked.append(rng.choice(idx, size=math.ceil(ratio * len(idx) - 1e-9),
                                  replace=False))
@@ -562,3 +673,51 @@ def test_coarse_flow_equals_second_flow_pass():
     coarse, _, _, _, flow = coarse_select_details(curr, prev, hist, cfg, intr)
     np.testing.assert_array_equal(flow.vectors,
                                   estimate_flow(prev, coarse).vectors)
+
+
+# ---------------------------------------------------------------------------
+# coarse ranking against the loop over block ids
+
+RANK_COUNTS = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)  # points per block, 39 in all
+
+
+def counted_grid():
+    """One block per count in RANK_COUNTS, at every other cell along x, so
+    block ids (0, 2, 4, ...) differ from block rows."""
+    pts = [[2 * i + 0.25 + 0.05 * j, 0.25, 0.25]
+           for i, n in enumerate(RANK_COUNTS) for j in range(n)]
+    grid = partition(PointCloud(pts), 1.0)
+    assert grid.counts.tolist() == list(RANK_COUNTS)
+    assert grid.ids.tolist() == list(range(0, 20, 2))
+    return grid
+
+
+RANK_SCORES = {
+    "distinct": np.random.default_rng(0).random(len(RANK_COUNTS)),
+    # ties go to the lower block id
+    "tied": np.array([0.5, 0.2, 0.5, 0.5, 0.2, 0.9, 0.2, 0.5, 0.0, 0.9]),
+    "all equal": np.zeros(len(RANK_COUNTS)),
+}
+
+
+@pytest.mark.parametrize("scores", RANK_SCORES.values(), ids=RANK_SCORES)
+@pytest.mark.parametrize("fraction", [1e-3, 0.6, 1.0])
+@pytest.mark.parametrize("keep_by", ["blocks", "points"])
+def test_coarse_kept_rows_match_id_loop(scores, fraction, keep_by):
+    grid = counted_grid()
+    cfg = RoiConfig(coarse_keep_fraction=fraction, coarse_keep_by=keep_by)
+    rows = _coarse_kept_rows(grid, scores, cfg)
+    expect = coarse_kept_ids(blocks_of(grid),
+                             dict(zip(grid.ids.tolist(), scores.tolist())), cfg)
+    assert grid.ids[rows].tolist() == expect
+
+
+def test_coarse_kept_rows_stop_when_the_count_lands_on_need():
+    grid = counted_grid()
+    scores = np.arange(len(RANK_COUNTS), 0, -1, dtype=np.float64)  # row order
+    cfg = RoiConfig(coarse_keep_fraction=8 / 39, coarse_keep_by="points")
+    rows = _coarse_kept_rows(grid, scores, cfg)
+    assert rows.tolist() == [0, 1, 2]  # 3 + 1 + 4 == need == 8
+    expect = coarse_kept_ids(blocks_of(grid),
+                             dict(zip(grid.ids.tolist(), scores.tolist())), cfg)
+    assert grid.ids[rows].tolist() == expect

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pcvstream.nn import NumericsError
 from pcvstream.scheduler import (
     DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, SchedulerState,
     a3c_gradients, a3c_update, build_state, discounted_returns, entropy,
@@ -204,6 +205,15 @@ def test_greedy_uniform_logits_picks_first():
     net.actor.weights[:] = 0.0
     net.actor.bias[:] = 0.0
     assert select_action(net, state_of(), "greedy") == 0
+
+
+def test_greedy_raises_on_non_finite_probabilities():
+    net = ActorCritic.create(seed=0)
+    net.actor.weights[0, 0] = np.nan
+    state = state_of(k=net.k)
+    assert np.isnan(net.policy(state.vector())[0]).all()
+    with pytest.raises(NumericsError):
+        select_action(net, state, "greedy")
 
 
 def test_dominant_logits_sampled_almost_always():
