@@ -32,6 +32,9 @@ BLOCK_ORDER_BITS = 10  # Morton grid resolution per axis in chunk_blocks
 # blocks per encoder forward of a stack: (8, 128, 256) float64 activations
 # are 2 MB, where a whole 157-block frame at once holds 41 MB per layer
 ENCODE_CHUNK_BLOCKS = 8
+TRAIN_BATCH = 8
+TRAIN_CLIP_NORM = 25.0  # global gradient norm cap of one batch
+LOSS = LossSpec()
 
 MAGIC = b"ISCM"
 FORMAT_VERSION = 1
@@ -50,7 +53,6 @@ class CodecFormatError(ValueError):
 class PruneConfig:
     zeta: float = 0.5
     rounds: int = 5
-    per_round_ratio: float | None = None
     loss_threshold: float | None = None  # default: 1.1x the entry loss
     finetune_epochs: int = 4
 
@@ -59,13 +61,12 @@ class PruneConfig:
             raise ValueError("zeta must lie in [0, 1)")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        derived = 1.0 - (1.0 - self.zeta) ** (1.0 / self.rounds)
-        if self.per_round_ratio is None:
-            self.per_round_ratio = derived
-        else:
-            reached = 1.0 - (1.0 - self.per_round_ratio) ** self.rounds
-            if abs(reached - self.zeta) > 1e-9:
-                raise ValueError("per-round ratios must compound to zeta")
+
+    @property
+    def per_round_ratio(self) -> float:
+        """Share of the remaining weights pruned each round, so that the
+        rounds compound to zeta."""
+        return 1.0 - (1.0 - self.zeta) ** (1.0 / self.rounds)
 
     def cumulative_target(self, rounds_done: int) -> float:
         return 1.0 - (1.0 - self.per_round_ratio) ** rounds_done
@@ -244,18 +245,16 @@ def _clip_grads(grad_lists, extra, max_norm):
     return scaled, extra * s
 
 
-def train(model: CodecModel, dataset, spec: LossSpec = LossSpec(),
-          epochs: int = 50, lr: float = 0.002, seed: int = 0,
-          clip_norm: float | None = 25.0, lr_decay: float = 1.0,
-          batch_size: int = 8) -> np.ndarray:
+def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
+          seed: int = 0) -> np.ndarray:
     """Mini-batch training over normalized blocks; returns per-epoch mean
     loss.
 
     Each sample owns a learned axis-angle alignment (zero-initialized) that
     rotates the decoded block before the loss; its squared norm is
-    penalized. Batch-mean gradients are clipped by global norm; lr_decay
-    multiplies the learning rate once per epoch. The optimizer is Adam
-    (momentum SGD stalls well short of convergence on the matching loss).
+    penalized. Batch-mean gradients are clipped by global norm. The
+    optimizer is Adam (momentum SGD stalls well short of convergence on the
+    matching loss).
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] == 0:
@@ -266,11 +265,10 @@ def train(model: CodecModel, dataset, spec: LossSpec = LossSpec(),
     enc_state = dec_state = None
     curve = np.empty(epochs)
     for epoch in range(epochs):
-        step_lr = lr * lr_decay ** epoch
         order = rng.permutation(n_samples)
         total = 0.0
-        for start in range(0, n_samples, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n_samples, TRAIN_BATCH):
+            idx = order[start:start + TRAIN_BATCH]
             targets = data[idx]
             b = len(idx)
             latents, enc_caches = forward(model.encoder, targets)
@@ -281,7 +279,7 @@ def train(model: CodecModel, dataset, spec: LossSpec = LossSpec(),
             for j, s in enumerate(idx):
                 pred, rot_cache = rotate_points(rot[s], pred0[j])
                 loss, d_pred, d_rot = total_loss(pred, targets[j], rot[s],
-                                                 spec)
+                                                 LOSS)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"NaN loss at epoch {epoch}")
                 total += loss
@@ -291,26 +289,24 @@ def train(model: CodecModel, dataset, spec: LossSpec = LossSpec(),
             d_latent, dec_grads = backward(model.decoder, dec_caches,
                                            d_pred0.reshape(b, -1) / b)
             _, enc_grads = backward(model.encoder, enc_caches, d_latent)
-            if clip_norm is not None:
-                (dec_grads, enc_grads), d_rots = _clip_grads(
-                    [dec_grads, enc_grads], d_rots, clip_norm)
-            dec_state = adam_step(model.decoder, dec_grads, step_lr,
+            (dec_grads, enc_grads), d_rots = _clip_grads(
+                [dec_grads, enc_grads], d_rots, TRAIN_CLIP_NORM)
+            dec_state = adam_step(model.decoder, dec_grads, lr,
                                   state=dec_state)
-            enc_state = adam_step(model.encoder, enc_grads, step_lr,
+            enc_state = adam_step(model.encoder, enc_grads, lr,
                                   state=enc_state)
-            rot[idx] -= step_lr * d_rots
+            rot[idx] -= lr * d_rots
         curve[epoch] = total / n_samples
     return curve
 
 
-def mean_reconstruction_loss(model: CodecModel, dataset,
-                             spec: LossSpec = LossSpec()) -> float:
+def mean_reconstruction_loss(model: CodecModel, dataset) -> float:
     """Mean loss over a dataset without updates (zero alignment)."""
     data = np.asarray(dataset, dtype=np.float64)
     zero = np.zeros(3)
     total = 0.0
     for pred, target in zip(decode(model, encode(model, data)), data):
-        total += total_loss(pred, target, zero, spec)[0]
+        total += total_loss(pred, target, zero, LOSS)[0]
     return total / len(data)
 
 
@@ -405,8 +401,7 @@ def dequantize(codes, meta) -> np.ndarray:
 # the joint lightweight-training procedure
 
 def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
-                      m: int, spec: LossSpec = LossSpec(), lr: float = 0.001,
-                      seed: int = 0) -> CodecModel:
+                      m: int, lr: float = 0.001, seed: int = 0) -> CodecModel:
     """Prune-and-quantize a pre-trained f32 model.
 
     Per round: fine-tune until the running loss drops below the trigger
@@ -423,7 +418,7 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
     data = np.asarray(dataset, dtype=np.float64)
     out = model.copy()
 
-    entry_loss = mean_reconstruction_loss(out, data, spec)
+    entry_loss = mean_reconstruction_loss(out, data)
     l_th = prune_cfg.loss_threshold
     if l_th is None:
         l_th = 1.1 * entry_loss
@@ -433,10 +428,9 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
     for rnd in range(1, prune_cfg.rounds + 1):
         budget = prune_cfg.finetune_epochs
         while current >= l_th and budget > 0:
-            train(out, data, spec, epochs=1, lr=lr,
-                  seed=seed + 1000 * rnd + budget)
+            train(out, data, epochs=1, lr=lr, seed=seed + 1000 * rnd + budget)
             budget -= 1
-            current = mean_reconstruction_loss(out, data, spec)
+            current = mean_reconstruction_loss(out, data)
         if current >= l_th:
             log.warning(
                 "pruning stalled in round %d: loss %.6f never fell below "
@@ -446,9 +440,8 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
         prune_model(out, prune_cfg.cumulative_target(rnd))
         rounds_done = rnd
         if budget > 0:
-            train(out, data, spec, epochs=budget, lr=lr,
-                  seed=seed + 1000 * rnd)
-        current = mean_reconstruction_loss(out, data, spec)
+            train(out, data, epochs=budget, lr=lr, seed=seed + 1000 * rnd)
+        current = mean_reconstruction_loss(out, data)
 
     out.zeta_applied = prune_cfg.cumulative_target(rounds_done) \
         if rounds_done else 0.0
@@ -606,7 +599,9 @@ def deserialize(path) -> CodecModel:
     latent_dim = enc_dense[-1].weights.shape[0]
     n_points = dec_dense[-1].weights.shape[0] // 3
     dtypes = {d for _, l, d, _ in entries if l.weights is not None}
-    dtype = dtypes.pop() if len(dtypes) == 1 else "f32"
+    if len(dtypes) != 1:
+        raise CodecFormatError(f"mixed layer dtypes {sorted(dtypes)}")
+    dtype = dtypes.pop()
     metas = [m for _, l, _, m in entries if m is not None] or None
     model = CodecModel(enc, dec, n_points, latent_dim, dtype, metas)
     model.zeta_applied = min(model.zero_fractions())

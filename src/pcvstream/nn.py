@@ -1,5 +1,5 @@
 """Minimal dense-network engine: forward/backward with analytic gradients,
-point-set reconstruction losses, and SGD with pruning-mask preservation.
+point-set reconstruction losses, and Adam with pruning-mask preservation.
 
 Layers operate on per-point feature rows (n, f); `maxpool_points` collapses
 the point axis into a single symmetric feature vector, which is what makes
@@ -17,6 +17,9 @@ from scipy.optimize import linear_sum_assignment
 LAYER_KINDS = ("dense", "relu", "tanh", "maxpool_points")
 
 EMD_CAP = 256  # largest point count solved by the exact assignment
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NumericsError(FloatingPointError):
@@ -31,8 +34,7 @@ class Layer:
     prune_mask: np.ndarray | None = None  # None means nothing pruned
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS and self.kind not in (
-                "actor_head", "critic_head"):
+        if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind '{self.kind}'")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -141,8 +143,7 @@ def backward(network: Network, caches, d_out: np.ndarray):
     return d, grads
 
 
-def adam_step(network: Network, grads, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
+def adam_step(network: Network, grads, lr: float,
               state: dict | None = None) -> dict:
     """One Adam step; returns the moment state to pass back.
 
@@ -153,8 +154,8 @@ def adam_step(network: Network, grads, lr: float, beta1: float = 0.9,
         state = {"t": 0}
     state["t"] += 1
     t = state["t"]
-    correct1 = 1.0 - beta1 ** t
-    correct2 = 1.0 - beta2 ** t
+    correct1 = 1.0 - ADAM_BETA1 ** t
+    correct2 = 1.0 - ADAM_BETA2 ** t
     for i, (layer, grad) in enumerate(zip(network.layers, grads)):
         if grad is None or layer.weights is None:
             continue
@@ -163,13 +164,13 @@ def adam_step(network: Network, grads, lr: float, beta1: float = 0.9,
                 + tuple(np.zeros_like(g) for g in grad)
         mw, mb, vw, vb = state[i]
         dw, db = grad
-        mw = beta1 * mw + (1 - beta1) * dw
-        mb = beta1 * mb + (1 - beta1) * db
-        vw = beta2 * vw + (1 - beta2) * dw * dw
-        vb = beta2 * vb + (1 - beta2) * db * db
+        mw = ADAM_BETA1 * mw + (1 - ADAM_BETA1) * dw
+        mb = ADAM_BETA1 * mb + (1 - ADAM_BETA1) * db
+        vw = ADAM_BETA2 * vw + (1 - ADAM_BETA2) * dw * dw
+        vb = ADAM_BETA2 * vb + (1 - ADAM_BETA2) * db * db
         state[i] = (mw, mb, vw, vb)
-        layer.weights -= lr * (mw / correct1) / (np.sqrt(vw / correct2) + eps)
-        layer.bias -= lr * (mb / correct1) / (np.sqrt(vb / correct2) + eps)
+        for param, m, v in ((layer.weights, mw, vw), (layer.bias, mb, vb)):
+            param -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
         if layer.prune_mask is not None:
             layer.weights *= layer.prune_mask
     return state
@@ -221,7 +222,7 @@ def chamfer_loss(pred: np.ndarray, target: np.ndarray):
     return losses / pred.shape[0], grads / pred.shape[0]
 
 
-def emd_loss(pred: np.ndarray, target: np.ndarray, cap: int = EMD_CAP):
+def emd_loss(pred: np.ndarray, target: np.ndarray):
     """Exact earth mover's distance over bijections, with gradient.
 
     Cost is the sum of matched Euclidean distances; gradients are unit
@@ -234,8 +235,8 @@ def emd_loss(pred: np.ndarray, target: np.ndarray, cap: int = EMD_CAP):
     n = pred.shape[0]
     if n == 0:
         raise ValueError("emd_loss requires non-empty point sets")
-    if n > cap:
-        raise ValueError(f"emd_loss capped at {cap} points, got {n}")
+    if n > EMD_CAP:
+        raise ValueError(f"emd_loss capped at {EMD_CAP} points, got {n}")
     d = _pairwise_distances(pred, target)
     rows, cols = linear_sum_assignment(d)
     matched = d[rows, cols]
@@ -255,8 +256,8 @@ def total_loss(pred, target, rot_params, spec):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     rot = np.asarray(rot_params, dtype=np.float64)
-    if pred.ndim == 2 and pred.shape == target.shape and pred.shape[0] <= spec.emd_cap:
-        rec, d_rec = emd_loss(pred, target, cap=spec.emd_cap)
+    if pred.ndim == 2 and pred.shape == target.shape and len(pred) <= EMD_CAP:
+        rec, d_rec = emd_loss(pred, target)
     else:
         rec, d_rec = chamfer_loss(pred, target)
     loss = spec.lambda_rec * rec + spec.rotation_penalty * float((rot ** 2).sum())
@@ -267,7 +268,6 @@ def total_loss(pred, target, rot_params, spec):
 class LossSpec:
     lambda_rec: float = 1.0
     rotation_penalty: float = 1.0
-    emd_cap: int = EMD_CAP
 
     def __post_init__(self):
         if self.lambda_rec < 0.0:

@@ -26,6 +26,8 @@ DEFAULT_HIDDEN = 96
 DEFAULT_EPOCHS = 500
 DEFAULT_LR = 0.005
 DEFAULT_GAMMA = 0.88
+ENTROPY_WEIGHT = 0.01  # entropy bonus at the first epoch, decayed to 0
+CLIP_NORM = 5.0        # global norm cap of each gradient batch
 NEUTRAL_FILL = 0.5
 B_REF = 100.0          # Mbps that reads as full bandwidth
 T_REF = 1.0 / 30.0     # decode seconds that read as full compute
@@ -106,19 +108,17 @@ def normalized_accuracy(test_cds: dict) -> dict:
 
 
 def state_slot(input_points: int, roi_points: int, decode_s: float,
-               bandwidth_mbps: float, b_ref: float = B_REF,
-               t_ref: float = T_REF) -> tuple[float, float, float]:
+               bandwidth_mbps: float) -> tuple[float, float, float]:
     """(n, c, b) state values of one frame: the ROI share of the input
-    points, decode speed against t_ref, and bandwidth against b_ref, each
+    points, decode speed against T_REF, and bandwidth against B_REF, each
     capped at 1. A NaN input stays NaN (`min` returns its first argument
     when the comparison fails), for SchedulerState to reject."""
     n = roi_points / max(1, input_points)
-    c = 1.0 if decode_s <= 0 else min(t_ref / decode_s, 1.0)
-    return n, c, min(bandwidth_mbps / b_ref, 1.0)
+    c = 1.0 if decode_s <= 0 else min(T_REF / decode_s, 1.0)
+    return n, c, min(bandwidth_mbps / B_REF, 1.0)
 
 
-def build_state(records, k: int = DEFAULT_WINDOW, b_ref: float = B_REF,
-                t_ref: float = T_REF) -> SchedulerState:
+def build_state(records, k: int = DEFAULT_WINDOW) -> SchedulerState:
     """State from the tail of per-frame records.
 
     Records need attributes/keys input_points, roi_points, decode_s, and
@@ -135,7 +135,7 @@ def build_state(records, k: int = DEFAULT_WINDOW, b_ref: float = B_REF,
     for i, rec in enumerate(tail):
         hist[:, k - len(tail) + i] = state_slot(
             get(rec, "input_points"), get(rec, "roi_points"),
-            get(rec, "decode_s"), get(rec, "bandwidth_mbps"), b_ref, t_ref)
+            get(rec, "decode_s"), get(rec, "bandwidth_mbps"))
     return SchedulerState(*hist)
 
 
@@ -161,20 +161,20 @@ class ActorCritic:
         """State window in frames: the trunk reads 3 values per frame."""
         return self.trunk.weights.shape[1] // 3
 
-    def hidden(self, state_vec):
-        return np.tanh(self.trunk.weights @ state_vec + self.trunk.bias)
+    def forward(self, x):
+        """(probs, values, h) of one (3k,) state vector or a (T, 3k) stack:
+        the softmax action probabilities, the critic's state values and
+        the trunk activations, with the state axis kept."""
+        h = np.tanh(x @ self.trunk.weights.T + self.trunk.bias)
+        logits = h @ self.actor.weights.T + self.actor.bias
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        values = h @ self.critic.weights[0] + self.critic.bias[0]
+        return e / e.sum(axis=-1, keepdims=True), values, h
 
     def policy(self, state_vec):
-        h = self.hidden(state_vec)
-        logits = self.actor.weights @ h + self.actor.bias
-        shifted = logits - logits.max()
-        e = np.exp(shifted)
-        return e / e.sum(), h
-
-    def value(self, state_vec, h=None):
-        if h is None:
-            h = self.hidden(state_vec)
-        return float((self.critic.weights @ h + self.critic.bias)[0])
+        """(probs, h) of one state vector."""
+        probs, _, h = self.forward(state_vec)
+        return probs, h
 
     def save(self, path):
         write_layer_stream(path, [
@@ -286,11 +286,7 @@ def a3c_gradients(net: ActorCritic, trajectory, gamma: float,
     states, actions, rewards = zip(*trajectory)
     returns = discounted_returns(np.asarray(rewards, dtype=np.float64), gamma)
     x = np.stack([state.vector() for state in states])       # (T, 3k)
-    h = np.tanh(x @ net.trunk.weights.T + net.trunk.bias)    # (T, H)
-    logits = h @ net.actor.weights.T + net.actor.bias
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)                 # (T, |A|)
-    values = h @ net.critic.weights[0] + net.critic.bias[0]
+    probs, values, h = net.forward(x)       # (T, |A|), (T,), (T, H)
     adv = returns - values
     slope = 1.0 - h ** 2                                     # tanh'
 
@@ -320,21 +316,6 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
         return grads
     scale = max_norm / total
     return {k: (dw * scale, db * scale) for k, (dw, db) in grads.items()}
-
-
-def a3c_update(global_net: ActorCritic, trajectory, lr: float,
-               gamma: float = DEFAULT_GAMMA, entropy_weight: float = 0.0,
-               worker_net: ActorCritic | None = None,
-               clip_norm: float | None = None) -> None:
-    """Compute gradients on the worker snapshot (or the global net itself)
-    and apply both accumulators to the global parameters atomically."""
-    source = worker_net if worker_net is not None else global_net
-    actor_grads, critic_grads = a3c_gradients(source, trajectory, gamma,
-                                              entropy_weight)
-    if clip_norm is not None:
-        actor_grads = clip_gradients(actor_grads, clip_norm)
-        critic_grads = clip_gradients(critic_grads, clip_norm)
-    apply_gradients(global_net, actor_grads, critic_grads, lr)
 
 
 def apply_gradients(net: ActorCritic, actor_grads, critic_grads,
@@ -372,12 +353,8 @@ class TrainResult:
 
 
 def train_scheduler(env_factory, workers: int = 1,
-                    epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
-                    gamma: float = DEFAULT_GAMMA,
-                    entropy_weight: float = 0.01, hidden: int = DEFAULT_HIDDEN,
-                    actions=DEFAULT_ACTIONS, seed: int = 0,
-                    net: ActorCritic | None = None,
-                    clip_norm: float | None = 5.0) -> TrainResult:
+                    epochs: int = DEFAULT_EPOCHS, hidden: int = DEFAULT_HIDDEN,
+                    actions=DEFAULT_ACTIONS, seed: int = 0) -> TrainResult:
     """Train the scheduler on environments from env_factory(worker_index).
 
     Environments implement reset(rng) -> state and step(action) ->
@@ -386,19 +363,18 @@ def train_scheduler(env_factory, workers: int = 1,
     to the global net serially, so a single-worker run is exactly
     sequential and bit-reproducible for a fixed seed. The entropy bonus
     decays linearly to zero over the epochs; gradient batches are clipped
-    by global norm, which keeps plain-SGD updates stable at the default
-    learning rate.
+    to global norm CLIP_NORM, which keeps plain-SGD steps of DEFAULT_LR
+    stable.
     """
     envs = [env_factory(w) for w in range(workers)]
     rngs = [np.random.default_rng(seed + 17 * w) for w in range(workers)]
-    if net is None:
-        probe = envs[0].reset(np.random.default_rng(seed))
-        net = ActorCritic.create(probe.k, hidden, actions, seed)
+    probe = envs[0].reset(np.random.default_rng(seed))
+    net = ActorCritic.create(probe.k, hidden, actions, seed)
     means = np.empty(epochs)
     ents = np.empty(epochs)
     for epoch in range(epochs):
         decay = 1.0 - epoch / max(1, epochs)
-        weight = entropy_weight * decay
+        weight = ENTROPY_WEIGHT * decay
         epoch_rewards = []
         epoch_entropy = []
         for w, env in enumerate(envs):
@@ -417,9 +393,11 @@ def train_scheduler(env_factory, workers: int = 1,
                                              "non-finite reward")
                 trajectory.append((state, action, rew))
                 state = nxt
-            a3c_update(net, trajectory, lr, gamma, weight,
-                       worker_net=snapshot if workers > 1 else None,
-                       clip_norm=clip_norm)
+            actor_grads, critic_grads = a3c_gradients(
+                snapshot, trajectory, DEFAULT_GAMMA, weight)
+            apply_gradients(net, clip_gradients(actor_grads, CLIP_NORM),
+                            clip_gradients(critic_grads, CLIP_NORM),
+                            DEFAULT_LR)
             epoch_rewards.extend(r for _, _, r in trajectory)
             epoch_entropy.extend(entropy(np.stack(episode_probs)))
         means[epoch] = float(np.mean(epoch_rewards))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .scheduler import (
 TRACE_PRESETS = {"3g": 2.0, "4g": 25.0, "wifi": 60.0, "5g": 100.0}
 TRACE_INTERVAL_S = 0.5
 TRACE_JITTER = 0.3
+ENV_BLOCKS_MEAN = 120.0  # mean blocks per frame of the training environment
 
 DEVICE_PRESETS = {  # CPU clocks 2.92/2.30/2.20 GHz normalized to device-3
     "device-1": 2.92 / 2.20,
@@ -60,6 +61,8 @@ class NetworkTrace:
         b = np.asarray(self.bandwidth_mbps, dtype=np.float64)
         if len(t) == 0 or len(t) != len(b):
             raise ValueError("trace needs matching, non-empty columns")
+        if not (np.isfinite(t).all() and np.isfinite(b).all()):
+            raise ValueError("trace times and bandwidths must be finite")
         if np.any(np.diff(t) < 0):
             raise ValueError("trace timestamps must be non-decreasing")
         if np.any(b <= 0):
@@ -81,12 +84,11 @@ class NetworkTrace:
 
     @classmethod
     def fluctuating(cls, mean_mbps: float, duration_s: float = 120.0,
-                    seed: int = 0, jitter: float = TRACE_JITTER,
-                    interval_s: float = TRACE_INTERVAL_S,
-                    tag: str = "file") -> "NetworkTrace":
+                    seed: int = 0, tag: str = "file") -> "NetworkTrace":
         rng = np.random.default_rng(seed)
-        t = np.arange(0.0, duration_s, interval_s)
-        bw = mean_mbps * (1.0 + rng.uniform(-jitter, jitter, size=len(t)))
+        t = np.arange(0.0, duration_s, TRACE_INTERVAL_S)
+        bw = mean_mbps * (1.0 + rng.uniform(-TRACE_JITTER, TRACE_JITTER,
+                                            size=len(t)))
         return cls(t, bw, tag)
 
     @classmethod
@@ -177,7 +179,7 @@ class RegistryEntry:
     encode_cost_s: float   # per block, reference host
     decode_cost_s: float   # per block, reference host
     test_cd: float
-    accuracy: float = 0.0  # normalized 1/CD, best model = 1
+    accuracy: float = field(init=False, default=0.0)  # 1/CD, best model = 1
 
     def payload_per_block(self) -> int:
         return self.latent_dim * LATENT_BYTES_PER_VALUE + BLOCK_HEADER_BYTES
@@ -194,10 +196,16 @@ class RegistryEntry:
 class ModelRegistry:
     """Trained codec models plus their offline measurements."""
 
+    # what registry.json holds per model; the registry derives accuracy
+    STORED_FIELDS = ("file", "latent_dim", "bits", "encode_cost_s",
+                     "decode_cost_s", "test_cd")
+
     def __init__(self, root, entries=None):
         self.root = Path(root)
         self.entries: dict[str, RegistryEntry] = dict(entries or {})
         self._cache: dict[str, CodecModel] = {}
+        if self.entries:
+            self._renormalize()
 
     def add(self, entry: RegistryEntry) -> None:
         self.entries[entry.model_id] = entry
@@ -220,10 +228,8 @@ class ModelRegistry:
 
     def save(self, config: dict | None = None) -> None:
         payload = {
-            "models": {k: {f: getattr(e, f) for f in (
-                "file", "latent_dim", "bits", "encode_cost_s",
-                "decode_cost_s", "test_cd", "accuracy")}
-                for k, e in sorted(self.entries.items())},
+            "models": {k: {f: getattr(e, f) for f in self.STORED_FIELDS}
+                       for k, e in sorted(self.entries.items())},
             "config": config or {},
         }
         with open(self.root / "registry.json", "w") as fh:
@@ -234,7 +240,7 @@ class ModelRegistry:
         root = Path(root)
         with open(root / "registry.json") as fh:
             payload = json.load(fh)
-        entries = {k: RegistryEntry(model_id=k, **v)
+        entries = {k: RegistryEntry(k, **{f: v[f] for f in cls.STORED_FIELDS})
                    for k, v in payload["models"].items()}
         return cls(root, entries)
 
@@ -601,21 +607,16 @@ class StreamingSchedulerEnv:
     """
 
     def __init__(self, registry: ModelRegistry, device: DeviceModel,
-                 mean_bandwidth_mbps: float = 25.0,
-                 jitter: float = TRACE_JITTER, eta: float = 0.5,
-                 f_target: float = 30.0, episode_len: int = 64,
-                 blocks_mean: float = 120.0, k: int = 8):
+                 mean_bandwidth_mbps: float = 25.0, episode_len: int = 64,
+                 k: int = 8):
         if k < 1:
             raise ValueError("k must be positive")
         self.entries = [registry.entries[k] for k in sorted(registry.entries)]
         self.actions = tuple(sorted(registry.entries))
         self.device = device
         self.mean_bw = mean_bandwidth_mbps
-        self.jitter = jitter
-        self.spec = RewardSpec(eta=eta, f_target=f_target, accuracy_table={
-            e.model_id: e.accuracy for e in self.entries})
+        self.spec = RewardSpec(accuracy_table=registry.accuracy_table())
         self.episode_len = episode_len
-        self.blocks_mean = blocks_mean
         self.k = k
         self._hist = np.full((3, k), NEUTRAL_FILL)
         self._trace = None
@@ -624,14 +625,14 @@ class StreamingSchedulerEnv:
         self._rng = None
 
     def _blocks(self):
-        return max(1, int(self._rng.normal(self.blocks_mean,
-                                           0.15 * self.blocks_mean)))
+        return max(1, int(self._rng.normal(ENV_BLOCKS_MEAN,
+                                           0.15 * ENV_BLOCKS_MEAN)))
 
     def reset(self, rng) -> SchedulerState:
         self._rng = rng
         self._trace = NetworkTrace.fluctuating(
             self.mean_bw, duration_s=(self.episode_len + 2) / 8.0,
-            seed=int(rng.integers(2 ** 31)), jitter=self.jitter)
+            seed=int(rng.integers(2 ** 31)))
         self._hist.fill(NEUTRAL_FILL)
         self._t = 0.0
         self._left = self.episode_len

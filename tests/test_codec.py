@@ -12,7 +12,7 @@ from pcvstream.codec import (
     deserialize, encode, lightweight_train, make_codec_model, mean_chamfer,
     mean_reconstruction_loss, morton_key, normalize_block, octree_decode,
     octree_encode, prune_layer, prune_model, prune_threshold,
-    quantize_weights, serialize, toy_block_dataset, train,
+    quantize_weights, serialize, toy_block_dataset, train, write_layer_stream,
 )
 from pcvstream.nn import Layer, LossSpec, total_loss
 
@@ -415,6 +415,21 @@ def test_deserialize_rejects_garbage(tmp_path):
         deserialize(wrong_version)
 
 
+def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
+    model = tiny_model(seed=21)
+    layers = model.encoder.layers + model.decoder.layers
+    entries = [(l.kind, l, "f32", None) for l in layers]
+    last = layers[-1]
+    codes, meta = quantize_weights(
+        np.concatenate([last.weights.ravel(), last.bias]), 8)
+    meta["codes"] = codes
+    entries[-1] = (last.kind, last, "q8", meta)  # one q8 layer among f32
+    path = tmp_path / "mixed.iscm"
+    write_layer_stream(path, entries)
+    with pytest.raises(CodecFormatError, match="mixed layer dtypes"):
+        deserialize(path)
+
+
 # ---------------------------------------------------------------------------
 # lightweight training (small-scale behavior; quality gates live in
 # test_acceptance)
@@ -459,9 +474,8 @@ def test_lightweight_stalls_when_threshold_unreachable():
 def test_prune_config_validation():
     with pytest.raises(ValueError):
         PruneConfig(zeta=1.0)
-    with pytest.raises(ValueError):
-        PruneConfig(zeta=0.5, rounds=2, per_round_ratio=0.5)  # compounds to .75
-    cfg = PruneConfig(zeta=0.75, rounds=2, per_round_ratio=0.5)
+    cfg = PruneConfig(zeta=0.75, rounds=2)
+    assert cfg.per_round_ratio == pytest.approx(0.5)
     assert cfg.cumulative_target(2) == pytest.approx(0.75)
 
 

@@ -68,6 +68,12 @@ def test_dense_uses_prune_mask():
     assert out[0] == 2.0
 
 
+def test_layer_rejects_unknown_kinds():
+    for kind in ("actor_head", "critic_head", "conv"):
+        with pytest.raises(ValueError, match="unknown layer kind"):
+            Layer(kind)
+
+
 def test_forward_rejects_nan():
     net = Network([Layer("dense", np.array([[np.inf]]), np.zeros(1))])
     with pytest.raises(NumericsError):

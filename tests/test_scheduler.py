@@ -6,7 +6,7 @@ import pytest
 from pcvstream.nn import NumericsError
 from pcvstream.scheduler import (
     DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, SchedulerState,
-    a3c_gradients, a3c_update, build_state, discounted_returns, entropy,
+    a3c_gradients, build_state, discounted_returns, entropy,
     normalized_accuracy, reward, sample_index, select_action, train_scheduler,
 )
 
@@ -110,7 +110,7 @@ def test_build_state_hand_log():
          "decode_s": 0.1 / (i + 1), "bandwidth_mbps": 20.0 * (i + 1)}
         for i in range(8)
     ]
-    state = build_state(records, k=8, b_ref=100.0, t_ref=1 / 30)
+    state = build_state(records, k=8)
     # spreadsheet recomputation of the same normalizations
     expect_n = [(i + 1) * 0.1 for i in range(8)]
     expect_c = [min(1.0, (1 / 30) / (0.1 / (i + 1))) for i in range(8)]
@@ -265,6 +265,39 @@ def test_greedy_invariant_under_logit_shift():
     assert select_action(net, state, "greedy") == before
 
 
+def matvec_forward(net, vec):
+    """Oracle: one state through the nets as matrix-vector products."""
+    h = np.tanh(net.trunk.weights @ vec + net.trunk.bias)
+    logits = net.actor.weights @ h + net.actor.bias
+    e = np.exp(logits - logits.max())
+    value = float((net.critic.weights @ h + net.critic.bias)[0])
+    return e / e.sum(), value, h
+
+
+def test_forward_one_state_equals_matvec_form():
+    rng = np.random.default_rng(13)
+    for seed in range(20):  # the default sizes, which training uses
+        net = ActorCritic.create(seed=seed)
+        vec = rng.random(3 * net.k)
+        got, want = net.forward(vec), matvec_forward(net, vec)
+        for g, w in zip(got, want):
+            assert np.asarray(g).tolist() == np.asarray(w).tolist()
+
+
+def test_forward_stack_matches_row_by_row():
+    rng = np.random.default_rng(14)
+    net = ActorCritic.create(k=8, hidden=24, seed=2)
+    stack = rng.random((33, 24))
+    probs, values, h = net.forward(stack)
+    assert probs.shape == (33, len(net.actions))
+    assert values.shape == (33,) and h.shape == (33, 24)
+    for i, row in enumerate(stack):
+        p_row, v_row, h_row = net.forward(row)
+        np.testing.assert_allclose(probs[i], p_row, rtol=1e-12, atol=1e-12)
+        assert values[i] == pytest.approx(v_row, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(h[i], h_row, rtol=1e-12, atol=1e-12)
+
+
 def test_policy_is_probability_simplex():
     rng = np.random.default_rng(7)
     net = ActorCritic.create(k=8, hidden=16, seed=11)
@@ -295,8 +328,8 @@ def test_discounted_returns_matches_bruteforce():
 
 
 def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
-    """Oracle: a3c_gradients as one forward pass and outer products per
-    step."""
+    """Oracle: a3c_gradients as one matrix-vector forward pass and outer
+    products per step."""
     states, actions, rewards = zip(*trajectory)
     returns = discounted_returns(np.asarray(rewards, dtype=np.float64), gamma)
 
@@ -308,8 +341,7 @@ def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
 
     for state, action, ret in zip(states, actions, returns):
         vec = state.vector()
-        probs, h = net.policy(vec)
-        value = net.value(vec, h)
+        probs, value, h = matvec_forward(net, vec)
         adv = ret - value
 
         d_logits = -probs * adv
@@ -360,7 +392,7 @@ def test_batched_gradients_match_per_step_oracle(steps, entropy_weight):
 def test_zero_advantage_kills_actor_gradient():
     net = ActorCritic.create(k=2, hidden=4, actions=("a", "b"), seed=1)
     state = state_of(k=2)
-    ret = net.value(state.vector())  # advantage exactly zero
+    ret = net.forward(state.vector())[1]  # advantage exactly zero
     actor_grads, _ = a3c_gradients(net, [(state, 1, ret)], gamma=0.88,
                                    entropy_weight=0.0)
     # single-step trajectory: the return equals the reward
@@ -388,14 +420,14 @@ def test_a3c_gradients_match_finite_differences():
 
         # freeze the advantage the way the update rule does
         ret = discounted_returns([rew], gamma)[0]
-        adv = ret - net.value(state.vector())
+        adv = ret - net.forward(state.vector())[1]
 
         def actor_objective():
             probs, _ = net.policy(state.vector())
             return math.log(probs[action]) * adv + ew * entropy(probs)
 
         def critic_loss():
-            return (ret - net.value(state.vector())) ** 2
+            return (ret - net.forward(state.vector())[1]) ** 2
 
         actor_grads, critic_grads = a3c_gradients(net, traj, gamma, ew)
         analytic = {
@@ -426,10 +458,10 @@ def test_a3c_gradients_match_finite_differences():
                         (which, part)
 
 
-def test_a3c_update_rejects_empty_trajectory():
+def test_a3c_gradients_rejects_empty_trajectory():
     net = ActorCritic.create(k=2, hidden=4, actions=("a", "b"), seed=0)
-    with pytest.raises(ValueError):
-        a3c_update(net, [], lr=0.01)
+    with pytest.raises(ValueError, match="empty trajectory"):
+        a3c_gradients(net, [], gamma=0.88)
 
 
 # ---------------------------------------------------------------------------

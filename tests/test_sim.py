@@ -51,6 +51,18 @@ def test_trace_csv_requires_header(tmp_path):
         NetworkTrace.from_csv(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_values(tmp_path, bad):
+    for times, mbps in (([0.0, bad], [5.0, 6.0]), ([0.0, 1.0], [5.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            NetworkTrace(np.array(times), np.array(mbps))
+        path = tmp_path / "trace.csv"
+        path.write_text("t_seconds,bandwidth_mbps\n"
+                        + "".join(f"{t},{b}\n" for t, b in zip(times, mbps)))
+        with pytest.raises(ValueError, match="finite"):
+            NetworkTrace.from_csv(path)
+
+
 def test_trace_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("t_seconds,bandwidth_mbps\n")
@@ -360,6 +372,28 @@ def test_unknown_policy_and_missing_model(tmp_path):
     registry = toy_registry(tmp_path, latents=(16,))
     with pytest.raises(KeyError):
         run_session(scene, "fixed:nope", trace, device, registry=registry)
+
+
+def test_registry_built_from_entries_normalises_accuracy(tmp_path):
+    entries = {model_id: RegistryEntry(model_id, f"{model_id}.iscm", latent,
+                                       8, 1e-4, 1e-4, cd)
+               for model_id, latent, cd in (("4x4-q8", 16, 0.08),
+                                            ("8x8-q8", 64, 0.02),
+                                            ("16x16-q8", 256, 0.04))}
+    registry = ModelRegistry(tmp_path, entries)
+    assert registry.accuracy_table() == pytest.approx(
+        {"4x4-q8": 0.25, "8x8-q8": 1.0, "16x16-q8": 0.5})
+    env = StreamingSchedulerEnv(registry, DeviceModel.preset("device-2"))
+    assert env.spec.accuracy_table == registry.accuracy_table()
+    registry.save()
+    path = tmp_path / "registry.json"
+    stored = json.loads(path.read_text())
+    assert all("accuracy" not in v for v in stored["models"].values())
+    for v in stored["models"].values():  # a stale stored value is ignored
+        v["accuracy"] = 0.0
+    path.write_text(json.dumps(stored))
+    assert ModelRegistry.load(tmp_path).accuracy_table() == \
+        registry.accuracy_table()
 
 
 def test_drl_policy_actions_must_be_in_registry(tmp_path):
