@@ -254,7 +254,9 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
     rotates the decoded block before the loss; its squared norm is
     penalized. Batch-mean gradients are clipped by global norm. The
     optimizer is Adam (momentum SGD stalls well short of convergence on the
-    matching loss).
+    matching loss). A batch runs as stacks: one forward and one backward
+    per network, one stacked rotation and one loss call; only the EMD
+    assignment is solved sample by sample.
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] == 0:
@@ -273,19 +275,16 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
             b = len(idx)
             latents, enc_caches = forward(model.encoder, targets)
             flat, dec_caches = forward(model.decoder, latents)
-            pred0 = flat.reshape(b, model.n_points, 3)
-            d_pred0 = np.empty_like(pred0)
-            d_rots = np.empty((b, 3))
-            for j, s in enumerate(idx):
-                pred, rot_cache = rotate_points(rot[s], pred0[j])
-                loss, d_pred, d_rot = total_loss(pred, targets[j], rot[s],
-                                                 LOSS)
+            theta = rot[idx]
+            pred, rot_cache = rotate_points(
+                theta, flat.reshape(b, model.n_points, 3))
+            losses, d_pred, d_rots = total_loss(pred, targets, theta, LOSS)
+            for loss in losses:
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"NaN loss at epoch {epoch}")
                 total += loss
-                d_theta, d_pred0[j] = rotate_points_backward(rot_cache,
-                                                             d_pred)
-                d_rots[j] = d_rot + d_theta
+            d_theta, d_pred0 = rotate_points_backward(rot_cache, d_pred)
+            d_rots += d_theta
             d_latent, dec_grads = backward(model.decoder, dec_caches,
                                            d_pred0.reshape(b, -1) / b)
             _, enc_grads = backward(model.encoder, enc_caches, d_latent)

@@ -161,20 +161,23 @@ class ActorCritic:
         """State window in frames: the trunk reads 3 values per frame."""
         return self.trunk.weights.shape[1] // 3
 
+    def _actor(self, x):
+        """(probs, h): the actor path of `forward`, without the critic."""
+        h = np.tanh(x @ self.trunk.weights.T + self.trunk.bias)
+        logits = h @ self.actor.weights.T + self.actor.bias
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True), h
+
     def forward(self, x):
         """(probs, values, h) of one (3k,) state vector or a (T, 3k) stack:
         the softmax action probabilities, the critic's state values and
         the trunk activations, with the state axis kept."""
-        h = np.tanh(x @ self.trunk.weights.T + self.trunk.bias)
-        logits = h @ self.actor.weights.T + self.actor.bias
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        values = h @ self.critic.weights[0] + self.critic.bias[0]
-        return e / e.sum(axis=-1, keepdims=True), values, h
+        probs, h = self._actor(x)
+        return probs, h @ self.critic.weights[0] + self.critic.bias[0], h
 
     def policy(self, state_vec):
         """(probs, h) of one state vector."""
-        probs, _, h = self.forward(state_vec)
-        return probs, h
+        return self._actor(state_vec)
 
     def save(self, path):
         write_layer_stream(path, [

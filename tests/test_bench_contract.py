@@ -127,3 +127,24 @@ def test_traced_scheduler_training_spans_one_per_step(tmp_path):
     episodes = "".join("s" if n == "sim.env_step" else "g" for n in names
                        if n in ("sim.env_step", "scheduler.a3c_gradients"))
     assert episodes == ("s" * episode + "g") * (workers * epochs)
+
+
+def test_traced_codec_train_runs_the_networks_once_per_batch():
+    tracer = load_tracer()
+    model = codec.make_codec_model(16, 32, seed=6, enc_hidden=(8,),
+                                   dec_hidden=(16,))
+    data = codec.toy_block_dataset(2 * codec.TRAIN_BATCH + 1, 32, seed=6)
+    spans = tracer.Tracer()
+    with tracer.traced(pcvstream, spans):
+        codec.train(model, data, epochs=1, seed=6)
+    train_span = [i for i, s in enumerate(spans.spans)
+                  if s[0] == "codec.train"]
+    assert len(train_span) == 1
+    calls = "".join({"nn.forward": "f", "nn.backward": "b"}[s[0]]
+                    for s in spans.spans
+                    if s[0] in ("nn.forward", "nn.backward"))
+    # encoder and decoder forward, then decoder and encoder backward, for
+    # each of the 3 batches: never once per sample
+    assert calls == "ffbb" * 3
+    assert all(s[3] == train_span[0] for s in spans.spans
+               if s[0] in ("nn.forward", "nn.backward"))

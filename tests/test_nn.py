@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from pcvstream.codec import DEFAULT_BLOCK_POINTS, make_codec_model
 from pcvstream.nn import (
-    EMD_CAP, Layer, LossSpec, Network, NumericsError, backward, chamfer_loss,
-    dense, emd_loss, forward, rotate_points, rotate_points_backward,
-    adam_step, rotation_matrix, total_loss,
+    EMD_CAP, Layer, LossSpec, Network, NumericsError, _pairwise_distances,
+    backward, chamfer_loss, dense, emd_loss, forward, rotate_points,
+    rotate_points_backward, adam_step, rotation_matrix, total_loss,
 )
 
 H = 1e-5
@@ -89,6 +90,84 @@ def test_maxpool_symmetry():
     np.testing.assert_allclose(out1, out2)
 
 
+def point_stack(count, n_points=DEFAULT_BLOCK_POINTS, seed=40):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, n_points, 3))
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9])
+def test_stacked_forward_equals_per_block_forward(count):
+    # one 2-D GEMM over count * 128 rows per dense layer gives the values of
+    # one product per block, for the codec's layer sizes
+    encoder = make_codec_model(64, seed=41).encoder
+    blocks = point_stack(count)
+    for net in (encoder, Network(encoder.layers[:-1])):
+        got = forward(net, blocks)[0]
+        want = np.stack([forward(net, b)[0] for b in blocks])
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def argmax_gather_maxpool(x, d_out):
+    """The max-pool as an argmax plus a gather, and its scatter backward."""
+    arg = np.argmax(x, axis=-2)
+    lead = np.indices(arg.shape, sparse=True)
+    out = x[(*lead[:-1], arg, lead[-1])]
+    d_x = np.zeros_like(x)
+    d_x[(*lead[:-1], arg, lead[-1])] = d_out
+    return out, d_x
+
+
+def pooled_net_inputs(rng):
+    """(net, x) pairs whose pooled features tie: duplicated points, and
+    ReLU columns that are 0 at every point."""
+    net = Network([dense(16, 3, rng), Layer("relu"), dense(8, 16, rng),
+                   Layer("relu"), Layer("maxpool_points")])
+    net.layers[2].bias[:3] = -50.0  # these features are 0 everywhere
+    for shape in ((12, 3), (1, 12, 3), (3, 12, 3), (8, 12, 3)):
+        x = rng.normal(size=shape)
+        x[..., 5, :] = x[..., 2, :]
+        yield net, x
+
+
+def test_maxpool_backward_matches_argmax_gather_oracle():
+    rng = np.random.default_rng(42)
+    for net, x in pooled_net_inputs(rng):
+        out, caches = forward(net, x)
+        d_out = rng.normal(size=out.shape)
+        d_x, grads = backward(net, caches, d_out)
+
+        # the same net with the max-pool done by the oracle
+        body = Network(net.layers[:-1])
+        feats, body_caches = forward(body, x)
+        assert (feats == feats.max(axis=-2, keepdims=True)).sum() > \
+            feats.size // feats.shape[-2]  # the case has ties
+        want_out, d_feats = argmax_gather_maxpool(feats, d_out)
+        want_dx, want_grads = backward(body, body_caches, d_feats)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(d_x, want_dx)
+        for got, want in zip(grads, want_grads + [None]):
+            if want is None:
+                assert got is None
+                continue
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_maxpool_rejects_a_point_vector():
+    with pytest.raises(ValueError, match="maxpool_points expects"):
+        forward(Network([Layer("maxpool_points")]), np.zeros(4))
+
+
+def test_nan_weight_in_a_middle_layer_of_a_stack_names_that_layer():
+    rng = np.random.default_rng(43)
+    net = Network([dense(8, 3, rng), Layer("relu"), dense(8, 8, rng),
+                   Layer("relu"), dense(4, 8, rng), Layer("maxpool_points")])
+    net.layers[2].weights[3, 1] = np.nan
+    with pytest.raises(NumericsError, match=r"layer 2 \(dense\) output"):
+        forward(net, rng.normal(size=(5, 16, 3)))
+
+
 # ---------------------------------------------------------------------------
 # layer gradient checks (finite differences)
 
@@ -167,6 +246,77 @@ def test_chamfer_batched_mean():
     singles = [chamfer_loss(p[i], q[i]) for i in range(4)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
     np.testing.assert_allclose(grad[2], singles[2][1] / 4, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["longer", "shorter", "empty", "single"])
+def test_chamfer_batch_must_match_its_targets(bad):
+    rng = np.random.default_rng(12)
+    pred, target = rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 5, 3))
+    pred, target = {"longer": (pred, np.concatenate([target, target])),
+                    "shorter": (pred, target[:2]),
+                    "empty": (pred[:0], target[:0]),
+                    "single": (pred, target[0])}[bad]
+    with pytest.raises(ValueError):
+        chamfer_loss(pred, target)
+
+
+def norm_distances(p, q):
+    return np.linalg.norm(p[..., :, None, :] - q[..., None, :, :], axis=-1)
+
+
+def test_pairwise_distances_equal_the_norm_oracle():
+    rng = np.random.default_rng(13)
+    for scale in (1e-6, 1.0, 1e5):
+        p = rng.normal(scale=scale, size=(6, 40, 3))
+        q = rng.normal(scale=scale, size=(6, 40, 3))
+        q[:, :7] = p[:, :7]          # coincident points: distance 0
+        q[:, 7:9] = q[:, 9:11]       # duplicated targets
+        p[:, 20] = [0.0, -0.0, 0.0]
+        q[:, 20] = [-0.0, 0.0, 0.0]
+        got = _pairwise_distances(p, q)
+        np.testing.assert_array_equal(got, norm_distances(p, q))
+        np.testing.assert_array_equal(_pairwise_distances(p[2], q[2]),
+                                      norm_distances(p[2], q[2]))
+        assert (got[:, np.arange(7), np.arange(7)] == 0.0).all()
+
+
+def test_emd_stack_equals_per_sample_emd():
+    rng = np.random.default_rng(14)
+    for n in (1, 6, 128):
+        p = rng.normal(size=(5, n, 3))
+        q = rng.normal(size=(5, n, 3))
+        q[1] = p[1]                  # every pair coincident: zero gradient
+        q[3, :n // 2] = p[3, :n // 2]
+        losses, grads = emd_loss(p, q)
+        assert losses.shape == (5,) and grads.shape == p.shape
+        for j in range(5):
+            loss, grad = emd_loss(p[j], q[j])
+            assert isinstance(loss, float) and losses[j] == loss
+            np.testing.assert_array_equal(grads[j], grad)
+        assert losses[1] == 0.0 and not grads[1].any()
+
+
+def test_emd_rejects_an_empty_stack():
+    with pytest.raises(ValueError, match="non-empty"):
+        emd_loss(np.zeros((0, 4, 3)), np.zeros((0, 4, 3)))
+
+
+@pytest.mark.parametrize("n_pred, n_target", [
+    (5, 5), (7, 5), (EMD_CAP + 1, EMD_CAP + 1)])
+def test_total_loss_stack_equals_per_sample(n_pred, n_target):
+    # equal cardinality within the cap takes EMD, otherwise Chamfer
+    spec = LossSpec(lambda_rec=1.3, rotation_penalty=0.8)
+    rng = np.random.default_rng(15)
+    p = rng.normal(size=(4, n_pred, 3))
+    q = rng.normal(size=(4, n_target, 3))
+    rot = rng.normal(scale=0.3, size=(4, 3))
+    losses, d_pred, d_rot = total_loss(p, q, rot, spec)
+    assert losses.shape == (4,)
+    for j in range(4):
+        loss, dp, dr = total_loss(p[j], q[j], rot[j], spec)
+        assert isinstance(loss, float) and losses[j] == loss
+        np.testing.assert_array_equal(d_pred[j], dp)
+        np.testing.assert_array_equal(d_rot[j], dr)
 
 
 def test_emd_identical_and_crossed():
@@ -290,6 +440,22 @@ def test_rotation_matrix_basics():
     r = rotation_matrix(np.array([0.0, 0.0, np.pi / 2]))
     np.testing.assert_allclose(r @ np.array([1.0, 0, 0]), [0.0, 1.0, 0.0],
                                atol=1e-12)
+
+
+def test_rotate_stack_equals_per_sample():
+    rng = np.random.default_rng(16)
+    theta = rng.normal(scale=0.5, size=(6, 3))
+    theta[2] = 0.0                   # the small-angle branch
+    pts = rng.normal(size=(6, DEFAULT_BLOCK_POINTS, 3))
+    d_out = rng.normal(size=pts.shape)
+    out, cache = rotate_points(theta, pts)
+    d_theta, d_pts = rotate_points_backward(cache, d_out)
+    for j in range(6):
+        one, one_cache = rotate_points(theta[j], pts[j])
+        want_theta, want_pts = rotate_points_backward(one_cache, d_out[j])
+        np.testing.assert_array_equal(out[j], one)
+        np.testing.assert_array_equal(d_theta[j], want_theta)
+        np.testing.assert_array_equal(d_pts[j], want_pts)
 
 
 def test_rotation_gradient_finite_difference():

@@ -284,6 +284,18 @@ def test_forward_one_state_equals_matvec_form():
             assert np.asarray(g).tolist() == np.asarray(w).tolist()
 
 
+def test_policy_equals_forward_probs():
+    rng = np.random.default_rng(15)
+    for seed in range(200):
+        k, hidden = int(rng.integers(1, 10)), int(rng.integers(1, 100))
+        net = ActorCritic.create(k=k, hidden=hidden, seed=seed)
+        vec = rng.random(3 * k) * rng.choice([1.0, 10.0, 1e3])
+        probs, h = net.policy(vec)
+        want_probs, _, want_h = net.forward(vec)
+        np.testing.assert_array_equal(probs, want_probs)
+        np.testing.assert_array_equal(h, want_h)
+
+
 def test_forward_stack_matches_row_by_row():
     rng = np.random.default_rng(14)
     net = ActorCritic.create(k=8, hidden=24, seed=2)
