@@ -342,15 +342,16 @@ def _skew(v):
     return s
 
 
-def rotation_matrix_jacobian(theta: np.ndarray) -> np.ndarray:
+def rotation_matrix_jacobian(theta: np.ndarray,
+                             rot: np.ndarray) -> np.ndarray:
     """dR/dtheta_i stacked as (3, 3, 3), or (B, 3, 3, 3) for a (B, 3) stack;
-    Gallego & Yezzi closed form."""
+    Gallego & Yezzi closed form. rot is rotation_matrix(theta), which the
+    caller already holds."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 1:
-        return rotation_matrix_jacobian(theta[None])[0]
+        return rotation_matrix_jacobian(theta[None], rot[None])[0]
     angle2 = np.array([t @ t for t in theta])
     small = (angle2 < 1e-16)[:, None, None, None]
-    rot = rotation_matrix(theta)
     # row i of v[b] is theta_i * theta + theta x ((I - R) e_i)
     v = theta[:, :, None] * theta[:, None, :] \
         + np.cross(theta[:, None, :], (np.eye(3) - rot).swapaxes(-1, -2))
@@ -371,5 +372,5 @@ def rotate_points_backward(cache, d_out):
     theta, points, rot = cache
     d_rot = d_out.swapaxes(-1, -2) @ points
     d_theta = (d_rot[..., None, :, :]
-               * rotation_matrix_jacobian(theta)).sum(axis=(-2, -1))
+               * rotation_matrix_jacobian(theta, rot)).sum(axis=(-2, -1))
     return d_theta, d_out @ rot

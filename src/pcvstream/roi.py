@@ -2,9 +2,13 @@
 
 Stage one (coarse): extrapolate the viewer pose, cull to the predicted
 frustum, grid the result, score blocks by mean motion magnitude, and keep
-the top fraction. Stage two (fine): re-grid the survivors, score blocks by
-viewpoint proximity/angle times geometric-texture distinctiveness, and
-downsample each block proportionally to its normalized static saliency.
+the top fraction. Motion is nearest-neighbor flow from the previous frame;
+a point equal to the previous frame's point at its own index has zero flow
+without a neighbor search, so only changed points reach the KD-tree.
+
+Stage two (fine): re-grid the survivors, score blocks by viewpoint
+proximity/angle times geometric-texture distinctiveness, and downsample
+each block proportionally to its normalized static saliency.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from scipy.spatial import cKDTree
 
 from ._util import ceil_count
 from .cloud import (
-    BlockGrid, Camera, Intrinsics, PointCloud, Pose, frustum_cull, partition,
-    quat_conjugate, quat_multiply, quat_normalize,
+    BlockGrid, Camera, Intrinsics, PointCloud, Pose, frustum_cull,
+    frustum_mask, partition, quat_conjugate, quat_multiply, quat_normalize,
 )
 
 log = logging.getLogger(__name__)
@@ -158,12 +162,25 @@ def predict_pose(history: PoseHistory, horizon: int) -> list[Pose]:
 
 def estimate_flow(prev: PointCloud, curr: PointCloud) -> FlowField:
     """Nearest-neighbor flow: each current point minus its closest previous
-    point (the pluggable stand-in for a learned scene-flow model)."""
+    point (the pluggable stand-in for a learned scene-flow model).
+
+    Zero-flow rule: a current point equal in all three coordinates to the
+    previous point at the same index is its own nearest neighbor (distance
+    0) and gets zero flow without a query. Only the other points, and those
+    past the end of prev, are queried against a KD-tree over all of prev;
+    when there are none, no tree is built.
+    """
     if len(prev) == 0 or len(curr) == 0:
         raise ValueError("flow estimation requires non-empty clouds")
-    _, idx = cKDTree(prev.points).query(curr.points)
-    vectors = curr.points.astype(np.float64) - prev.points[idx].astype(np.float64)
-    return FlowField(vectors)
+    p, c = prev.points, curr.points
+    n = min(len(p), len(c))
+    changed = np.ones(len(c), dtype=bool)
+    changed[:n] = (c[:n] != p[:n]).any(axis=1)
+    idx = np.arange(len(c))
+    query = np.flatnonzero(changed)
+    if len(query):
+        _, idx[query] = cKDTree(p).query(c[query])
+    return FlowField(c.astype(np.float64) - p[idx].astype(np.float64))
 
 
 def dynamic_saliency(grid: BlockGrid, flow: FlowField) -> np.ndarray:
@@ -201,15 +218,20 @@ def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
     per-row scores cover the whole culled cloud; flow annotates the kept
     points only, so the fine stage needs no second flow pass. An empty
     frustum returns an empty cloud, empty scores, and grid and flow None.
+
+    Flow is estimated on the whole frame, so that frame indices line up
+    with prev_frame for estimate_flow's zero-flow rule, and then sliced to
+    the frustum.
     """
     pose = predict_pose(history, 1)[0]
     camera = Camera.at(pose, camera_intrinsics)
-    culled = frustum_cull(frame, camera)
+    inside = np.flatnonzero(frustum_mask(frame, camera))
+    culled = frame.select(inside)
     if len(culled) == 0:
         log.warning("frame %d: predicted frustum is empty", frame.frame_index)
         return culled, None, np.zeros(0), camera, None
     grid = partition(culled, cfg.coarse_cell_size)
-    flow = estimate_flow(prev_frame, culled)
+    flow = FlowField(estimate_flow(prev_frame, frame).vectors[inside])
     scores = dynamic_saliency(grid, flow)
     keep = np.zeros(len(grid.ids), dtype=bool)
     keep[_coarse_kept_rows(grid, scores, cfg)] = True

@@ -461,6 +461,10 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
                              "registry")
     if roi not in ("on", "off"):
         raise ValueError("roi must be 'on' or 'off'")
+    if frames is not None and frames < 1:
+        raise ValueError("frames must be >= 1")
+    if len(scene.frames) < 2:  # frame 0 only seeds the flow estimator
+        raise ValueError("a session needs a scene of at least 2 frames")
     roi_cfg = roi_cfg or RoiConfig()
     total = len(scene.frames) if frames is None else min(frames + 1,
                                                          len(scene.frames))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pcvstream import nn
 from pcvstream.codec import DEFAULT_BLOCK_POINTS, make_codec_model
 from pcvstream.nn import (
     EMD_CAP, Layer, LossSpec, Network, NumericsError, _pairwise_distances,
@@ -456,6 +457,22 @@ def test_rotate_stack_equals_per_sample():
         np.testing.assert_array_equal(out[j], one)
         np.testing.assert_array_equal(d_theta[j], want_theta)
         np.testing.assert_array_equal(d_pts[j], want_pts)
+
+
+def test_rotate_backward_reuses_the_cached_rotations(monkeypatch):
+    rng = np.random.default_rng(17)
+    theta = rng.normal(scale=0.5, size=(4, 3))
+    pts = rng.normal(size=(4, 8, 3))
+    d_out = rng.normal(size=pts.shape)
+    want = rotate_points_backward(rotate_points(theta, pts)[1], d_out)
+    _, cache = rotate_points(theta, pts)
+
+    def rebuilt(theta):
+        raise AssertionError("backward rebuilt a cached rotation")
+
+    monkeypatch.setattr(nn, "rotation_matrix", rebuilt)
+    for got, expect in zip(rotate_points_backward(cache, d_out), want):
+        np.testing.assert_array_equal(got, expect)
 
 
 def test_rotation_gradient_finite_difference():

@@ -8,6 +8,7 @@ from pcvstream.cloud import (
     Camera, Intrinsics, PointCloud, Pose, frustum_cull, partition,
     quat_from_axis_angle, quat_to_matrix,
 )
+from pcvstream import roi
 from pcvstream._util import ceil_count
 from pcvstream.roi import (
     CHI2_EPS, TEXTURE_BINS, FlowField, PoseHistory, RoiConfig,
@@ -190,6 +191,134 @@ def test_flow_recovers_known_shift():
 def test_flow_field_count_validation():
     with pytest.raises(ValueError):
         FlowField(np.array([[np.nan, 0, 0]]))
+
+
+def kd_flow(prev, curr):
+    """Flow from one KD query of every current point: the oracle for
+    estimate_flow's zero-flow rule."""
+    _, idx = cKDTree(prev.points).query(curr.points)
+    return curr.points.astype(np.float64) - prev.points[idx].astype(np.float64)
+
+
+def assert_flow_equals_kd_flow(prev, curr):
+    flow, want = estimate_flow(prev, curr), kd_flow(prev, curr)
+    assert flow.magnitudes().tobytes() == \
+        np.linalg.norm(want, axis=1).tobytes()
+    np.testing.assert_array_equal(flow.vectors, want)  # -0.0 == 0.0
+    return flow
+
+
+def scene_pair(seed):
+    """(prev, frame, history, intrinsics) around frame 2 of a small scene."""
+    scene = generate_scene(rooms=1, frames=4, subject_points=400,
+                           background_points=3000, seed=seed)
+    return (scene.frames[1], scene.frames[2], PoseHistory(scene.poses[:3]),
+            scene.intrinsics)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_equals_kd_flow_on_scene_pairs(seed):
+    prev, curr, _, _ = scene_pair(seed)
+    assert_flow_equals_kd_flow(prev, curr)
+
+
+def flow_case(name):
+    """(prev, curr) clouds for one edge case of the zero-flow rule."""
+    pts = np.random.default_rng(3).random((60, 3)).astype(np.float32)
+    moved = pts.copy()
+    moved[::7] += np.float32(0.01)
+    if name == "prev shorter":
+        return PointCloud(pts[:40]), PointCloud(moved)
+    if name == "prev longer":
+        return PointCloud(pts), PointCloud(moved[:40])
+    if name == "no row unchanged":
+        return PointCloud(pts), PointCloud(pts + np.float32(0.01))
+    if name == "every row unchanged":
+        return PointCloud(pts), PointCloud(pts.copy())
+    if name == "equal at another index":
+        return PointCloud(pts), PointCloud(np.roll(pts, 1, axis=0))
+    assert name == "signed zeros"
+    prev = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                     [-0.0, -0.0, -0.0]], np.float32)
+    curr = np.array([[0.0, 0.0, 1.0], [0.0, -0.0, 0.0], [1.0, 1.0, 1.5],
+                     [0.0, 0.0, 0.0]], np.float32)
+    return PointCloud(prev), PointCloud(curr)
+
+
+@pytest.mark.parametrize("name", [
+    "prev shorter", "prev longer", "no row unchanged", "every row unchanged",
+    "equal at another index", "signed zeros"])
+def test_flow_edge_cases_equal_kd_flow(name):
+    flow = assert_flow_equals_kd_flow(*flow_case(name))
+    if name in ("every row unchanged", "equal at another index"):
+        assert not flow.vectors.any()
+
+
+@pytest.fixture
+def kd_calls(monkeypatch):
+    """Every KD-tree roi builds, as ("build", point count), and every query
+    it makes, as ("query", query points)."""
+    calls = []
+
+    class RecordingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            calls.append(("build", len(data)))
+            super().__init__(data, *args, **kwargs)
+
+        def query(self, x, *args, **kwargs):
+            calls.append(("query", np.array(x)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(roi, "cKDTree", RecordingTree)
+    return calls
+
+
+def test_equal_at_another_index_goes_through_the_tree(kd_calls):
+    prev, curr = flow_case("equal at another index")
+    estimate_flow(prev, curr)
+    assert [c[0] for c in kd_calls] == ["build", "query"]
+    np.testing.assert_array_equal(kd_calls[1][1], curr.points)
+
+
+def test_coarse_select_queries_only_points_changed_at_their_index(kd_calls):
+    prev, frame, history, intr = scene_pair(3)
+    coarse_select_details(frame, prev, history, RoiConfig(), intr)
+    changed = (frame.points != prev.points).any(axis=1)
+    assert [c[0] for c in kd_calls] == ["build", "query"]
+    assert kd_calls[0][1] == len(prev)
+    np.testing.assert_array_equal(kd_calls[1][1], frame.points[changed])
+    assert 0 < changed.sum() <= 400  # at most the subject moved
+
+
+def test_coarse_select_on_a_static_pair_builds_no_tree(kd_calls):
+    _, frame, history, intr = scene_pair(3)
+    coarse, _, _, _, flow = coarse_select_details(frame, frame, history,
+                                                  RoiConfig(), intr)
+    assert len(coarse) > 0
+    assert kd_calls == []
+    assert not flow.vectors.any()
+
+
+@pytest.mark.parametrize("seed, keep_by", [(0, "blocks"), (1, "points")])
+def test_coarse_select_equals_culled_kd_flow_path(seed, keep_by):
+    prev, frame, history, intr = scene_pair(seed)
+    cfg = RoiConfig(coarse_keep_by=keep_by)
+    coarse, grid, scores, _, flow = coarse_select_details(
+        frame, prev, history, cfg, intr)
+    culled = frustum_cull(frame, Camera.at(predict_pose(history, 1)[0], intr))
+    want_grid = partition(culled, cfg.coarse_cell_size)
+    want_flow = FlowField(kd_flow(prev, culled))
+    want_scores = dynamic_saliency(want_grid, want_flow)
+    keep = np.zeros(len(want_grid.ids), dtype=bool)
+    keep[_coarse_kept_rows(want_grid, want_scores, cfg)] = True
+    kept = np.flatnonzero(keep[want_grid.rows])
+    assert coarse.points.tobytes() == culled.points[kept].tobytes()
+    assert grid.ids.tobytes() == want_grid.ids.tobytes()
+    assert grid.rows.tobytes() == want_grid.rows.tobytes()
+    assert scores.tobytes() == want_scores.tobytes()
+    assert flow.magnitudes().tobytes() == \
+        want_flow.magnitudes()[kept].tobytes()
+    np.testing.assert_array_equal(flow.vectors, want_flow.vectors[kept])
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,23 @@ def test_unknown_policy_and_missing_model(tmp_path):
         run_session(scene, "fixed:nope", trace, device, registry=registry)
 
 
+@pytest.mark.parametrize("frames", [0, -3])
+def test_session_rejects_fewer_than_one_frame(frames):
+    with pytest.raises(ValueError, match="frames"):
+        run_session(small_scene(frames=3), "octree:4",
+                    NetworkTrace.constant(60.0),
+                    DeviceModel.preset("device-2"), roi="off", frames=frames)
+
+
+def test_session_rejects_a_one_frame_scene():
+    scene = small_scene(frames=2)
+    one = Scene(scene.frames[:1], scene.subject_masks[:1], scene.poses[:1],
+                scene.intrinsics)
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        run_session(one, "octree:4", NetworkTrace.constant(60.0),
+                    DeviceModel.preset("device-2"), roi="off")
+
+
 def test_registry_built_from_entries_normalises_accuracy(tmp_path):
     entries = {model_id: RegistryEntry(model_id, f"{model_id}.iscm", latent,
                                        8, 1e-4, 1e-4, cd)
