@@ -2,7 +2,7 @@
 
 Modules
 -------
-cloud      point cloud types, PLY I/O, partitioning, culling, CD/HD metrics
+cloud      point cloud types, partitioning, culling, CD/HD metrics
 roi        two-stage region-of-interest selection
 nn         minimal dense-network engine with analytic gradients
 codec      point-block autoencoder, pruning/quantization, octree baseline

@@ -20,8 +20,8 @@ import numpy as np
 from ._util import ceil_count
 from .cloud import PointCloud, chamfer_distance, quat_to_matrix
 from .nn import (
-    Layer, LossSpec, Network, adam_step, backward, dense, forward,
-    rotate_points, rotate_points_backward, total_loss,
+    Layer, LossSpec, Network, adam_step, backward, clip_scale, dense,
+    forward, rotate_points, rotate_points_backward, total_loss,
 )
 
 log = logging.getLogger(__name__)
@@ -231,20 +231,6 @@ def decode(model: CodecModel, latent) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training
 
-def _clip_grads(grad_lists, extra, max_norm):
-    """Scale gradient lists (and the extra vector) to a global-norm cap."""
-    total = float(sum((g ** 2).sum() for grads in grad_lists
-                      for pair in grads if pair is not None
-                      for g in pair))
-    total = math.sqrt(total + float((extra ** 2).sum()))
-    if total <= max_norm or total == 0.0:
-        return grad_lists, extra
-    s = max_norm / total
-    scaled = [[None if p is None else (p[0] * s, p[1] * s) for p in grads]
-              for grads in grad_lists]
-    return scaled, extra * s
-
-
 def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
           seed: int = 0) -> np.ndarray:
     """Mini-batch training over normalized blocks; returns per-epoch mean
@@ -288,8 +274,14 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
             d_latent, dec_grads = backward(model.decoder, dec_caches,
                                            d_pred0.reshape(b, -1) / b)
             _, enc_grads = backward(model.encoder, enc_caches, d_latent)
-            (dec_grads, enc_grads), d_rots = _clip_grads(
-                [dec_grads, enc_grads], d_rots, TRAIN_CLIP_NORM)
+            scale = clip_scale([g for grads in (dec_grads, enc_grads)
+                                for pair in grads if pair is not None
+                                for g in pair] + [d_rots], TRAIN_CLIP_NORM)
+            if scale != 1.0:
+                dec_grads, enc_grads = (
+                    [None if p is None else (p[0] * scale, p[1] * scale)
+                     for p in grads] for grads in (dec_grads, enc_grads))
+                d_rots *= scale
             dec_state = adam_step(model.decoder, dec_grads, lr,
                                   state=dec_state)
             enc_state = adam_step(model.encoder, enc_grads, lr,
@@ -521,10 +513,13 @@ def read_layer_stream(path):
         if kind_code not in _KIND_NAMES:
             raise CodecFormatError(f"unknown layer kind {kind_code}")
         kind = _KIND_NAMES[kind_code]
-        if rows == 0:
-            entries.append((kind, Layer(kind if kind in
-                                        ("relu", "tanh", "maxpool_points")
-                                        else "dense"), "f32", None))
+        # activations carry no weights; dense kinds need at least one row
+        weightless = kind in ("relu", "tanh", "maxpool_points")
+        if weightless != (rows == 0):
+            raise CodecFormatError(f"{kind} layer record with {rows} weight "
+                                   "rows")
+        if weightless:
+            entries.append((kind, Layer(kind), "f32", None))
             continue
         n_params = rows * cols + rows
         dtype = _DTYPE_NAMES.get(dtype_code)

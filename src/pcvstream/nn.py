@@ -149,6 +149,19 @@ def backward(network: Network, caches, d_out: np.ndarray):
     return d, grads
 
 
+def clip_scale(grads, max_norm: float) -> float:
+    """Factor that scales a gradient batch to global norm max_norm at most:
+    1.0 within the cap or at norm 0, else max_norm / norm. The squared sums
+    of the arrays in `grads` are added in the order given."""
+    total = 0.0
+    for g in grads:
+        total += float((g ** 2).sum())
+    total = math.sqrt(total)
+    if total <= max_norm or total == 0.0:
+        return 1.0
+    return max_norm / total
+
+
 def adam_step(network: Network, grads, lr: float,
               state: dict | None = None) -> dict:
     """One Adam step; returns the moment state to pass back.

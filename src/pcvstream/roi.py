@@ -13,7 +13,6 @@ each block proportionally to its normalized static saliency.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -94,7 +93,7 @@ class RoiConfig:
 
 @dataclass(frozen=True)
 class SaliencyMap:
-    """Per-block saliency scores in block-id order, exportable as JSON."""
+    """Per-block saliency scores in block-id order."""
 
     block_ids: np.ndarray
     centers: np.ndarray
@@ -111,28 +110,6 @@ class SaliencyMap:
             raise ValueError("texture scores must lie in [0, 1)")
         if not np.allclose(self.static_, self.viewpoint * self.texture):
             raise ValueError("static saliency must equal viewpoint * texture")
-
-    def to_dict(self):
-        return {
-            "beta": self.beta,
-            "lambda": self.lambda_,
-            "R": self.R,
-            "blocks": [
-                {
-                    "id": int(b),
-                    "center": [float(c) for c in self.centers[i]],
-                    "dynamic": float(self.dynamic[i]),
-                    "viewpoint": float(self.viewpoint[i]),
-                    "texture": float(self.texture[i]),
-                    "static": float(self.static_[i]),
-                }
-                for i, b in enumerate(self.block_ids)
-            ],
-        }
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ at a time (staleness at most one application).
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from .codec import read_layer_stream, write_layer_stream
-from .nn import Layer, NumericsError, dense
+from .nn import Layer, NumericsError, clip_scale, dense
 
 DEFAULT_WINDOW = 8
 DEFAULT_HIDDEN = 96
@@ -191,15 +190,14 @@ class ActorCritic:
     def load(cls, path, actions=DEFAULT_ACTIONS) -> "ActorCritic":
         entries = read_layer_stream(path)
         by_kind = {kind: layer for kind, layer, _, _ in entries}
-        if "actor_head" not in by_kind or "critic_head" not in by_kind:
+        if not {"dense", "actor_head", "critic_head"} <= by_kind.keys():
             raise ValueError("not a scheduler checkpoint")
-        trunk = next(layer for kind, layer, _, _ in entries
-                     if kind == "dense" and layer.weights is not None)
         actor = by_kind["actor_head"]
         if len(actor.weights) != len(actions):
             raise ValueError(f"checkpoint has {len(actor.weights)} actions, "
                              f"expected {len(actions)}")
-        return cls(trunk, actor, by_kind["critic_head"], tuple(actions))
+        return cls(by_kind["dense"], actor, by_kind["critic_head"],
+                   tuple(actions))
 
     def snapshot(self) -> "ActorCritic":
         return ActorCritic(
@@ -231,21 +229,14 @@ def sample_index(probs, rng: np.random.Generator) -> int:
     return bisect_right([c / total for c in cdf], rng.random())
 
 
-def select_action(policy: ActorCritic, state: SchedulerState,
-                  mode: str = "greedy", seed=None) -> int:
-    """Pick an action index: softmax sample ('sample') or argmax ('greedy',
-    lowest index on ties). Greedy raises NumericsError on non-finite
-    probabilities instead of falling back to action 0."""
+def select_action(policy: ActorCritic, state: SchedulerState) -> int:
+    """The greedy action: the argmax of the policy, lowest index on ties.
+    Raises NumericsError on non-finite probabilities instead of falling
+    back to action 0. Training samples with `sample_index` instead."""
     probs, _ = policy.policy(state.vector())
-    if mode == "greedy":
-        if not np.isfinite(probs).all():
-            raise NumericsError("non-finite action probabilities")
-        return int(np.argmax(probs))
-    if mode == "sample":
-        rng = seed if isinstance(seed, np.random.Generator) \
-            else np.random.default_rng(seed)
-        return sample_index(probs, rng)
-    raise ValueError("mode must be 'sample' or 'greedy'")
+    if not np.isfinite(probs).all():
+        raise NumericsError("non-finite action probabilities")
+    return int(np.argmax(probs))
 
 
 def _safe_log(probs):
@@ -311,30 +302,17 @@ def a3c_gradients(net: ActorCritic, trajectory, gamma: float,
     return actor_grads, critic_grads
 
 
-def clip_gradients(grads: dict, max_norm: float) -> dict:
-    """Scale a gradient batch so its global norm is at most max_norm."""
-    total = math.sqrt(sum(float((g ** 2).sum()) for pair in grads.values()
-                          for g in pair))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {k: (dw * scale, db * scale) for k, (dw, db) in grads.items()}
-
-
 def apply_gradients(net: ActorCritic, actor_grads, critic_grads,
                     lr: float) -> None:
-    dw, db = actor_grads["trunk"]
-    net.trunk.weights += lr * dw
-    net.trunk.bias += lr * db
-    dw, db = actor_grads["actor"]
-    net.actor.weights += lr * dw
-    net.actor.bias += lr * db
-    dw, db = critic_grads["trunk"]
-    net.trunk.weights -= lr * dw
-    net.trunk.bias -= lr * db
-    dw, db = critic_grads["critic"]
-    net.critic.weights -= lr * dw
-    net.critic.bias -= lr * db
+    """One SGD step: ascend the actor batch and descend the critic batch,
+    each first scaled to global norm CLIP_NORM at most."""
+    for grads, step in ((actor_grads, lr), (critic_grads, -lr)):
+        scale = clip_scale([g for pair in grads.values() for g in pair],
+                           CLIP_NORM)
+        for name, (dw, db) in grads.items():
+            layer = getattr(net, name)
+            layer.weights += step * (dw * scale)
+            layer.bias += step * (db * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +324,6 @@ class TrainResult:
     epochs: np.ndarray
     mean_reward: np.ndarray
     entropy: np.ndarray
-
-    def save_curve_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_reward", "entropy"])
-            for e, r, h in zip(self.epochs, self.mean_reward, self.entropy):
-                writer.writerow([int(e), f"{r:.6f}", f"{h:.6f}"])
 
 
 def train_scheduler(env_factory, workers: int = 1,
@@ -398,9 +369,7 @@ def train_scheduler(env_factory, workers: int = 1,
                 state = nxt
             actor_grads, critic_grads = a3c_gradients(
                 snapshot, trajectory, DEFAULT_GAMMA, weight)
-            apply_gradients(net, clip_gradients(actor_grads, CLIP_NORM),
-                            clip_gradients(critic_grads, CLIP_NORM),
-                            DEFAULT_LR)
+            apply_gradients(net, actor_grads, critic_grads, DEFAULT_LR)
             epoch_rewards.extend(r for _, _, r in trajectory)
             epoch_entropy.extend(entropy(np.stack(episode_probs)))
         means[epoch] = float(np.mean(epoch_rewards))

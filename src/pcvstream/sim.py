@@ -1,6 +1,5 @@
 """Trace-driven streaming simulator: synthetic scenes, bandwidth traces,
-device models, the per-frame encode/transmit/decode timeline, and policy
-comparison reports.
+device models, and the per-frame encode/transmit/decode timeline.
 
 One session is strictly sequential and fully seeded, so identical inputs
 produce byte-identical logs. Per-block codec costs come from a model
@@ -13,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,28 +94,6 @@ class NetworkTrace:
     def constant(cls, mbps: float, tag: str = "file") -> "NetworkTrace":
         return cls(np.array([0.0]), np.array([mbps]), tag)
 
-    @classmethod
-    def from_csv(cls, path) -> "NetworkTrace":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != \
-                    ["t_seconds", "bandwidth_mbps"]:
-                raise ValueError(
-                    "trace CSV needs a 't_seconds,bandwidth_mbps' header")
-            rows = [(float(a), float(b)) for a, b in reader]
-        if not rows:
-            raise ValueError("trace CSV has no rows")
-        t, bw = zip(*rows)
-        return cls(np.array(t), np.array(bw))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_seconds", "bandwidth_mbps"])
-            for t, b in zip(self.times, self.bandwidth_mbps):
-                writer.writerow([repr(float(t)), repr(float(b))])
-
     def bandwidth_at(self, t: float) -> float:
         """Bandwidth of the segment containing t (last segment extends)."""
         i = int(np.searchsorted(self.times, t, side="right")) - 1
@@ -179,7 +156,6 @@ class RegistryEntry:
     encode_cost_s: float   # per block, reference host
     decode_cost_s: float   # per block, reference host
     test_cd: float
-    accuracy: float = field(init=False, default=0.0)  # 1/CD, best model = 1
 
     def payload_per_block(self) -> int:
         return self.latent_dim * LATENT_BYTES_PER_VALUE + BLOCK_HEADER_BYTES
@@ -196,7 +172,7 @@ class RegistryEntry:
 class ModelRegistry:
     """Trained codec models plus their offline measurements."""
 
-    # what registry.json holds per model; the registry derives accuracy
+    # what registry.json holds per model
     STORED_FIELDS = ("file", "latent_dim", "bits", "encode_cost_s",
                      "decode_cost_s", "test_cd")
 
@@ -204,21 +180,15 @@ class ModelRegistry:
         self.root = Path(root)
         self.entries: dict[str, RegistryEntry] = dict(entries or {})
         self._cache: dict[str, CodecModel] = {}
-        if self.entries:
-            self._renormalize()
 
     def add(self, entry: RegistryEntry) -> None:
         self.entries[entry.model_id] = entry
-        self._renormalize()
-
-    def _renormalize(self):
-        table = normalized_accuracy(
-            {k: e.test_cd for k, e in self.entries.items()})
-        for k, e in self.entries.items():
-            e.accuracy = table[k]
 
     def accuracy_table(self) -> dict:
-        return {k: e.accuracy for k, e in self.entries.items()}
+        """Model id -> accuracy 1/CD scaled so the best model scores 1,
+        derived from the stored test CDs on every call."""
+        return normalized_accuracy(
+            {k: e.test_cd for k, e in self.entries.items()})
 
     def model(self, model_id: str) -> CodecModel:
         if model_id not in self._cache:
@@ -226,11 +196,10 @@ class ModelRegistry:
             self._cache[model_id] = deserialize(self.root / entry.file)
         return self._cache[model_id]
 
-    def save(self, config: dict | None = None) -> None:
+    def save(self) -> None:
         payload = {
             "models": {k: {f: getattr(e, f) for f in self.STORED_FIELDS}
                        for k, e in sorted(self.entries.items())},
-            "config": config or {},
         }
         with open(self.root / "registry.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -407,24 +376,6 @@ class StreamSession:
                                else value)
                 writer.writerow(row)
 
-    def summary(self) -> dict:
-        arr = lambda name: np.array([getattr(r, name) for r in self.records])
-        return {
-            "frames": len(self.records),
-            "avg_transmit_s": float(arr("transmit_s").mean()),
-            "max_transmit_s": float(arr("transmit_s").max()),
-            "avg_decode_s": float(arr("decode_s").mean()),
-            "max_decode_s": float(arr("decode_s").max()),
-            "avg_encode_s": float(arr("encode_s").mean()),
-            "avg_fps": float(arr("fps").mean()),
-            "min_fps": float(arr("fps").min()),
-            "avg_payload_bytes": float(arr("payload_bytes").mean()),
-            "avg_cd": float(arr("cd").mean()),
-            "avg_hd": float(arr("hd").mean()),
-            "config": self.config,
-        }
-
-
 def _parse_policy(policy: str):
     if policy == "drl":
         return "drl", None
@@ -477,8 +428,8 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         if current_model not in registry.entries:
             raise KeyError(f"model '{current_model}' not in registry")
     elif kind == "drl":  # start from the most accurate model
-        current_model = max(registry.entries,
-                            key=lambda k: registry.entries[k].accuracy)
+        accuracy = registry.accuracy_table()
+        current_model = max(accuracy, key=accuracy.get)
     else:
         current_model = None
 
@@ -489,7 +440,7 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         if kind == "drl" and records:  # decide from the frames so far
             state = build_state(records, k=policy_net.k)
             current_model = policy_net.actions[
-                select_action(policy_net, state, "greedy")]
+                select_action(policy_net, state)]
 
         if roi == "on":
             history = PoseHistory(scene.poses[max(0, t - roi_cfg.k):t + 1])
@@ -570,30 +521,6 @@ def pipeline_fps(encode_s: float, transmit_s: float, decode_s: float) -> float:
     """
     bottleneck = max(encode_s, transmit_s, decode_s)
     return 1.0 / bottleneck if bottleneck > 0 else float("inf")
-
-
-def compare_policies(sessions: dict) -> dict:
-    """Side-by-side summary of sessions keyed by policy label."""
-    counts = {len(s.records) for s in sessions.values()}
-    if len(counts) > 1:
-        raise ValueError("sessions cover different frame counts")
-    return {name: session.summary() for name, session in sessions.items()}
-
-
-def comparison_to_csv(report: dict, path) -> None:
-    fields = ["policy", "avg_transmit_s", "max_transmit_s", "avg_decode_s",
-              "max_decode_s", "avg_fps", "min_fps", "avg_payload_bytes",
-              "avg_cd", "avg_hd"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for name, summary in report.items():
-            writer.writerow([name] + [repr(summary[f]) for f in fields[1:]])
-
-
-def comparison_to_json(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

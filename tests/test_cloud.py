@@ -5,10 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
-    Camera, Intrinsics, PlyError, PointCloud, Pose,
-    chamfer_distance, chamfer_hausdorff, downsample, frustum_cull,
-    hausdorff_distance, load_ply, nearest_distances, partition,
-    quat_from_axis_angle, save_ply,
+    Camera, Intrinsics, PointCloud, Pose, chamfer_distance, chamfer_hausdorff,
+    frustum_cull, hausdorff_distance, nearest_distances, partition,
 )
 
 
@@ -24,6 +22,14 @@ def brute_hausdorff(p, q):
 
 def identity_pose(position=(0.0, 0.0, 0.0)):
     return Pose(position, (1.0, 0.0, 0.0, 0.0))
+
+
+def quat_from_axis_angle(axis, angle):
+    """Unit quaternion (w, x, y, z) of a rotation by `angle` about `axis`."""
+    axis = np.asarray(axis, dtype=np.float64)
+    axis = axis / np.linalg.norm(axis)
+    half = 0.5 * angle
+    return np.concatenate([[math.cos(half)], math.sin(half) * axis])
 
 
 # ---------------------------------------------------------------------------
@@ -49,133 +55,6 @@ def test_camera_validation():
         Camera(identity_pose(), vertical_fov=180.0)
     with pytest.raises(ValueError):
         Camera(identity_pose(), near=1.0, far=0.5)
-
-
-# ---------------------------------------------------------------------------
-# PLY round trips
-
-ASCII_3PT = b"""ply
-format ascii 1.0
-element vertex 3
-property float x
-property float y
-property float z
-end_header
-0 0 0
-1 0 0
-0 1 0
-"""
-
-
-def test_load_ascii_three_points(tmp_path):
-    path = tmp_path / "tri.ply"
-    path.write_bytes(ASCII_3PT)
-    cloud = load_ply(path)
-    assert len(cloud) == 3
-    assert cloud.colors is None
-    np.testing.assert_array_equal(
-        cloud.points, np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], np.float32))
-
-
-@pytest.mark.parametrize("encoding", ["ascii", "binary"])
-@pytest.mark.parametrize("with_color", [False, True])
-def test_save_load_round_trip(tmp_path, encoding, with_color):
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(257, 3)).astype(np.float32)
-    colors = rng.integers(0, 256, size=(257, 3), dtype=np.uint8) if with_color else None
-    cloud = PointCloud(pts, colors)
-    path = tmp_path / "rt.ply"
-    save_ply(cloud, path, encoding)
-    back = load_ply(path)
-    np.testing.assert_array_equal(back.points, cloud.points)
-    if with_color:
-        np.testing.assert_array_equal(back.colors, cloud.colors)
-    else:
-        assert back.colors is None
-
-
-def test_binary_and_ascii_encode_same_points(tmp_path):
-    # one generator, two encodings, identical multiset back
-    rng = np.random.default_rng(42)
-    cloud = PointCloud(rng.normal(scale=5.0, size=(1000, 3)).astype(np.float32))
-    pa, pb = tmp_path / "a.ply", tmp_path / "b.ply"
-    save_ply(cloud, pa, "ascii")
-    save_ply(cloud, pb, "binary")
-    a, b = load_ply(pa), load_ply(pb)
-    sa = a.points[np.lexsort(a.points.T)]
-    sb = b.points[np.lexsort(b.points.T)]
-    np.testing.assert_array_equal(sa, sb)
-
-
-def test_save_empty_cloud(tmp_path):
-    path = tmp_path / "empty.ply"
-    save_ply(PointCloud(np.empty((0, 3), np.float32)), path, "ascii")
-    assert b"element vertex 0" in path.read_bytes()
-    assert len(load_ply(path)) == 0
-
-
-def test_color_header_properties(tmp_path):
-    cloud = PointCloud([[0, 0, 0]], colors=[[10, 20, 30]])
-    path = tmp_path / "c.ply"
-    save_ply(cloud, path, "ascii")
-    header = path.read_bytes().split(b"end_header")[0]
-    for prop in (b"property uchar red", b"property uchar green",
-                 b"property uchar blue"):
-        assert prop in header
-
-
-def test_binary_file_size_formula(tmp_path):
-    # no color: payload is 12 bytes per point
-    rng = np.random.default_rng(3)
-    cloud = PointCloud(rng.normal(size=(10_000, 3)).astype(np.float32))
-    path = tmp_path / "sz.ply"
-    save_ply(cloud, path, "binary")
-    raw = path.read_bytes()
-    header_len = raw.index(b"end_header\n") + len(b"end_header\n")
-    assert len(raw) == header_len + 12 * 10_000
-
-
-def test_load_reports_byte_offsets(tmp_path):
-    bad = tmp_path / "bad.ply"
-    bad.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 2\n"
-                    b"property float x\nproperty float y\nproperty float z\n"
-                    b"end_header\n0 0 0\n")
-    with pytest.raises(PlyError) as err:
-        load_ply(bad)
-    assert err.value.offset is not None
-
-    nomagic = tmp_path / "nomagic.ply"
-    nomagic.write_bytes(b"poly\nwhatever\n")
-    with pytest.raises(PlyError):
-        load_ply(nomagic)
-
-    listprop = tmp_path / "list.ply"
-    listprop.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 1\n"
-                         b"property list uchar int vertex_indices\n"
-                         b"property float x\nproperty float y\nproperty float z\n"
-                         b"end_header\n")
-    with pytest.raises(PlyError):
-        load_ply(listprop)
-
-
-def test_unknown_property_skipped_with_warning(tmp_path):
-    path = tmp_path / "extra.ply"
-    path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 1\n"
-                     b"property float x\nproperty float y\nproperty float z\n"
-                     b"property float intensity\nend_header\n1 2 3 9\n")
-    with pytest.warns(UserWarning, match="intensity"):
-        cloud = load_ply(path)
-    np.testing.assert_array_equal(cloud.points, [[1, 2, 3]])
-
-
-def test_truncated_binary_payload(tmp_path):
-    cloud = PointCloud(np.ones((4, 3), np.float32))
-    path = tmp_path / "trunc.ply"
-    save_ply(cloud, path, "binary")
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-5])
-    with pytest.raises(PlyError, match="truncated"):
-        load_ply(path)
 
 
 # ---------------------------------------------------------------------------
@@ -319,49 +198,6 @@ def test_frustum_monotone_in_far_and_fov():
 
 
 # ---------------------------------------------------------------------------
-# downsample
-
-def test_downsample_identity_ratio():
-    rng = np.random.default_rng(2)
-    cloud = PointCloud(rng.random((50, 3)).astype(np.float32))
-    out = downsample(cloud, 1.0, seed=9)
-    assert sorted(map(tuple, out.points.tolist())) == \
-        sorted(map(tuple, cloud.points.tolist()))
-
-
-def test_downsample_cardinality():
-    rng = np.random.default_rng(3)
-    cloud = PointCloud(rng.random((100, 3)).astype(np.float32))
-    out = downsample(cloud, 0.6, seed=1)
-    assert len(out) == 60
-    members = set(map(tuple, cloud.points.tolist()))
-    assert all(tuple(p) in members for p in out.points.tolist())
-
-
-def test_downsample_deterministic():
-    rng = np.random.default_rng(4)
-    cloud = PointCloud(rng.random((200, 3)).astype(np.float32))
-    a = downsample(cloud, 0.35, seed=77)
-    b = downsample(cloud, 0.35, seed=77)
-    np.testing.assert_array_equal(a.points, b.points)
-
-
-def test_downsample_ceil_cardinality_property():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(1, 400))
-        ratio = float(rng.uniform(0.01, 1.0))
-        cloud = PointCloud(rng.random((n, 3)).astype(np.float32))
-        expect = math.ceil(ratio * n - 1e-9)
-        assert len(downsample(cloud, ratio, seed=0)) == expect
-
-
-def test_downsample_empty_cloud():
-    empty = PointCloud(np.empty((0, 3), np.float32))
-    assert len(downsample(empty, 0.5, seed=0)) == 0
-
-
-# ---------------------------------------------------------------------------
 # metrics
 
 def test_chamfer_self_distance_zero():
@@ -428,11 +264,9 @@ def test_metrics_reject_empty():
             chamfer_hausdorff(p, q)
 
 
-def test_metrics_normalize_flag():
+def test_chamfer_scales_with_coordinates():
     p = np.array([[0.0, 0, 0], [10.0, 0, 0]])
     q = np.array([[0.0, 0, 0], [10.0, 1.0, 0]])
     raw = chamfer_distance(p, q)
     scaled = chamfer_distance(p * 3, q * 3)
     assert scaled == pytest.approx(3 * raw, rel=1e-9)
-    assert chamfer_distance(p, q, normalize=True) == \
-        pytest.approx(chamfer_distance(p * 3, q * 3, normalize=True), rel=1e-9)

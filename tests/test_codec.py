@@ -451,6 +451,32 @@ def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
         deserialize(path)
 
 
+def test_deserialize_rejects_a_dense_record_without_weights(tmp_path):
+    model = tiny_model(seed=21)
+    layers = model.encoder.layers + model.decoder.layers
+    entries = [(l.kind, l, "f32", None) for l in layers]
+    assert entries[2][0] == "dense"
+    entries[2] = ("dense", Layer("dense"), "f32", None)  # written as 0 rows
+    path = tmp_path / "weightless.iscm"
+    write_layer_stream(path, entries)
+    with pytest.raises(CodecFormatError, match="dense layer record with 0"):
+        deserialize(path)
+
+
+@pytest.mark.parametrize("kind", ["relu", "tanh", "maxpool_points"])
+def test_deserialize_rejects_an_activation_record_with_weights(tmp_path,
+                                                              kind):
+    model = tiny_model(seed=21)
+    layers = model.encoder.layers + model.decoder.layers
+    entries = [(l.kind, l, "f32", None) for l in layers]
+    assert entries[1][0] == "relu"
+    entries[1] = (kind, layers[0], "f32", None)  # dense weights, kind code
+    path = tmp_path / "weighted.iscm"
+    write_layer_stream(path, entries)
+    with pytest.raises(CodecFormatError, match=f"{kind} layer record with 8"):
+        deserialize(path)
+
+
 # ---------------------------------------------------------------------------
 # lightweight training (small-scale behavior; quality gates live in
 # test_acceptance)

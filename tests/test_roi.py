@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
     Camera, Intrinsics, PointCloud, Pose, frustum_cull, partition,
-    quat_from_axis_angle, quat_to_matrix,
+    quat_to_matrix,
 )
 from pcvstream import roi
 from pcvstream._util import ceil_count
@@ -136,9 +136,10 @@ def test_predict_pose_linear():
 
 def test_predict_pose_rotation_matches_matrix_oracle():
     step = math.radians(10.0)
-    hist = PoseHistory([
-        Pose((0, 0, 0), quat_from_axis_angle([0, 0, 1], 0.0), 0.0),
-        Pose((0, 0, 0), quat_from_axis_angle([0, 0, 1], step), 1.0),
+    hist = PoseHistory([  # unit quaternions of rotations about +z
+        Pose((0, 0, 0), (1.0, 0.0, 0.0, 0.0), 0.0),
+        Pose((0, 0, 0), (math.cos(step / 2), 0.0, 0.0, math.sin(step / 2)),
+             1.0),
     ])
     pred = predict_pose(hist, 3)[2]
     # compose the per-frame rotation matrix four times: 10 deg * (1 + 3)
@@ -641,20 +642,19 @@ def test_select_roi_rejects_a_coarse_stage_that_keeps_nothing(keep_by):
         select_roi(curr, prev, hist, cfg, intr, seed=0)
 
 
-def test_select_roi_saliency_export(tmp_path):
+def test_select_roi_saliency_export():
     prev, curr = cluster_scene()
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_cell_size=1.0, fine_cell_size=1.0)
     result = select_roi(curr, prev, hist, cfg, intr, seed=0)
-    assert result.saliency is not None
-    path = tmp_path / "saliency.json"
-    result.saliency.save_json(path)
-    import json
-    data = json.loads(path.read_text())
-    assert data["lambda"] == pytest.approx(0.35)
-    assert len(data["blocks"]) == len(result.saliency.block_ids)
-    first = data["blocks"][0]
-    assert first["static"] == pytest.approx(first["viewpoint"] * first["texture"])
+    saliency = result.saliency
+    assert saliency is not None
+    assert saliency.lambda_ == pytest.approx(0.35)
+    for scores in (saliency.centers, saliency.dynamic, saliency.viewpoint,
+                   saliency.texture, saliency.static_):
+        assert len(scores) == len(saliency.block_ids)
+    np.testing.assert_allclose(saliency.static_,
+                               saliency.viewpoint * saliency.texture)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def test_greedy_uniform_logits_picks_first():
     net = ActorCritic.create(k=4, hidden=8, actions=("a", "b", "c"), seed=0)
     net.actor.weights[:] = 0.0
     net.actor.bias[:] = 0.0
-    assert select_action(net, state_of(), "greedy") == 0
+    assert select_action(net, state_of()) == 0
 
 
 def test_greedy_raises_on_non_finite_probabilities():
@@ -213,7 +213,7 @@ def test_greedy_raises_on_non_finite_probabilities():
     state = state_of(k=net.k)
     assert np.isnan(net.policy(state.vector())[0]).all()
     with pytest.raises(NumericsError):
-        select_action(net, state, "greedy")
+        select_action(net, state)
 
 
 def test_dominant_logits_sampled_almost_always():
@@ -221,8 +221,8 @@ def test_dominant_logits_sampled_almost_always():
     net.actor.weights[:] = 0.0
     net.actor.bias[:] = np.array([0.0, 8.0, 0.0])
     rng = np.random.default_rng(5)
-    hits = sum(select_action(net, state_of(), "sample", rng) == 1
-               for _ in range(1000))
+    probs, _ = net.policy(state_of().vector())
+    hits = sum(sample_index(probs, rng) == 1 for _ in range(1000))
     assert hits >= 990
 
 
@@ -260,9 +260,9 @@ def test_sample_index_rejects_what_choice_rejects():
 def test_greedy_invariant_under_logit_shift():
     net = ActorCritic.create(k=4, hidden=8, actions=("a", "b", "c"), seed=3)
     state = state_of(0.3, 0.6, 0.9)
-    before = select_action(net, state, "greedy")
+    before = select_action(net, state)
     net.actor.bias += 13.7  # constant shift of every logit
-    assert select_action(net, state, "greedy") == before
+    assert select_action(net, state) == before
 
 
 def matvec_forward(net, vec):
@@ -506,8 +506,8 @@ def test_train_scheduler_learns_bandit_contexts():
                              epochs=300, seed=4, actions=("a", "b", "c"))
     high = SchedulerState(np.full(8, 0.5), np.full(8, 0.5), np.full(8, 0.75))
     low = SchedulerState(np.full(8, 0.5), np.full(8, 0.5), np.full(8, 0.25))
-    assert select_action(result.net, high, "greedy") == 2
-    assert select_action(result.net, low, "greedy") == 0
+    assert select_action(result.net, high) == 2
+    assert select_action(result.net, low) == 0
 
 
 def test_multi_worker_matches_single_worker_mean():
@@ -527,16 +527,6 @@ def test_multi_worker_matches_single_worker_mean():
     assert abs(multi - single) <= 0.1 * single
 
 
-def test_curve_csv_round_trip(tmp_path):
-    result = train_scheduler(lambda w: TwoContextBanditEnv(), epochs=5,
-                             seed=0, actions=("a", "b", "c"))
-    path = tmp_path / "curve.csv"
-    result.save_curve_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,mean_reward,entropy"
-    assert len(lines) == 6
-
-
 def test_checkpoint_round_trip(tmp_path):
     result = train_scheduler(lambda w: TwoContextBanditEnv(), epochs=10,
                              seed=6, actions=("a", "b", "c"))
@@ -547,8 +537,7 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_allclose(back.policy(state.vector())[0],
                                result.net.policy(state.vector())[0],
                                atol=1e-6)
-    assert select_action(back, state, "greedy") == \
-        select_action(result.net, state, "greedy")
+    assert select_action(back, state) == select_action(result.net, state)
 
 
 def test_checkpoint_load_rejects_action_count_mismatch(tmp_path):

@@ -14,8 +14,7 @@ from pcvstream import sim
 from pcvstream.scheduler import ActorCritic, build_state
 from pcvstream.sim import (
     DeviceModel, ModelRegistry, NetworkTrace, RegistryEntry, Scene,
-    StreamingSchedulerEnv, compare_policies, comparison_to_csv,
-    comparison_to_json, frame_timing, generate_scene, measure_block_costs,
+    StreamingSchedulerEnv, frame_timing, generate_scene, measure_block_costs,
     pipeline_fps, run_session, transmit_time,
 )
 
@@ -34,40 +33,11 @@ def test_trace_presets_and_validation():
         NetworkTrace(np.array([0.0, 1.0]), np.array([5.0, -1.0]))
 
 
-def test_trace_csv_round_trip(tmp_path):
-    trace = NetworkTrace.preset("4g", duration_s=5.0, seed=3)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    back = NetworkTrace.from_csv(path)
-    np.testing.assert_array_equal(back.times, trace.times)
-    np.testing.assert_array_equal(back.bandwidth_mbps, trace.bandwidth_mbps)
-    assert path.read_text().splitlines()[0] == "t_seconds,bandwidth_mbps"
-
-
-def test_trace_csv_requires_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.0,100.0\n")
-    with pytest.raises(ValueError, match="header"):
-        NetworkTrace.from_csv(path)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_trace_rejects_non_finite_values(tmp_path, bad):
+def test_trace_rejects_non_finite_values(bad):
     for times, mbps in (([0.0, bad], [5.0, 6.0]), ([0.0, 1.0], [5.0, bad])):
         with pytest.raises(ValueError, match="finite"):
             NetworkTrace(np.array(times), np.array(mbps))
-        path = tmp_path / "trace.csv"
-        path.write_text("t_seconds,bandwidth_mbps\n"
-                        + "".join(f"{t},{b}\n" for t, b in zip(times, mbps)))
-        with pytest.raises(ValueError, match="finite"):
-            NetworkTrace.from_csv(path)
-
-
-def test_trace_csv_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("t_seconds,bandwidth_mbps\n")
-    with pytest.raises(ValueError, match="no rows"):
-        NetworkTrace.from_csv(path)
 
 
 def test_transmit_time_zero_payload():
@@ -204,7 +174,7 @@ def toy_registry(tmp_path, latents=(16, 64), bits=(8,)):
                 model_id=f"{label}-q{m}", file=fname, latent_dim=latent,
                 bits=m, encode_cost_s=enc_s, decode_cost_s=dec_s,
                 test_cd=mean_chamfer(q, data[:6])))
-    registry.save({"note": "test registry"})
+    registry.save()
     return registry
 
 
@@ -320,24 +290,6 @@ def test_faster_device_never_slower(tmp_path):
             assert f.fps >= s.fps - 1e-12
 
 
-def test_compare_policies_report(tmp_path):
-    scene = small_scene(frames=4)
-    trace = NetworkTrace.preset("wifi", duration_s=20.0, seed=6)
-    device = DeviceModel.preset("device-2")
-    a = run_session(scene, "octree:4", trace, device, roi="off", seed=1)
-    b = run_session(scene, "octree:6", trace, device, roi="off", seed=1)
-    report = compare_policies({"d4": a, "d6": b})
-    assert set(report) == {"d4", "d6"}
-    same = compare_policies({"x": a, "y": a})
-    assert same["x"]["avg_fps"] == same["y"]["avg_fps"]
-    comparison_to_csv(report, tmp_path / "cmp.csv")
-    comparison_to_json(report, tmp_path / "cmp.json")
-    loaded = json.loads((tmp_path / "cmp.json").read_text())
-    assert loaded["d4"]["frames"] == 3
-    header = (tmp_path / "cmp.csv").read_text().splitlines()[0]
-    assert header.startswith("policy,avg_transmit_s")
-
-
 def test_octree_depth_sweep_tradeoff():
     scene = small_scene(frames=3)
     trace = NetworkTrace.constant(60.0)
@@ -350,17 +302,6 @@ def test_octree_depth_sweep_tradeoff():
         cds.append(np.mean([r.cd for r in session.records]))
     assert all(a <= b for a, b in zip(payloads, payloads[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(cds, cds[1:]))
-
-
-def test_mismatched_frame_counts_rejected():
-    scene = small_scene(frames=5)
-    trace = NetworkTrace.constant(60.0)
-    device = DeviceModel.preset("device-2")
-    a = run_session(scene, "octree:4", trace, device, roi="off", seed=1)
-    b = run_session(scene, "octree:4", trace, device, roi="off", seed=1,
-                    frames=2)
-    with pytest.raises(ValueError):
-        compare_policies({"a": a, "b": b})
 
 
 def test_unknown_policy_and_missing_model(tmp_path):
