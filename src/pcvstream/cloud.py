@@ -129,22 +129,10 @@ class Intrinsics:
 
 @dataclass(frozen=True)
 class Camera:
-    """Perspective camera: pose plus frustum parameters."""
+    """Perspective camera: a pose plus its frustum parameters."""
 
     pose: Pose
-    vertical_fov: float = 90.0
-    aspect: float = 1.0
-    near: float = 0.1
-    far: float = 100.0
-
-    def __post_init__(self):
-        # reuse the Intrinsics checks
-        Intrinsics(self.vertical_fov, self.aspect, self.near, self.far)
-
-    @classmethod
-    def at(cls, pose: Pose, intrinsics: Intrinsics) -> "Camera":
-        return cls(pose, intrinsics.vertical_fov, intrinsics.aspect,
-                   intrinsics.near, intrinsics.far)
+    intrinsics: Intrinsics
 
 
 @dataclass(frozen=True)
@@ -229,9 +217,10 @@ def frustum_mask(cloud: PointCloud, camera: Camera) -> np.ndarray:
     rot = quat_to_matrix(camera.pose.orientation)
     local = (cloud.points.astype(np.float64) - camera.pose.position) @ rot
     x, y, z = local[:, 0], local[:, 1], local[:, 2]
-    tan_y = math.tan(math.radians(camera.vertical_fov) / 2.0)
-    tan_x = tan_y * camera.aspect
-    return ((z >= camera.near) & (z <= camera.far)
+    intr = camera.intrinsics
+    tan_y = math.tan(math.radians(intr.vertical_fov) / 2.0)
+    tan_x = tan_y * intr.aspect
+    return ((z >= intr.near) & (z <= intr.far)
             & (np.abs(x) <= z * tan_x) & (np.abs(y) <= z * tan_y))
 
 

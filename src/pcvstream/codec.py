@@ -3,7 +3,10 @@ quantization, model serialization, and the octree reference codec.
 
 The codec operates on fixed-size blocks of points, each normalized into the
 unit ball; a tiny per-block header (centroid + scale) makes reconstruction
-position-independent. Latent sizes 16/64/256 form the model family used by
+position-independent. Block functions take (B, ...) stacks only: B blocks
+(B, n, 3), B latents (B, latent_dim), B centroids (B, 3) and scales (B,);
+a single block is a one-block stack (`block[None]`), and any other shape
+raises ValueError. Latent sizes 16/64/256 form the model family used by
 the scheduler (ids "4x4" / "8x8" / "16x16").
 """
 
@@ -20,8 +23,8 @@ import numpy as np
 from ._util import ceil_count
 from .cloud import PointCloud, chamfer_distance, quat_to_matrix
 from .nn import (
-    Layer, LossSpec, Network, adam_step, backward, clip_scale, dense,
-    forward, rotate_points, rotate_points_backward, total_loss,
+    Layer, LossSpec, Network, adam_step, as_stack, backward, clip_scale,
+    dense, forward, rotate_points, rotate_points_backward, total_loss,
 )
 
 log = logging.getLogger(__name__)
@@ -121,30 +124,26 @@ def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
 # block plumbing
 
 def normalize_block(points):
-    """Center on the centroid and scale into the unit ball.
+    """Center each block of a (B, n, 3) stack on its centroid and scale it
+    into the unit ball.
 
-    Takes one (n, 3) block or a (B, n, 3) stack of blocks. Returns
-    (normalized, centroid, scale): for a stack, centroids are (B, 3) and
-    scales (B,). Degenerate blocks get scale 1.
+    Returns (normalized, centroids (B, 3), scales (B,)). Degenerate blocks
+    get scale 1.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 3:
-        pts = pts.reshape(-1, 3)
-    centroid = pts.mean(axis=-2)
-    shifted = pts - centroid[..., None, :]
+    pts = as_stack(points, ("B", "n", 3))
+    centroid = pts.mean(axis=1)
+    shifted = pts - centroid[:, None, :]
     scale = np.linalg.norm(shifted, axis=-1).max(axis=-1)
     scale = np.where(scale <= 0.0, 1.0, scale)
-    if pts.ndim == 2:
-        return shifted / scale, centroid, float(scale)
     return shifted / scale[:, None, None], centroid, scale
 
 
 def denormalize_block(points, centroid, scale):
-    """Inverse of normalize_block, for one block or a stack."""
-    scale, centroid = np.asarray(scale), np.asarray(centroid)
-    if scale.ndim:  # a stack: one scale and centroid per block
-        scale, centroid = scale[:, None, None], centroid[:, None, :]
-    return np.asarray(points, dtype=np.float64) * scale + centroid
+    """Inverse of normalize_block."""
+    pts = as_stack(points, ("B", "n", 3))
+    centroid = as_stack(centroid, (len(pts), 3))
+    scale = as_stack(scale, (len(pts),))
+    return pts * scale[:, None, None] + centroid[:, None, :]
 
 
 def morton_key(cells, bits: int) -> np.ndarray:
@@ -189,43 +188,22 @@ def chunk_blocks(points, n_points: int):
 # inference
 
 def encode(model: CodecModel, block) -> np.ndarray:
-    """Latent feature vector (latent_dim,) of one n-point block, or the
-    (B, latent_dim) latents of a (B, n, 3) stack.
+    """Latents (B, latent_dim) of a (B, n, 3) block stack.
 
-    A stack runs through the encoder ENCODE_CHUNK_BLOCKS blocks at a time,
-    so its activation memory does not grow with B.
+    The stack runs through the encoder ENCODE_CHUNK_BLOCKS blocks at a
+    time, so its activation memory does not grow with B.
     """
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim == 3:
-        if block.shape[0] == 0 or block.shape[1:] != (model.n_points, 3):
-            raise ValueError(f"block stack must be (B > 0, {model.n_points}"
-                             f", 3), got {block.shape}")
-        return np.concatenate([
-            forward(model.encoder, block[i:i + ENCODE_CHUNK_BLOCKS])[0]
-            for i in range(0, len(block), ENCODE_CHUNK_BLOCKS)])
-    if block.size == 0:
-        raise ValueError("cannot encode an empty block")
-    if block.shape != (model.n_points, 3):
-        raise ValueError(
-            f"block must be ({model.n_points}, 3), got {block.shape}")
-    return forward(model.encoder, block)[0]
+    block = as_stack(block, ("B", model.n_points, 3))
+    return np.concatenate([
+        forward(model.encoder, block[i:i + ENCODE_CHUNK_BLOCKS])[0]
+        for i in range(0, len(block), ENCODE_CHUNK_BLOCKS)])
 
 
 def decode(model: CodecModel, latent) -> np.ndarray:
-    """Reconstructed (n_points, 3) block from a latent vector, or the
-    (B, n_points, 3) stack of a (B, latent_dim) latent batch."""
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.ndim == 2:
-        if latent.shape[0] == 0 or latent.shape[1] != model.latent_dim:
-            raise ValueError(f"latents must be (B > 0, {model.latent_dim}), "
-                             f"got {latent.shape}")
-        out = forward(model.decoder, latent)[0]
-        return out.reshape(len(latent), model.n_points, 3)
-    if latent.shape != (model.latent_dim,):
-        raise ValueError(
-            f"latent must have length {model.latent_dim}, got {latent.shape}")
+    """Reconstructed (B, n_points, 3) blocks of a (B, latent_dim) stack."""
+    latent = as_stack(latent, ("B", model.latent_dim))
     out = forward(model.decoder, latent)[0]
-    return out.reshape(model.n_points, 3)
+    return out.reshape(len(latent), model.n_points, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +272,9 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
 def mean_reconstruction_loss(model: CodecModel, dataset) -> float:
     """Mean loss over a dataset without updates (zero alignment)."""
     data = np.asarray(dataset, dtype=np.float64)
-    zero = np.zeros(3)
-    total = 0.0
-    for pred, target in zip(decode(model, encode(model, data)), data):
-        total += total_loss(pred, target, zero, LOSS)[0]
-    return total / len(data)
+    losses = total_loss(decode(model, encode(model, data)), data,
+                        np.zeros((len(data), 3)), LOSS)[0]
+    return sum(losses.tolist()) / len(data)
 
 
 def mean_chamfer(model: CodecModel, dataset) -> float:
@@ -489,7 +465,16 @@ def write_layer_stream(path, entries) -> None:
 
 
 def read_layer_stream(path):
-    """Inverse of write_layer_stream; returns (kind, Layer, dtype, meta)."""
+    """Inverse of write_layer_stream; returns (kind, Layer, dtype, meta).
+
+    Format v1, little-endian: magic b"ISCM", u16 version, u16 record
+    count, then per record a u8 kind code, u32 rows, u32 cols and a u8
+    dtype code. Activation records have 0 rows and no payload. A weighted
+    record has rows, cols >= 1 and is followed by its payload: f32 holds
+    the rows*cols weights (row-major) and then the rows biases as f32; q8
+    and q16 hold f32 min, f32 max and u8 bits, then one u8 or u16 code per
+    weight and bias in the same order, no codes when min == max.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -521,6 +506,9 @@ def read_layer_stream(path):
         if weightless:
             entries.append((kind, Layer(kind), "f32", None))
             continue
+        if cols == 0:
+            raise CodecFormatError(f"{kind} layer record with 0 weight "
+                                   "columns")
         n_params = rows * cols + rows
         dtype = _DTYPE_NAMES.get(dtype_code)
         if dtype is None:
@@ -561,7 +549,7 @@ def read_layer_stream(path):
 
 
 def serialize(model: CodecModel, path) -> None:
-    """Write a codec model; layout documented in read_layer_stream/serialize.
+    """Write a codec model in the layout documented in read_layer_stream.
 
     Quantized metadata is stored at f32 precision, so weights reloaded from
     disk can differ from the in-memory model by one metadata ulp.
@@ -590,6 +578,17 @@ def deserialize(path) -> CodecModel:
     dec_dense = [l for l in dec.layers if l.weights is not None]
     if not enc_dense or not dec_dense:
         raise CodecFormatError("model is missing dense layers")
+    width = 3  # xyz in, through the latent, to n_points * 3 out
+    for layer in enc_dense + dec_dense:
+        rows, cols = layer.weights.shape
+        if cols != width:
+            raise CodecFormatError(f"dense layer of shape {(rows, cols)} "
+                                   f"does not take the {width} features "
+                                   "before it")
+        width = rows
+    if width % 3:
+        raise CodecFormatError(f"decoder output width {width} is not a "
+                               "multiple of 3")
     latent_dim = enc_dense[-1].weights.shape[0]
     n_points = dec_dense[-1].weights.shape[0] // 3
     dtypes = {d for _, l, d, _ in entries if l.weights is not None}
@@ -718,8 +717,8 @@ def toy_block_dataset(count: int = 500, n_points: int = DEFAULT_BLOCK_POINTS,
             pts += rng.normal(scale=0.03, size=pts.shape)
         scale = rng.uniform(0.5, 1.0, size=3)
         rot = _random_rotation(rng)
-        blocks[i] = normalize_block((pts * scale) @ rot.T)[0]
-    return blocks
+        blocks[i] = (pts * scale) @ rot.T
+    return normalize_block(blocks)[0]
 
 
 def _random_rotation(rng):

@@ -7,6 +7,10 @@ stack costs one matrix product per layer, not one per block.
 `maxpool_points` collapses the point axis into a single symmetric feature
 vector, which is what makes the encoder output order-invariant; it caches
 its input, and only `backward` looks up which point won.
+
+The losses and the rotation helpers take (B, ...) stacks only: B point sets
+(B, n, 3) with B angles (B, 3), one result per sample; a single sample is a
+one-sample stack (`x[None]`), and any other shape raises ValueError.
 """
 
 from __future__ import annotations
@@ -68,6 +72,19 @@ def dense(n_out: int, n_in: int, rng: np.random.Generator,
 def _check_finite(arr, where):
     if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values in {where}")
+
+
+def as_stack(x, shape) -> np.ndarray:
+    """x as float64, checked to be a stack of the given shape with no empty
+    axis: ints in `shape` must match exactly, names match any size; e.g.
+    ("B", "n", 3) for point sets. Raises ValueError naming the shape."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != len(shape) or arr.size == 0 or any(
+            isinstance(want, int) and want != got
+            for want, got in zip(shape, arr.shape)):
+        raise ValueError(f"expected a non-empty ({', '.join(map(str, shape))})"
+                         f" stack, got shape {arr.shape}")
+    return arr
 
 
 def _matmul(x, w):
@@ -217,106 +234,78 @@ def _pairwise_distances(p, q):
     return np.sqrt(d, out=d)
 
 
-def _chamfer_single(pred, target):
+def chamfer_loss(pred: np.ndarray, target: np.ndarray):
+    """Symmetric Chamfer losses (B,) of a (B, n, 3) stack against a
+    (B, m, 3) stack, and their gradients (B, n, 3) w.r.t. pred."""
+    pred = as_stack(pred, ("B", "n", 3))
+    target = as_stack(target, ("B", "m", 3))
+    if len(pred) != len(target):
+        raise ValueError(f"chamfer_loss needs stacks of one size B, got "
+                         f"{pred.shape} and {target.shape}")
     d = _pairwise_distances(pred, target)
-    n_p, n_q = pred.shape[0], target.shape[0]
-    j_star = d.argmin(axis=1)   # nearest target per pred point
-    i_star = d.argmin(axis=0)   # nearest pred per target point
-    loss = d[np.arange(n_p), j_star].mean() + d[i_star, np.arange(n_q)].mean()
+    n_p, n_q = pred.shape[1], target.shape[1]
+    j_star = d.argmin(axis=2)   # nearest target per pred point
+    i_star = d.argmin(axis=1)   # nearest pred per target point
+    dist = np.take_along_axis(d, j_star[..., None], axis=2)[..., 0]
+    dist2 = np.take_along_axis(d, i_star[:, None, :], axis=1)[:, 0]
+    loss = dist.mean(axis=1) + dist2.mean(axis=1)
 
+    sample = np.arange(len(pred))[:, None]
     grad = np.zeros_like(pred)
-    diff = pred - target[j_star]
-    dist = d[np.arange(n_p), j_star]
+    diff = pred - target[sample, j_star]
     nz = dist > 0.0
     grad[nz] += diff[nz] / dist[nz, None] / n_p
-    diff2 = pred[i_star] - target
-    dist2 = d[i_star, np.arange(n_q)]
+    diff2 = pred[sample, i_star] - target
     nz2 = dist2 > 0.0
-    np.add.at(grad, i_star[nz2], diff2[nz2] / dist2[nz2, None] / n_q)
+    np.add.at(grad, (np.broadcast_to(sample, nz2.shape)[nz2], i_star[nz2]),
+              diff2[nz2] / dist2[nz2, None] / n_q)
     return loss, grad
-
-
-def chamfer_loss(pred: np.ndarray, target: np.ndarray):
-    """Symmetric Chamfer loss and its gradient w.r.t. pred.
-
-    Accepts (n, 3) pairs or two batches (B, n, 3) of one size B > 0; batch
-    losses are averaged.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.ndim == 2 and target.ndim == 2:
-        if pred.shape[0] == 0 or target.shape[0] == 0:
-            raise ValueError("chamfer_loss requires non-empty point sets")
-        return _chamfer_single(pred, target)
-    if pred.ndim != 3 or target.ndim != 3 or len(pred) != len(target):
-        raise ValueError("chamfer_loss needs two (n, 3) sets or two (B, n, 3)"
-                         f" batches of one size, got {pred.shape} and "
-                         f"{target.shape}")
-    if len(pred) == 0:
-        raise ValueError("chamfer_loss requires a non-empty batch")
-    losses = 0.0
-    grads = np.zeros_like(pred)
-    for b in range(pred.shape[0]):
-        l, g = _chamfer_single(pred[b], target[b])
-        losses += l
-        grads[b] = g
-    return losses / pred.shape[0], grads / pred.shape[0]
 
 
 def emd_loss(pred: np.ndarray, target: np.ndarray):
     """Exact earth mover's distance over bijections, with gradient.
 
     Cost is the sum of matched Euclidean distances; gradients are unit
-    vectors along each matched pair. An (n, 3) pair gives (loss, grad); a
-    (B, n, 3) stack gives the (B,) per-sample losses and the (B, n, 3)
-    gradients, with one assignment solved per sample.
+    vectors along each matched pair. Two (B, n, 3) stacks give the (B,)
+    per-sample losses and the (B, n, 3) gradients, with one assignment
+    solved per sample.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim not in (2, 3) \
-            or pred.shape[-1] != 3:
-        raise ValueError("emd_loss requires equal-cardinality (n, 3) inputs "
-                         "or (B, n, 3) stacks")
-    n = pred.shape[-2]
-    if pred.size == 0:
-        raise ValueError("emd_loss requires non-empty point sets")
+    pred = as_stack(pred, ("B", "n", 3))
+    target = as_stack(target, ("B", "n", 3))
+    if pred.shape != target.shape:
+        raise ValueError(f"emd_loss requires equal-cardinality stacks, got "
+                         f"{pred.shape} and {target.shape}")
+    n = pred.shape[1]
     if n > EMD_CAP:
         raise ValueError(f"emd_loss capped at {EMD_CAP} points, got {n}")
     d = _pairwise_distances(pred, target)
     # a square assignment matches every row, in order: only cols vary
-    cols = np.array([linear_sum_assignment(c)[1]
-                     for c in d.reshape(-1, n, n)]).reshape(pred.shape[:-1])
+    cols = np.array([linear_sum_assignment(c)[1] for c in d])
     matched = np.take_along_axis(d, cols[..., None], axis=-1)[..., 0]
     grad = np.zeros_like(pred)
     np.divide(pred - np.take_along_axis(target, cols[..., None], axis=-2),
               matched[..., None], out=grad, where=matched[..., None] > 0.0)
-    loss = matched.sum(axis=-1)
-    return (loss if pred.ndim == 3 else float(loss)), grad
+    return matched.sum(axis=-1), grad
 
 
 def total_loss(pred, target, rot_params, spec):
     """Weighted reconstruction loss plus the rotation-parameter penalty.
 
-    Returns (loss, d_pred, d_rot). Reconstruction is EMD when the sets have
-    equal cardinality within the solver cap, otherwise Chamfer (fallback).
-    A (B, n, 3) stack with (B, 3) rotation parameters gives (B,) per-sample
-    losses, (B, n, 3) and (B, 3).
+    A (B, n, 3) stack against its (B, m, 3) targets, with (B, 3) rotation
+    parameters, gives (loss (B,), d_pred (B, n, 3), d_rot (B, 3)).
+    Reconstruction is EMD when the sets have equal cardinality within the
+    solver cap, otherwise Chamfer (fallback).
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    rot = np.asarray(rot_params, dtype=np.float64)
-    if pred.shape == target.shape and pred.shape[-2] <= EMD_CAP:
+    pred = as_stack(pred, ("B", "n", 3))
+    target = as_stack(target, ("B", "m", 3))
+    rot = as_stack(rot_params, (len(pred), 3))
+    if pred.shape == target.shape and pred.shape[1] <= EMD_CAP:
         rec, d_rec = emd_loss(pred, target)
-    elif pred.ndim == 2:
-        rec, d_rec = chamfer_loss(pred, target)
     else:
-        pairs = [chamfer_loss(p, t) for p, t in zip(pred, target, strict=True)]
-        rec = np.array([loss for loss, _ in pairs])
-        d_rec = np.stack([grad for _, grad in pairs])
+        rec, d_rec = chamfer_loss(pred, target)
     loss = spec.lambda_rec * rec \
         + spec.rotation_penalty * (rot ** 2).sum(axis=-1)
-    return (loss if pred.ndim == 3 else float(loss)), \
-        spec.lambda_rec * d_rec, 2.0 * spec.rotation_penalty * rot
+    return loss, spec.lambda_rec * d_rec, 2.0 * spec.rotation_penalty * rot
 
 
 @dataclass(frozen=True)
@@ -333,11 +322,13 @@ class LossSpec:
 # axis-angle rotation with analytic gradient (for the learned alignment)
 
 def rotation_matrix(theta: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation for an axis-angle vector theta (3,), or the
-    (B, 3, 3) rotations of a (B, 3) stack, each built on its own."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 2:
-        return np.stack([rotation_matrix(t) for t in theta])
+    """Rodrigues rotations (B, 3, 3) of a (B, 3) stack of axis-angle
+    vectors, each built on its own."""
+    return np.stack([_rodrigues(t) for t in as_stack(theta, ("B", 3))])
+
+
+def _rodrigues(theta):
+    """Rotation matrix (3, 3) of one axis-angle vector theta (3,)."""
     angle = np.linalg.norm(theta)
     if angle < 1e-12:
         return np.eye(3) + _skew(theta)
@@ -357,12 +348,10 @@ def _skew(v):
 
 def rotation_matrix_jacobian(theta: np.ndarray,
                              rot: np.ndarray) -> np.ndarray:
-    """dR/dtheta_i stacked as (3, 3, 3), or (B, 3, 3, 3) for a (B, 3) stack;
-    Gallego & Yezzi closed form. rot is rotation_matrix(theta), which the
-    caller already holds."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 1:
-        return rotation_matrix_jacobian(theta[None], rot[None])[0]
+    """dR/dtheta_i (B, 3, 3, 3) of a (B, 3) stack; Gallego & Yezzi closed
+    form. rot is rotation_matrix(theta), which the caller already holds."""
+    theta = as_stack(theta, ("B", 3))
+    rot = as_stack(rot, (len(theta), 3, 3))
     angle2 = np.array([t @ t for t in theta])
     small = (angle2 < 1e-16)[:, None, None, None]
     # row i of v[b] is theta_i * theta + theta x ((I - R) e_i)
@@ -374,9 +363,10 @@ def rotation_matrix_jacobian(theta: np.ndarray,
 
 
 def rotate_points(theta, points):
-    """points (n, 3) rotated row-wise by theta (3,), or a (B, n, 3) stack by
-    (B, 3) angles in one stacked product; returns (rotated, cache)."""
+    """A (B, n, 3) stack rotated row-wise by (B, 3) angles in one stacked
+    product; returns (rotated, cache)."""
     rot = rotation_matrix(theta)
+    points = as_stack(points, (len(rot), "n", 3))
     return points @ rot.swapaxes(-1, -2), (theta, points, rot)
 
 

@@ -93,17 +93,13 @@ class RoiConfig:
 
 @dataclass(frozen=True)
 class SaliencyMap:
-    """Per-block saliency scores in block-id order."""
+    """Per-block fine-stage saliency scores in block-id order."""
 
     block_ids: np.ndarray
     centers: np.ndarray
-    dynamic: np.ndarray      # mean flow magnitude per block
     viewpoint: np.ndarray    # distance/angle descriptor
     texture: np.ndarray      # geometric-texture distinctiveness, in [0, 1)
     static_: np.ndarray      # viewpoint * texture
-    beta: float
-    lambda_: float
-    R: int
 
     def __post_init__(self):
         if np.any(self.texture < 0.0) or np.any(self.texture >= 1.0):
@@ -164,12 +160,7 @@ def dynamic_saliency(grid: BlockGrid, flow: FlowField) -> np.ndarray:
     """Mean flow magnitude of every block row of the gridded frame, (B,)."""
     if len(flow.vectors) != len(grid.rows):
         raise ValueError("flow field does not annotate this grid")
-    return _block_means(grid, flow.magnitudes())
-
-
-def _block_means(grid: BlockGrid, values) -> np.ndarray:
-    """Mean of the per-point values over each block row."""
-    return np.bincount(grid.rows, weights=values,
+    return np.bincount(grid.rows, weights=flow.magnitudes(),
                        minlength=len(grid.ids)) / grid.counts
 
 
@@ -191,30 +182,27 @@ def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
                           camera_intrinsics: Intrinsics):
     """Stage-one ROI: predicted-frustum cull plus motion-ranked block keep.
 
-    Returns (cloud, grid, scores, camera, flow). The grid and the (B,)
-    per-row scores cover the whole culled cloud; flow annotates the kept
-    points only, so the fine stage needs no second flow pass. An empty
-    frustum returns an empty cloud, empty scores, and grid and flow None.
+    Returns (cloud, grid, scores, camera). The grid and the (B,) per-row
+    scores cover the whole culled cloud. An empty frustum returns an empty
+    cloud, empty scores and grid None.
 
     Flow is estimated on the whole frame, so that frame indices line up
     with prev_frame for estimate_flow's zero-flow rule, and then sliced to
     the frustum.
     """
     pose = predict_pose(history, 1)[0]
-    camera = Camera.at(pose, camera_intrinsics)
+    camera = Camera(pose, camera_intrinsics)
     inside = np.flatnonzero(frustum_mask(frame, camera))
     culled = frame.select(inside)
     if len(culled) == 0:
         log.warning("frame %d: predicted frustum is empty", frame.frame_index)
-        return culled, None, np.zeros(0), camera, None
+        return culled, None, np.zeros(0), camera
     grid = partition(culled, cfg.coarse_cell_size)
     flow = FlowField(estimate_flow(prev_frame, frame).vectors[inside])
     scores = dynamic_saliency(grid, flow)
     keep = np.zeros(len(grid.ids), dtype=bool)
     keep[_coarse_kept_rows(grid, scores, cfg)] = True
-    indices = np.flatnonzero(keep[grid.rows])
-    return (culled.select(indices), grid, scores, camera,
-            FlowField(flow.vectors[indices]))
+    return culled.select(np.flatnonzero(keep[grid.rows])), grid, scores, camera
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +311,10 @@ def _static_scores(grid: BlockGrid, cloud: PointCloud, viewpoint,
 
 
 def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
-                        cfg: RoiConfig, seed: int, dynamic_by_point=None):
+                        cfg: RoiConfig, seed: int):
     """Stage-two ROI: saliency-proportional per-block downsampling.
 
-    Returns (cloud, SaliencyMap); dynamic_by_point, when given, fills the
-    map's per-block dynamic scores.
+    Returns (cloud, SaliencyMap).
     """
     if len(coarse) == 0:
         raise ValueError("fine_select_details requires a non-empty coarse ROI")
@@ -347,13 +334,7 @@ def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
     indices = np.sort(np.concatenate([
         rng.choice(grid.indices(i), size=take, replace=False)
         for i, take in enumerate(takes)]))
-
-    dyn = np.zeros(len(grid.ids))
-    if dynamic_by_point is not None:
-        dyn = _block_means(grid, np.asarray(dynamic_by_point,
-                                            dtype=np.float64))
-    saliency = SaliencyMap(grid.ids, centers, dyn, view_s, tex_s,
-                           static, cfg.beta, cfg.lambda_, cfg.R)
+    saliency = SaliencyMap(grid.ids, centers, view_s, tex_s, static)
     return coarse.select(indices), saliency
 
 
@@ -372,11 +353,10 @@ def select_roi(frame: PointCloud, prev_frame: PointCloud,
                history: PoseHistory, cfg: RoiConfig,
                camera_intrinsics: Intrinsics, seed: int) -> RoiResult:
     """Run both ROI stages on one frame; empty frustum yields an empty ROI."""
-    coarse, grid, _, camera, flow = coarse_select_details(
+    coarse, grid, _, camera = coarse_select_details(
         frame, prev_frame, history, cfg, camera_intrinsics)
     if grid is None:  # empty frustum
         return RoiResult(coarse, None, camera, 0)
     cloud, saliency = fine_select_details(
-        coarse, camera.pose.position, camera.pose.forward(), cfg, seed,
-        dynamic_by_point=flow.magnitudes())
+        coarse, camera.pose.position, camera.pose.forward(), cfg, seed)
     return RoiResult(cloud, saliency, camera, len(grid.rows))

@@ -53,7 +53,7 @@ class NetworkTrace:
 
     times: np.ndarray
     bandwidth_mbps: np.ndarray
-    tag: str = "file"
+    tag: str = "custom"
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -83,7 +83,8 @@ class NetworkTrace:
 
     @classmethod
     def fluctuating(cls, mean_mbps: float, duration_s: float = 120.0,
-                    seed: int = 0, tag: str = "file") -> "NetworkTrace":
+                    seed: int = 0,
+                    tag: str = "fluctuating") -> "NetworkTrace":
         rng = np.random.default_rng(seed)
         t = np.arange(0.0, duration_s, TRACE_INTERVAL_S)
         bw = mean_mbps * (1.0 + rng.uniform(-TRACE_JITTER, TRACE_JITTER,
@@ -91,7 +92,7 @@ class NetworkTrace:
         return cls(t, bw, tag)
 
     @classmethod
-    def constant(cls, mbps: float, tag: str = "file") -> "NetworkTrace":
+    def constant(cls, mbps: float, tag: str = "constant") -> "NetworkTrace":
         return cls(np.array([0.0]), np.array([mbps]), tag)
 
     def bandwidth_at(self, t: float) -> float:
@@ -216,13 +217,13 @@ class ModelRegistry:
 
 def measure_block_costs(model: CodecModel, repeats: int = 30,
                         seed: int = 0) -> tuple[float, float]:
-    """Median per-block encode/decode wall time on this host.
+    """Median encode/decode wall time of a one-block stack on this host.
 
     Run once when building a registry; sessions must read the stored
     numbers so that repeated runs stay byte-identical.
     """
     rng = np.random.default_rng(seed)
-    block = normalize_block(rng.normal(size=(model.n_points, 3)))[0]
+    block = normalize_block(rng.normal(size=(1, model.n_points, 3)))[0]
     latent = encode(model, block)
     enc_times, dec_times = [], []
     for _ in range(repeats):

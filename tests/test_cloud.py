@@ -51,10 +51,11 @@ def test_pose_requires_unit_quaternion():
 
 
 def test_camera_validation():
+    # a camera's frustum parameters are validated by its Intrinsics
     with pytest.raises(ValueError):
-        Camera(identity_pose(), vertical_fov=180.0)
+        Camera(identity_pose(), Intrinsics(vertical_fov=180.0))
     with pytest.raises(ValueError):
-        Camera(identity_pose(), near=1.0, far=0.5)
+        Camera(identity_pose(), Intrinsics(near=1.0, far=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,8 @@ def test_partition_rejects_empty_and_bad_cell():
 # frustum culling
 
 def camera_at_origin():
-    return Camera(identity_pose(), vertical_fov=90.0, aspect=1.0,
-                  near=0.1, far=100.0)
+    return Camera(identity_pose(), Intrinsics(vertical_fov=90.0, aspect=1.0,
+                                              near=0.1, far=100.0))
 
 
 def test_point_behind_camera_excluded():
@@ -147,9 +148,9 @@ def random_camera(rng):
     quat = quat_from_axis_angle(axis, rng.uniform(0, 2 * math.pi))
     pose = Pose(rng.uniform(-2, 2, size=3), quat)
     near = rng.uniform(0.05, 0.5)
-    return Camera(pose, vertical_fov=rng.uniform(30, 120),
-                  aspect=rng.uniform(0.5, 2.0), near=near,
-                  far=near + rng.uniform(2.0, 30.0))
+    return Camera(pose, Intrinsics(vertical_fov=rng.uniform(30, 120),
+                                   aspect=rng.uniform(0.5, 2.0), near=near,
+                                   far=near + rng.uniform(2.0, 30.0)))
 
 
 def clip_space_mask(points, cam):
@@ -157,10 +158,11 @@ def clip_space_mask(points, cam):
     from pcvstream.cloud import quat_to_matrix
 
     rot = quat_to_matrix(cam.pose.orientation)
-    t = math.tan(math.radians(cam.vertical_fov) / 2.0)
-    n, f = cam.near, cam.far
+    intr = cam.intrinsics
+    t = math.tan(math.radians(intr.vertical_fov) / 2.0)
+    n, f = intr.near, intr.far
     proj = np.array([
-        [1.0 / (cam.aspect * t), 0, 0, 0],
+        [1.0 / (intr.aspect * t), 0, 0, 0],
         [0, 1.0 / t, 0, 0],
         [0, 0, (f + n) / (f - n), -2.0 * f * n / (f - n)],
         [0, 0, 1.0, 0],
@@ -189,10 +191,10 @@ def test_frustum_matches_clip_space_oracle():
 def test_frustum_monotone_in_far_and_fov():
     rng = np.random.default_rng(5)
     cloud = PointCloud(rng.uniform(-5, 5, size=(400, 3)).astype(np.float32))
-    cam = Camera(identity_pose((0, 0, -4)), vertical_fov=60, aspect=1.2,
-                 near=0.2, far=6.0)
+    intr = Intrinsics(vertical_fov=60, aspect=1.2, near=0.2, far=6.0)
+    cam = Camera(identity_pose((0, 0, -4)), intr)
     base = set(map(tuple, frustum_cull(cloud, cam).points.tolist()))
-    wider = Camera(cam.pose, 90, cam.aspect, cam.near, 9.0)
+    wider = Camera(cam.pose, Intrinsics(90, intr.aspect, intr.near, 9.0))
     bigger = set(map(tuple, frustum_cull(cloud, wider).points.tolist()))
     assert base <= bigger
 

@@ -15,7 +15,10 @@ from pcvstream.codec import (
     octree_encode, prune_layer, prune_model, prune_threshold,
     quantize_weights, serialize, toy_block_dataset, train, write_layer_stream,
 )
-from pcvstream.nn import Layer, LossSpec, total_loss
+from pcvstream.nn import (
+    Layer, LossSpec, chamfer_loss, emd_loss, rotate_points, rotation_matrix,
+    rotation_matrix_jacobian, total_loss,
+)
 
 
 def tiny_model(latent=8, n_points=16, seed=0):
@@ -32,8 +35,8 @@ def test_zero_weight_encoder_gives_zero_latent():
         if layer.weights is not None:
             layer.weights[:] = 0.0
             layer.bias[:] = 0.0
-    latent = encode(model, np.random.default_rng(0).normal(size=(16, 3)))
-    np.testing.assert_array_equal(latent, np.zeros(8))
+    latent = encode(model, np.random.default_rng(0).normal(size=(1, 16, 3)))
+    np.testing.assert_array_equal(latent, np.zeros((1, 8)))
 
 
 @pytest.mark.parametrize("label,dim", [("4x4", 16), ("8x8", 64), ("16x16", 256)])
@@ -41,16 +44,16 @@ def test_latent_sizes_match_model_family(label, dim):
     from pcvstream.codec import LATENT_SIZES
     assert LATENT_SIZES[label] == dim
     model = make_codec_model(dim, 32, seed=1, enc_hidden=(8,), dec_hidden=(16,))
-    latent = encode(model, np.zeros((32, 3)))
-    assert latent.shape == (dim,)
+    latent = encode(model, np.zeros((1, 32, 3)))
+    assert latent.shape == (1, dim)
 
 
 def test_latent_permutation_invariant():
     model = tiny_model(seed=2)
     rng = np.random.default_rng(3)
-    block = rng.normal(size=(16, 3))
+    block = rng.normal(size=(1, 16, 3))
     a = encode(model, block)
-    b = encode(model, block[rng.permutation(16)])
+    b = encode(model, block[:, rng.permutation(16)])
     np.testing.assert_allclose(a, b)
 
 
@@ -59,8 +62,8 @@ def test_decode_zero_latent_zero_bias():
     for layer in model.decoder.layers:
         if layer.weights is not None:
             layer.bias[:] = 0.0
-    out = decode(model, np.zeros(8))
-    np.testing.assert_array_equal(out, np.zeros((16, 3)))
+    out = decode(model, np.zeros((1, 8)))
+    np.testing.assert_array_equal(out, np.zeros((1, 16, 3)))
 
 
 def test_encode_validates_shape():
@@ -92,7 +95,10 @@ def test_stacked_encode_equals_per_block_encode(count):
     blocks = block_stack(count)
     got = encode(model, blocks)
     assert got.shape == (count, 64)
-    np.testing.assert_array_equal(got, [encode(model, b) for b in blocks])
+    # a stack of B equals B one-block stacks: BLAS picks the same kernel
+    # for B * 128 rows as for 128
+    np.testing.assert_array_equal(
+        got, [encode(model, b[None])[0] for b in blocks])
 
 
 def test_stacked_decode_matches_per_block_decode():
@@ -100,7 +106,7 @@ def test_stacked_decode_matches_per_block_decode():
     latents = encode(model, block_stack(157))
     got = decode(model, latents)
     assert got.shape == (157, 128, 3)
-    want = np.stack([decode(model, z) for z in latents])
+    want = np.stack([decode(model, z[None])[0] for z in latents])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -111,14 +117,16 @@ def test_stacked_normalize_round_trip_equals_per_block():
     norm, centroid, scale = normalize_block(blocks)
     assert scale[4] == 1.0
     for b, block in enumerate(blocks):
-        want = normalize_block(block)
-        np.testing.assert_array_equal(norm[b], want[0])
-        np.testing.assert_array_equal(centroid[b], want[1])
-        assert scale[b] == want[2]
+        want = normalize_block(block[None])
+        np.testing.assert_array_equal(norm[b], want[0][0])
+        np.testing.assert_array_equal(centroid[b], want[1][0])
+        assert scale[b] == want[2][0]
     restored = denormalize_block(norm, centroid, scale)
     for b in range(len(blocks)):
+        one = slice(b, b + 1)
         np.testing.assert_array_equal(
-            restored[b], denormalize_block(norm[b], centroid[b], scale[b]))
+            restored[b],
+            denormalize_block(norm[one], centroid[one], scale[one])[0])
 
 
 def test_stacked_codec_rejects_bad_shapes():
@@ -132,12 +140,51 @@ def test_stacked_codec_rejects_bad_shapes():
             decode(model, bad)
 
 
+def stack_calls():
+    """Every public stack function with valid one-sample stack arguments."""
+    model = tiny_model()  # 16-point blocks, 8-value latents
+    blocks, theta = np.zeros((1, 16, 3)), np.zeros((1, 3))
+    return {
+        "normalize_block": (normalize_block, [blocks]),
+        "denormalize_block": (denormalize_block, [blocks, theta, np.ones(1)]),
+        "encode": (lambda b: encode(model, b), [blocks]),
+        "decode": (lambda z: decode(model, z), [np.zeros((1, 8))]),
+        "chamfer_loss": (chamfer_loss, [blocks, blocks]),
+        "emd_loss": (emd_loss, [blocks, blocks]),
+        "total_loss": (lambda p, t, r: total_loss(p, t, r, LossSpec()),
+                       [blocks, blocks, theta]),
+        "rotation_matrix": (rotation_matrix, [theta]),
+        "rotation_matrix_jacobian": (rotation_matrix_jacobian,
+                                     [theta, np.eye(3)[None]]),
+        "rotate_points": (rotate_points, [theta, blocks]),
+    }
+
+
+SINGLE_FORMS = {"block": np.ones((16, 3)), "latent": np.ones(8),
+                "angle": np.ones(3)}
+
+
+@pytest.mark.parametrize("single", sorted(SINGLE_FORMS))
+@pytest.mark.parametrize("name", sorted(stack_calls()))
+def test_stack_functions_reject_single_forms(name, single):
+    fn, args = stack_calls()[name]
+    fn(*args)  # the stacks themselves are accepted
+    for i in range(len(args)):
+        bad = args[:i] + [SINGLE_FORMS[single]] + args[i + 1:]
+        if name == "rotation_matrix" and single == "block":
+            # sixteen angles are a valid (B, 3) stack
+            assert fn(*bad).shape == (16, 3, 3)
+            continue
+        with pytest.raises(ValueError, match="stack"):
+            fn(*bad)
+
+
 def test_dataset_means_match_per_sample_round_trips():
     model = tiny_model(seed=33)
     data = toy_block_dataset(11, 16, seed=3)
-    rebuilt = [decode(model, encode(model, b)) for b in data]
-    zero = np.zeros(3)
-    want_loss = sum(total_loss(r, b, zero, LossSpec())[0]
+    rebuilt = [decode(model, encode(model, b[None]))[0] for b in data]
+    zero = np.zeros((1, 3))
+    want_loss = sum(total_loss(r[None], b[None], zero, LossSpec())[0][0]
                     for r, b in zip(rebuilt, data)) / len(data)
     want_cd = np.mean([chamfer_distance(r, b) for r, b in zip(rebuilt, data)])
     assert mean_reconstruction_loss(model, data) == \
@@ -150,9 +197,9 @@ def test_dataset_means_match_per_sample_round_trips():
 
 def test_normalize_block_round_trip():
     rng = np.random.default_rng(5)
-    pts = rng.normal(loc=4.0, scale=2.0, size=(30, 3))
+    pts = rng.normal(loc=4.0, scale=2.0, size=(1, 30, 3))
     norm, centroid, scale = normalize_block(pts)
-    assert np.linalg.norm(norm, axis=1).max() == pytest.approx(1.0)
+    assert np.linalg.norm(norm, axis=-1).max() == pytest.approx(1.0)
     np.testing.assert_allclose(denormalize_block(norm, centroid, scale), pts)
 
 
@@ -461,6 +508,40 @@ def test_deserialize_rejects_a_dense_record_without_weights(tmp_path):
     write_layer_stream(path, entries)
     with pytest.raises(CodecFormatError, match="dense layer record with 0"):
         deserialize(path)
+
+
+def test_deserialize_rejects_a_weighted_record_without_columns(tmp_path):
+    model = tiny_model(seed=21)
+    layers = model.encoder.layers + model.decoder.layers
+    entries = [(l.kind, l, "f32", None) for l in layers]
+    assert entries[2][0] == "dense"  # the second encoder dense layer
+    entries[2] = ("dense", Layer("dense", np.zeros((8, 0))), "f32", None)
+    path = tmp_path / "no-columns.iscm"
+    write_layer_stream(path, entries)
+    with pytest.raises(CodecFormatError, match="dense layer record with 0 "
+                       "weight columns"):
+        deserialize(path)
+
+
+def test_deserialize_rejects_dense_shapes_that_do_not_chain(tmp_path):
+    model = tiny_model(seed=21)  # 3 -> 8 -> latent 8 | 8 -> 16 -> 48
+    layers = model.encoder.layers + model.decoder.layers
+    entries = [(l.kind, l, "f32", None) for l in layers]
+    rng = np.random.default_rng(36)
+    assert entries[4][0] == "dense"  # the decoder's first dense layer
+    mis_chained = tmp_path / "mis-chained.iscm"
+    write_layer_stream(mis_chained, entries[:4] + [
+        ("dense", Layer("dense", rng.normal(size=(16, 9))), "f32", None)]
+        + entries[5:])
+    with pytest.raises(CodecFormatError, match=r"\(16, 9\) does not take "
+                       "the 8 features"):
+        deserialize(mis_chained)
+    not_xyz = tmp_path / "not-xyz.iscm"
+    write_layer_stream(not_xyz, entries[:-1] + [
+        ("dense", Layer("dense", rng.normal(size=(47, 16))), "f32", None)])
+    with pytest.raises(CodecFormatError, match="output width 47 is not a "
+                       "multiple of 3"):
+        deserialize(not_xyz)
 
 
 @pytest.mark.parametrize("kind", ["relu", "tanh", "maxpool_points"])

@@ -217,36 +217,68 @@ def test_layer_gradients_match_finite_differences(case):
 
 def test_chamfer_loss_zero_on_identical():
     rng = np.random.default_rng(1)
-    p = rng.normal(size=(9, 3))
+    p = rng.normal(size=(2, 9, 3))
     loss, grad = chamfer_loss(p, p.copy())
-    assert loss == 0.0
+    np.testing.assert_array_equal(loss, [0.0, 0.0])
     np.testing.assert_array_equal(grad, np.zeros_like(p))
 
 
 def test_chamfer_loss_hand_pair():
-    loss, grad = chamfer_loss(np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]]))
-    assert loss == pytest.approx(2.0, abs=1e-12)
-    np.testing.assert_allclose(grad, [[-2.0, 0.0, 0.0]], atol=1e-12)
+    loss, grad = chamfer_loss(np.array([[[0.0, 0, 0]]]),
+                              np.array([[[1.0, 0, 0]]]))
+    assert loss.shape == (1,)
+    assert loss[0] == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(grad, [[[-2.0, 0.0, 0.0]]], atol=1e-12)
 
 
 def test_chamfer_gradient_finite_difference():
+    # samples are independent, so the gradient of the summed losses is the
+    # per-sample gradient
     rng = np.random.default_rng(2)
     for _ in range(10):
-        p = rng.normal(size=(6, 3))
-        q = rng.normal(size=(6, 3))
+        p = rng.normal(size=(3, 6, 3))
+        q = rng.normal(size=(3, 6, 3))
         _, grad = chamfer_loss(p, q)
-        fd = finite_diff(lambda x: chamfer_loss(x, q)[0], p.copy())
+        fd = finite_diff(lambda x: chamfer_loss(x, q)[0].sum(), p.copy())
         assert rel_err(grad, fd) <= 1e-4
 
 
-def test_chamfer_batched_mean():
+def scalar_chamfer(pred, target):
+    """Chamfer loss and gradient of one (n, 3) / (m, 3) pair, one point
+    set at a time: the reference for the stacked chamfer_loss."""
+    d = _pairwise_distances(pred, target)
+    n_p, n_q = pred.shape[0], target.shape[0]
+    j_star = d.argmin(axis=1)
+    i_star = d.argmin(axis=0)
+    loss = d[np.arange(n_p), j_star].mean() + d[i_star, np.arange(n_q)].mean()
+    grad = np.zeros_like(pred)
+    diff = pred - target[j_star]
+    dist = d[np.arange(n_p), j_star]
+    nz = dist > 0.0
+    grad[nz] += diff[nz] / dist[nz, None] / n_p
+    diff2 = pred[i_star] - target
+    dist2 = d[i_star, np.arange(n_q)]
+    nz2 = dist2 > 0.0
+    np.add.at(grad, i_star[nz2], diff2[nz2] / dist2[nz2, None] / n_q)
+    return loss, grad
+
+
+def test_chamfer_stack_equals_per_sample():
     rng = np.random.default_rng(3)
     p = rng.normal(size=(4, 5, 3))
-    q = rng.normal(size=(4, 5, 3))
+    q = rng.normal(size=(4, 7, 3))
+    q[1, :5] = p[1]                  # coincident points: zero distances
+    q[2, :3] = p[2, 0]               # one pred point nearest to three
+    p[3, 0], q[3, 0] = [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]
     loss, grad = chamfer_loss(p, q)
-    singles = [chamfer_loss(p[i], q[i]) for i in range(4)]
-    assert loss == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
-    np.testing.assert_allclose(grad[2], singles[2][1] / 4, atol=1e-12)
+    assert loss.shape == (4,) and grad.shape == p.shape
+    for i in range(4):
+        one_loss, one_grad = chamfer_loss(p[i:i + 1], q[i:i + 1])
+        assert loss[i] == one_loss[0]
+        np.testing.assert_array_equal(grad[i], one_grad[0])
+        want_loss, want_grad = scalar_chamfer(p[i], q[i])
+        assert loss[i] == want_loss
+        assert grad[i].tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["longer", "shorter", "empty", "single"])
@@ -291,9 +323,9 @@ def test_emd_stack_equals_per_sample_emd():
         losses, grads = emd_loss(p, q)
         assert losses.shape == (5,) and grads.shape == p.shape
         for j in range(5):
-            loss, grad = emd_loss(p[j], q[j])
-            assert isinstance(loss, float) and losses[j] == loss
-            np.testing.assert_array_equal(grads[j], grad)
+            loss, grad = emd_loss(p[j:j + 1], q[j:j + 1])
+            assert loss.shape == (1,) and losses[j] == loss[0]
+            np.testing.assert_array_equal(grads[j], grad[0])
         assert losses[1] == 0.0 and not grads[1].any()
 
 
@@ -314,16 +346,17 @@ def test_total_loss_stack_equals_per_sample(n_pred, n_target):
     losses, d_pred, d_rot = total_loss(p, q, rot, spec)
     assert losses.shape == (4,)
     for j in range(4):
-        loss, dp, dr = total_loss(p[j], q[j], rot[j], spec)
-        assert isinstance(loss, float) and losses[j] == loss
-        np.testing.assert_array_equal(d_pred[j], dp)
-        np.testing.assert_array_equal(d_rot[j], dr)
+        loss, dp, dr = total_loss(p[j:j + 1], q[j:j + 1], rot[j:j + 1], spec)
+        assert loss.shape == (1,) and losses[j] == loss[0]
+        np.testing.assert_array_equal(d_pred[j], dp[0])
+        np.testing.assert_array_equal(d_rot[j], dr[0])
 
 
 def test_emd_identical_and_crossed():
-    p = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-    assert emd_loss(p, p.copy())[0] == 0.0
-    assert emd_loss(p, p[::-1].copy())[0] == pytest.approx(0.0, abs=1e-12)
+    p = np.array([[[0.0, 0, 0], [1.0, 0, 0]]])
+    assert emd_loss(p, p.copy())[0][0] == 0.0
+    assert emd_loss(p, p[:, ::-1].copy())[0][0] == \
+        pytest.approx(0.0, abs=1e-12)
 
 
 def test_emd_matches_permutation_oracle():
@@ -335,69 +368,76 @@ def test_emd_matches_permutation_oracle():
         best = min(
             sum(np.linalg.norm(p[i] - q[pi[i]]) for i in range(n))
             for pi in itertools.permutations(range(n)))
-        assert emd_loss(p, q)[0] == pytest.approx(best, abs=1e-9)
+        assert emd_loss(p[None], q[None])[0][0] == \
+            pytest.approx(best, abs=1e-9)
 
 
 def test_emd_permutation_invariance_and_positivity():
     rng = np.random.default_rng(5)
-    p = rng.normal(size=(8, 3))
-    q = rng.normal(size=(8, 3))
-    base = emd_loss(p, q)[0]
+    p = rng.normal(size=(1, 8, 3))
+    q = rng.normal(size=(1, 8, 3))
+    base = emd_loss(p, q)[0][0]
     assert base >= 0.0
-    shuffled = emd_loss(p[rng.permutation(8)], q[rng.permutation(8)])[0]
+    shuffled = emd_loss(p[:, rng.permutation(8)],
+                        q[:, rng.permutation(8)])[0][0]
     assert shuffled == pytest.approx(base, abs=1e-9)
 
 
 def test_emd_gradient_finite_difference():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        p = rng.normal(size=(5, 3))
-        q = rng.normal(size=(5, 3))
+        p = rng.normal(size=(2, 5, 3))
+        q = rng.normal(size=(2, 5, 3))
         _, grad = emd_loss(p, q)
-        fd = finite_diff(lambda x: emd_loss(x, q)[0], p.copy())
+        fd = finite_diff(lambda x: emd_loss(x, q)[0].sum(), p.copy())
         assert rel_err(grad, fd) <= 1e-4
 
 
 def test_emd_rejects_mismatch_and_cap():
-    with pytest.raises(ValueError):
-        emd_loss(np.zeros((3, 3)), np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        emd_loss(np.zeros((EMD_CAP + 1, 3)), np.zeros((EMD_CAP + 1, 3)))
+    with pytest.raises(ValueError, match="equal-cardinality"):
+        emd_loss(np.zeros((1, 3, 3)), np.zeros((1, 4, 3)))
+    with pytest.raises(ValueError, match="equal-cardinality"):
+        emd_loss(np.zeros((2, 3, 3)), np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError, match="capped"):
+        emd_loss(np.zeros((1, EMD_CAP + 1, 3)),
+                 np.zeros((1, EMD_CAP + 1, 3)))
 
 
 def test_chamfer_bounded_by_emd():
     rng = np.random.default_rng(7)
     for _ in range(30):
         n = int(rng.integers(2, 12))
-        p = rng.normal(size=(n, 3))
-        q = rng.normal(size=(n, 3))
-        assert chamfer_loss(p, q)[0] <= emd_loss(p, q)[0] + 1e-12
+        p = rng.normal(size=(1, n, 3))
+        q = rng.normal(size=(1, n, 3))
+        assert chamfer_loss(p, q)[0][0] <= emd_loss(p, q)[0][0] + 1e-12
 
 
 def test_total_loss_pure_penalty():
     spec = LossSpec(lambda_rec=0.0)
-    p = np.zeros((2, 3))
-    loss, _, d_rot = total_loss(p, p, np.array([1.0, 2.0, 2.0]), spec)
-    assert loss == pytest.approx(9.0, abs=1e-12)
-    np.testing.assert_allclose(d_rot, [2.0, 4.0, 4.0])
+    p = np.zeros((1, 2, 3))
+    loss, _, d_rot = total_loss(p, p, np.array([[1.0, 2.0, 2.0]]), spec)
+    assert loss[0] == pytest.approx(9.0, abs=1e-12)
+    np.testing.assert_allclose(d_rot, [[2.0, 4.0, 4.0]])
 
 
 def test_total_loss_zero_rotation():
     spec = LossSpec(lambda_rec=0.7)
     rng = np.random.default_rng(8)
-    p, q = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    loss, _, _ = total_loss(p, q, np.zeros(3), spec)
-    assert loss == pytest.approx(0.7 * emd_loss(p, q)[0], abs=1e-12)
+    p, q = rng.normal(size=(1, 5, 3)), rng.normal(size=(1, 5, 3))
+    loss, _, _ = total_loss(p, q, np.zeros((1, 3)), spec)
+    assert loss[0] == pytest.approx(0.7 * emd_loss(p, q)[0][0], abs=1e-12)
 
 
 def test_total_loss_joint_gradient_finite_difference():
     spec = LossSpec(lambda_rec=1.3, rotation_penalty=0.8)
     rng = np.random.default_rng(9)
-    p, q = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    rot = rng.normal(scale=0.3, size=3)
+    p, q = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+    rot = rng.normal(scale=0.3, size=(2, 3))
     _, d_pred, d_rot = total_loss(p, q, rot, spec)
-    fd_pred = finite_diff(lambda x: total_loss(x, q, rot, spec)[0], p.copy())
-    fd_rot = finite_diff(lambda r: total_loss(p, q, r, spec)[0], rot.copy())
+    fd_pred = finite_diff(lambda x: total_loss(x, q, rot, spec)[0].sum(),
+                          p.copy())
+    fd_rot = finite_diff(lambda r: total_loss(p, q, r, spec)[0].sum(),
+                         rot.copy())
     assert rel_err(d_pred, fd_pred) <= 1e-4
     assert rel_err(d_rot, fd_rot) <= 1e-4
 
@@ -437,9 +477,10 @@ def test_adam_respects_prune_mask():
 # rotation helper
 
 def test_rotation_matrix_basics():
-    np.testing.assert_allclose(rotation_matrix(np.zeros(3)), np.eye(3))
-    r = rotation_matrix(np.array([0.0, 0.0, np.pi / 2]))
-    np.testing.assert_allclose(r @ np.array([1.0, 0, 0]), [0.0, 1.0, 0.0],
+    np.testing.assert_allclose(rotation_matrix(np.zeros((1, 3))), [np.eye(3)])
+    r = rotation_matrix(np.array([[0.0, 0.0, np.pi / 2]]))
+    assert r.shape == (1, 3, 3)
+    np.testing.assert_allclose(r[0] @ np.array([1.0, 0, 0]), [0.0, 1.0, 0.0],
                                atol=1e-12)
 
 
@@ -452,11 +493,12 @@ def test_rotate_stack_equals_per_sample():
     out, cache = rotate_points(theta, pts)
     d_theta, d_pts = rotate_points_backward(cache, d_out)
     for j in range(6):
-        one, one_cache = rotate_points(theta[j], pts[j])
-        want_theta, want_pts = rotate_points_backward(one_cache, d_out[j])
-        np.testing.assert_array_equal(out[j], one)
-        np.testing.assert_array_equal(d_theta[j], want_theta)
-        np.testing.assert_array_equal(d_pts[j], want_pts)
+        one, one_cache = rotate_points(theta[j:j + 1], pts[j:j + 1])
+        want_theta, want_pts = rotate_points_backward(one_cache,
+                                                      d_out[j:j + 1])
+        np.testing.assert_array_equal(out[j], one[0])
+        np.testing.assert_array_equal(d_theta[j], want_theta[0])
+        np.testing.assert_array_equal(d_pts[j], want_pts[0])
 
 
 def test_rotate_backward_reuses_the_cached_rotations(monkeypatch):
@@ -478,9 +520,9 @@ def test_rotate_backward_reuses_the_cached_rotations(monkeypatch):
 def test_rotation_gradient_finite_difference():
     rng = np.random.default_rng(11)
     for scale in (1e-6, 0.4, 2.0):
-        theta = rng.normal(scale=scale, size=3)
-        pts = rng.normal(size=(6, 3))
-        target = rng.normal(size=(6, 3))
+        theta = rng.normal(scale=scale, size=(1, 3))
+        pts = rng.normal(size=(1, 6, 3))
+        target = rng.normal(size=(1, 6, 3))
 
         def loss(th):
             out, _ = rotate_points(th, pts)

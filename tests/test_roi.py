@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
-    Camera, Intrinsics, PointCloud, Pose, frustum_cull, partition,
-    quat_to_matrix,
+    Camera, Intrinsics, PointCloud, Pose, frustum_cull, frustum_mask,
+    partition, quat_to_matrix,
 )
 from pcvstream import roi
 from pcvstream._util import ceil_count
@@ -293,20 +293,23 @@ def test_coarse_select_queries_only_points_changed_at_their_index(kd_calls):
 
 def test_coarse_select_on_a_static_pair_builds_no_tree(kd_calls):
     _, frame, history, intr = scene_pair(3)
-    coarse, _, _, _, flow = coarse_select_details(frame, frame, history,
-                                                  RoiConfig(), intr)
+    coarse, _, scores, _ = coarse_select_details(frame, frame, history,
+                                                 RoiConfig(), intr)
     assert len(coarse) > 0
     assert kd_calls == []
-    assert not flow.vectors.any()
+    assert not scores.any()
+    assert not estimate_flow(frame, frame).vectors.any()
+    assert kd_calls == []
 
 
 @pytest.mark.parametrize("seed, keep_by", [(0, "blocks"), (1, "points")])
 def test_coarse_select_equals_culled_kd_flow_path(seed, keep_by):
     prev, frame, history, intr = scene_pair(seed)
     cfg = RoiConfig(coarse_keep_by=keep_by)
-    coarse, grid, scores, _, flow = coarse_select_details(
+    coarse, grid, scores, _ = coarse_select_details(
         frame, prev, history, cfg, intr)
-    culled = frustum_cull(frame, Camera.at(predict_pose(history, 1)[0], intr))
+    camera = Camera(predict_pose(history, 1)[0], intr)
+    culled = frustum_cull(frame, camera)
     want_grid = partition(culled, cfg.coarse_cell_size)
     want_flow = FlowField(kd_flow(prev, culled))
     want_scores = dynamic_saliency(want_grid, want_flow)
@@ -317,9 +320,12 @@ def test_coarse_select_equals_culled_kd_flow_path(seed, keep_by):
     assert grid.ids.tobytes() == want_grid.ids.tobytes()
     assert grid.rows.tobytes() == want_grid.rows.tobytes()
     assert scores.tobytes() == want_scores.tobytes()
-    assert flow.magnitudes().tobytes() == \
+    # the whole-frame flow that the coarse stage slices to the frustum
+    flow = FlowField(
+        estimate_flow(prev, frame).vectors[frustum_mask(frame, camera)])
+    assert flow.magnitudes()[kept].tobytes() == \
         want_flow.magnitudes()[kept].tobytes()
-    np.testing.assert_array_equal(flow.vectors, want_flow.vectors[kept])
+    np.testing.assert_array_equal(flow.vectors[kept], want_flow.vectors[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +400,7 @@ def test_coarse_select_keep_all_equals_frustum():
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=1.0, coarse_cell_size=1.0)
     out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
-    cam = Camera.at(predict_pose(hist, 1)[0], intr)
+    cam = Camera(predict_pose(hist, 1)[0], intr)
     np.testing.assert_array_equal(out.points, frustum_cull(curr, cam).points)
 
 
@@ -402,8 +408,8 @@ def test_coarse_select_finds_moving_blocks():
     prev, curr = cluster_scene(moving=(2, 5, 7))
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.3, coarse_cell_size=1.0)
-    out, grid, scores, _, _ = coarse_select_details(curr, prev, hist, cfg,
-                                                    intr)
+    out, grid, scores, _ = coarse_select_details(curr, prev, hist, cfg,
+                                                 intr)
     assert len(grid.ids) == 10
     assert len(out) == 3 * 20
     xs = np.floor(out.points[:, 0] + 0.5).astype(int)
@@ -414,8 +420,8 @@ def test_coarse_select_default_block_count():
     prev, curr = cluster_scene(moving=(1,))
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_cell_size=1.0)  # default 60% keep
-    out, grid, scores, _, _ = coarse_select_details(curr, prev, hist, cfg,
-                                                    intr)
+    out, grid, scores, _ = coarse_select_details(curr, prev, hist, cfg,
+                                                 intr)
     b = len(grid.ids)
     kept_blocks = math.ceil(0.6 * b - 1e-9)
     assert len(out) == kept_blocks * 20
@@ -435,7 +441,7 @@ def test_coarse_subset_of_frustum_subset_of_frame():
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.5, coarse_cell_size=1.0)
     out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
-    cam = Camera.at(predict_pose(hist, 1)[0], intr)
+    cam = Camera(predict_pose(hist, 1)[0], intr)
     frustum = set(map(tuple, frustum_cull(curr, cam).points.tolist()))
     frame = set(map(tuple, curr.points.tolist()))
     kept = set(map(tuple, out.points.tolist()))
@@ -626,7 +632,7 @@ def test_identity_bypass_equals_frustum():
     cfg = RoiConfig(coarse_keep_fraction=1.0, r_min=1.0, r_max=1.0,
                     coarse_cell_size=1.0, fine_cell_size=0.5)
     result = select_roi(curr, prev, hist, cfg, intr, seed=0)
-    cam = Camera.at(predict_pose(hist, 1)[0], intr)
+    cam = Camera(predict_pose(hist, 1)[0], intr)
     np.testing.assert_array_equal(result.cloud.points,
                                   frustum_cull(curr, cam).points)
 
@@ -649,9 +655,8 @@ def test_select_roi_saliency_export():
     result = select_roi(curr, prev, hist, cfg, intr, seed=0)
     saliency = result.saliency
     assert saliency is not None
-    assert saliency.lambda_ == pytest.approx(0.35)
-    for scores in (saliency.centers, saliency.dynamic, saliency.viewpoint,
-                   saliency.texture, saliency.static_):
+    for scores in (saliency.centers, saliency.viewpoint, saliency.texture,
+                   saliency.static_):
         assert len(scores) == len(saliency.block_ids)
     np.testing.assert_allclose(saliency.static_,
                                saliency.viewpoint * saliency.texture)
@@ -755,7 +760,7 @@ def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
     """Both ROI stages from the scalar pieces, with a second flow pass on
     the coarse cloud; returns (ROI point indices into the culled cloud,
     culled cloud)."""
-    camera = Camera.at(predict_pose(history, 1)[0], intrinsics)
+    camera = Camera(predict_pose(history, 1)[0], intrinsics)
     culled = frustum_cull(frame, camera)
     blocks = blocks_of(partition(culled, cfg.coarse_cell_size))
     mags = estimate_flow(prev, culled).magnitudes()
@@ -799,8 +804,11 @@ def test_coarse_flow_equals_second_flow_pass():
     prev, curr = cluster_scene(moving=(2, 5, 7))
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.5, coarse_cell_size=1.0)
-    coarse, _, _, _, flow = coarse_select_details(curr, prev, hist, cfg, intr)
-    np.testing.assert_array_equal(flow.vectors,
+    coarse = coarse_select_details(curr, prev, hist, cfg, intr)[0]
+    frame_index = {p: i for i, p in enumerate(map(tuple, curr.points.tolist()))}
+    assert len(frame_index) == len(curr)  # every point is distinct
+    kept = [frame_index[p] for p in map(tuple, coarse.points.tolist())]
+    np.testing.assert_array_equal(estimate_flow(prev, curr).vectors[kept],
                                   estimate_flow(prev, coarse).vectors)
 
 

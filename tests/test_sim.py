@@ -33,6 +33,12 @@ def test_trace_presets_and_validation():
         NetworkTrace(np.array([0.0, 1.0]), np.array([5.0, -1.0]))
 
 
+def test_trace_tags_name_their_source():
+    assert NetworkTrace.constant(50.0).tag == "constant"
+    assert NetworkTrace.fluctuating(50.0, duration_s=2.0).tag == "fluctuating"
+    assert NetworkTrace(np.array([0.0]), np.array([5.0])).tag == "custom"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_trace_rejects_non_finite_values(bad):
     for times, mbps in (([0.0, bad], [5.0, 6.0]), ([0.0, 1.0], [5.0, bad])):
@@ -241,6 +247,16 @@ def test_session_roi_reduces_payload(tmp_path):
     for a, b in zip(on.records, off.records):
         assert a.roi_points <= b.input_points
         assert b.payload_bytes >= a.payload_bytes
+
+
+def test_session_over_a_constant_trace_records_its_tag(tmp_path):
+    registry = toy_registry(tmp_path, latents=(16,))
+    model_id = sorted(registry.entries)[0]
+    session = run_session(small_scene(frames=2), f"fixed:{model_id}",
+                          NetworkTrace.constant(60.0),
+                          DeviceModel.preset("device-2"), registry=registry,
+                          roi="off", seed=3)
+    assert session.config["trace"] == "constant"
 
 
 def test_session_deterministic_csv(tmp_path):
