@@ -158,6 +158,17 @@ def morton_key(cells, bits: int) -> np.ndarray:
     return key
 
 
+def morton_cells(keys, bits: int) -> np.ndarray:
+    """(N, 3) uint64 cells of Morton keys: the inverse of `morton_key`."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    cells = np.zeros((len(keys), 3), dtype=np.uint64)
+    for b in range(bits):
+        for axis in range(3):
+            cells[:, axis] |= ((keys >> np.uint64(3 * b + axis))
+                               & np.uint64(1)) << np.uint64(b)
+    return cells
+
+
 def chunk_blocks(points, n_points: int):
     """Split a cloud into spatially coherent n-point blocks.
 
@@ -364,6 +375,26 @@ def dequantize(codes, meta) -> np.ndarray:
     return np.asarray(codes, dtype=np.float64) / q + mn
 
 
+def quantize_model(model: CodecModel, m: int) -> None:
+    """Quantize every dense layer in place to m bits, weights and bias as
+    one affine tensor (`quantize_weights`), and keep the codes in
+    `model.quant_meta`."""
+    metas = []
+    for layer in model.dense_layers():
+        params = np.concatenate([layer.weights.ravel(), layer.bias])
+        codes, meta = quantize_weights(params, m)
+        meta["codes"] = codes
+        metas.append(meta)
+        restored = dequantize(codes, meta)
+        n_w = layer.weights.size
+        layer.weights = restored[:n_w].reshape(layer.weights.shape)
+        layer.bias = restored[n_w:]
+        if layer.prune_mask is not None:  # pruned zeros stay exact
+            layer.weights *= layer.prune_mask
+    model.quant_meta = metas
+    model.dtype = f"q{m}"
+
+
 # ---------------------------------------------------------------------------
 # the joint lightweight-training procedure
 
@@ -417,20 +448,7 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
                     out.zeta_applied, prune_cfg.zeta)
 
     if m != 32:
-        metas = []
-        for layer in out.dense_layers():
-            params = np.concatenate([layer.weights.ravel(), layer.bias])
-            codes, meta = quantize_weights(params, m)
-            meta["codes"] = codes
-            metas.append(meta)
-            restored = dequantize(codes, meta)
-            n_w = layer.weights.size
-            layer.weights = restored[:n_w].reshape(layer.weights.shape)
-            layer.bias = restored[n_w:]
-            if layer.prune_mask is not None:  # pruned zeros stay exact
-                layer.weights *= layer.prune_mask
-        out.quant_meta = metas
-        out.dtype = f"q{m}"
+        quantize_model(out, m)
     return out
 
 
@@ -669,11 +687,7 @@ def octree_decode(data: bytes) -> PointCloud:
         raise CodecFormatError(f"{len(data) - off} trailing bytes")
     if len(nodes) == 0:
         return PointCloud(np.empty((0, 3), np.float32))
-    cells = np.zeros((len(nodes), 3), dtype=np.float64)
-    for b in range(depth):
-        for axis in range(3):
-            cells[:, axis] += ((nodes >> np.uint64(3 * b + axis))
-                               & np.uint64(1)).astype(np.float64) * (1 << b)
+    cells = morton_cells(nodes, depth).astype(np.float64)
     centers = mn + (cells + 0.5) * (float(edge) / (1 << depth))
     return PointCloud(centers.astype(np.float32))
 

@@ -9,6 +9,9 @@ without a neighbor search, so only changed points reach the KD-tree.
 Stage two (fine): re-grid the survivors, score blocks by viewpoint
 proximity/angle times geometric-texture distinctiveness, and downsample
 each block proportionally to its normalized static saliency.
+
+The stages pass plain arrays: the flow is an (N, 3) float64 array and
+block scores are (B,) arrays in block-row order.
 """
 
 from __future__ import annotations
@@ -50,23 +53,6 @@ class PoseHistory:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class FlowField:
-    """Per-point motion vectors annotating one frame, meters/frame."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=np.float64).reshape(-1, 3)
-        if not np.isfinite(vec).all():
-            raise ValueError("flow vectors must be finite")
-        vec.flags.writeable = False
-        object.__setattr__(self, "vectors", vec)
-
-    def magnitudes(self):
-        return np.linalg.norm(self.vectors, axis=1)
-
-
 @dataclass
 class RoiConfig:
     coarse_keep_fraction: float = 0.60
@@ -89,23 +75,6 @@ class RoiConfig:
             raise ValueError("require 0 <= r_min <= r_max <= 1")
         if self.coarse_keep_by not in ("blocks", "points"):
             raise ValueError("coarse_keep_by must be 'blocks' or 'points'")
-
-
-@dataclass(frozen=True)
-class SaliencyMap:
-    """Per-block fine-stage saliency scores in block-id order."""
-
-    block_ids: np.ndarray
-    centers: np.ndarray
-    viewpoint: np.ndarray    # distance/angle descriptor
-    texture: np.ndarray      # geometric-texture distinctiveness, in [0, 1)
-    static_: np.ndarray      # viewpoint * texture
-
-    def __post_init__(self):
-        if np.any(self.texture < 0.0) or np.any(self.texture >= 1.0):
-            raise ValueError("texture scores must lie in [0, 1)")
-        if not np.allclose(self.static_, self.viewpoint * self.texture):
-            raise ValueError("static saliency must equal viewpoint * texture")
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +102,11 @@ def predict_pose(history: PoseHistory, horizon: int) -> list[Pose]:
     return poses
 
 
-def estimate_flow(prev: PointCloud, curr: PointCloud) -> FlowField:
-    """Nearest-neighbor flow: each current point minus its closest previous
-    point (the pluggable stand-in for a learned scene-flow model).
+def estimate_flow(prev: PointCloud, curr: PointCloud) -> np.ndarray:
+    """Nearest-neighbor flow, (N, 3) float64 in meters/frame: each current
+    point minus its closest previous point (the pluggable stand-in for a
+    learned scene-flow model). Both clouds hold only finite points, so the
+    flow is finite.
 
     Zero-flow rule: a current point equal in all three coordinates to the
     previous point at the same index is its own nearest neighbor (distance
@@ -153,14 +124,15 @@ def estimate_flow(prev: PointCloud, curr: PointCloud) -> FlowField:
     query = np.flatnonzero(changed)
     if len(query):
         _, idx[query] = cKDTree(p).query(c[query])
-    return FlowField(c.astype(np.float64) - p[idx].astype(np.float64))
+    return c.astype(np.float64) - p[idx].astype(np.float64)
 
 
-def dynamic_saliency(grid: BlockGrid, flow: FlowField) -> np.ndarray:
-    """Mean flow magnitude of every block row of the gridded frame, (B,)."""
-    if len(flow.vectors) != len(grid.rows):
+def dynamic_saliency(grid: BlockGrid, flow: np.ndarray) -> np.ndarray:
+    """Mean flow magnitude of every block row of the gridded frame, (B,),
+    from the (N, 3) flow of the gridded points."""
+    if len(flow) != len(grid.rows):
         raise ValueError("flow field does not annotate this grid")
-    return np.bincount(grid.rows, weights=flow.magnitudes(),
+    return np.bincount(grid.rows, weights=np.linalg.norm(flow, axis=1),
                        minlength=len(grid.ids)) / grid.counts
 
 
@@ -198,8 +170,7 @@ def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
         log.warning("frame %d: predicted frustum is empty", frame.frame_index)
         return culled, None, np.zeros(0), camera
     grid = partition(culled, cfg.coarse_cell_size)
-    flow = FlowField(estimate_flow(prev_frame, frame).vectors[inside])
-    scores = dynamic_saliency(grid, flow)
+    scores = dynamic_saliency(grid, estimate_flow(prev_frame, frame)[inside])
     keep = np.zeros(len(grid.ids), dtype=bool)
     keep[_coarse_kept_rows(grid, scores, cfg)] = True
     return culled.select(np.flatnonzero(keep[grid.rows])), grid, scores, camera
@@ -313,14 +284,11 @@ def _static_scores(grid: BlockGrid, cloud: PointCloud, viewpoint,
 def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
                         cfg: RoiConfig, seed: int):
     """Stage-two ROI: saliency-proportional per-block downsampling.
-
-    Returns (cloud, SaliencyMap).
-    """
+    Returns the downsampled cloud."""
     if len(coarse) == 0:
         raise ValueError("fine_select_details requires a non-empty coarse ROI")
     grid = partition(coarse, cfg.fine_cell_size)
-    centers, view_s, tex_s, static = _static_scores(
-        grid, coarse, viewpoint, view_direction, cfg)
+    *_, static = _static_scores(grid, coarse, viewpoint, view_direction, cfg)
 
     lo, hi = static.min(), static.max()
     if hi > lo:
@@ -334,8 +302,7 @@ def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
     indices = np.sort(np.concatenate([
         rng.choice(grid.indices(i), size=take, replace=False)
         for i, take in enumerate(takes)]))
-    saliency = SaliencyMap(grid.ids, centers, view_s, tex_s, static)
-    return coarse.select(indices), saliency
+    return coarse.select(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +311,7 @@ def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
 @dataclass(frozen=True)
 class RoiResult:
     cloud: PointCloud
-    saliency: SaliencyMap | None
-    camera: Camera
-    frustum_points: int
+    frustum_points: int  # points inside the predicted frustum
 
 
 def select_roi(frame: PointCloud, prev_frame: PointCloud,
@@ -356,7 +321,7 @@ def select_roi(frame: PointCloud, prev_frame: PointCloud,
     coarse, grid, _, camera = coarse_select_details(
         frame, prev_frame, history, cfg, camera_intrinsics)
     if grid is None:  # empty frustum
-        return RoiResult(coarse, None, camera, 0)
-    cloud, saliency = fine_select_details(
-        coarse, camera.pose.position, camera.pose.forward(), cfg, seed)
-    return RoiResult(cloud, saliency, camera, len(grid.rows))
+        return RoiResult(coarse, 0)
+    cloud = fine_select_details(coarse, camera.pose.position,
+                                camera.pose.forward(), cfg, seed)
+    return RoiResult(cloud, len(grid.rows))

@@ -6,6 +6,10 @@ over the model set and the critic head a scalar state value. Training is
 advantage actor-critic with entropy regularization; workers roll out
 private episodes and apply gradient batches to the global parameters one
 at a time (staleness at most one application).
+
+A state is a read-only (3k,) float64 vector: the k-frame windows of ROI
+share n, compute c and bandwidth b back to back, each value in [0, 1]
+(`build_state`, `state_slot`).
 """
 
 from __future__ import annotations
@@ -36,41 +40,6 @@ PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # default action space: three latent sizes times two bit widths
 DEFAULT_ACTIONS = ("4x4-q8", "4x4-q16", "8x8-q8", "8x8-q16",
                    "16x16-q8", "16x16-q16")
-
-
-@dataclass(frozen=True)
-class SchedulerState:
-    """Normalized k-frame windows: ROI significance, compute, bandwidth.
-
-    The windows are read-only rows of one (3, k) array.
-    """
-
-    n_hist: np.ndarray
-    c_hist: np.ndarray
-    b_hist: np.ndarray
-    _hist: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k = len(self.n_hist)
-        if len(self.c_hist) != k or len(self.b_hist) != k:
-            raise ValueError("history windows must share one length")
-        hist = np.array([self.n_hist, self.c_hist, self.b_hist],
-                        dtype=np.float64)
-        if not np.isfinite(hist).all():
-            raise ValueError("history values must be finite")
-        np.clip(hist, 0.0, 1.0, out=hist)
-        hist.flags.writeable = False
-        object.__setattr__(self, "_hist", hist)
-        for name, row in zip(("n_hist", "c_hist", "b_hist"), hist):
-            object.__setattr__(self, name, row)
-
-    @property
-    def k(self):
-        return len(self.n_hist)
-
-    def vector(self):
-        """The (3k,) trunk input: n, c and b windows back to back."""
-        return self._hist.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -110,32 +79,34 @@ def state_slot(input_points: int, roi_points: int, decode_s: float,
                bandwidth_mbps: float) -> tuple[float, float, float]:
     """(n, c, b) state values of one frame: the ROI share of the input
     points, decode speed against T_REF, and bandwidth against B_REF, each
-    capped at 1. A NaN input stays NaN (`min` returns its first argument
-    when the comparison fails), for SchedulerState to reject."""
-    n = roi_points / max(1, input_points)
-    c = 1.0 if decode_s <= 0 else min(T_REF / decode_s, 1.0)
-    return n, c, min(bandwidth_mbps / B_REF, 1.0)
+    clipped to [0, 1]. Raises ValueError when a value is not finite; a NaN
+    input stays NaN up to that check (`min` returns its first argument when
+    the comparison fails)."""
+    slot = (roi_points / max(1, input_points),
+            1.0 if decode_s <= 0 else min(T_REF / decode_s, 1.0),
+            min(bandwidth_mbps / B_REF, 1.0))
+    if not all(map(math.isfinite, slot)):
+        raise ValueError("history values must be finite")
+    return tuple(min(max(v, 0.0), 1.0) for v in slot)
 
 
-def build_state(records, k: int = DEFAULT_WINDOW) -> SchedulerState:
-    """State from the tail of per-frame records.
+def build_state(records, k: int = DEFAULT_WINDOW) -> np.ndarray:
+    """State of the last k per-frame records: a read-only (3k,) float64
+    vector holding the n, c and b windows back to back, oldest frame first.
 
-    Records need attributes/keys input_points, roi_points, decode_s, and
+    Records need attributes input_points, roi_points, decode_s and
     bandwidth_mbps; frames before warm-up are padded with 0.5.
     """
     if k < 1:
         raise ValueError("k must be positive")
-
-    def get(rec, name):
-        return rec[name] if isinstance(rec, dict) else getattr(rec, name)
-
     tail = list(records)[-k:]
     hist = np.full((3, k), NEUTRAL_FILL)
     for i, rec in enumerate(tail):
         hist[:, k - len(tail) + i] = state_slot(
-            get(rec, "input_points"), get(rec, "roi_points"),
-            get(rec, "decode_s"), get(rec, "bandwidth_mbps"))
-    return SchedulerState(*hist)
+            rec.input_points, rec.roi_points, rec.decode_s,
+            rec.bandwidth_mbps)
+    hist.flags.writeable = False
+    return hist.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +200,11 @@ def sample_index(probs, rng: np.random.Generator) -> int:
     return bisect_right([c / total for c in cdf], rng.random())
 
 
-def select_action(policy: ActorCritic, state: SchedulerState) -> int:
+def select_action(policy: ActorCritic, state: np.ndarray) -> int:
     """The greedy action: the argmax of the policy, lowest index on ties.
     Raises NumericsError on non-finite probabilities instead of falling
     back to action 0. Training samples with `sample_index` instead."""
-    probs, _ = policy.policy(state.vector())
+    probs, _ = policy.policy(state)
     if not np.isfinite(probs).all():
         raise NumericsError("non-finite action probabilities")
     return int(np.argmax(probs))
@@ -279,7 +250,7 @@ def a3c_gradients(net: ActorCritic, trajectory, gamma: float,
         raise ValueError("empty trajectory")
     states, actions, rewards = zip(*trajectory)
     returns = discounted_returns(np.asarray(rewards, dtype=np.float64), gamma)
-    x = np.stack([state.vector() for state in states])       # (T, 3k)
+    x = np.stack(states)                                     # (T, 3k)
     probs, values, h = net.forward(x)       # (T, |A|), (T,), (T, H)
     adv = returns - values
     slope = 1.0 - h ** 2                                     # tanh'
@@ -332,18 +303,18 @@ def train_scheduler(env_factory, workers: int = 1,
     """Train the scheduler on environments from env_factory(worker_index).
 
     Environments implement reset(rng) -> state and step(action) ->
-    (state, reward, done). One epoch rolls one episode per worker; each
-    worker acts on a parameter snapshot and its gradient batch is applied
-    to the global net serially, so a single-worker run is exactly
-    sequential and bit-reproducible for a fixed seed. The entropy bonus
-    decays linearly to zero over the epochs; gradient batches are clipped
-    to global norm CLIP_NORM, which keeps plain-SGD steps of DEFAULT_LR
-    stable.
+    (state, reward, done), each state a (3k,) vector. One epoch rolls one
+    episode per worker; each worker acts on a parameter snapshot and its
+    gradient batch is applied to the global net serially, so a
+    single-worker run is exactly sequential and bit-reproducible for a
+    fixed seed. The entropy bonus decays linearly to zero over the epochs;
+    gradient batches are clipped to global norm CLIP_NORM, which keeps
+    plain-SGD steps of DEFAULT_LR stable.
     """
     envs = [env_factory(w) for w in range(workers)]
     rngs = [np.random.default_rng(seed + 17 * w) for w in range(workers)]
     probe = envs[0].reset(np.random.default_rng(seed))
-    net = ActorCritic.create(probe.k, hidden, actions, seed)
+    net = ActorCritic.create(len(probe) // 3, hidden, actions, seed)
     means = np.empty(epochs)
     ents = np.empty(epochs)
     for epoch in range(epochs):
@@ -358,7 +329,7 @@ def train_scheduler(env_factory, workers: int = 1,
             episode_probs = []
             done = False
             while not done:
-                probs, _ = snapshot.policy(state.vector())
+                probs, _ = snapshot.policy(state)
                 episode_probs.append(probs)
                 action = sample_index(probs, rngs[w])
                 nxt, rew, done = env.step(action)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .codec import (
 )
 from .roi import PoseHistory, RoiConfig, select_roi
 from .scheduler import (
-    NEUTRAL_FILL, ActorCritic, RewardSpec, SchedulerState, build_state,
+    NEUTRAL_FILL, ActorCritic, RewardSpec, build_state,
     normalized_accuracy, reward, select_action, state_slot,
 )
 
@@ -351,9 +351,7 @@ class FrameRecord:
     latency_s: float
 
 
-CSV_COLUMNS = ["frame_idx", "input_points", "roi_points", "payload_bytes",
-               "encode_s", "transmit_s", "decode_s", "cd", "hd", "model_id",
-               "bandwidth_mbps", "fps", "latency_s"]
+CSV_COLUMNS = [f.name for f in fields(FrameRecord)]
 
 
 @dataclass
@@ -535,7 +533,10 @@ class StreamingSchedulerEnv:
     geometry, so episodes are cheap. Each episode draws a fresh seeded
     trace around the configured mean and a fresh ROI-size profile. The
     state window is a (3, k) array shifted one frame per step, each new
-    frame scored by `state_slot` as `build_state` does.
+    frame scored by `state_slot` as `build_state` does. `reset` and `step`
+    return a read-only copy of the flattened window, the (3k,) vector
+    `build_state` returns, so a returned state keeps its values while the
+    window shifts.
     """
 
     def __init__(self, registry: ModelRegistry, device: DeviceModel,
@@ -560,7 +561,12 @@ class StreamingSchedulerEnv:
         return max(1, int(self._rng.normal(ENV_BLOCKS_MEAN,
                                            0.15 * ENV_BLOCKS_MEAN)))
 
-    def reset(self, rng) -> SchedulerState:
+    def _state(self) -> np.ndarray:
+        state = self._hist.reshape(-1).copy()
+        state.flags.writeable = False
+        return state
+
+    def reset(self, rng) -> np.ndarray:
         self._rng = rng
         self._trace = NetworkTrace.fluctuating(
             self.mean_bw, duration_s=(self.episode_len + 2) / 8.0,
@@ -568,7 +574,7 @@ class StreamingSchedulerEnv:
         self._hist.fill(NEUTRAL_FILL)
         self._t = 0.0
         self._left = self.episode_len
-        return SchedulerState(*self._hist)
+        return self._state()
 
     def step(self, action: int):
         entry = self.entries[action]
@@ -581,5 +587,5 @@ class StreamingSchedulerEnv:
         self._hist[:, -1] = state_slot(blocks, blocks, decode_s, bandwidth)
         self._t += max(transmit_s, 1.0 / self.spec.f_target)
         self._left -= 1
-        return (SchedulerState(*self._hist),
-                reward(fps, entry.model_id, self.spec), self._left <= 0)
+        return (self._state(), reward(fps, entry.model_id, self.spec),
+                self._left <= 0)

@@ -11,9 +11,10 @@ from pcvstream.codec import (
     BLOCK_ORDER_BITS, ENCODE_CHUNK_BLOCKS, CodecFormatError, CodecModel,
     PruneConfig, chunk_blocks, decode, denormalize_block, dequantize,
     deserialize, encode, lightweight_train, make_codec_model, mean_chamfer,
-    mean_reconstruction_loss, morton_key, normalize_block, octree_decode,
-    octree_encode, prune_layer, prune_model, prune_threshold,
-    quantize_weights, serialize, toy_block_dataset, train, write_layer_stream,
+    mean_reconstruction_loss, morton_cells, morton_key, normalize_block,
+    octree_decode, octree_encode, prune_layer, prune_model, prune_threshold,
+    quantize_model, quantize_weights, serialize, toy_block_dataset, train,
+    write_layer_stream,
 )
 from pcvstream.nn import (
     Layer, LossSpec, chamfer_loss, emd_loss, rotate_points, rotation_matrix,
@@ -220,6 +221,19 @@ def test_morton_key_interleaves_axis_bits():
     # bit b of axis a lands at key bit 3*b + a
     assert morton_key(cells, 2).tolist() == [1, 2, 4, 7, 8, 1 + 8 + 4 + 16]
     assert morton_key(cells, 1).tolist() == [1, 2, 4, 7, 0, 1 + 4]
+
+
+@pytest.mark.parametrize("bits", [1, 10, 16, 21])
+def test_morton_cells_inverts_morton_key(bits):
+    top = (1 << bits) - 1
+    rng = np.random.default_rng(bits)
+    cells = np.concatenate([
+        rng.integers(0, top, size=(500, 3), endpoint=True),
+        [[0, 0, 0], [top, top, top], [top, 0, 0], [0, top, 0], [0, 0, top]],
+    ]).astype(np.uint64)
+    back = morton_cells(morton_key(cells, bits), bits)
+    assert back.dtype == np.uint64
+    np.testing.assert_array_equal(back, cells)
 
 
 def per_block_chunk_blocks(points, n_points):
@@ -587,6 +601,26 @@ def test_lightweight_sparsity_reached():
     assert out.zeta_applied == pytest.approx(0.5)
     for frac in out.zero_fractions():
         assert frac >= 0.5
+
+
+def test_lightweight_train_quantizes_with_quantize_model():
+    """m = 8 ends with quantize_model on the pruned model that m = 32
+    returns, and the pruned weights stay exactly zero."""
+    data = toy_block_dataset(10, 16, seed=6)
+    model = tiny_model(seed=22)
+    train(model, data, epochs=3, lr=0.01, seed=0)
+    cfg = PruneConfig(zeta=0.5, rounds=2, finetune_epochs=1)
+    q8 = lightweight_train(model, data, cfg, m=8, lr=0.002, seed=0)
+    want = lightweight_train(model, data, cfg, m=32, lr=0.002, seed=0)
+    quantize_model(want, 8)
+    assert q8.dtype == want.dtype == "q8"
+    assert len(q8.quant_meta) == len(q8.dense_layers())
+    for got, exp in zip(q8.dense_layers(), want.dense_layers()):
+        np.testing.assert_array_equal(got.weights, exp.weights)
+        np.testing.assert_array_equal(got.bias, exp.bias)
+        assert not got.weights[got.prune_mask == 0].any()
+    for got, exp in zip(q8.quant_meta, want.quant_meta):
+        np.testing.assert_array_equal(got["codes"], exp["codes"])
 
 
 def test_lightweight_stalls_when_threshold_unreachable():

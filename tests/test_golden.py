@@ -43,27 +43,12 @@ SESSIONS = (  # (policy, roi)
 )
 
 
-def _quantize(model, bits):
-    metas = []
-    for layer in model.dense_layers():
-        params = np.concatenate([layer.weights.ravel(), layer.bias])
-        codes, meta = codec.quantize_weights(params, bits)
-        meta["codes"] = codes
-        restored = codec.dequantize(codes, meta)
-        n_weights = layer.weights.size
-        layer.weights = restored[:n_weights].reshape(layer.weights.shape)
-        layer.bias = restored[n_weights:]
-        metas.append(meta)
-    model.quant_meta = metas
-    model.dtype = f"q{bits}"
-
-
 def build_registry(root: Path) -> sim.ModelRegistry:
     """Seeded, untrained models with pinned costs, saved and reloaded."""
     registry = sim.ModelRegistry(root)
     for model_id, (latent, bits, enc_s, dec_s, test_cd) in REGISTRY.items():
         model = codec.make_codec_model(latent, seed=latent)
-        _quantize(model, bits)
+        codec.quantize_model(model, bits)
         codec.serialize(model, root / f"{model_id}.iscm")
         registry.add(sim.RegistryEntry(model_id, f"{model_id}.iscm", latent,
                                        bits, enc_s, dec_s, test_cd))
@@ -101,10 +86,10 @@ def record(root: Path) -> dict:
     env = sim.StreamingSchedulerEnv(registry, device, mean_bandwidth_mbps=2.0,
                                     episode_len=6)
     state = env.reset(np.random.default_rng(SEED))
-    steps = [[state.vector().tolist(), None, False]]
+    steps = [[state.tolist(), None, False]]
     for i in range(env.episode_len):
         state, rew, done = env.step(i % len(env.actions))
-        steps.append([state.vector().tolist(), rew, done])
+        steps.append([state.tolist(), rew, done])
     out["env_rollout"] = steps
 
     rng = np.random.default_rng(SEED)

@@ -11,7 +11,7 @@ from pcvstream.cloud import (
 from pcvstream import roi
 from pcvstream._util import ceil_count
 from pcvstream.roi import (
-    CHI2_EPS, TEXTURE_BINS, FlowField, PoseHistory, RoiConfig,
+    CHI2_EPS, TEXTURE_BINS, PoseHistory, RoiConfig,
     _coarse_kept_rows, _feature_matrix, _neighbor_rows, _static_scores,
     _viewpoint_scores, coarse_select_details, dynamic_saliency, estimate_flow,
     fine_select_details, predict_pose, select_roi, texture_descriptor,
@@ -166,7 +166,8 @@ def test_flow_static_scene():
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.random((30, 3)).astype(np.float32))
     flow = estimate_flow(cloud, cloud)
-    np.testing.assert_array_equal(flow.vectors, np.zeros((30, 3)))
+    assert flow.dtype == np.float64
+    np.testing.assert_array_equal(flow, np.zeros((30, 3)))
 
 
 def test_flow_rigid_translation():
@@ -174,8 +175,7 @@ def test_flow_rigid_translation():
     curr = PointCloud(pts)
     prev = PointCloud(pts - np.array([0.1, 0, 0], np.float32))
     flow = estimate_flow(prev, curr)
-    np.testing.assert_allclose(flow.vectors, np.tile([0.1, 0, 0], (3, 1)),
-                               atol=1e-6)
+    np.testing.assert_allclose(flow, np.tile([0.1, 0, 0], (3, 1)), atol=1e-6)
 
 
 def test_flow_recovers_known_shift():
@@ -186,12 +186,7 @@ def test_flow_recovers_known_shift():
     pts = pts.astype(np.float32)
     shift = np.array([0.01, 0.0, 0.0], np.float32)
     flow = estimate_flow(PointCloud(pts), PointCloud(pts + shift))
-    np.testing.assert_allclose(flow.vectors, np.tile(shift, (50, 1)), atol=1e-5)
-
-
-def test_flow_field_count_validation():
-    with pytest.raises(ValueError):
-        FlowField(np.array([[np.nan, 0, 0]]))
+    np.testing.assert_allclose(flow, np.tile(shift, (50, 1)), atol=1e-5)
 
 
 def kd_flow(prev, curr):
@@ -203,9 +198,10 @@ def kd_flow(prev, curr):
 
 def assert_flow_equals_kd_flow(prev, curr):
     flow, want = estimate_flow(prev, curr), kd_flow(prev, curr)
-    assert flow.magnitudes().tobytes() == \
+    assert flow.shape == want.shape and flow.dtype == np.float64
+    assert np.linalg.norm(flow, axis=1).tobytes() == \
         np.linalg.norm(want, axis=1).tobytes()
-    np.testing.assert_array_equal(flow.vectors, want)  # -0.0 == 0.0
+    np.testing.assert_array_equal(flow, want)  # -0.0 == 0.0
     return flow
 
 
@@ -252,7 +248,7 @@ def flow_case(name):
 def test_flow_edge_cases_equal_kd_flow(name):
     flow = assert_flow_equals_kd_flow(*flow_case(name))
     if name in ("every row unchanged", "equal at another index"):
-        assert not flow.vectors.any()
+        assert not flow.any()
 
 
 @pytest.fixture
@@ -298,7 +294,7 @@ def test_coarse_select_on_a_static_pair_builds_no_tree(kd_calls):
     assert len(coarse) > 0
     assert kd_calls == []
     assert not scores.any()
-    assert not estimate_flow(frame, frame).vectors.any()
+    assert not estimate_flow(frame, frame).any()
     assert kd_calls == []
 
 
@@ -311,7 +307,7 @@ def test_coarse_select_equals_culled_kd_flow_path(seed, keep_by):
     camera = Camera(predict_pose(history, 1)[0], intr)
     culled = frustum_cull(frame, camera)
     want_grid = partition(culled, cfg.coarse_cell_size)
-    want_flow = FlowField(kd_flow(prev, culled))
+    want_flow = kd_flow(prev, culled)
     want_scores = dynamic_saliency(want_grid, want_flow)
     keep = np.zeros(len(want_grid.ids), dtype=bool)
     keep[_coarse_kept_rows(want_grid, want_scores, cfg)] = True
@@ -321,11 +317,10 @@ def test_coarse_select_equals_culled_kd_flow_path(seed, keep_by):
     assert grid.rows.tobytes() == want_grid.rows.tobytes()
     assert scores.tobytes() == want_scores.tobytes()
     # the whole-frame flow that the coarse stage slices to the frustum
-    flow = FlowField(
-        estimate_flow(prev, frame).vectors[frustum_mask(frame, camera)])
-    assert flow.magnitudes()[kept].tobytes() == \
-        want_flow.magnitudes()[kept].tobytes()
-    np.testing.assert_array_equal(flow.vectors[kept], want_flow.vectors[kept])
+    flow = estimate_flow(prev, frame)[frustum_mask(frame, camera)]
+    assert np.linalg.norm(flow[kept], axis=1).tobytes() == \
+        np.linalg.norm(want_flow[kept], axis=1).tobytes()
+    np.testing.assert_array_equal(flow[kept], want_flow[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +329,24 @@ def test_coarse_select_equals_culled_kd_flow_path(seed, keep_by):
 def test_dynamic_saliency_zero_flow():
     cloud = PointCloud(np.random.default_rng(2).random((40, 3)).astype(np.float32))
     grid = partition(cloud, 0.5)
-    scores = dynamic_saliency(grid, FlowField(np.zeros((40, 3))))
+    scores = dynamic_saliency(grid, np.zeros((40, 3)))
     assert scores.shape == grid.ids.shape
     assert all(v == 0.0 for v in scores)
+
+
+def test_dynamic_saliency_rejects_a_flow_of_another_size():
+    cloud = PointCloud(np.random.default_rng(2).random((40, 3)).astype(np.float32))
+    grid = partition(cloud, 0.5)
+    for rows in (39, 41):
+        with pytest.raises(ValueError, match="does not annotate this grid"):
+            dynamic_saliency(grid, np.zeros((rows, 3)))
 
 
 def test_dynamic_saliency_constant_block():
     cloud = PointCloud([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
     grid = partition(cloud, 1.0)
     vecs = np.tile([0.2, 0.0, 0.0], (2, 1))
-    scores = dynamic_saliency(grid, FlowField(vecs))
+    scores = dynamic_saliency(grid, vecs)
     assert scores.tolist() == [pytest.approx(0.2)]
 
 
@@ -352,7 +355,7 @@ def test_dynamic_saliency_matches_direct_summation():
     cloud = PointCloud((rng.random((200, 3)) * 3).astype(np.float32))
     grid = partition(cloud, 0.8)
     vecs = rng.normal(size=(200, 3))
-    scores = dynamic_saliency(grid, FlowField(vecs))
+    scores = dynamic_saliency(grid, vecs)
     assert len(scores) == len(grid.ids)
     for row, idx in enumerate(blocks_of(grid).values()):
         expect = np.mean([np.sqrt((vecs[i] ** 2).sum()) for i in idx])
@@ -364,8 +367,8 @@ def test_dynamic_saliency_ranking_scale_invariant():
     cloud = PointCloud((rng.random((300, 3)) * 4).astype(np.float32))
     grid = partition(cloud, 1.0)
     vecs = rng.normal(size=(300, 3))
-    s1 = dynamic_saliency(grid, FlowField(vecs))
-    s2 = dynamic_saliency(grid, FlowField(vecs * 3.7))
+    s1 = dynamic_saliency(grid, vecs)
+    s2 = dynamic_saliency(grid, vecs * 3.7)
     rank = lambda s: sorted(range(len(s)), key=lambda i: (-s[i], i))
     assert rank(s1) == rank(s2)
 
@@ -577,21 +580,24 @@ def test_fine_select_constant_saliency_keeps_r_max():
     rng = np.random.default_rng(7)
     cloud = PointCloud(rng.random((30, 3)).astype(np.float32))
     cfg = RoiConfig(fine_cell_size=10.0, r_min=0.2, r_max=0.8)  # single block
-    out, _ = fine_select_details(cloud, [0, 0, -5.0], [0, 0, 1.0], cfg, seed=1)
+    out = fine_select_details(cloud, [0, 0, -5.0], [0, 0, 1.0], cfg, seed=1)
     assert len(out) == math.ceil(0.8 * 30 - 1e-9)
 
 
 def test_fine_select_two_blocks_extreme_ratios():
     cloud = two_cluster_cloud()
     cfg = RoiConfig(fine_cell_size=5.0, r_min=0.2, r_max=1.0, R=1)
-    out, sal = fine_select_details(cloud, [2.5, 2.5, -10.0], [0, 0, 1.0], cfg,
-                                   seed=3)
-    assert len(sal.block_ids) == 2
+    viewpoint, direction = [2.5, 2.5, -10.0], [0, 0, 1.0]
+    out = fine_select_details(cloud, viewpoint, direction, cfg, seed=3)
+    grid = partition(cloud, cfg.fine_cell_size)
+    _, _, texture, static = _static_scores(grid, cloud, viewpoint, direction,
+                                           cfg)
+    assert len(grid.ids) == 2
     # same texture both ways (single mutual neighbor), so the nearer
     # on-axis block carries the larger static score
-    assert sal.texture[0] == pytest.approx(sal.texture[1], abs=1e-12)
-    assert sal.texture[0] > 0.0
-    assert sal.static_[0] > sal.static_[1]
+    assert texture[0] == pytest.approx(texture[1], abs=1e-12)
+    assert texture[0] > 0.0
+    assert static[0] > static[1]
     near_kept = int((out.points[:, 2] < 20).sum())
     far_kept = len(out) - near_kept
     assert near_kept == 10    # ceil(r_max * 10)
@@ -602,13 +608,15 @@ def test_fine_select_cardinality_oracle():
     rng = np.random.default_rng(8)
     cloud = PointCloud((rng.random((400, 3)) * 3).astype(np.float32))
     cfg = RoiConfig(fine_cell_size=0.75, r_min=0.3, r_max=0.9)
-    out, sal = fine_select_details(cloud, [1.5, 1.5, -4.0], [0, 0, 1.0], cfg,
-                                   seed=5)
-    blocks = blocks_of(partition(cloud, cfg.fine_cell_size))
-    lo, hi = sal.static_.min(), sal.static_.max()
-    norm = (sal.static_ - lo) / (hi - lo) if hi > lo else np.ones_like(sal.static_)
+    viewpoint, direction = [1.5, 1.5, -4.0], [0, 0, 1.0]
+    out = fine_select_details(cloud, viewpoint, direction, cfg, seed=5)
+    grid = partition(cloud, cfg.fine_cell_size)
+    blocks = blocks_of(grid)
+    static = _static_scores(grid, cloud, viewpoint, direction, cfg)[3]
+    lo, hi = static.min(), static.max()
+    norm = (static - lo) / (hi - lo) if hi > lo else np.ones_like(static)
     expect = 0
-    for i, bid in enumerate(sal.block_ids):
+    for i, bid in enumerate(grid.ids):
         r = cfg.r_min + (cfg.r_max - cfg.r_min) * norm[i]
         assert cfg.r_min - 1e-12 <= r <= cfg.r_max + 1e-12
         expect += math.ceil(r * len(blocks[int(bid)]) - 1e-9)
@@ -618,8 +626,8 @@ def test_fine_select_cardinality_oracle():
 def test_fine_select_deterministic():
     cloud = two_cluster_cloud()
     cfg = RoiConfig(fine_cell_size=5.0, r_min=0.5, r_max=0.9, R=1)
-    a, _ = fine_select_details(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
-    b, _ = fine_select_details(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
+    a = fine_select_details(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
+    b = fine_select_details(cloud, [0, 0, 0], [0, 0, 1.0], cfg, seed=9)
     np.testing.assert_array_equal(a.points, b.points)
 
 
@@ -648,18 +656,22 @@ def test_select_roi_rejects_a_coarse_stage_that_keeps_nothing(keep_by):
         select_roi(curr, prev, hist, cfg, intr, seed=0)
 
 
-def test_select_roi_saliency_export():
-    prev, curr = cluster_scene()
-    hist, intr = wide_camera_history()
-    cfg = RoiConfig(coarse_cell_size=1.0, fine_cell_size=1.0)
-    result = select_roi(curr, prev, hist, cfg, intr, seed=0)
-    saliency = result.saliency
-    assert saliency is not None
-    for scores in (saliency.centers, saliency.viewpoint, saliency.texture,
-                   saliency.static_):
-        assert len(scores) == len(saliency.block_ids)
-    np.testing.assert_allclose(saliency.static_,
-                               saliency.viewpoint * saliency.texture)
+def test_fine_scores_on_the_coarse_roi():
+    """The fine-stage scores select_roi ranks by: one row per fine block of
+    the coarse ROI, texture in [0, 1), static = viewpoint * texture."""
+    prev, frame, history, intr = scene_pair(0)
+    cfg = RoiConfig()
+    result = select_roi(frame, prev, history, cfg, intr, seed=0)
+    coarse = coarse_select_details(frame, prev, history, cfg, intr)[0]
+    pose = predict_pose(history, 1)[0]
+    grid = partition(coarse, cfg.fine_cell_size)
+    scores = _static_scores(grid, coarse, pose.position, pose.forward(), cfg)
+    for row in scores:
+        assert len(row) == len(grid.ids) > 1
+    _, viewpoint, texture, static = scores
+    assert ((0.0 <= texture) & (texture < 1.0)).all() and texture.any()
+    np.testing.assert_allclose(static, viewpoint * texture)
+    assert 0 < len(result.cloud) < len(coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +775,7 @@ def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
     camera = Camera(predict_pose(history, 1)[0], intrinsics)
     culled = frustum_cull(frame, camera)
     blocks = blocks_of(partition(culled, cfg.coarse_cell_size))
-    mags = estimate_flow(prev, culled).magnitudes()
+    mags = np.linalg.norm(estimate_flow(prev, culled), axis=1)
     scores = {b: float(mags[idx].mean()) for b, idx in blocks.items()}
     kept = coarse_kept_ids(blocks, scores, cfg)
     coarse_idx = np.sort(np.concatenate([blocks[b] for b in kept]))
@@ -808,8 +820,8 @@ def test_coarse_flow_equals_second_flow_pass():
     frame_index = {p: i for i, p in enumerate(map(tuple, curr.points.tolist()))}
     assert len(frame_index) == len(curr)  # every point is distinct
     kept = [frame_index[p] for p in map(tuple, coarse.points.tolist())]
-    np.testing.assert_array_equal(estimate_flow(prev, curr).vectors[kept],
-                                  estimate_flow(prev, coarse).vectors)
+    np.testing.assert_array_equal(estimate_flow(prev, curr)[kept],
+                                  estimate_flow(prev, coarse))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,27 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pcvstream.nn import NumericsError
 from pcvstream.scheduler import (
-    DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, SchedulerState,
-    a3c_gradients, build_state, discounted_returns, entropy,
-    normalized_accuracy, reward, sample_index, select_action, train_scheduler,
+    DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, a3c_gradients,
+    build_state, discounted_returns, entropy, normalized_accuracy, reward,
+    sample_index, select_action, state_slot, train_scheduler,
 )
 
 
 def state_of(n=0.5, c=0.5, b=0.5, k=4):
-    return SchedulerState(np.full(k, n), np.full(k, c), np.full(k, b))
+    """(3k,) state with constant n, c and b windows."""
+    return np.repeat([n, c, b], k)
+
+
+def record(input_points=10, roi_points=5, decode_s=0.01,
+           bandwidth_mbps=20.0):
+    """A frame record with the fields build_state reads."""
+    return SimpleNamespace(input_points=input_points, roi_points=roi_points,
+                           decode_s=decode_s, bandwidth_mbps=bandwidth_mbps)
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +63,13 @@ class TwoContextBanditEnv:
     def _state(self):
         b = 0.75 if self._context == "high" else 0.25
         jitter = self._rng.uniform(-self.noise, self.noise, size=self.k)
-        return SchedulerState(np.full(self.k, NEUTRAL_FILL),
-                              np.full(self.k, NEUTRAL_FILL),
-                              np.clip(b + jitter, 0.0, 1.0))
+        return np.concatenate([np.full(2 * self.k, NEUTRAL_FILL),
+                               np.clip(b + jitter, 0.0, 1.0)])
 
     def _draw(self):
         self._context = "high" if self._rng.random() < 0.5 else "low"
 
-    def reset(self, rng) -> SchedulerState:
+    def reset(self, rng) -> np.ndarray:
         self._rng = rng
         self._left = self.steps
         self._draw()
@@ -92,66 +100,83 @@ class TwoContextBanditEnv:
 
 def test_build_state_warmup_all_neutral():
     state = build_state([], k=8)
-    np.testing.assert_array_equal(state.vector(), np.full(24, 0.5))
+    np.testing.assert_array_equal(state, np.full(24, 0.5))
+
+
+def test_build_state_is_a_read_only_float_vector():
+    state = build_state([record()] * 3, k=4)
+    assert state.shape == (12,) and state.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        state[0] = 0.0
 
 
 def test_build_state_constant_session():
-    rec = {"input_points": 1000, "roi_points": 400, "decode_s": 1 / 60,
-           "bandwidth_mbps": 50.0}
+    rec = record(1000, 400, 1 / 60, 50.0)
     state = build_state([rec] * 12, k=8)
-    np.testing.assert_allclose(state.n_hist, np.full(8, 0.4))
-    np.testing.assert_allclose(state.c_hist, np.full(8, 1.0))  # fast decode
-    np.testing.assert_allclose(state.b_hist, np.full(8, 0.5))
+    n_hist, c_hist, b_hist = state.reshape(3, 8)
+    np.testing.assert_allclose(n_hist, np.full(8, 0.4))
+    np.testing.assert_allclose(c_hist, np.full(8, 1.0))  # fast decode
+    np.testing.assert_allclose(b_hist, np.full(8, 0.5))
 
 
 def test_build_state_hand_log():
-    records = [
-        {"input_points": 1000, "roi_points": 100 * (i + 1),
-         "decode_s": 0.1 / (i + 1), "bandwidth_mbps": 20.0 * (i + 1)}
-        for i in range(8)
-    ]
-    state = build_state(records, k=8)
+    records = [record(1000, 100 * (i + 1), 0.1 / (i + 1), 20.0 * (i + 1))
+               for i in range(8)]
+    n_hist, c_hist, b_hist = build_state(records, k=8).reshape(3, 8)
     # spreadsheet recomputation of the same normalizations
     expect_n = [(i + 1) * 0.1 for i in range(8)]
     expect_c = [min(1.0, (1 / 30) / (0.1 / (i + 1))) for i in range(8)]
     expect_b = [min(1.0, 20.0 * (i + 1) / 100.0) for i in range(8)]
-    np.testing.assert_allclose(state.n_hist, expect_n)
-    np.testing.assert_allclose(state.c_hist, expect_c)
-    np.testing.assert_allclose(state.b_hist, expect_b)
+    np.testing.assert_allclose(n_hist, expect_n)
+    np.testing.assert_allclose(c_hist, expect_c)
+    np.testing.assert_allclose(b_hist, expect_b)
 
 
 def test_build_state_rejects_nonpositive_window():
-    rec = {"input_points": 10, "roi_points": 5, "decode_s": 0.01,
-           "bandwidth_mbps": 20.0}
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be positive"):
-            build_state([rec] * 3, k=k)
+            build_state([record()] * 3, k=k)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# the inputs that make a slot value (n, c or b) NaN or infinite; an
+# infinite decode time or bandwidth saturates c or b instead (see
+# test_state_slot_saturates_infinite_decode_time_and_bandwidth)
+NON_FINITE_FIELDS = {
+    "nan": ("roi_points", "decode_s", "bandwidth_mbps"),
+    "inf": ("roi_points",),
+    "-inf": ("roi_points", "bandwidth_mbps"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_state_rejects_non_finite_history(bad):
-    window = np.full(4, 0.5)
-    window[2] = bad
-    for pos in range(3):
-        hists = [np.full(4, 0.5)] * 3
-        hists[pos] = window
-        with pytest.raises(ValueError, match="finite"):
-            SchedulerState(*hists)
+    for field in NON_FINITE_FIELDS[bad]:
+        rec = vars(record()) | {field: float(bad)}
+        with pytest.raises(ValueError, match="history values must be finite"):
+            state_slot(**rec)
 
 
 @pytest.mark.parametrize("field", ["roi_points", "decode_s", "bandwidth_mbps"])
 def test_build_state_rejects_nan_records(field):
-    rec = {"input_points": 10, "roi_points": 5, "decode_s": 0.01,
-           "bandwidth_mbps": 20.0, field: np.nan}
+    rec = vars(record()) | {field: np.nan}
     with pytest.raises(ValueError, match="finite"):
-        build_state([rec], k=4)
+        build_state([record(), SimpleNamespace(**rec)], k=4)
+
+
+def test_state_slot_saturates_infinite_decode_time_and_bandwidth():
+    assert state_slot(10, 5, np.inf, 20.0) == (0.5, 0.0, 0.2)
+    assert state_slot(10, 5, -np.inf, 20.0) == (0.5, 1.0, 0.2)
+    assert state_slot(10, 5, 0.01, np.inf) == (0.5, 1.0, 1.0)
 
 
 def test_state_clamps_to_unit_interval():
-    state = SchedulerState(np.array([2.0, -1.0]), np.array([0.5, 0.5]),
-                           np.array([0.25, 0.75]))
-    assert state.n_hist.max() <= 1.0
-    assert state.n_hist.min() >= 0.0
+    assert state_slot(10, 20, 0.01, 20.0)[0] == 1.0    # n = 2
+    assert state_slot(10, -10, 0.01, 20.0)[0] == 0.0   # n = -1
+    assert state_slot(10, 5, 0.01, -50.0)[2] == 0.0    # b = -0.5
+    state = build_state([record(10, 20), record(10, -10),
+                         record(bandwidth_mbps=-50.0)], k=4)
+    assert state.max() <= 1.0
+    assert state.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +236,7 @@ def test_greedy_raises_on_non_finite_probabilities():
     net = ActorCritic.create(seed=0)
     net.actor.weights[0, 0] = np.nan
     state = state_of(k=net.k)
-    assert np.isnan(net.policy(state.vector())[0]).all()
+    assert np.isnan(net.policy(state)[0]).all()
     with pytest.raises(NumericsError):
         select_action(net, state)
 
@@ -221,7 +246,7 @@ def test_dominant_logits_sampled_almost_always():
     net.actor.weights[:] = 0.0
     net.actor.bias[:] = np.array([0.0, 8.0, 0.0])
     rng = np.random.default_rng(5)
-    probs, _ = net.policy(state_of().vector())
+    probs, _ = net.policy(state_of())
     hits = sum(sample_index(probs, rng) == 1 for _ in range(1000))
     assert hits >= 990
 
@@ -314,8 +339,7 @@ def test_policy_is_probability_simplex():
     rng = np.random.default_rng(7)
     net = ActorCritic.create(k=8, hidden=16, seed=11)
     for _ in range(20):
-        s = SchedulerState(rng.random(8), rng.random(8), rng.random(8))
-        probs, _ = net.policy(s.vector())
+        probs, _ = net.policy(rng.random(24))
         assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
         assert 0.0 <= entropy(probs) <= math.log(len(probs)) + 1e-12
@@ -352,8 +376,7 @@ def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
     d_critic, db_critic = zeros(net.critic)
 
     for state, action, ret in zip(states, actions, returns):
-        vec = state.vector()
-        probs, value, h = matvec_forward(net, vec)
+        probs, value, h = matvec_forward(net, state)
         adv = ret - value
 
         d_logits = -probs * adv
@@ -366,7 +389,7 @@ def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
         db_actor += d_logits
         dh = net.actor.weights.T @ d_logits
         dpre = dh * (1.0 - h ** 2)
-        d_trunk_a += np.outer(dpre, vec)
+        d_trunk_a += np.outer(dpre, state)
         db_trunk_a += dpre
 
         dv = -2.0 * adv
@@ -374,7 +397,7 @@ def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
         db_critic += np.array([dv])
         dh_c = net.critic.weights[0] * dv
         dpre_c = dh_c * (1.0 - h ** 2)
-        d_trunk_c += np.outer(dpre_c, vec)
+        d_trunk_c += np.outer(dpre_c, state)
         db_trunk_c += dpre_c
 
     return ({"trunk": (d_trunk_a, db_trunk_a), "actor": (d_actor, db_actor)},
@@ -387,9 +410,8 @@ def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
 def test_batched_gradients_match_per_step_oracle(steps, entropy_weight):
     rng = np.random.default_rng(steps)
     net = ActorCritic.create(k=8, hidden=24, seed=steps)
-    trajectory = [(SchedulerState(rng.random(8), rng.random(8),
-                                  rng.random(8)),
-                   int(rng.integers(len(net.actions))), float(rng.random()))
+    trajectory = [(rng.random(24), int(rng.integers(len(net.actions))),
+                   float(rng.random()))
                   for _ in range(steps)]
     got = a3c_gradients(net, trajectory, 0.88, entropy_weight)
     want = per_step_a3c_gradients(net, trajectory, 0.88, entropy_weight)
@@ -404,7 +426,7 @@ def test_batched_gradients_match_per_step_oracle(steps, entropy_weight):
 def test_zero_advantage_kills_actor_gradient():
     net = ActorCritic.create(k=2, hidden=4, actions=("a", "b"), seed=1)
     state = state_of(k=2)
-    ret = net.forward(state.vector())[1]  # advantage exactly zero
+    ret = net.forward(state)[1]  # advantage exactly zero
     actor_grads, _ = a3c_gradients(net, [(state, 1, ret)], gamma=0.88,
                                    entropy_weight=0.0)
     # single-step trajectory: the return equals the reward
@@ -424,7 +446,7 @@ def test_a3c_gradients_match_finite_differences():
     for trial in range(5):
         net = ActorCritic.create(k=1, hidden=2, actions=("a", "b"),
                                  seed=20 + trial)
-        state = SchedulerState(rng.random(1), rng.random(1), rng.random(1))
+        state = rng.random(3)
         action = int(rng.integers(2))
         rew = float(rng.random())
         traj = [(state, action, rew)]
@@ -432,14 +454,14 @@ def test_a3c_gradients_match_finite_differences():
 
         # freeze the advantage the way the update rule does
         ret = discounted_returns([rew], gamma)[0]
-        adv = ret - net.forward(state.vector())[1]
+        adv = ret - net.forward(state)[1]
 
         def actor_objective():
-            probs, _ = net.policy(state.vector())
+            probs, _ = net.policy(state)
             return math.log(probs[action]) * adv + ew * entropy(probs)
 
         def critic_loss():
-            return (ret - net.forward(state.vector())[1]) ** 2
+            return (ret - net.forward(state)[1]) ** 2
 
         actor_grads, critic_grads = a3c_gradients(net, traj, gamma, ew)
         analytic = {
@@ -504,8 +526,8 @@ def test_train_scheduler_learns_bandit_contexts():
     env = TwoContextBanditEnv()
     result = train_scheduler(lambda w: TwoContextBanditEnv(), workers=1,
                              epochs=300, seed=4, actions=("a", "b", "c"))
-    high = SchedulerState(np.full(8, 0.5), np.full(8, 0.5), np.full(8, 0.75))
-    low = SchedulerState(np.full(8, 0.5), np.full(8, 0.5), np.full(8, 0.25))
+    high = state_of(b=0.75, k=8)
+    low = state_of(b=0.25, k=8)
     assert select_action(result.net, high) == 2
     assert select_action(result.net, low) == 0
 
@@ -534,8 +556,8 @@ def test_checkpoint_round_trip(tmp_path):
     result.net.save(path)
     back = ActorCritic.load(path, actions=("a", "b", "c"))
     state = state_of(k=8)
-    np.testing.assert_allclose(back.policy(state.vector())[0],
-                               result.net.policy(state.vector())[0],
+    np.testing.assert_allclose(back.policy(state)[0],
+                               result.net.policy(state)[0],
                                atol=1e-6)
     assert select_action(back, state) == select_action(result.net, state)
 

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,7 +405,7 @@ def test_streaming_env_protocol(tmp_path):
                                 episode_len=5)
     rng = np.random.default_rng(0)
     state = env.reset(rng)
-    assert state.k == 8
+    assert state.shape == (24,) and state.dtype == np.float64  # k = 8
     done = False
     steps = 0
     while not done:
@@ -423,6 +424,28 @@ def cost_only_registry(root):
                                    1e-4 * (i + 1), 4e-4 * (i + 1),
                                    0.06 - 0.01 * i))
     return registry
+
+
+def test_env_states_keep_their_values_after_later_steps(tmp_path):
+    """Each returned state is a read-only copy: the window shifts in place
+    on every step, so a view of it would change under the caller."""
+    env = StreamingSchedulerEnv(cost_only_registry(tmp_path),
+                                DeviceModel.preset("device-2"),
+                                episode_len=6, k=3)
+    rng = np.random.default_rng(4)
+    states = [env.reset(rng)]
+    done = False
+    while not done:
+        state, _, done = env.step(int(rng.integers(len(env.actions))))
+        states.append(state)
+    saved = [s.copy() for s in states]
+    for _ in range(3):  # a later episode on the same env
+        env.reset(rng)
+        env.step(0)
+    assert not states[-1].flags.writeable
+    for got, want in zip(states, saved):
+        np.testing.assert_array_equal(got, want)
+    assert len({s.tobytes() for s in saved}) > 1
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -458,17 +481,16 @@ def test_env_window_equals_build_state_over_its_frames(tmp_path, monkeypatch,
         frames.clear()
         state = env.reset(rng)
         records = []
-        np.testing.assert_array_equal(state.vector(),
-                                      build_state([], k).vector())
+        np.testing.assert_array_equal(state, build_state([], k))
         done = False
         while not done:
             state, _, done = env.step(int(rng.integers(len(env.actions))))
-            records.append({**frames[-2], **frames[-1]})
-            assert state.vector().tolist() == \
-                build_state(records, k).vector().tolist()
+            records.append(SimpleNamespace(**frames[-2], **frames[-1]))
+            assert state.tolist() == build_state(records, k).tolist()
         assert len(records) > k
-    assert 0.0 < state.c_hist.min() and state.c_hist.max() < 1.0
-    assert 0.0 < state.b_hist.min() and state.b_hist.max() < 1.0
+    _, c_hist, b_hist = state.reshape(3, k)
+    assert 0.0 < c_hist.min() and c_hist.max() < 1.0
+    assert 0.0 < b_hist.min() and b_hist.max() < 1.0
 
 
 def test_env_rejects_nonpositive_window(tmp_path):
