@@ -9,6 +9,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+# cKDTree build options for queries that search open space. The tree splits
+# at sliding midpoints and keeps full-size node boxes (not balanced, not
+# compact): a query far from the data then visits far fewer leaves
+# (Maneewongvatana & Mount, "It's okay to be skinny, if your friends are
+# fat", 1999). Distances are the same as on a default tree, but of two
+# equidistant neighbours it may return the other one. The metric trees
+# (decoded points off q's surfaces) and the flow tree (moved subject points
+# off the previous frame) use it; the fine stage's lattice tree does not,
+# because its block centres tie often.
+OPEN_SPACE_TREE = {"balanced_tree": False, "compact_nodes": False}
+
 
 # ---------------------------------------------------------------------------
 # quaternion helpers (w, x, y, z convention, Hamilton product)
@@ -172,19 +183,32 @@ class BlockGrid:
 # ---------------------------------------------------------------------------
 # spatial operations
 
+def bounds(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis (min, max) of an (N, D) array, one column at a time.
+
+    The same values as `pts.min(axis=0)` and `pts.max(axis=0)` in the
+    input dtype (NaN propagates), about 10x faster on (N, 3) arrays. Only
+    where a column's extreme is a zero held with both signs may the sign
+    of that zero differ.
+    """
+    cols = range(pts.shape[1])
+    return (np.array([pts[:, a].min() for a in cols]),
+            np.array([pts[:, a].max() for a in cols]))
+
+
 def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
     """Partition a cloud into uniform cells of edge `cell_size`.
 
     Cells are half-open [lo, hi) per axis; points on the grid's max corner
     are clamped into the last cell so every point lands in exactly one block.
     """
-    if cell_size <= 0.0:
-        raise ValueError("cell_size must be positive")
+    if not 0.0 < cell_size < math.inf:
+        raise ValueError("cell_size must be finite and positive")
     if len(cloud) == 0:
         raise ValueError("cannot partition an empty cloud")
     pts = cloud.points.astype(np.float64)
-    origin = pts.min(axis=0)
-    extent = pts.max(axis=0) - origin
+    origin, top = bounds(pts)
+    extent = top - origin
     dims = np.maximum(np.ceil(extent / cell_size - 1e-12).astype(np.int64), 1)
     idx = np.floor((pts - origin) / cell_size).astype(np.int64)
     idx = np.clip(idx, 0, dims - 1)
@@ -235,11 +259,10 @@ def _as_points(obj) -> np.ndarray:
 def nearest_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """For each row of p, Euclidean distance to its nearest row of q.
 
-    The tree splits at sliding midpoints and keeps full-size node boxes
-    (not balanced, not compact): decoded points far from q's surfaces then
-    visit far fewer leaves, and the distances are the same.
+    The tree over q is an OPEN_SPACE_TREE: untrained decodes sit far from
+    q's surfaces.
     """
-    return cKDTree(q, balanced_tree=False, compact_nodes=False).query(p)[0]
+    return cKDTree(q, **OPEN_SPACE_TREE).query(p)[0]
 
 
 def chamfer_hausdorff(p, q) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ceil_count
-from .cloud import PointCloud, chamfer_distance, quat_to_matrix
+from .cloud import PointCloud, bounds, chamfer_distance, quat_to_matrix
 from .nn import (
     Layer, LossSpec, Network, adam_step, as_stack, backward, clip_scale,
     dense, forward, rotate_points, rotate_points_backward, total_loss,
@@ -176,11 +176,13 @@ def chunk_blocks(points, n_points: int):
     the tail run is padded by repeating its own points. Returns
     (blocks (B, n, 3), valid_counts (B,)) with valid counts < n flagging pads.
     """
+    if n_points < 1:
+        raise ValueError("n_points must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         return np.empty((0, n_points, 3)), np.empty(0, dtype=int)
     res = 1 << BLOCK_ORDER_BITS
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = bounds(pts)
     span = np.where(hi > lo, hi - lo, 1.0)
     cells = np.clip(((pts - lo) / span * res).astype(np.uint64), 0, res - 1)
     pts = pts[np.argsort(morton_key(cells, BLOCK_ORDER_BITS), kind="stable")]
@@ -281,10 +283,17 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
 
 
 def mean_reconstruction_loss(model: CodecModel, dataset) -> float:
-    """Mean loss over a dataset without updates (zero alignment)."""
+    """Mean loss over a dataset without updates (zero alignment).
+
+    One encode/decode round trip, then the loss ENCODE_CHUNK_BLOCKS samples
+    at a time, so the (S, n, n) EMD distances never exist all at once.
+    """
     data = np.asarray(dataset, dtype=np.float64)
-    losses = total_loss(decode(model, encode(model, data)), data,
-                        np.zeros((len(data), 3)), LOSS)[0]
+    rebuilt = decode(model, encode(model, data))
+    cuts = range(ENCODE_CHUNK_BLOCKS, len(data), ENCODE_CHUNK_BLOCKS)
+    losses = np.concatenate([
+        total_loss(r, d, np.zeros((len(d), 3)), LOSS)[0]
+        for r, d in zip(np.split(rebuilt, cuts), np.split(data, cuts))])
     return sum(losses.tolist()) / len(data)
 
 
@@ -635,8 +644,8 @@ def octree_encode(cloud: PointCloud, depth: int) -> bytes:
     if len(pts) == 0:
         header = struct.pack("<3ffB", 0.0, 0.0, 0.0, 1.0, depth)
         return header + b"\x00"
-    mn = pts.min(axis=0)
-    edge = float((pts.max(axis=0) - mn).max())
+    mn, top = bounds(pts)
+    edge = float((top - mn).max())
     if edge <= 0.0:
         edge = 1.0
     res = 1 << depth

@@ -4,11 +4,16 @@ Stage one (coarse): extrapolate the viewer pose, cull to the predicted
 frustum, grid the result, score blocks by mean motion magnitude, and keep
 the top fraction. Motion is nearest-neighbor flow from the previous frame;
 a point equal to the previous frame's point at its own index has zero flow
-without a neighbor search, so only changed points reach the KD-tree.
+without a neighbor search, so only changed points reach the KD-tree. That
+tree is a `cloud.OPEN_SPACE_TREE`, as the metric trees are: the changed
+points are mostly the moved subject, which searches open space.
 
 Stage two (fine): re-grid the survivors, score blocks by viewpoint
 proximity/angle times geometric-texture distinctiveness, and downsample
-each block proportionally to its normalized static saliency.
+each block proportionally to its normalized static saliency. The texture
+neighbors come from a default (balanced) KD-tree over the block centres:
+they sit on a regular lattice, so equal distances are common, and another
+tree may return another of two equidistant neighbors.
 
 The stages pass plain arrays: the flow is an (N, 3) float64 array and
 block scores are (B,) arrays in block-row order.
@@ -25,8 +30,9 @@ from scipy.spatial import cKDTree
 
 from ._util import ceil_count
 from .cloud import (
-    BlockGrid, Camera, Intrinsics, PointCloud, Pose, frustum_cull,
-    frustum_mask, partition, quat_conjugate, quat_multiply, quat_normalize,
+    OPEN_SPACE_TREE, BlockGrid, Camera, Intrinsics, PointCloud, Pose,
+    frustum_cull, frustum_mask, partition, quat_conjugate, quat_multiply,
+    quat_normalize,
 )
 
 log = logging.getLogger(__name__)
@@ -75,6 +81,12 @@ class RoiConfig:
             raise ValueError("require 0 <= r_min <= r_max <= 1")
         if self.coarse_keep_by not in ("blocks", "points"):
             raise ValueError("coarse_keep_by must be 'blocks' or 'points'")
+        for name in ("coarse_cell_size", "fine_cell_size"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("R", "k", "sub_bins"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +124,12 @@ def estimate_flow(prev: PointCloud, curr: PointCloud) -> np.ndarray:
     previous point at the same index is its own nearest neighbor (distance
     0) and gets zero flow without a query. Only the other points, and those
     past the end of prev, are queried against a KD-tree over all of prev;
-    when there are none, no tree is built.
+    when there are none, no tree is built. The tree is an OPEN_SPACE_TREE
+    (see `cloud`): the queried points are mostly the moved subject, up to
+    ~1.5 m from prev's nearest point. Equidistant scene points are rare: it
+    found the default tree's neighbor for every query of the 920
+    consecutive frame pairs of 40 `generate_scene(rooms=1, frames=24)`
+    scenes.
     """
     if len(prev) == 0 or len(curr) == 0:
         raise ValueError("flow estimation requires non-empty clouds")
@@ -123,7 +140,7 @@ def estimate_flow(prev: PointCloud, curr: PointCloud) -> np.ndarray:
     idx = np.arange(len(c))
     query = np.flatnonzero(changed)
     if len(query):
-        _, idx[query] = cKDTree(p).query(c[query])
+        _, idx[query] = cKDTree(p, **OPEN_SPACE_TREE).query(c[query])
     return c.astype(np.float64) - p[idx].astype(np.float64)
 
 

@@ -5,8 +5,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
-    Camera, Intrinsics, PointCloud, Pose, chamfer_distance, chamfer_hausdorff,
-    frustum_cull, hausdorff_distance, nearest_distances, partition,
+    Camera, Intrinsics, PointCloud, Pose, bounds, chamfer_distance,
+    chamfer_hausdorff, frustum_cull, hausdorff_distance, nearest_distances,
+    partition,
 )
 
 
@@ -121,8 +122,29 @@ def test_partition_arrays_are_consistent(n, cell):
 def test_partition_rejects_empty_and_bad_cell():
     with pytest.raises(ValueError):
         partition(PointCloud(np.empty((0, 3), np.float32)), 1.0)
-    with pytest.raises(ValueError):
-        partition(PointCloud([[0, 0, 0]]), 0.0)
+    for cell in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            partition(PointCloud([[0, 0, 0], [1, 1, 1]]), cell)
+
+
+def bounds_cases():
+    rng = np.random.default_rng(12)
+    big = rng.normal(scale=5.0, size=(20000, 3))
+    nan_rows = rng.normal(size=(50, 3))
+    nan_rows[7, 1] = np.nan
+    nan_rows[31] = np.nan
+    return {"20k rows": big, "one row": big[:1], "two rows": big[:2],
+            "NaN rows": nan_rows, "all NaN": np.full((3, 3), np.nan)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(bounds_cases()))
+def test_bounds_equal_axis_reductions_bitwise(case, dtype):
+    pts = bounds_cases()[case].astype(dtype)
+    lo, hi = bounds(pts)
+    assert lo.dtype == hi.dtype == dtype and lo.shape == hi.shape == (3,)
+    assert lo.tobytes() == pts.min(axis=0).tobytes()
+    assert hi.tobytes() == pts.max(axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pcvstream.cloud import PointCloud, chamfer_distance, hausdorff_distance
+from pcvstream import codec
 from pcvstream.codec import (
     BLOCK_ORDER_BITS, ENCODE_CHUNK_BLOCKS, CodecFormatError, CodecModel,
     PruneConfig, chunk_blocks, decode, denormalize_block, dequantize,
@@ -193,6 +194,29 @@ def test_dataset_means_match_per_sample_round_trips():
     assert mean_chamfer(model, data) == pytest.approx(want_cd, rel=1e-12)
 
 
+def test_dataset_loss_in_slices_equals_one_loss_call(monkeypatch):
+    model = tiny_model(seed=34)
+    data = toy_block_dataset(2 * ENCODE_CHUNK_BLOCKS + 3, 16, seed=4)
+    rebuilt = decode(model, encode(model, data))
+    losses = total_loss(rebuilt, data, np.zeros((len(data), 3)), LossSpec())[0]
+    want = sum(losses.tolist()) / len(data)
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            calls.append((name, len(args[1])))
+            return fn(*args)
+        return wrapper
+
+    for name in ("encode", "decode", "total_loss"):
+        monkeypatch.setattr(codec, name, recording(name, getattr(codec, name)))
+    assert mean_reconstruction_loss(model, data) == want
+    slices = [ENCODE_CHUNK_BLOCKS, ENCODE_CHUNK_BLOCKS, 3]
+    assert calls == [("encode", len(data)), ("decode", len(data))] + [
+        ("total_loss", n) for n in slices]
+
+
 # ---------------------------------------------------------------------------
 # block plumbing
 
@@ -213,6 +237,13 @@ def test_chunk_blocks_pads_tail_by_repetition():
     tail = blocks[3]
     uniq = np.unique(tail, axis=0)
     assert len(uniq) == 4  # only the four real points, repeated
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+@pytest.mark.parametrize("count", [0, 5])
+def test_chunk_blocks_rejects_nonpositive_block_sizes(count, n_points):
+    with pytest.raises(ValueError, match="n_points must be positive"):
+        chunk_blocks(np.ones((count, 3)), n_points)
 
 
 def test_morton_key_interleaves_axis_bits():

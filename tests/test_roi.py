@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from pcvstream.cloud import (
-    Camera, Intrinsics, PointCloud, Pose, frustum_cull, frustum_mask,
-    partition, quat_to_matrix,
+    OPEN_SPACE_TREE, Camera, Intrinsics, PointCloud, Pose, frustum_cull,
+    frustum_mask, partition, quat_to_matrix,
 )
 from pcvstream import roi
 from pcvstream._util import ceil_count
@@ -160,6 +160,23 @@ def test_pose_history_rejects_duplicates():
 
 
 # ---------------------------------------------------------------------------
+# configuration
+
+@pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["coarse_cell_size", "fine_cell_size"])
+def test_roi_config_rejects_bad_cell_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RoiConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["R", "k", "sub_bins"])
+def test_roi_config_rejects_counts_below_one(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        RoiConfig(**{field: 0})
+    assert getattr(RoiConfig(**{field: 1}), field) == 1
+
+
+# ---------------------------------------------------------------------------
 # flow
 
 def test_flow_static_scene():
@@ -190,8 +207,9 @@ def test_flow_recovers_known_shift():
 
 
 def kd_flow(prev, curr):
-    """Flow from one KD query of every current point: the oracle for
-    estimate_flow's zero-flow rule."""
+    """Flow from one query of every current point on a default (balanced,
+    compact) KD-tree: the oracle for estimate_flow's zero-flow rule and its
+    open-space tree."""
     _, idx = cKDTree(prev.points).query(curr.points)
     return curr.points.astype(np.float64) - prev.points[idx].astype(np.float64)
 
@@ -217,6 +235,39 @@ def scene_pair(seed):
 def test_flow_equals_kd_flow_on_scene_pairs(seed):
     prev, curr, _, _ = scene_pair(seed)
     assert_flow_equals_kd_flow(prev, curr)
+
+
+def benchmark_pair(seed):
+    """(prev, curr, step): frames 0 and 1 of a benchmark-sized scene (20k
+    points, 2k of them the moving subject) and the subject's step in m."""
+    scene = generate_scene(rooms=1, frames=24, seed=seed)
+    prev, curr = scene.frames[0], scene.frames[1]
+    subject = scene.subject_masks[0]
+    step = np.linalg.norm(curr.points[subject] - prev.points[subject],
+                          axis=1).mean()
+    return prev, curr, float(step)
+
+
+# steps of 0.41, 0.68, 1.10 and 1.45 m: the last two are the open-space
+# tail, where the moved points sit ~1 m from prev's nearest point
+@pytest.mark.parametrize("seed, tail", [(6, False), (0, False), (4, True),
+                                        (12, True)])
+def test_flow_equals_kd_flow_on_benchmark_pairs(seed, tail):
+    prev, curr, step = benchmark_pair(seed)
+    assert len(curr) == 20000 and (step >= 1.0) == tail
+    assert_flow_equals_kd_flow(prev, curr)
+
+
+@pytest.mark.parametrize("layout", ["appended", "interleaved"])
+def test_flow_equals_kd_flow_on_a_prev_with_duplicates(layout):
+    prev, curr, _ = benchmark_pair(4)
+    p = prev.points
+    if layout == "appended":  # the zero-flow rule still lines up rows
+        dup = np.concatenate([p, p[::3], p[-2000:]])
+    else:  # every point twice: nearly every row is queried
+        dup = np.repeat(p, 2, axis=0)
+    flow = assert_flow_equals_kd_flow(PointCloud(dup), curr)
+    assert flow.any()
 
 
 def flow_case(name):
@@ -253,13 +304,13 @@ def test_flow_edge_cases_equal_kd_flow(name):
 
 @pytest.fixture
 def kd_calls(monkeypatch):
-    """Every KD-tree roi builds, as ("build", point count), and every query
-    it makes, as ("query", query points)."""
+    """Every KD-tree roi builds, as ("build", point count, build options),
+    and every query it makes, as ("query", query points)."""
     calls = []
 
     class RecordingTree(cKDTree):
         def __init__(self, data, *args, **kwargs):
-            calls.append(("build", len(data)))
+            calls.append(("build", len(data), kwargs))
             super().__init__(data, *args, **kwargs)
 
         def query(self, x, *args, **kwargs):
@@ -285,6 +336,15 @@ def test_coarse_select_queries_only_points_changed_at_their_index(kd_calls):
     assert kd_calls[0][1] == len(prev)
     np.testing.assert_array_equal(kd_calls[1][1], frame.points[changed])
     assert 0 < changed.sum() <= 400  # at most the subject moved
+
+
+def test_only_the_flow_tree_is_an_open_space_tree(kd_calls):
+    prev, frame, history, intr = scene_pair(3)
+    select_roi(frame, prev, history, RoiConfig(), intr, seed=0)
+    builds = [c for c in kd_calls if c[0] == "build"]
+    assert len(builds) == 2
+    assert builds[0][1:] == (len(prev), OPEN_SPACE_TREE)  # estimate_flow
+    assert builds[1][2] == {}  # _static_scores: the lattice of centres
 
 
 def test_coarse_select_on_a_static_pair_builds_no_tree(kd_calls):
