@@ -108,6 +108,11 @@ class Pose:
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64).reshape(3)
         quat = np.asarray(self.orientation, dtype=np.float64).reshape(4)
+        # a NaN passes the unit-norm comparison below, so check it first
+        if not (np.isfinite(pos).all() and np.isfinite(quat).all()
+                and math.isfinite(self.timestamp)):
+            raise ValueError("pose position, orientation and timestamp "
+                             "must be finite")
         if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
             raise ValueError("orientation must be a unit quaternion")
         pos.flags.writeable = False
@@ -132,9 +137,10 @@ class Intrinsics:
     def __post_init__(self):
         if not 0.0 < self.vertical_fov < 180.0:
             raise ValueError("vertical_fov must lie strictly inside (0, 180)")
-        if self.aspect <= 0.0:
+        # negated comparisons, so that NaN fails them too
+        if not self.aspect > 0.0:
             raise ValueError("aspect must be positive")
-        if self.near <= 0.0 or self.far <= self.near:
+        if not 0.0 < self.near < self.far:
             raise ValueError("require 0 < near < far")
 
 

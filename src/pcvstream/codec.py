@@ -41,8 +41,7 @@ LOSS = LossSpec()
 
 MAGIC = b"ISCM"
 FORMAT_VERSION = 1
-_KIND_CODES = {"dense": 1, "relu": 2, "tanh": 3, "maxpool_points": 4,
-               "actor_head": 5, "critic_head": 6}
+_KIND_CODES = {"dense": 1, "relu": 2, "maxpool_points": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _DTYPE_CODES = {"f32": 0, "q8": 1, "q16": 2}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
@@ -308,31 +307,15 @@ def mean_chamfer(model: CodecModel, dataset) -> float:
 # ---------------------------------------------------------------------------
 # pruning (magnitude, per layer)
 
-def prune_threshold(weights, zeta: float) -> float:
-    """The ceil(zeta*C)-th smallest |w|; -inf when nothing is to be pruned."""
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError("zeta must lie in [0, 1)")
-    flat = np.abs(np.asarray(weights, dtype=np.float64)).ravel()
-    if flat.size == 0:
-        raise ValueError("empty weight tensor")
-    k = ceil_count(zeta, flat.size)
-    if k == 0:
-        return -math.inf
-    return float(np.sort(flat)[k - 1])
+def prune_layer(layer: Layer, count: int) -> None:
+    """Zero the `count` smallest-magnitude weights of one layer, in place,
+    ties in ascending flat-index order. The prune mask records the zeros.
 
-
-def prune_layer(layer: Layer, w_th: float, count: int | None = None) -> None:
-    """Zero the smallest-magnitude weights of one layer, in place.
-
-    Weights with |w| < w_th always go; ties at |w| == w_th are zeroed in
-    ascending flat-index order until `count` entries are zero. Without a
-    count, all ties are zeroed. The prune mask records the zeros.
+    The largest |w| zeroed is the magnitude threshold w_th of Deep
+    Compression (Han et al., ICLR 2016); an exact count needs no w_th.
     """
     flat = layer.weights.ravel()
-    mags = np.abs(flat)
-    if count is None:
-        count = int((mags <= w_th).sum())
-    order = np.argsort(mags, kind="stable")
+    order = np.argsort(np.abs(flat), kind="stable")
     kill = order[:count]
     flat[kill] = 0.0
     mask = np.ones_like(flat) if layer.prune_mask is None \
@@ -344,9 +327,10 @@ def prune_layer(layer: Layer, w_th: float, count: int | None = None) -> None:
 
 def prune_model(model: CodecModel, zeta: float) -> None:
     """Prune every dense layer to exactly ceil(zeta*C) zeros."""
+    if not 0.0 <= zeta < 1.0:
+        raise ValueError("zeta must lie in [0, 1)")
     for layer in model.dense_layers():
-        w_th = prune_threshold(layer.weights, zeta)
-        prune_layer(layer, w_th, count=ceil_count(zeta, layer.weights.size))
+        prune_layer(layer, ceil_count(zeta, layer.weights.size))
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +448,12 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _write_layer(parts, layer: Layer, kind: str, dtype: str, meta=None):
+def _write_layer(parts, layer: Layer, dtype: str, meta=None):
     if layer.weights is None:
-        parts.append(struct.pack("<BIIB", _KIND_CODES[kind], 0, 0, 0))
+        parts.append(struct.pack("<BIIB", _KIND_CODES[layer.kind], 0, 0, 0))
         return
     rows, cols = layer.weights.shape
-    parts.append(struct.pack("<BIIB", _KIND_CODES[kind], rows, cols,
+    parts.append(struct.pack("<BIIB", _KIND_CODES[layer.kind], rows, cols,
                              _DTYPE_CODES[dtype]))
     if dtype == "f32":
         parts.append(np.asarray(layer.weights, "<f4").tobytes())
@@ -483,24 +467,27 @@ def _write_layer(parts, layer: Layer, kind: str, dtype: str, meta=None):
 
 
 def write_layer_stream(path, entries) -> None:
-    """entries: list of (kind, Layer, dtype, quant_meta or None)."""
+    """entries: list of (Layer, dtype, quant_meta or None); each record's
+    kind is its layer's `kind`."""
     parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(entries))]
-    for kind, layer, dtype, meta in entries:
-        _write_layer(parts, layer, kind, dtype, meta)
+    for layer, dtype, meta in entries:
+        _write_layer(parts, layer, dtype, meta)
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 def read_layer_stream(path):
-    """Inverse of write_layer_stream; returns (kind, Layer, dtype, meta).
+    """Inverse of write_layer_stream; returns (Layer, dtype, meta) entries.
 
     Format v1, little-endian: magic b"ISCM", u16 version, u16 record
-    count, then per record a u8 kind code, u32 rows, u32 cols and a u8
-    dtype code. Activation records have 0 rows and no payload. A weighted
-    record has rows, cols >= 1 and is followed by its payload: f32 holds
-    the rows*cols weights (row-major) and then the rows biases as f32; q8
-    and q16 hold f32 min, f32 max and u8 bits, then one u8 or u16 code per
-    weight and bias in the same order, no codes when min == max.
+    count, then per record a u8 kind code (1 dense, 2 relu,
+    4 maxpool_points; any other code is rejected), u32 rows, u32 cols and
+    a u8 dtype code. relu and maxpool_points records have 0 rows and no
+    payload. A dense record has rows, cols >= 1 and is followed by its
+    payload: f32 holds the rows*cols weights (row-major) and then the rows
+    biases as f32; q8 and q16 hold f32 min, f32 max and u8 bits, then one
+    u8 or u16 code per weight and bias in the same order, no codes when
+    min == max.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -525,26 +512,25 @@ def read_layer_stream(path):
         if kind_code not in _KIND_NAMES:
             raise CodecFormatError(f"unknown layer kind {kind_code}")
         kind = _KIND_NAMES[kind_code]
-        # activations carry no weights; dense kinds need at least one row
-        weightless = kind in ("relu", "tanh", "maxpool_points")
+        # activations carry no weights; dense needs at least one row
+        weightless = kind != "dense"
         if weightless != (rows == 0):
             raise CodecFormatError(f"{kind} layer record with {rows} weight "
                                    "rows")
         if weightless:
-            entries.append((kind, Layer(kind), "f32", None))
+            entries.append((Layer(kind), "f32", None))
             continue
         if cols == 0:
-            raise CodecFormatError(f"{kind} layer record with 0 weight "
+            raise CodecFormatError("dense layer record with 0 weight "
                                    "columns")
         n_params = rows * cols + rows
         dtype = _DTYPE_NAMES.get(dtype_code)
         if dtype is None:
             raise CodecFormatError(f"unknown dtype code {dtype_code}")
-        base_kind = "dense" if kind in ("actor_head", "critic_head") else kind
         if dtype == "f32":
             w = np.frombuffer(take(4 * rows * cols), "<f4").astype(np.float64)
             b = np.frombuffer(take(4 * rows), "<f4").astype(np.float64)
-            layer = Layer(base_kind, w.reshape(rows, cols), b)
+            layer = Layer(kind, w.reshape(rows, cols), b)
             if (layer.weights == 0.0).any():
                 layer.prune_mask = (layer.weights != 0.0).astype(np.float64)
             meta = None
@@ -560,7 +546,7 @@ def read_layer_stream(path):
                     np.uint8 if m == 8 else "<u2")
             meta["codes"] = codes
             params = dequantize(codes, meta)
-            layer = Layer(base_kind, params[:rows * cols].reshape(rows, cols),
+            layer = Layer(kind, params[:rows * cols].reshape(rows, cols),
                           params[rows * cols:])
             # entries mapping to the code nearest zero are pruned zeros
             if mn < 0.0 < mx:
@@ -569,7 +555,7 @@ def read_layer_stream(path):
                 reshaped = codes[:rows * cols].reshape(rows, cols)
                 layer.prune_mask = (reshaped != zero_code).astype(np.float64)
                 layer.weights *= layer.prune_mask
-        entries.append((kind, layer, dtype, meta))
+        entries.append((layer, dtype, meta))
     if off != len(data):
         raise CodecFormatError(f"{len(data) - off} trailing bytes")
     return entries
@@ -584,23 +570,21 @@ def serialize(model: CodecModel, path) -> None:
     entries = []
     metas = iter(model.quant_meta or [])
     for layer in model.encoder.layers + model.decoder.layers:
-        if layer.weights is None:
-            entries.append((layer.kind, layer, "f32", None))
-        elif model.dtype == "f32":
-            entries.append((layer.kind, layer, "f32", None))
+        if layer.weights is None or model.dtype == "f32":
+            entries.append((layer, "f32", None))
         else:
-            entries.append((layer.kind, layer, model.dtype, next(metas)))
+            entries.append((layer, model.dtype, next(metas)))
     write_layer_stream(path, entries)
 
 
 def deserialize(path) -> CodecModel:
     entries = read_layer_stream(path)
-    split = next((i for i, (k, *_ ) in enumerate(entries)
-                  if k == "maxpool_points"), None)
+    split = next((i for i, (layer, *_) in enumerate(entries)
+                  if layer.kind == "maxpool_points"), None)
     if split is None:
         raise CodecFormatError("model has no maxpool layer")
-    enc = Network([e[1] for e in entries[:split + 1]])
-    dec = Network([e[1] for e in entries[split + 1:]])
+    enc = Network([e[0] for e in entries[:split + 1]])
+    dec = Network([e[0] for e in entries[split + 1:]])
     enc_dense = [l for l in enc.layers if l.weights is not None]
     dec_dense = [l for l in dec.layers if l.weights is not None]
     if not enc_dense or not dec_dense:
@@ -618,11 +602,11 @@ def deserialize(path) -> CodecModel:
                                "multiple of 3")
     latent_dim = enc_dense[-1].weights.shape[0]
     n_points = dec_dense[-1].weights.shape[0] // 3
-    dtypes = {d for _, l, d, _ in entries if l.weights is not None}
+    dtypes = {d for l, d, _ in entries if l.weights is not None}
     if len(dtypes) != 1:
         raise CodecFormatError(f"mixed layer dtypes {sorted(dtypes)}")
     dtype = dtypes.pop()
-    metas = [m for _, l, _, m in entries if m is not None] or None
+    metas = [m for _, _, m in entries if m is not None] or None
     model = CodecModel(enc, dec, n_points, latent_dim, dtype, metas)
     model.zeta_applied = min(model.zero_fractions())
     return model

@@ -1,6 +1,7 @@
 """Minimal dense-network engine: forward/backward with analytic gradients,
 point-set reconstruction losses, and Adam with pruning-mask preservation.
 
+The layer kinds are the codec's: `dense`, `relu` and `maxpool_points`.
 Layers operate on per-point feature rows (n, f) or stacks of them (B, n, f).
 A dense layer runs as one 2-D GEMM over the flattened leading axes, so a
 stack costs one matrix product per layer, not one per block.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-LAYER_KINDS = ("dense", "relu", "tanh", "maxpool_points")
+LAYER_KINDS = ("dense", "relu", "maxpool_points")
 
 EMD_CAP = 256  # largest point count solved by the exact assignment
 ADAM_BETA1 = 0.9
@@ -104,7 +105,7 @@ def _matmul(x, w):
 def forward(network: Network, x: np.ndarray):
     """Run the network; returns (output, caches) for use by backward().
 
-    Dense and activation layers broadcast over leading axes, so per-point
+    Dense and relu layers broadcast over leading axes, so per-point
     inputs may be (n, f) or batched (B, n, f); maxpool_points collapses the
     points axis (the second-to-last one).
     """
@@ -118,9 +119,6 @@ def forward(network: Network, x: np.ndarray):
         elif layer.kind == "relu":
             caches.append(x)
             x = np.maximum(x, 0.0)
-        elif layer.kind == "tanh":
-            x = np.tanh(x)
-            caches.append(x)
         elif layer.kind == "maxpool_points":
             if x.ndim not in (2, 3):
                 raise ValueError("maxpool_points expects (n, f) or (B, n, f)")
@@ -155,8 +153,6 @@ def backward(network: Network, caches, d_out: np.ndarray):
             d = _matmul(d, layer.effective_weights)
         elif layer.kind == "relu":
             d = d * (cache > 0.0)
-        elif layer.kind == "tanh":
-            d = d * (1.0 - cache ** 2)
         elif layer.kind == "maxpool_points":
             winners = np.expand_dims(np.argmax(cache, axis=-2), -2)
             dx = np.zeros_like(cache)

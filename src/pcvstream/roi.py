@@ -77,6 +77,10 @@ class RoiConfig:
     def __post_init__(self):
         if not 0.0 < self.coarse_keep_fraction <= 1.0:
             raise ValueError("coarse_keep_fraction must lie in (0, 1]")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
+        if not 0.0 <= self.lambda_ < math.inf:
+            raise ValueError("lambda_ must be finite and >= 0")
         if not 0.0 <= self.r_min <= self.r_max <= 1.0:
             raise ValueError("require 0 <= r_min <= r_max <= 1")
         if self.coarse_keep_by not in ("blocks", "points"):

@@ -2,10 +2,13 @@
 ROI significance, device compute, and bandwidth observations.
 
 The policy/value nets share a tanh trunk; the actor head emits a softmax
-over the model set and the critic head a scalar state value. Training is
-advantage actor-critic with entropy regularization; workers roll out
-private episodes and apply gradient batches to the global parameters one
-at a time (staleness at most one application).
+over the model set and the critic head a scalar state value. The three
+are dense `nn.Layer`s; the tanh and the softmax are applied here, not by
+`nn.forward`. A policy is trained offline and held in memory only: the
+one model file format is the codec's. Training is advantage actor-critic
+with entropy regularization; workers roll out private episodes and apply
+gradient batches to the global parameters one at a time (staleness at
+most one application).
 
 A state is a read-only (3k,) float64 vector: the k-frame windows of ROI
 share n, compute c and bandwidth b back to back, each value in [0, 1]
@@ -21,7 +24,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .codec import read_layer_stream, write_layer_stream
 from .nn import Layer, NumericsError, clip_scale, dense
 
 DEFAULT_WINDOW = 8
@@ -148,27 +150,6 @@ class ActorCritic:
     def policy(self, state_vec):
         """(probs, h) of one state vector."""
         return self._actor(state_vec)
-
-    def save(self, path):
-        write_layer_stream(path, [
-            ("dense", self.trunk, "f32", None),
-            ("tanh", Layer("tanh"), "f32", None),
-            ("actor_head", self.actor, "f32", None),
-            ("critic_head", self.critic, "f32", None),
-        ])
-
-    @classmethod
-    def load(cls, path, actions=DEFAULT_ACTIONS) -> "ActorCritic":
-        entries = read_layer_stream(path)
-        by_kind = {kind: layer for kind, layer, _, _ in entries}
-        if not {"dense", "actor_head", "critic_head"} <= by_kind.keys():
-            raise ValueError("not a scheduler checkpoint")
-        actor = by_kind["actor_head"]
-        if len(actor.weights) != len(actions):
-            raise ValueError(f"checkpoint has {len(actor.weights)} actions, "
-                             f"expected {len(actions)}")
-        return cls(by_kind["dense"], actor, by_kind["critic_head"],
-                   tuple(actions))
 
     def snapshot(self) -> "ActorCritic":
         return ActorCritic(

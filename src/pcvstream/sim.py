@@ -131,8 +131,8 @@ class DeviceModel:
     compute_scale: float
 
     def __post_init__(self):
-        if self.compute_scale <= 0:
-            raise ValueError("compute_scale must be positive")
+        if not 0.0 < self.compute_scale < np.inf:
+            raise ValueError("compute_scale must be finite and positive")
 
     @classmethod
     def preset(cls, name: str) -> "DeviceModel":
@@ -157,6 +157,18 @@ class RegistryEntry:
     encode_cost_s: float   # per block, reference host
     decode_cost_s: float   # per block, reference host
     test_cd: float
+
+    def __post_init__(self):
+        # registry.json is outside input: a CD of 0 would divide by zero
+        # in `accuracy_table`, a NaN cost would poison every frame time
+        if not 0.0 < self.test_cd < np.inf:
+            raise ValueError(f"model '{self.model_id}': test_cd must be "
+                             f"finite and positive, got {self.test_cd}")
+        for name in ("encode_cost_s", "decode_cost_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"model '{self.model_id}': {name} must be "
+                                 f"finite and non-negative, got {value}")
 
     def payload_per_block(self) -> int:
         return self.latent_dim * LATENT_BYTES_PER_VALUE + BLOCK_HEADER_BYTES

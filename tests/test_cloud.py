@@ -51,12 +51,40 @@ def test_pose_requires_unit_quaternion():
         Pose((0, 0, 0), (1.0, 1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("position, orientation, timestamp", [
+    ((0.0, math.nan, 0.0), (1.0, 0.0, 0.0, 0.0), 0.0),
+    ((0.0, 0.0, math.inf), (1.0, 0.0, 0.0, 0.0), 0.0),
+    ((0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0), 0.0),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, math.nan), 0.0),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), math.nan),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), -math.inf),
+], ids=["nan position", "inf position", "nan w", "nan z", "nan timestamp",
+        "-inf timestamp"])
+def test_pose_rejects_non_finite_values(position, orientation, timestamp):
+    # a NaN quaternion would pass the unit-norm check: |nan - 1| > eps is
+    # False
+    with pytest.raises(ValueError, match="must be finite"):
+        Pose(position, orientation, timestamp)
+
+
 def test_camera_validation():
     # a camera's frustum parameters are validated by its Intrinsics
     with pytest.raises(ValueError):
         Camera(identity_pose(), Intrinsics(vertical_fov=180.0))
     with pytest.raises(ValueError):
         Camera(identity_pose(), Intrinsics(near=1.0, far=0.5))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("aspect", math.nan, "aspect must be positive"),
+    ("aspect", 0.0, "aspect must be positive"),
+    ("near", math.nan, "0 < near < far"),
+    ("far", math.nan, "0 < near < far"),
+    ("vertical_fov", math.nan, "vertical_fov"),
+])
+def test_intrinsics_reject_nan_and_nonpositive_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        Intrinsics(**{field: value})
 
 
 # ---------------------------------------------------------------------------

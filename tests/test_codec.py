@@ -13,8 +13,7 @@ from pcvstream.codec import (
     PruneConfig, chunk_blocks, decode, denormalize_block, dequantize,
     deserialize, encode, lightweight_train, make_codec_model, mean_chamfer,
     mean_reconstruction_loss, morton_cells, morton_key, normalize_block,
-    octree_decode, octree_encode, prune_layer, prune_model, prune_threshold,
-    quantize_model, quantize_weights, serialize, toy_block_dataset, train,
+    octree_decode, octree_encode, prune_layer, prune_model, quantize_model, quantize_weights, serialize, toy_block_dataset, train,
     write_layer_stream,
 )
 from pcvstream.nn import (
@@ -349,50 +348,45 @@ def test_train_is_pinned_bit_for_bit():
 # ---------------------------------------------------------------------------
 # pruning
 
-def test_prune_threshold_zero_zeta():
-    assert prune_threshold(np.array([0.5, -1.0]), 0.0) == -math.inf
-
-
-def test_prune_threshold_hand_case():
-    w = np.array([0.1, -0.5, 0.3, 0.9])
-    assert prune_threshold(w, 0.5) == pytest.approx(0.3)
-
-
-def test_prune_threshold_rank_property():
-    rng = np.random.default_rng(10)
-    for zeta in (0.25, 0.5, 0.75):
-        w = rng.normal(size=1000)
-        th = prune_threshold(w, zeta)
-        assert (np.abs(w) <= th).sum() == math.ceil(zeta * 1000 - 1e-9)
-
-
 def test_prune_layer_hand_case():
     layer = Layer("dense", np.array([[0.1, -0.5], [0.3, 0.9]]))
-    prune_layer(layer, 0.3)
+    prune_layer(layer, 2)
     np.testing.assert_array_equal(layer.weights, [[0.0, -0.5], [0.0, 0.9]])
     np.testing.assert_array_equal(layer.prune_mask, [[0.0, 1.0], [0.0, 1.0]])
 
 
-def test_prune_layer_zero_threshold_noop():
+def test_prune_layer_zero_count_noop():
     layer = Layer("dense", np.array([[0.1, -0.5]]))
-    prune_layer(layer, -math.inf)
+    prune_layer(layer, 0)
     np.testing.assert_array_equal(layer.weights, [[0.1, -0.5]])
+    np.testing.assert_array_equal(layer.prune_mask, [[1.0, 1.0]])
 
 
 def test_prune_layer_idempotent():
     rng = np.random.default_rng(11)
     layer = Layer("dense", rng.normal(size=(8, 8)))
-    th = prune_threshold(layer.weights, 0.5)
-    prune_layer(layer, th)
+    prune_layer(layer, 32)
     after_first = layer.weights.copy()
-    prune_layer(layer, th)
+    prune_layer(layer, 32)
     np.testing.assert_array_equal(layer.weights, after_first)
+    assert (layer.weights == 0.0).sum() == 32
 
 
 def test_prune_layer_tie_break_by_flat_index():
     layer = Layer("dense", np.array([[0.3, -0.3, 0.3, 0.5]]))
-    prune_layer(layer, 0.3, count=2)
+    prune_layer(layer, 2)
     np.testing.assert_array_equal(layer.weights, [[0.0, 0.0, 0.3, 0.5]])
+
+
+@pytest.mark.parametrize("zeta", [-0.1, 1.0, 1.5, math.nan])
+def test_prune_model_rejects_zeta_outside_unit_interval(zeta):
+    model = tiny_model(seed=12)
+    before = [l.weights.copy() for l in model.dense_layers()]
+    with pytest.raises(ValueError, match=r"zeta must lie in \[0, 1\)"):
+        prune_model(model, zeta)
+    for b, layer in zip(before, model.dense_layers()):
+        np.testing.assert_array_equal(layer.weights, b)
+        assert layer.prune_mask is None
 
 
 def test_prune_model_exact_counts_vs_sorting_oracle():
@@ -528,15 +522,29 @@ def test_deserialize_rejects_garbage(tmp_path):
         deserialize(wrong_version)
 
 
+@pytest.mark.parametrize("code", [3, 5, 6, 0, 255])
+def test_deserialize_rejects_an_unknown_kind_code(tmp_path, code):
+    # the codes outside 1 dense, 2 relu and 4 maxpool_points, among them
+    # 3, 5 and 6, which no model file uses
+    good = tmp_path / "good.iscm"
+    serialize(tiny_model(seed=21), good)
+    raw = good.read_bytes()
+    assert raw[8] == 1  # the first record: the encoder's first dense layer
+    patched = tmp_path / "patched.iscm"
+    patched.write_bytes(raw[:8] + bytes([code]) + raw[9:])
+    with pytest.raises(CodecFormatError, match=f"unknown layer kind {code}$"):
+        deserialize(patched)
+
+
 def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
     model = tiny_model(seed=21)
     layers = model.encoder.layers + model.decoder.layers
-    entries = [(l.kind, l, "f32", None) for l in layers]
+    entries = [(l, "f32", None) for l in layers]
     last = layers[-1]
     codes, meta = quantize_weights(
         np.concatenate([last.weights.ravel(), last.bias]), 8)
     meta["codes"] = codes
-    entries[-1] = (last.kind, last, "q8", meta)  # one q8 layer among f32
+    entries[-1] = (last, "q8", meta)  # one q8 layer among f32
     path = tmp_path / "mixed.iscm"
     write_layer_stream(path, entries)
     with pytest.raises(CodecFormatError, match="mixed layer dtypes"):
@@ -546,9 +554,9 @@ def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
 def test_deserialize_rejects_a_dense_record_without_weights(tmp_path):
     model = tiny_model(seed=21)
     layers = model.encoder.layers + model.decoder.layers
-    entries = [(l.kind, l, "f32", None) for l in layers]
-    assert entries[2][0] == "dense"
-    entries[2] = ("dense", Layer("dense"), "f32", None)  # written as 0 rows
+    entries = [(l, "f32", None) for l in layers]
+    assert entries[2][0].kind == "dense"
+    entries[2] = (Layer("dense"), "f32", None)  # written as 0 rows
     path = tmp_path / "weightless.iscm"
     write_layer_stream(path, entries)
     with pytest.raises(CodecFormatError, match="dense layer record with 0"):
@@ -558,9 +566,9 @@ def test_deserialize_rejects_a_dense_record_without_weights(tmp_path):
 def test_deserialize_rejects_a_weighted_record_without_columns(tmp_path):
     model = tiny_model(seed=21)
     layers = model.encoder.layers + model.decoder.layers
-    entries = [(l.kind, l, "f32", None) for l in layers]
-    assert entries[2][0] == "dense"  # the second encoder dense layer
-    entries[2] = ("dense", Layer("dense", np.zeros((8, 0))), "f32", None)
+    entries = [(l, "f32", None) for l in layers]
+    assert entries[2][0].kind == "dense"  # the second encoder dense layer
+    entries[2] = (Layer("dense", np.zeros((8, 0))), "f32", None)
     path = tmp_path / "no-columns.iscm"
     write_layer_stream(path, entries)
     with pytest.raises(CodecFormatError, match="dense layer record with 0 "
@@ -571,32 +579,33 @@ def test_deserialize_rejects_a_weighted_record_without_columns(tmp_path):
 def test_deserialize_rejects_dense_shapes_that_do_not_chain(tmp_path):
     model = tiny_model(seed=21)  # 3 -> 8 -> latent 8 | 8 -> 16 -> 48
     layers = model.encoder.layers + model.decoder.layers
-    entries = [(l.kind, l, "f32", None) for l in layers]
+    entries = [(l, "f32", None) for l in layers]
     rng = np.random.default_rng(36)
-    assert entries[4][0] == "dense"  # the decoder's first dense layer
+    assert entries[4][0].kind == "dense"  # the decoder's first dense layer
     mis_chained = tmp_path / "mis-chained.iscm"
     write_layer_stream(mis_chained, entries[:4] + [
-        ("dense", Layer("dense", rng.normal(size=(16, 9))), "f32", None)]
+        (Layer("dense", rng.normal(size=(16, 9))), "f32", None)]
         + entries[5:])
     with pytest.raises(CodecFormatError, match=r"\(16, 9\) does not take "
                        "the 8 features"):
         deserialize(mis_chained)
     not_xyz = tmp_path / "not-xyz.iscm"
     write_layer_stream(not_xyz, entries[:-1] + [
-        ("dense", Layer("dense", rng.normal(size=(47, 16))), "f32", None)])
+        (Layer("dense", rng.normal(size=(47, 16))), "f32", None)])
     with pytest.raises(CodecFormatError, match="output width 47 is not a "
                        "multiple of 3"):
         deserialize(not_xyz)
 
 
-@pytest.mark.parametrize("kind", ["relu", "tanh", "maxpool_points"])
+@pytest.mark.parametrize("kind", ["relu", "maxpool_points"])
 def test_deserialize_rejects_an_activation_record_with_weights(tmp_path,
                                                               kind):
     model = tiny_model(seed=21)
     layers = model.encoder.layers + model.decoder.layers
-    entries = [(l.kind, l, "f32", None) for l in layers]
-    assert entries[1][0] == "relu"
-    entries[1] = (kind, layers[0], "f32", None)  # dense weights, kind code
+    entries = [(l, "f32", None) for l in layers]
+    assert entries[1][0].kind == "relu"
+    # dense weights under an activation's kind code
+    entries[1] = (Layer(kind, layers[0].weights, layers[0].bias), "f32", None)
     path = tmp_path / "weighted.iscm"
     write_layer_stream(path, entries)
     with pytest.raises(CodecFormatError, match=f"{kind} layer record with 8"):

@@ -1,8 +1,10 @@
-"""Every name a pcvstream module imports at module level is used there.
+"""Every name a pcvstream module imports at module level is used there,
+and each module imports only the pcvstream modules its layer allows.
 
-The one exception is a name that `perfbench/tracer.py` patches in that
-module (PATCH_POINTS): it is imported only so the traced run can swap it,
-and every such name must stay where the tracer looks it up.
+The one exception to the first rule is a name that `perfbench/tracer.py`
+patches in that module (PATCH_POINTS): it is imported only so the traced
+run can swap it, and every such name must stay where the tracer looks it
+up.
 """
 
 import ast
@@ -34,6 +36,47 @@ def imported_names(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name
+
+
+# the pcvstream modules each module imports, anywhere in its body: the
+# geometry and the network engine stand alone, the codec builds on both,
+# the scheduler on the network engine only, and the simulator on all
+LAYERS = {
+    "__init__": set(),
+    "_util": set(),
+    "cloud": set(),
+    "nn": set(),
+    "roi": {"_util", "cloud"},
+    "codec": {"_util", "cloud", "nn"},
+    "scheduler": {"nn"},
+    "sim": {"cloud", "codec", "roi", "scheduler"},
+}
+
+
+def package_imports(tree):
+    """Names of the pcvstream modules a module's code imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                target = node.module
+            elif (node.module or "").startswith("pcvstream."):
+                target = node.module.split(".")[1]
+            else:
+                continue
+            if target is None:  # from . import x
+                yield from (alias.name for alias in node.names)
+            else:
+                yield target.split(".")[0]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("pcvstream."):
+                    yield alias.name.split(".")[1]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_only_its_layers(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert set(package_imports(tree)) == LAYERS[path.stem]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

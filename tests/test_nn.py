@@ -71,7 +71,7 @@ def test_dense_uses_prune_mask():
 
 
 def test_layer_rejects_unknown_kinds():
-    for kind in ("actor_head", "critic_head", "conv"):
+    for kind in ("tanh", "actor_head", "critic_head", "conv"):
         with pytest.raises(ValueError, match="unknown layer kind"):
             Layer(kind)
 
@@ -175,7 +175,6 @@ def test_nan_weight_in_a_middle_layer_of_a_stack_names_that_layer():
 def layer_nets(rng):
     yield "dense", Network([dense(5, 4, rng)]), (7, 4)
     yield "relu", Network([dense(5, 4, rng), Layer("relu")]), (7, 4)
-    yield "tanh", Network([dense(5, 4, rng), Layer("tanh")]), (7, 4)
     yield "maxpool", Network([dense(5, 4, rng), Layer("maxpool_points")]), (7, 4)
 
 

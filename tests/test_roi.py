@@ -169,6 +169,20 @@ def test_roi_config_rejects_bad_cell_sizes(field, value):
         RoiConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan, math.inf])
+def test_roi_config_rejects_beta_outside_unit_interval(value):
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+        RoiConfig(beta=value)
+    assert RoiConfig(beta=0.0).beta == 0.0 and RoiConfig(beta=1.0).beta == 1.0
+
+
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+def test_roi_config_rejects_bad_lambda(value):
+    with pytest.raises(ValueError, match="lambda_ must be finite and >= 0"):
+        RoiConfig(lambda_=value)
+    assert RoiConfig(lambda_=0.0).lambda_ == 0.0
+
+
 @pytest.mark.parametrize("field", ["R", "k", "sub_bins"])
 def test_roi_config_rejects_counts_below_one(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):

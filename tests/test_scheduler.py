@@ -549,26 +549,6 @@ def test_multi_worker_matches_single_worker_mean():
     assert abs(multi - single) <= 0.1 * single
 
 
-def test_checkpoint_round_trip(tmp_path):
-    result = train_scheduler(lambda w: TwoContextBanditEnv(), epochs=10,
-                             seed=6, actions=("a", "b", "c"))
-    path = tmp_path / "policy.iscm"
-    result.net.save(path)
-    back = ActorCritic.load(path, actions=("a", "b", "c"))
-    state = state_of(k=8)
-    np.testing.assert_allclose(back.policy(state)[0],
-                               result.net.policy(state)[0],
-                               atol=1e-6)
-    assert select_action(back, state) == select_action(result.net, state)
-
-
-def test_checkpoint_load_rejects_action_count_mismatch(tmp_path):
-    path = tmp_path / "policy.iscm"
-    ActorCritic.create(actions=("a", "b", "c"), seed=1).save(path)
-    with pytest.raises(ValueError, match="3 actions"):
-        ActorCritic.load(path)  # DEFAULT_ACTIONS has six entries
-
-
 def test_bandit_env_oracle_structure():
     env = TwoContextBanditEnv()
     # stated context structure: high bandwidth wants action 2, low wants 0

@@ -109,6 +109,46 @@ def test_frame_costs_scale_with_blocks():
     assert decode_s == pytest.approx(5e-4)  # twice the reference speed
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_device_model_rejects_bad_compute_scale(scale):
+    with pytest.raises(ValueError, match="compute_scale must be finite and "
+                       "positive"):
+        DeviceModel("x", scale)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("test_cd", 0.0, "test_cd must be finite and positive"),
+    ("test_cd", -0.05, "test_cd must be finite and positive"),
+    ("test_cd", math.nan, "test_cd must be finite and positive"),
+    ("test_cd", math.inf, "test_cd must be finite and positive"),
+    ("encode_cost_s", -1e-4, "encode_cost_s must be finite and non-negative"),
+    ("encode_cost_s", math.nan, "encode_cost_s must be finite and "
+     "non-negative"),
+    ("decode_cost_s", math.inf, "decode_cost_s must be finite and "
+     "non-negative"),
+])
+def test_registry_entry_rejects_bad_measurements(field, value, message):
+    values = {"encode_cost_s": 2e-4, "decode_cost_s": 1e-4, "test_cd": 0.05}
+    values[field] = value
+    with pytest.raises(ValueError, match=f"model '8x8-q8': {message}"):
+        RegistryEntry("8x8-q8", "unused.iscm", 64, 8, **values)
+    # free costs are allowed
+    assert RegistryEntry("8x8-q8", "unused.iscm", 64, 8, 0.0, 0.0,
+                         0.05).encode_cost_s == 0.0
+
+
+def test_registry_load_rejects_a_zero_test_cd(tmp_path):
+    registry = ModelRegistry(tmp_path, {"4x4-q8": RegistryEntry(
+        "4x4-q8", "4x4-q8.iscm", 16, 8, 1e-4, 1e-4, 0.05)})
+    registry.save()
+    path = tmp_path / "registry.json"
+    stored = json.loads(path.read_text())
+    stored["models"]["4x4-q8"]["test_cd"] = 0.0
+    path.write_text(json.dumps(stored))
+    with pytest.raises(ValueError, match="model '4x4-q8': test_cd"):
+        ModelRegistry.load(tmp_path)
+
+
 def test_device_presets_ordering():
     d1 = DeviceModel.preset("device-1")
     d3 = DeviceModel.preset("device-3")
