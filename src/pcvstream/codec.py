@@ -45,6 +45,7 @@ _KIND_CODES = {"dense": 1, "relu": 2, "maxpool_points": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _DTYPE_CODES = {"f32": 0, "q8": 1, "q16": 2}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
+DTYPE_BITS = {"f32": 32, "q8": 8, "q16": 16}  # bits per stored weight
 
 
 class CodecFormatError(ValueError):
@@ -82,14 +83,10 @@ class CodecModel:
     latent_dim: int
     dtype: str = "f32"
     quant_meta: list | None = None  # per dense layer, encoder then decoder
-    zeta_applied: float = 0.0
 
     def dense_layers(self):
         return [l for l in self.encoder.layers + self.decoder.layers
                 if l.weights is not None]
-
-    def zero_fractions(self):
-        return [float((l.weights == 0.0).mean()) for l in self.dense_layers()]
 
     def copy(self) -> "CodecModel":
         return copy.deepcopy(self)
@@ -400,7 +397,8 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
     target, then keep fine-tuning within the round's epoch budget. After
     the final round all dense layers are quantized to m bits (m=32 skips
     quantization). If the trigger never fires within a round's budget the
-    model is returned best-effort with zeta_applied below the target.
+    model is returned best-effort, pruned short of zeta, with a logged
+    warning; the prune masks hold what was pruned.
     """
     if model.dtype != "f32":
         raise ValueError("lightweight_train expects an f32 model")
@@ -434,11 +432,9 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
             train(out, data, epochs=budget, lr=lr, seed=seed + 1000 * rnd)
         current = mean_reconstruction_loss(out, data)
 
-    out.zeta_applied = prune_cfg.cumulative_target(rounds_done) \
-        if rounds_done else 0.0
     if rounds_done < prune_cfg.rounds:
         log.warning("reached sparsity %.3f of requested %.3f",
-                    out.zeta_applied, prune_cfg.zeta)
+                    prune_cfg.cumulative_target(rounds_done), prune_cfg.zeta)
 
     if m != 32:
         quantize_model(out, m)
@@ -485,9 +481,9 @@ def read_layer_stream(path):
     a u8 dtype code. relu and maxpool_points records have 0 rows and no
     payload. A dense record has rows, cols >= 1 and is followed by its
     payload: f32 holds the rows*cols weights (row-major) and then the rows
-    biases as f32; q8 and q16 hold f32 min, f32 max and u8 bits, then one
-    u8 or u16 code per weight and bias in the same order, no codes when
-    min == max.
+    biases as f32; q8 and q16 hold f32 min, f32 max and u8 bits (8 or 16,
+    matching the dtype; any other value is rejected), then one u8 or u16
+    code per weight and bias in the same order, no codes when min == max.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -536,6 +532,10 @@ def read_layer_stream(path):
             meta = None
         else:
             mn, mx, m = struct.unpack("<ffB", take(9))
+            if m != DTYPE_BITS[dtype]:
+                raise CodecFormatError(f"{dtype} layer record with bits "
+                                       f"field {m}, expected "
+                                       f"{DTYPE_BITS[dtype]}")
             meta = {"min": float(mn), "max": float(mx), "bits": m,
                     "size": n_params}
             if mn == mx:
@@ -607,9 +607,7 @@ def deserialize(path) -> CodecModel:
         raise CodecFormatError(f"mixed layer dtypes {sorted(dtypes)}")
     dtype = dtypes.pop()
     metas = [m for _, _, m in entries if m is not None] or None
-    model = CodecModel(enc, dec, n_points, latent_dim, dtype, metas)
-    model.zeta_applied = min(model.zero_fractions())
-    return model
+    return CodecModel(enc, dec, n_points, latent_dim, dtype, metas)
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,6 @@ class RoiConfig:
     fine_cell_size: float = 0.25
     r_min: float = 0.1
     r_max: float = 1.0
-    k: int = 8
-    # keep the top coarse fraction by block count or by point count
-    coarse_keep_by: str = "blocks"
     sub_bins: int = 2
 
     def __post_init__(self):
@@ -83,12 +80,10 @@ class RoiConfig:
             raise ValueError("lambda_ must be finite and >= 0")
         if not 0.0 <= self.r_min <= self.r_max <= 1.0:
             raise ValueError("require 0 <= r_min <= r_max <= 1")
-        if self.coarse_keep_by not in ("blocks", "points"):
-            raise ValueError("coarse_keep_by must be 'blocks' or 'points'")
         for name in ("coarse_cell_size", "fine_cell_size"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        for name in ("R", "k", "sub_bins"):
+        for name in ("R", "sub_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -96,26 +91,20 @@ class RoiConfig:
 # ---------------------------------------------------------------------------
 # stage one
 
-def predict_pose(history: PoseHistory, horizon: int) -> list[Pose]:
-    """Extrapolate the next `horizon` poses.
+def predict_pose(history: PoseHistory) -> Pose:
+    """Extrapolate the next pose from the last two samples.
 
     Position advances at the last observed velocity; orientation repeats the
-    last relative rotation (renormalized each step).
+    last relative rotation (renormalized).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     prev, last = history.samples[-2], history.samples[-1]
     dt = last.timestamp - prev.timestamp
     velocity = (last.position - prev.position) / dt
     delta = quat_normalize(quat_multiply(last.orientation,
                                          quat_conjugate(prev.orientation)))
-    poses = []
-    quat = last.orientation
-    for i in range(1, horizon + 1):
-        quat = quat_normalize(quat_multiply(delta, quat))
-        poses.append(Pose(last.position + velocity * dt * i, quat,
-                          last.timestamp + dt * i))
-    return poses
+    return Pose(last.position + velocity * dt,
+                quat_normalize(quat_multiply(delta, last.orientation)),
+                last.timestamp + dt)
 
 
 def estimate_flow(prev: PointCloud, curr: PointCloud) -> np.ndarray:
@@ -159,15 +148,11 @@ def dynamic_saliency(grid: BlockGrid, flow: np.ndarray) -> np.ndarray:
 
 def _coarse_kept_rows(grid: BlockGrid, scores: np.ndarray,
                       cfg: RoiConfig) -> np.ndarray:
-    """Block rows kept by the coarse stage, best first: descending score,
-    ties broken by ascending block id."""
+    """Block rows kept by the coarse stage, best first: the top
+    coarse_keep_fraction of the blocks by descending score, ties broken by
+    ascending block id."""
     ranked = np.lexsort((grid.ids, -scores))
-    if cfg.coarse_keep_by == "blocks":
-        return ranked[:ceil_count(cfg.coarse_keep_fraction, len(ranked))]
-    # the smallest best-first prefix that holds `need` points
-    need = ceil_count(cfg.coarse_keep_fraction, len(grid.rows))
-    counts = grid.counts[ranked]
-    return ranked[:np.searchsorted(np.cumsum(counts) - counts, need)]
+    return ranked[:ceil_count(cfg.coarse_keep_fraction, len(ranked))]
 
 
 def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
@@ -183,8 +168,7 @@ def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
     with prev_frame for estimate_flow's zero-flow rule, and then sliced to
     the frustum.
     """
-    pose = predict_pose(history, 1)[0]
-    camera = Camera(pose, camera_intrinsics)
+    camera = Camera(predict_pose(history), camera_intrinsics)
     inside = np.flatnonzero(frustum_mask(frame, camera))
     culled = frame.select(inside)
     if len(culled) == 0:

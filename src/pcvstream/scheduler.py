@@ -36,6 +36,7 @@ CLIP_NORM = 5.0        # global norm cap of each gradient batch
 NEUTRAL_FILL = 0.5
 B_REF = 100.0          # Mbps that reads as full bandwidth
 T_REF = 1.0 / 30.0     # decode seconds that read as full compute
+F_TARGET = 30.0        # frames/s that earn the full frame-rate reward
 # the largest |sum(p) - 1| that `sample_index` accepts, as Generator.choice
 PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -46,10 +47,9 @@ DEFAULT_ACTIONS = ("4x4-q8", "4x4-q16", "8x8-q8", "8x8-q16",
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Frame-rate / accuracy blend: r = eta*min(1, f/f_target) + (1-eta)*L."""
+    """Frame-rate / accuracy blend: r = eta*min(1, f/F_TARGET) + (1-eta)*L."""
 
     eta: float = 0.5
-    f_target: float = 30.0
     accuracy_table: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -66,7 +66,7 @@ class RewardSpec:
 def reward(f_t: float, model_id, spec: RewardSpec) -> float:
     if model_id not in spec.accuracy_table:
         raise KeyError(f"unknown model '{model_id}'")
-    return (spec.eta * min(1.0, f_t / spec.f_target)
+    return (spec.eta * min(1.0, f_t / F_TARGET)
             + (1.0 - spec.eta) * spec.accuracy_table[model_id])
 
 
@@ -284,8 +284,10 @@ def train_scheduler(env_factory, workers: int = 1,
     """Train the scheduler on environments from env_factory(worker_index).
 
     Environments implement reset(rng) -> state and step(action) ->
-    (state, reward, done), each state a (3k,) vector. One epoch rolls one
-    episode per worker; each worker acts on a parameter snapshot and its
+    (state, reward, done), each state a (3k,) vector. Each names its
+    actions in an `actions` tuple equal to the `actions` argument, because
+    action i of the net is action i of every environment. One epoch rolls
+    one episode per worker; each worker acts on a parameter snapshot and its
     gradient batch is applied to the global net serially, so a
     single-worker run is exactly sequential and bit-reproducible for a
     fixed seed. The entropy bonus decays linearly to zero over the epochs;
@@ -293,6 +295,10 @@ def train_scheduler(env_factory, workers: int = 1,
     plain-SGD steps of DEFAULT_LR stable.
     """
     envs = [env_factory(w) for w in range(workers)]
+    for env in envs:
+        if tuple(env.actions) != tuple(actions):
+            raise ValueError(f"environment actions {env.actions} differ "
+                             f"from the policy actions {actions}")
     rngs = [np.random.default_rng(seed + 17 * w) for w in range(workers)]
     probe = envs[0].reset(np.random.default_rng(seed))
     net = ActorCritic.create(len(probe) // 3, hidden, actions, seed)

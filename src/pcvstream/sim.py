@@ -21,12 +21,12 @@ from .cloud import Intrinsics, PointCloud, Pose, chamfer_hausdorff
 # unused here; kept because the benchmark's tracer patches these names
 from .cloud import chamfer_distance, hausdorff_distance  # noqa: F401
 from .codec import (
-    CodecModel, chunk_blocks, decode, denormalize_block, deserialize, encode,
-    normalize_block, octree_decode, octree_encode,
+    DTYPE_BITS, CodecModel, chunk_blocks, decode, denormalize_block,
+    deserialize, encode, normalize_block, octree_decode, octree_encode,
 )
 from .roi import PoseHistory, RoiConfig, select_roi
 from .scheduler import (
-    NEUTRAL_FILL, ActorCritic, RewardSpec, build_state,
+    F_TARGET, NEUTRAL_FILL, ActorCritic, RewardSpec, build_state,
     normalized_accuracy, reward, select_action, state_slot,
 )
 
@@ -72,14 +72,13 @@ class NetworkTrace:
         object.__setattr__(self, "bandwidth_mbps", b)
 
     @classmethod
-    def preset(cls, name: str, duration_s: float = 120.0,
-               seed: int = 0) -> "NetworkTrace":
-        """Seeded +/-30% fluctuation every 0.5 s around the preset mean."""
+    def preset(cls, name: str, seed: int = 0) -> "NetworkTrace":
+        """Seeded +/-30% fluctuation every 0.5 s for 120 s around the preset
+        mean."""
         if name not in TRACE_PRESETS:
             raise ValueError(f"unknown preset '{name}'; "
                              f"choose from {sorted(TRACE_PRESETS)}")
-        return cls.fluctuating(TRACE_PRESETS[name], duration_s, seed,
-                               tag=name)
+        return cls.fluctuating(TRACE_PRESETS[name], seed=seed, tag=name)
 
     @classmethod
     def fluctuating(cls, mean_mbps: float, duration_s: float = 120.0,
@@ -90,10 +89,6 @@ class NetworkTrace:
         bw = mean_mbps * (1.0 + rng.uniform(-TRACE_JITTER, TRACE_JITTER,
                                             size=len(t)))
         return cls(t, bw, tag)
-
-    @classmethod
-    def constant(cls, mbps: float, tag: str = "constant") -> "NetworkTrace":
-        return cls(np.array([0.0]), np.array([mbps]), tag)
 
     def bandwidth_at(self, t: float) -> float:
         """Bandwidth of the segment containing t (last segment extends)."""
@@ -204,9 +199,20 @@ class ModelRegistry:
             {k: e.test_cd for k, e in self.entries.items()})
 
     def model(self, model_id: str) -> CodecModel:
+        """The entry's model file, loaded once. Raises ValueError when the
+        file's latent size or bit width differs from the entry's, which
+        sets the bytes charged per block."""
         if model_id not in self._cache:
             entry = self.entries[model_id]
-            self._cache[model_id] = deserialize(self.root / entry.file)
+            model = deserialize(self.root / entry.file)
+            found = (model.latent_dim, DTYPE_BITS[model.dtype])
+            if found != (entry.latent_dim, entry.bits):
+                raise ValueError(
+                    f"model '{model_id}': the registry entry has latent_dim "
+                    f"{entry.latent_dim} and bits {entry.bits}, but "
+                    f"{entry.file} holds latent_dim {found[0]} and bits "
+                    f"{found[1]}")
+            self._cache[model_id] = model
         return self._cache[model_id]
 
     def save(self) -> None:
@@ -370,7 +376,6 @@ CSV_COLUMNS = [f.name for f in fields(FrameRecord)]
 class StreamSession:
     records: list
     config: dict
-    seed: int
 
     def to_csv(self, path) -> None:
         """Session log; the first line is a '#' comment with the config."""
@@ -401,10 +406,9 @@ def _parse_policy(policy: str):
 def run_session(scene: Scene, policy: str, trace: NetworkTrace,
                 device: DeviceModel, registry: ModelRegistry | None = None,
                 policy_net: ActorCritic | None = None, roi: str = "on",
-                roi_cfg: RoiConfig | None = None, frames: int | None = None,
                 seed: int = 0) -> StreamSession:
-    """Stream a scene through encode -> transmit -> decode, one frame at a
-    time.
+    """Stream every frame of a scene after the first through encode ->
+    transmit -> decode, one frame at a time; cut the scene to stream fewer.
 
     Codec policies score CD/HD against the ROI selection (what was meant to
     be sent); the octree baseline scores against the full frame. Frame
@@ -423,13 +427,9 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
                              "registry")
     if roi not in ("on", "off"):
         raise ValueError("roi must be 'on' or 'off'")
-    if frames is not None and frames < 1:
-        raise ValueError("frames must be >= 1")
     if len(scene.frames) < 2:  # frame 0 only seeds the flow estimator
         raise ValueError("a session needs a scene of at least 2 frames")
-    roi_cfg = roi_cfg or RoiConfig()
-    total = len(scene.frames) if frames is None else min(frames + 1,
-                                                         len(scene.frames))
+    roi_cfg = RoiConfig()
 
     records = []
     clock_encode_end = 0.0
@@ -444,7 +444,7 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
     else:
         current_model = None
 
-    for t in range(1, total):  # frame 0 seeds the flow estimator
+    for t in range(1, len(scene.frames)):  # frame 0 seeds the flow estimator
         frame = scene.frames[t]
         prev = scene.frames[t - 1]
         frame_seed = seed * 100003 + t
@@ -454,7 +454,7 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
                 select_action(policy_net, state)]
 
         if roi == "on":
-            history = PoseHistory(scene.poses[max(0, t - roi_cfg.k):t + 1])
+            history = PoseHistory(scene.poses[t - 1:t + 1])
             result = select_roi(frame, prev, history, roi_cfg,
                                 scene.intrinsics, frame_seed)
             roi_cloud = result.cloud
@@ -505,9 +505,8 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
 
     config = {"policy": policy, "roi": roi, "trace": trace.tag,
               "device": device.name, "seed": seed,
-              "frames": total - 1,
-              "roi_cfg": {k: v for k, v in vars(roi_cfg).items()}}
-    return StreamSession(records, config, seed)
+              "frames": len(scene.frames) - 1, "roi_cfg": vars(roi_cfg)}
+    return StreamSession(records, config)
 
 
 def frame_timing(payload: int, encode_s: float, decode_s: float,
@@ -528,7 +527,8 @@ def frame_timing(payload: int, encode_s: float, decode_s: float,
 def pipeline_fps(encode_s: float, transmit_s: float, decode_s: float) -> float:
     """Three-stage pipeline throughput: the slowest stage sets the rate.
 
-    Isolated here so a different frame-rate model can be swapped in.
+    A function of its own because the benchmark's tracer counts a frame as
+    ended at each call: every streamed frame calls it exactly once.
     """
     bottleneck = max(encode_s, transmit_s, decode_s)
     return 1.0 / bottleneck if bottleneck > 0 else float("inf")
@@ -556,6 +556,8 @@ class StreamingSchedulerEnv:
                  k: int = 8):
         if k < 1:
             raise ValueError("k must be positive")
+        if episode_len < 1:
+            raise ValueError("episode_len must be >= 1")
         self.entries = [registry.entries[k] for k in sorted(registry.entries)]
         self.actions = tuple(sorted(registry.entries))
         self.device = device
@@ -597,7 +599,7 @@ class StreamingSchedulerEnv:
         # every block is streamed: the ROI share of the points is 1
         self._hist[:, :-1] = self._hist[:, 1:]
         self._hist[:, -1] = state_slot(blocks, blocks, decode_s, bandwidth)
-        self._t += max(transmit_s, 1.0 / self.spec.f_target)
+        self._t += max(transmit_s, 1.0 / F_TARGET)
         self._left -= 1
         return (self._state(), reward(fps, entry.model_id, self.spec),
                 self._left <= 0)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from pcvstream._util import ceil_count
 from pcvstream.cloud import PointCloud, chamfer_distance, hausdorff_distance
 from pcvstream import codec
 from pcvstream.codec import (
@@ -536,6 +537,24 @@ def test_deserialize_rejects_an_unknown_kind_code(tmp_path, code):
         deserialize(patched)
 
 
+@pytest.mark.parametrize("m, bits", [(8, 0), (8, 7), (8, 16), (16, 8)])
+def test_deserialize_rejects_a_bits_field_that_does_not_match_the_dtype(
+        tmp_path, m, bits):
+    model = tiny_model(seed=21)
+    quantize_model(model, m)
+    good = tmp_path / "good.iscm"
+    serialize(model, good)
+    raw = good.read_bytes()
+    # header 8 bytes, record head 10, then f32 min, f32 max, u8 bits
+    assert raw[8] == 1 and raw[26] == m
+    patched = tmp_path / "patched.iscm"
+    patched.write_bytes(raw[:26] + bytes([bits]) + raw[27:])
+    with pytest.raises(CodecFormatError,
+                       match=f"q{m} layer record with bits field {bits}, "
+                       f"expected {m}"):
+        deserialize(patched)
+
+
 def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
     model = tiny_model(seed=21)
     layers = model.encoder.layers + model.decoder.layers
@@ -625,8 +644,8 @@ def test_lightweight_zeta_zero_m32_passthrough():
                             PruneConfig(zeta=0.0, rounds=1, finetune_epochs=0),
                             m=32, seed=0)
     assert out.dtype == "f32"
-    assert out.zeta_applied == 0.0
     for b, l in zip(before, out.dense_layers()):
+        assert l.prune_mask.all()  # nothing pruned
         np.testing.assert_array_equal(b, l.weights)
 
 
@@ -634,13 +653,15 @@ def test_lightweight_sparsity_reached():
     data = toy_block_dataset(10, 16, seed=6)
     model = tiny_model(seed=22)
     train(model, data, epochs=3, lr=0.01, seed=0)
-    out = lightweight_train(model, data,
-                            PruneConfig(zeta=0.5, rounds=2, finetune_epochs=1),
-                            m=8, lr=0.002, seed=0)
+    cfg = PruneConfig(zeta=0.5, rounds=2, finetune_epochs=1)
+    out = lightweight_train(model, data, cfg, m=8, lr=0.002, seed=0)
     assert out.dtype == "q8"
-    assert out.zeta_applied == pytest.approx(0.5)
-    for frac in out.zero_fractions():
-        assert frac >= 0.5
+    for l in out.dense_layers():
+        pruned = l.prune_mask == 0
+        assert pruned.sum() == ceil_count(cfg.cumulative_target(2),
+                                          l.weights.size)
+        assert pruned.mean() >= 0.5
+        assert not l.weights[pruned].any()
 
 
 def test_lightweight_train_quantizes_with_quantize_model():
@@ -663,14 +684,16 @@ def test_lightweight_train_quantizes_with_quantize_model():
         np.testing.assert_array_equal(got["codes"], exp["codes"])
 
 
-def test_lightweight_stalls_when_threshold_unreachable():
+def test_lightweight_stalls_when_threshold_unreachable(caplog):
     data = toy_block_dataset(6, 16, seed=7)
     model = tiny_model(seed=23)
     train(model, data, epochs=1, lr=0.01, seed=0)
     cfg = PruneConfig(zeta=0.5, rounds=2, finetune_epochs=1,
                       loss_threshold=1e-12)  # unattainable trigger
     out = lightweight_train(model, data, cfg, m=8, seed=0)
-    assert out.zeta_applied == 0.0
+    assert all(l.prune_mask is None for l in out.dense_layers())
+    assert "pruning stalled in round 1" in caplog.text
+    assert "reached sparsity 0.000 of requested 0.500" in caplog.text
 
 
 def test_prune_config_validation():

@@ -93,22 +93,11 @@ def block_features(points, sub_bins, bounds, colors=None):
     return np.concatenate([geo, tex])
 
 
-def coarse_kept_ids(blocks, scores, cfg):
+def coarse_kept_ids(scores, cfg):
     """Coarse keep as a loop: block ids by descending score, ties to the
-    lower id, cut by block count or by the first prefix holding `need`
-    points."""
+    lower id, cut by block count."""
     ranked = sorted(scores, key=lambda b: (-scores[b], b))
-    if cfg.coarse_keep_by == "blocks":
-        return ranked[:ceil_count(cfg.coarse_keep_fraction, len(ranked))]
-    total = sum(len(blocks[b]) for b in ranked)
-    need = ceil_count(cfg.coarse_keep_fraction, total)
-    kept, acc = [], 0
-    for bid in ranked:
-        if acc >= need:
-            break
-        kept.append(bid)
-        acc += len(blocks[bid])
-    return kept
+    return ranked[:ceil_count(cfg.coarse_keep_fraction, len(ranked))]
 
 
 def static_history(position=(0.0, 0.0, 0.0), n=3):
@@ -119,19 +108,19 @@ def static_history(position=(0.0, 0.0, 0.0), n=3):
 # pose prediction
 
 def test_predict_pose_stationary():
-    hist = static_history((1.0, 2.0, 3.0))
-    for pose in predict_pose(hist, 4):
-        np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(pose.orientation, IDENTITY_Q)
+    pose = predict_pose(static_history((1.0, 2.0, 3.0)))
+    np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(pose.orientation, IDENTITY_Q)
+    assert pose.timestamp == 3.0
 
 
 def test_predict_pose_linear():
     hist = PoseHistory([Pose((0, 0, 0), IDENTITY_Q, 0.0),
-                        Pose((1, 0, 0), IDENTITY_Q, 1.0)])
-    preds = predict_pose(hist, 2)
-    np.testing.assert_allclose(preds[0].position, [2.0, 0.0, 0.0])
-    np.testing.assert_allclose(preds[1].position, [3.0, 0.0, 0.0])
-    assert preds[1].timestamp == pytest.approx(3.0)
+                        Pose((1, 0, 0), IDENTITY_Q, 1.0),
+                        Pose((3, 0, 0), IDENTITY_Q, 2.0)])
+    pred = predict_pose(hist)  # only the last two samples count
+    np.testing.assert_allclose(pred.position, [5.0, 0.0, 0.0])
+    assert pred.timestamp == pytest.approx(3.0)
 
 
 def test_predict_pose_rotation_matches_matrix_oracle():
@@ -141,12 +130,12 @@ def test_predict_pose_rotation_matches_matrix_oracle():
         Pose((0, 0, 0), (math.cos(step / 2), 0.0, 0.0, math.sin(step / 2)),
              1.0),
     ])
-    pred = predict_pose(hist, 3)[2]
-    # compose the per-frame rotation matrix four times: 10 deg * (1 + 3)
+    pred = predict_pose(hist)
+    # compose the per-frame rotation matrix twice: 10 deg * (1 + 1)
     per_frame = np.array([[math.cos(step), -math.sin(step), 0],
                           [math.sin(step), math.cos(step), 0],
                           [0, 0, 1.0]])
-    expect = np.linalg.matrix_power(per_frame, 4)
+    expect = np.linalg.matrix_power(per_frame, 2)
     np.testing.assert_allclose(quat_to_matrix(pred.orientation), expect,
                                atol=1e-6)
 
@@ -183,7 +172,7 @@ def test_roi_config_rejects_bad_lambda(value):
     assert RoiConfig(lambda_=0.0).lambda_ == 0.0
 
 
-@pytest.mark.parametrize("field", ["R", "k", "sub_bins"])
+@pytest.mark.parametrize("field", ["R", "sub_bins"])
 def test_roi_config_rejects_counts_below_one(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         RoiConfig(**{field: 0})
@@ -372,13 +361,13 @@ def test_coarse_select_on_a_static_pair_builds_no_tree(kd_calls):
     assert kd_calls == []
 
 
-@pytest.mark.parametrize("seed, keep_by", [(0, "blocks"), (1, "points")])
-def test_coarse_select_equals_culled_kd_flow_path(seed, keep_by):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coarse_select_equals_culled_kd_flow_path(seed):
     prev, frame, history, intr = scene_pair(seed)
-    cfg = RoiConfig(coarse_keep_by=keep_by)
+    cfg = RoiConfig()
     coarse, grid, scores, _ = coarse_select_details(
         frame, prev, history, cfg, intr)
-    camera = Camera(predict_pose(history, 1)[0], intr)
+    camera = Camera(predict_pose(history), intr)
     culled = frustum_cull(frame, camera)
     want_grid = partition(culled, cfg.coarse_cell_size)
     want_flow = kd_flow(prev, culled)
@@ -477,7 +466,7 @@ def test_coarse_select_keep_all_equals_frustum():
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=1.0, coarse_cell_size=1.0)
     out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
-    cam = Camera(predict_pose(hist, 1)[0], intr)
+    cam = Camera(predict_pose(hist), intr)
     np.testing.assert_array_equal(out.points, frustum_cull(curr, cam).points)
 
 
@@ -518,7 +507,7 @@ def test_coarse_subset_of_frustum_subset_of_frame():
     hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.5, coarse_cell_size=1.0)
     out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
-    cam = Camera(predict_pose(hist, 1)[0], intr)
+    cam = Camera(predict_pose(hist), intr)
     frustum = set(map(tuple, frustum_cull(curr, cam).points.tolist()))
     frame = set(map(tuple, curr.points.tolist()))
     kept = set(map(tuple, out.points.tolist()))
@@ -714,18 +703,16 @@ def test_identity_bypass_equals_frustum():
     cfg = RoiConfig(coarse_keep_fraction=1.0, r_min=1.0, r_max=1.0,
                     coarse_cell_size=1.0, fine_cell_size=0.5)
     result = select_roi(curr, prev, hist, cfg, intr, seed=0)
-    cam = Camera(predict_pose(hist, 1)[0], intr)
+    cam = Camera(predict_pose(hist), intr)
     np.testing.assert_array_equal(result.cloud.points,
                                   frustum_cull(curr, cam).points)
 
 
-@pytest.mark.parametrize("keep_by", ["blocks", "points"])
-def test_select_roi_rejects_a_coarse_stage_that_keeps_nothing(keep_by):
+def test_select_roi_rejects_a_coarse_stage_that_keeps_nothing():
     prev, curr = cluster_scene()
     hist, intr = wide_camera_history()
-    # ceil_count rounds 1e-12 of 10 blocks (200 points) down to 0
-    cfg = RoiConfig(coarse_keep_fraction=1e-12, coarse_keep_by=keep_by,
-                    coarse_cell_size=1.0)
+    # ceil_count rounds 1e-12 of 10 blocks down to 0
+    cfg = RoiConfig(coarse_keep_fraction=1e-12, coarse_cell_size=1.0)
     with pytest.raises(ValueError, match="non-empty coarse ROI"):
         select_roi(curr, prev, hist, cfg, intr, seed=0)
 
@@ -737,7 +724,7 @@ def test_fine_scores_on_the_coarse_roi():
     cfg = RoiConfig()
     result = select_roi(frame, prev, history, cfg, intr, seed=0)
     coarse = coarse_select_details(frame, prev, history, cfg, intr)[0]
-    pose = predict_pose(history, 1)[0]
+    pose = predict_pose(history)
     grid = partition(coarse, cfg.fine_cell_size)
     scores = _static_scores(grid, coarse, pose.position, pose.forward(), cfg)
     for row in scores:
@@ -846,12 +833,12 @@ def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
     """Both ROI stages from the scalar pieces, with a second flow pass on
     the coarse cloud; returns (ROI point indices into the culled cloud,
     culled cloud)."""
-    camera = Camera(predict_pose(history, 1)[0], intrinsics)
+    camera = Camera(predict_pose(history), intrinsics)
     culled = frustum_cull(frame, camera)
     blocks = blocks_of(partition(culled, cfg.coarse_cell_size))
     mags = np.linalg.norm(estimate_flow(prev, culled), axis=1)
     scores = {b: float(mags[idx].mean()) for b, idx in blocks.items()}
-    kept = coarse_kept_ids(blocks, scores, cfg)
+    kept = coarse_kept_ids(scores, cfg)
     coarse_idx = np.sort(np.concatenate([blocks[b] for b in kept]))
     coarse = culled.select(coarse_idx)
     fine = partition(coarse, cfg.fine_cell_size)
@@ -871,12 +858,11 @@ def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
     return coarse_idx[np.sort(np.concatenate(picked))], culled
 
 
-@pytest.mark.parametrize("seed, keep_by", [(0, "blocks"), (1, "blocks"),
-                                           (2, "points")])
-def test_select_roi_matches_scalar_oracle(seed, keep_by):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_select_roi_matches_scalar_oracle(seed):
     scene = generate_scene(rooms=1, frames=4, subject_points=400,
                            background_points=3000, seed=seed)
-    cfg = RoiConfig(coarse_keep_by=keep_by)
+    cfg = RoiConfig()
     history = PoseHistory(scene.poses[:3])
     frame, prev = scene.frames[2], scene.frames[1]
     result = select_roi(frame, prev, history, cfg, scene.intrinsics, seed=7)
@@ -925,22 +911,10 @@ RANK_SCORES = {
 
 @pytest.mark.parametrize("scores", RANK_SCORES.values(), ids=RANK_SCORES)
 @pytest.mark.parametrize("fraction", [1e-3, 0.6, 1.0])
-@pytest.mark.parametrize("keep_by", ["blocks", "points"])
-def test_coarse_kept_rows_match_id_loop(scores, fraction, keep_by):
+def test_coarse_kept_rows_match_id_loop(scores, fraction):
     grid = counted_grid()
-    cfg = RoiConfig(coarse_keep_fraction=fraction, coarse_keep_by=keep_by)
+    cfg = RoiConfig(coarse_keep_fraction=fraction)
     rows = _coarse_kept_rows(grid, scores, cfg)
-    expect = coarse_kept_ids(blocks_of(grid),
-                             dict(zip(grid.ids.tolist(), scores.tolist())), cfg)
-    assert grid.ids[rows].tolist() == expect
-
-
-def test_coarse_kept_rows_stop_when_the_count_lands_on_need():
-    grid = counted_grid()
-    scores = np.arange(len(RANK_COUNTS), 0, -1, dtype=np.float64)  # row order
-    cfg = RoiConfig(coarse_keep_fraction=8 / 39, coarse_keep_by="points")
-    rows = _coarse_kept_rows(grid, scores, cfg)
-    assert rows.tolist() == [0, 1, 2]  # 3 + 1 + 4 == need == 8
-    expect = coarse_kept_ids(blocks_of(grid),
-                             dict(zip(grid.ids.tolist(), scores.tolist())), cfg)
+    expect = coarse_kept_ids(dict(zip(grid.ids.tolist(), scores.tolist())),
+                             cfg)
     assert grid.ids[rows].tolist() == expect

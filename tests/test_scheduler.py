@@ -48,7 +48,7 @@ class TwoContextBanditEnv:
     in eta. Episodes draw `steps` independent contexts.
     """
 
-    n_actions = 3
+    actions = ("a", "b", "c")
 
     def __init__(self, eta: float | None = None, steps: int = 32,
                  k: int = DEFAULT_WINDOW, noise: float = 0.05):

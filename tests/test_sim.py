@@ -7,12 +7,13 @@ import pytest
 
 from pcvstream.cloud import PointCloud
 from pcvstream.codec import (
-    PruneConfig, lightweight_train, make_codec_model, mean_chamfer, serialize,
-    toy_block_dataset, train,
+    PruneConfig, lightweight_train, make_codec_model, mean_chamfer,
+    quantize_model, serialize, toy_block_dataset, train,
 )
-from pcvstream.roi import RoiConfig
 from pcvstream import sim
-from pcvstream.scheduler import ActorCritic, build_state
+from pcvstream.scheduler import (
+    DEFAULT_ACTIONS, ActorCritic, build_state, train_scheduler,
+)
 from pcvstream.sim import (
     DeviceModel, ModelRegistry, NetworkTrace, RegistryEntry, Scene,
     StreamingSchedulerEnv, frame_timing, generate_scene, measure_block_costs,
@@ -23,8 +24,12 @@ from pcvstream.sim import (
 # ---------------------------------------------------------------------------
 # traces and transmit time
 
+def constant_trace(mbps, tag="constant"):
+    return NetworkTrace(np.array([0.0]), np.array([mbps]), tag)
+
+
 def test_trace_presets_and_validation():
-    trace = NetworkTrace.preset("5g", duration_s=10.0, seed=1)
+    trace = NetworkTrace.preset("5g", seed=1)
     assert trace.tag == "5g"
     assert abs(trace.bandwidth_mbps.mean() - 100.0) < 15.0
     assert trace.bandwidth_mbps.min() >= 70.0 - 1e-9
@@ -35,7 +40,6 @@ def test_trace_presets_and_validation():
 
 
 def test_trace_tags_name_their_source():
-    assert NetworkTrace.constant(50.0).tag == "constant"
     assert NetworkTrace.fluctuating(50.0, duration_s=2.0).tag == "fluctuating"
     assert NetworkTrace(np.array([0.0]), np.array([5.0])).tag == "custom"
 
@@ -48,13 +52,13 @@ def test_trace_rejects_non_finite_values(bad):
 
 
 def test_transmit_time_zero_payload():
-    trace = NetworkTrace.constant(50.0)
+    trace = constant_trace(50.0)
     assert transmit_time(0, trace) == 0.0
 
 
 def test_transmit_time_unit_arithmetic():
     # 12.5 MB over a constant 100 Mbps link takes exactly one second
-    trace = NetworkTrace.constant(100.0)
+    trace = constant_trace(100.0)
     assert transmit_time(12_500_000, trace) == pytest.approx(1.0)
 
 
@@ -69,7 +73,7 @@ def test_transmit_time_two_segment_hand_integration():
 
 def test_transmit_time_monotone_properties():
     rng = np.random.default_rng(4)
-    trace = NetworkTrace.preset("4g", duration_s=30.0, seed=5)
+    trace = NetworkTrace.preset("4g", seed=5)
     sizes = np.sort(rng.integers(1, 10_000_000, size=10))
     times = [transmit_time(int(s), trace, start_t=2.0) for s in sizes]
     assert all(a <= b + 1e-12 for a, b in zip(times, times[1:]))
@@ -235,6 +239,32 @@ def test_registry_round_trip(tmp_path):
     assert model.n_points == 32
 
 
+def tiny_files(root):
+    """A latent-16 model saved as f32 (tiny.iscm) and as q8 (tiny-q8.iscm)."""
+    model = make_codec_model(16, 32, seed=16, enc_hidden=(8,),
+                             dec_hidden=(16,))
+    serialize(model, root / "tiny.iscm")
+    quantize_model(model, 8)
+    serialize(model, root / "tiny-q8.iscm")
+
+
+@pytest.mark.parametrize("file, latent, bits", [
+    ("tiny.iscm", 256, 8),     # would charge 65,520 B/frame, not 5,040
+    ("tiny.iscm", 16, 8),
+    ("tiny-q8.iscm", 64, 8),
+    ("tiny-q8.iscm", 16, 16),
+    ("tiny-q8.iscm", 16, 32),
+])
+def test_registry_model_rejects_an_entry_that_disagrees_with_its_file(
+        tmp_path, file, latent, bits):
+    tiny_files(tmp_path)
+    registry = ModelRegistry(tmp_path, {"m": RegistryEntry(
+        "m", file, latent, bits, 1e-4, 5e-5, 0.05)})
+    with pytest.raises(ValueError, match=f"model 'm': .* latent_dim {latent} "
+                       f"and bits {bits}, but {file} holds latent_dim 16"):
+        registry.model("m")
+
+
 # ---------------------------------------------------------------------------
 # sessions
 
@@ -245,7 +275,7 @@ def small_scene(frames=6, seed=5):
 
 def test_session_octree_policy_runs():
     scene = small_scene()
-    trace = NetworkTrace.preset("wifi", duration_s=30.0, seed=1)
+    trace = NetworkTrace.preset("wifi", seed=1)
     session = run_session(scene, "octree:5", trace,
                           DeviceModel.preset("device-2"), roi="off", seed=1)
     assert len(session.records) == 5
@@ -260,7 +290,7 @@ def test_session_octree_policy_runs():
 def test_session_fixed_policy_with_roi(tmp_path):
     registry = toy_registry(tmp_path)
     scene = small_scene()
-    trace = NetworkTrace.preset("wifi", duration_s=30.0, seed=2)
+    trace = NetworkTrace.preset("wifi", seed=2)
     model_id = sorted(registry.entries)[0]
     session = run_session(scene, f"fixed:{model_id}", trace,
                           DeviceModel.preset("device-1"), registry=registry,
@@ -274,7 +304,7 @@ def test_session_fixed_policy_with_roi(tmp_path):
 def test_session_roi_reduces_payload(tmp_path):
     registry = toy_registry(tmp_path, latents=(16,))
     scene = small_scene(frames=5)
-    trace = NetworkTrace.constant(60.0, tag="wifi")
+    trace = constant_trace(60.0, tag="wifi")
     model_id = sorted(registry.entries)[0]
     on = run_session(scene, f"fixed:{model_id}", trace,
                      DeviceModel.preset("device-2"), registry=registry,
@@ -294,7 +324,7 @@ def test_session_over_a_constant_trace_records_its_tag(tmp_path):
     registry = toy_registry(tmp_path, latents=(16,))
     model_id = sorted(registry.entries)[0]
     session = run_session(small_scene(frames=2), f"fixed:{model_id}",
-                          NetworkTrace.constant(60.0),
+                          constant_trace(60.0),
                           DeviceModel.preset("device-2"), registry=registry,
                           roi="off", seed=3)
     assert session.config["trace"] == "constant"
@@ -303,7 +333,7 @@ def test_session_over_a_constant_trace_records_its_tag(tmp_path):
 def test_session_deterministic_csv(tmp_path):
     registry = toy_registry(tmp_path, latents=(16,))
     scene = small_scene(frames=4)
-    trace = NetworkTrace.preset("4g", duration_s=20.0, seed=4)
+    trace = NetworkTrace.preset("4g", seed=4)
     model_id = sorted(registry.entries)[0]
     paths = []
     for i in range(2):
@@ -319,7 +349,7 @@ def test_session_deterministic_csv(tmp_path):
 def test_session_conservation_invariants(tmp_path):
     registry = toy_registry(tmp_path, latents=(16,))
     scene = small_scene(frames=6)
-    trace = NetworkTrace.preset("wifi", duration_s=30.0, seed=8)
+    trace = NetworkTrace.preset("wifi", seed=8)
     model_id = sorted(registry.entries)[0]
     session = run_session(scene, f"fixed:{model_id}", trace,
                           DeviceModel.preset("device-2"), registry=registry,
@@ -334,7 +364,7 @@ def test_session_conservation_invariants(tmp_path):
 def test_faster_device_never_slower(tmp_path):
     registry = toy_registry(tmp_path, latents=(16,))
     scene = small_scene(frames=5)
-    trace = NetworkTrace.constant(1000.0)  # decode-bound regime
+    trace = constant_trace(1000.0)  # decode-bound regime
     model_id = sorted(registry.entries)[0]
     fast = run_session(scene, f"fixed:{model_id}", trace,
                        DeviceModel.preset("device-1"), registry=registry,
@@ -349,7 +379,7 @@ def test_faster_device_never_slower(tmp_path):
 
 def test_octree_depth_sweep_tradeoff():
     scene = small_scene(frames=3)
-    trace = NetworkTrace.constant(60.0)
+    trace = constant_trace(60.0)
     device = DeviceModel.preset("device-2")
     payloads, cds = [], []
     for depth in (3, 4, 5, 6, 7, 8):
@@ -363,7 +393,7 @@ def test_octree_depth_sweep_tradeoff():
 
 def test_unknown_policy_and_missing_model(tmp_path):
     scene = small_scene(frames=3)
-    trace = NetworkTrace.constant(60.0)
+    trace = constant_trace(60.0)
     device = DeviceModel.preset("device-2")
     with pytest.raises(ValueError):
         run_session(scene, "magic", trace, device)
@@ -372,20 +402,12 @@ def test_unknown_policy_and_missing_model(tmp_path):
         run_session(scene, "fixed:nope", trace, device, registry=registry)
 
 
-@pytest.mark.parametrize("frames", [0, -3])
-def test_session_rejects_fewer_than_one_frame(frames):
-    with pytest.raises(ValueError, match="frames"):
-        run_session(small_scene(frames=3), "octree:4",
-                    NetworkTrace.constant(60.0),
-                    DeviceModel.preset("device-2"), roi="off", frames=frames)
-
-
 def test_session_rejects_a_one_frame_scene():
     scene = small_scene(frames=2)
     one = Scene(scene.frames[:1], scene.subject_masks[:1], scene.poses[:1],
                 scene.intrinsics)
     with pytest.raises(ValueError, match="at least 2 frames"):
-        run_session(one, "octree:4", NetworkTrace.constant(60.0),
+        run_session(one, "octree:4", constant_trace(60.0),
                     DeviceModel.preset("device-2"), roi="off")
 
 
@@ -416,7 +438,7 @@ def test_drl_policy_actions_must_be_in_registry(tmp_path):
         "4x4-q8", "unused.iscm", 16, 8, 1e-4, 1e-4, 0.05)})
     net = ActorCritic.create(actions=("4x4-q8", "8x8-q8"), seed=0)
     with pytest.raises(ValueError, match="8x8-q8"):
-        run_session(small_scene(frames=3), "drl", NetworkTrace.constant(60.0),
+        run_session(small_scene(frames=3), "drl", constant_trace(60.0),
                     DeviceModel.preset("device-2"), registry=registry,
                     policy_net=net)
 
@@ -428,9 +450,9 @@ def test_drl_state_uses_the_policy_window(tmp_path):
     registry = ModelRegistry(tmp_path, {"tiny": RegistryEntry(
         "tiny", "tiny.iscm", 16, 32, 1e-4, 5e-5, 0.05)})
     net = ActorCritic.create(k=4, actions=("tiny",), seed=0)
-    assert net.k == 4 != RoiConfig().k
+    assert net.k == 4
     session = run_session(small_scene(frames=4), "drl",
-                          NetworkTrace.constant(60.0),
+                          constant_trace(60.0),
                           DeviceModel.preset("device-2"), registry=registry,
                           policy_net=net, seed=1)
     assert [rec.model_id for rec in session.records] == ["tiny"] * 3
@@ -537,3 +559,28 @@ def test_env_rejects_nonpositive_window(tmp_path):
     with pytest.raises(ValueError, match="k must be positive"):
         StreamingSchedulerEnv(cost_only_registry(tmp_path),
                               DeviceModel.preset("device-2"), k=0)
+
+
+@pytest.mark.parametrize("episode_len", [0, -3])
+def test_env_rejects_an_episode_shorter_than_one_step(tmp_path, episode_len):
+    with pytest.raises(ValueError, match="episode_len must be >= 1"):
+        StreamingSchedulerEnv(cost_only_registry(tmp_path),
+                              DeviceModel.preset("device-2"),
+                              episode_len=episode_len)
+
+
+@pytest.mark.parametrize("actions", [("4x4-q8", "8x8-q8", "16x16-q8"),
+                                     ("16x16-q8", "4x4-q8"), DEFAULT_ACTIONS])
+def test_scheduler_training_rejects_actions_out_of_the_env_order(tmp_path,
+                                                                 actions):
+    """The env names its actions in sorted id order; a net trained under
+    another order would call the env's "16x16-q8" action "4x4-q8"."""
+    registry = cost_only_registry(tmp_path)
+    env = StreamingSchedulerEnv(registry, DeviceModel.preset("device-2"),
+                                episode_len=2)
+    assert env.actions == ("16x16-q8", "4x4-q8", "8x8-q8")
+    with pytest.raises(ValueError, match="environment actions"):
+        train_scheduler(lambda w: env, epochs=1, hidden=4, actions=actions)
+    trained = train_scheduler(lambda w: env, epochs=1, hidden=4,
+                              actions=env.actions)
+    assert trained.net.actions == env.actions
