@@ -6,13 +6,13 @@ over the model set and the critic head a scalar state value. The three
 are dense `nn.Layer`s; the tanh and the softmax are applied here, not by
 `nn.forward`. A policy is trained offline and held in memory only: the
 one model file format is the codec's. Training is advantage actor-critic
-with entropy regularization; workers roll out private episodes and apply
-gradient batches to the global parameters one at a time (staleness at
-most one application).
+with entropy regularization. The workers' episodes run one after
+another on the one net, and each episode's gradient batch is applied
+before the next episode starts, so no worker acts on stale parameters.
 
 A state is a read-only (3k,) float64 vector: the k-frame windows of ROI
 share n, compute c and bandwidth b back to back, each value in [0, 1]
-(`build_state`, `state_slot`).
+(`StateWindow`, `state_slot`).
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ T_REF = 1.0 / 30.0     # decode seconds that read as full compute
 F_TARGET = 30.0        # frames/s that earn the full frame-rate reward
 # the largest |sum(p) - 1| that `sample_index` accepts, as Generator.choice
 PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-# default action space: three latent sizes times two bit widths
-DEFAULT_ACTIONS = ("4x4-q8", "4x4-q16", "8x8-q8", "8x8-q16",
-                   "16x16-q8", "16x16-q16")
 
 
 @dataclass(frozen=True)
@@ -92,23 +88,27 @@ def state_slot(input_points: int, roi_points: int, decode_s: float,
     return tuple(min(max(v, 0.0), 1.0) for v in slot)
 
 
-def build_state(records, k: int = DEFAULT_WINDOW) -> np.ndarray:
-    """State of the last k per-frame records: a read-only (3k,) float64
-    vector holding the n, c and b windows back to back, oldest frame first.
+class StateWindow:
+    """The state window of the last k frames: a (3, k) array of their
+    `state_slot` values, oldest frame first, padded with NEUTRAL_FILL
+    before warm-up."""
 
-    Records need attributes input_points, roi_points, decode_s and
-    bandwidth_mbps; frames before warm-up are padded with 0.5.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    tail = list(records)[-k:]
-    hist = np.full((3, k), NEUTRAL_FILL)
-    for i, rec in enumerate(tail):
-        hist[:, k - len(tail) + i] = state_slot(
-            rec.input_points, rec.roi_points, rec.decode_s,
-            rec.bandwidth_mbps)
-    hist.flags.writeable = False
-    return hist.reshape(-1)
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError("k must be positive")
+        self._hist = np.full((3, k), NEUTRAL_FILL)
+
+    def push(self, slot) -> None:
+        """Append one frame's (n, c, b) slot, dropping the oldest frame."""
+        self._hist[:, :-1] = self._hist[:, 1:]
+        self._hist[:, -1] = slot
+
+    def state(self) -> np.ndarray:
+        """A read-only (3k,) copy: the n, c and b windows back to back, so
+        a returned state keeps its values while the window shifts."""
+        state = self._hist.reshape(-1).copy()
+        state.flags.writeable = False
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +119,15 @@ class ActorCritic:
     trunk: Layer        # dense (3k -> H), tanh applied
     actor: Layer        # dense (|A| -> H), softmax applied
     critic: Layer       # dense (1 -> H)
-    actions: tuple[str, ...] = DEFAULT_ACTIONS
+    actions: tuple[str, ...]
 
     @classmethod
-    def create(cls, k: int = DEFAULT_WINDOW, hidden: int = DEFAULT_HIDDEN,
-               actions=DEFAULT_ACTIONS, seed: int = 0) -> "ActorCritic":
+    def create(cls, actions, k: int = DEFAULT_WINDOW,
+               hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> "ActorCritic":
+        if k < 1:
+            raise ValueError("k must be positive")
+        if hidden < 1:
+            raise ValueError("hidden must be positive")
         rng = np.random.default_rng(seed)
         return cls(dense(hidden, 3 * k, rng), dense(len(actions), hidden, rng),
                    dense(1, hidden, rng), tuple(actions))
@@ -150,13 +154,6 @@ class ActorCritic:
     def policy(self, state_vec):
         """(probs, h) of one state vector."""
         return self._actor(state_vec)
-
-    def snapshot(self) -> "ActorCritic":
-        return ActorCritic(
-            Layer("dense", self.trunk.weights.copy(), self.trunk.bias.copy()),
-            Layer("dense", self.actor.weights.copy(), self.actor.bias.copy()),
-            Layer("dense", self.critic.weights.copy(), self.critic.bias.copy()),
-            self.actions)
 
 
 def sample_index(probs, rng: np.random.Generator) -> int:
@@ -218,7 +215,7 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
 def a3c_gradients(net: ActorCritic, trajectory, gamma: float,
                   entropy_weight: float = 0.0):
     """Accumulated actor/critic gradients for one (state, action, reward)
-    trajectory, evaluated on `net` (typically a worker snapshot).
+    trajectory, evaluated on `net`, the net that acted in it.
 
     Actor gradients point along the objective ascent direction
     (log-probability times advantage plus the entropy bonus); critic
@@ -275,50 +272,49 @@ class TrainResult:
     net: ActorCritic
     epochs: np.ndarray
     mean_reward: np.ndarray
-    entropy: np.ndarray
 
 
 def train_scheduler(env_factory, workers: int = 1,
                     epochs: int = DEFAULT_EPOCHS, hidden: int = DEFAULT_HIDDEN,
-                    actions=DEFAULT_ACTIONS, seed: int = 0) -> TrainResult:
+                    actions=None, seed: int = 0) -> TrainResult:
     """Train the scheduler on environments from env_factory(worker_index).
 
     Environments implement reset(rng) -> state and step(action) ->
     (state, reward, done), each state a (3k,) vector. Each names its
-    actions in an `actions` tuple equal to the `actions` argument, because
-    action i of the net is action i of every environment. One epoch rolls
-    one episode per worker; each worker acts on a parameter snapshot and its
-    gradient batch is applied to the global net serially, so a
-    single-worker run is exactly sequential and bit-reproducible for a
-    fixed seed. The entropy bonus decays linearly to zero over the epochs;
+    actions in an `actions` tuple. Every environment must name the first
+    one's tuple, and so must `actions` when given, because action i of the
+    net is action i of every environment. One epoch rolls one episode per
+    worker, one after another on the one net, and applies each episode's
+    gradient batch before the next episode starts. Worker w samples from
+    `default_rng(seed + 17 * w)`, so a run is bit-reproducible for a fixed
+    seed. The entropy bonus decays linearly to zero over the epochs;
     gradient batches are clipped to global norm CLIP_NORM, which keeps
     plain-SGD steps of DEFAULT_LR stable.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     envs = [env_factory(w) for w in range(workers)]
+    actions = tuple(envs[0].actions if actions is None else actions)
     for env in envs:
-        if tuple(env.actions) != tuple(actions):
+        if tuple(env.actions) != actions:
             raise ValueError(f"environment actions {env.actions} differ "
                              f"from the policy actions {actions}")
     rngs = [np.random.default_rng(seed + 17 * w) for w in range(workers)]
     probe = envs[0].reset(np.random.default_rng(seed))
-    net = ActorCritic.create(len(probe) // 3, hidden, actions, seed)
+    net = ActorCritic.create(actions, len(probe) // 3, hidden, seed)
     means = np.empty(epochs)
-    ents = np.empty(epochs)
     for epoch in range(epochs):
-        decay = 1.0 - epoch / max(1, epochs)
-        weight = ENTROPY_WEIGHT * decay
+        weight = ENTROPY_WEIGHT * (1.0 - epoch / max(1, epochs))
         epoch_rewards = []
-        epoch_entropy = []
-        for w, env in enumerate(envs):
-            snapshot = net.snapshot() if workers > 1 else net
-            state = env.reset(rngs[w])
+        for env, rng in zip(envs, rngs):
+            state = env.reset(rng)
             trajectory = []
-            episode_probs = []
             done = False
             while not done:
-                probs, _ = snapshot.policy(state)
-                episode_probs.append(probs)
-                action = sample_index(probs, rngs[w])
+                probs, _ = net.policy(state)
+                action = sample_index(probs, rng)
                 nxt, rew, done = env.step(action)
                 if not math.isfinite(rew):
                     raise FloatingPointError("environment produced a "
@@ -326,10 +322,8 @@ def train_scheduler(env_factory, workers: int = 1,
                 trajectory.append((state, action, rew))
                 state = nxt
             actor_grads, critic_grads = a3c_gradients(
-                snapshot, trajectory, DEFAULT_GAMMA, weight)
+                net, trajectory, DEFAULT_GAMMA, weight)
             apply_gradients(net, actor_grads, critic_grads, DEFAULT_LR)
             epoch_rewards.extend(r for _, _, r in trajectory)
-            epoch_entropy.extend(entropy(np.stack(episode_probs)))
         means[epoch] = float(np.mean(epoch_rewards))
-        ents[epoch] = float(np.mean(epoch_entropy))
-    return TrainResult(net, np.arange(epochs), means, ents)
+    return TrainResult(net, np.arange(epochs), means)

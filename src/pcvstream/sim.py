@@ -26,8 +26,8 @@ from .codec import (
 )
 from .roi import PoseHistory, RoiConfig, select_roi
 from .scheduler import (
-    F_TARGET, NEUTRAL_FILL, ActorCritic, RewardSpec, build_state,
-    normalized_accuracy, reward, select_action, state_slot,
+    F_TARGET, ActorCritic, RewardSpec, StateWindow, normalized_accuracy,
+    reward, select_action, state_slot,
 )
 
 TRACE_PRESETS = {"3g": 2.0, "4g": 25.0, "wifi": 60.0, "5g": 100.0}
@@ -441,6 +441,7 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
     elif kind == "drl":  # start from the most accurate model
         accuracy = registry.accuracy_table()
         current_model = max(accuracy, key=accuracy.get)
+        window = StateWindow(policy_net.k)
     else:
         current_model = None
 
@@ -449,9 +450,8 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         prev = scene.frames[t - 1]
         frame_seed = seed * 100003 + t
         if kind == "drl" and records:  # decide from the frames so far
-            state = build_state(records, k=policy_net.k)
             current_model = policy_net.actions[
-                select_action(policy_net, state)]
+                select_action(policy_net, window.state())]
 
         if roi == "on":
             history = PoseHistory(scene.poses[t - 1:t + 1])
@@ -502,6 +502,9 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
             transmit_s=transmit_s, decode_s=decode_s, cd=cd, hd=hd,
             model_id=model_id, bandwidth_mbps=bandwidth, fps=fps,
             latency_s=encode_s + transmit_s + decode_s))
+        if kind == "drl":
+            window.push(state_slot(len(frame), len(roi_cloud), decode_s,
+                                   bandwidth))
 
     config = {"policy": policy, "roi": roi, "trace": trace.tag,
               "device": device.name, "seed": seed,
@@ -543,19 +546,14 @@ class StreamingSchedulerEnv:
     Charges each frame with the session timing model (`frame_costs`, then
     `frame_timing`) and scores it with `scheduler.reward`, without
     geometry, so episodes are cheap. Each episode draws a fresh seeded
-    trace around the configured mean and a fresh ROI-size profile. The
-    state window is a (3, k) array shifted one frame per step, each new
-    frame scored by `state_slot` as `build_state` does. `reset` and `step`
-    return a read-only copy of the flattened window, the (3k,) vector
-    `build_state` returns, so a returned state keeps its values while the
-    window shifts.
+    trace around the configured mean and a fresh ROI-size profile. Each
+    charged frame is pushed to a `scheduler.StateWindow`, as sessions push
+    theirs, and `reset` and `step` return its read-only (3k,) state.
     """
 
     def __init__(self, registry: ModelRegistry, device: DeviceModel,
                  mean_bandwidth_mbps: float = 25.0, episode_len: int = 64,
                  k: int = 8):
-        if k < 1:
-            raise ValueError("k must be positive")
         if episode_len < 1:
             raise ValueError("episode_len must be >= 1")
         self.entries = [registry.entries[k] for k in sorted(registry.entries)]
@@ -565,7 +563,7 @@ class StreamingSchedulerEnv:
         self.spec = RewardSpec(accuracy_table=registry.accuracy_table())
         self.episode_len = episode_len
         self.k = k
-        self._hist = np.full((3, k), NEUTRAL_FILL)
+        self._window = StateWindow(k)  # raises on k < 1
         self._trace = None
         self._t = 0.0
         self._left = 0
@@ -575,31 +573,28 @@ class StreamingSchedulerEnv:
         return max(1, int(self._rng.normal(ENV_BLOCKS_MEAN,
                                            0.15 * ENV_BLOCKS_MEAN)))
 
-    def _state(self) -> np.ndarray:
-        state = self._hist.reshape(-1).copy()
-        state.flags.writeable = False
-        return state
-
     def reset(self, rng) -> np.ndarray:
         self._rng = rng
         self._trace = NetworkTrace.fluctuating(
             self.mean_bw, duration_s=(self.episode_len + 2) / 8.0,
             seed=int(rng.integers(2 ** 31)))
-        self._hist.fill(NEUTRAL_FILL)
+        self._window = StateWindow(self.k)
         self._t = 0.0
         self._left = self.episode_len
-        return self._state()
+        return self._window.state()
 
     def step(self, action: int):
+        if not 0 <= action < len(self.entries):
+            raise ValueError(f"action {action} is outside "
+                             f"[0, {len(self.entries)})")
         entry = self.entries[action]
         blocks = self._blocks()
         payload, encode_s, decode_s = entry.frame_costs(blocks, self.device)
         transmit_s, bandwidth, fps = frame_timing(payload, encode_s, decode_s,
                                                   self._trace, self._t)
         # every block is streamed: the ROI share of the points is 1
-        self._hist[:, :-1] = self._hist[:, 1:]
-        self._hist[:, -1] = state_slot(blocks, blocks, decode_s, bandwidth)
+        self._window.push(state_slot(blocks, blocks, decode_s, bandwidth))
         self._t += max(transmit_s, 1.0 / F_TARGET)
         self._left -= 1
-        return (self._state(), reward(fps, entry.model_id, self.spec),
+        return (self._window.state(), reward(fps, entry.model_id, self.spec),
                 self._left <= 0)

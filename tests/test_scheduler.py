@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from pcvstream.nn import NumericsError
+from pcvstream import scheduler
 from pcvstream.scheduler import (
-    DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, a3c_gradients,
-    build_state, discounted_returns, entropy, normalized_accuracy, reward,
+    DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, StateWindow,
+    a3c_gradients, discounted_returns, entropy, normalized_accuracy, reward,
     sample_index, select_action, state_slot, train_scheduler,
 )
+
+# three latent sizes times two bit widths
+SIX_ACTIONS = ("4x4-q8", "4x4-q16", "8x8-q8", "8x8-q16", "16x16-q8",
+               "16x16-q16")
 
 
 def state_of(n=0.5, c=0.5, b=0.5, k=4):
@@ -19,9 +24,18 @@ def state_of(n=0.5, c=0.5, b=0.5, k=4):
 
 def record(input_points=10, roi_points=5, decode_s=0.01,
            bandwidth_mbps=20.0):
-    """A frame record with the fields build_state reads."""
+    """A frame record with the fields `state_slot` reads."""
     return SimpleNamespace(input_points=input_points, roi_points=roi_points,
                            decode_s=decode_s, bandwidth_mbps=bandwidth_mbps)
+
+
+def build_state(records, k):
+    """The state of a StateWindow(k) after each record's slot is pushed,
+    the way a session pushes its frames."""
+    window = StateWindow(k)
+    for rec in records:
+        window.push(state_slot(**vars(rec)))
+    return window.state()
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +118,15 @@ def test_build_state_warmup_all_neutral():
 
 
 def test_build_state_is_a_read_only_float_vector():
-    state = build_state([record()] * 3, k=4)
+    window = StateWindow(4)
+    for _ in range(3):
+        window.push(state_slot(**vars(record())))
+    state = window.state()
     assert state.shape == (12,) and state.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
         state[0] = 0.0
+    window.push((0.0, 0.0, 0.0))  # a returned state is a copy
+    assert state.reshape(3, 4)[:, -1].tolist() == [0.5, 1.0, 0.2]
 
 
 def test_build_state_constant_session():
@@ -135,7 +154,7 @@ def test_build_state_hand_log():
 def test_build_state_rejects_nonpositive_window():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be positive"):
-            build_state([record()] * 3, k=k)
+            StateWindow(k)
 
 
 # the inputs that make a slot value (n, c or b) NaN or infinite; an
@@ -226,14 +245,14 @@ def test_normalized_accuracy_best_is_one():
 # action selection
 
 def test_greedy_uniform_logits_picks_first():
-    net = ActorCritic.create(k=4, hidden=8, actions=("a", "b", "c"), seed=0)
+    net = ActorCritic.create(("a", "b", "c"), k=4, hidden=8, seed=0)
     net.actor.weights[:] = 0.0
     net.actor.bias[:] = 0.0
     assert select_action(net, state_of()) == 0
 
 
 def test_greedy_raises_on_non_finite_probabilities():
-    net = ActorCritic.create(seed=0)
+    net = ActorCritic.create(SIX_ACTIONS, seed=0)
     net.actor.weights[0, 0] = np.nan
     state = state_of(k=net.k)
     assert np.isnan(net.policy(state)[0]).all()
@@ -242,7 +261,7 @@ def test_greedy_raises_on_non_finite_probabilities():
 
 
 def test_dominant_logits_sampled_almost_always():
-    net = ActorCritic.create(k=4, hidden=8, actions=("a", "b", "c"), seed=0)
+    net = ActorCritic.create(("a", "b", "c"), k=4, hidden=8, seed=0)
     net.actor.weights[:] = 0.0
     net.actor.bias[:] = np.array([0.0, 8.0, 0.0])
     rng = np.random.default_rng(5)
@@ -283,7 +302,7 @@ def test_sample_index_rejects_what_choice_rejects():
 
 
 def test_greedy_invariant_under_logit_shift():
-    net = ActorCritic.create(k=4, hidden=8, actions=("a", "b", "c"), seed=3)
+    net = ActorCritic.create(("a", "b", "c"), k=4, hidden=8, seed=3)
     state = state_of(0.3, 0.6, 0.9)
     before = select_action(net, state)
     net.actor.bias += 13.7  # constant shift of every logit
@@ -302,7 +321,7 @@ def matvec_forward(net, vec):
 def test_forward_one_state_equals_matvec_form():
     rng = np.random.default_rng(13)
     for seed in range(20):  # the default sizes, which training uses
-        net = ActorCritic.create(seed=seed)
+        net = ActorCritic.create(SIX_ACTIONS, seed=seed)
         vec = rng.random(3 * net.k)
         got, want = net.forward(vec), matvec_forward(net, vec)
         for g, w in zip(got, want):
@@ -313,7 +332,8 @@ def test_policy_equals_forward_probs():
     rng = np.random.default_rng(15)
     for seed in range(200):
         k, hidden = int(rng.integers(1, 10)), int(rng.integers(1, 100))
-        net = ActorCritic.create(k=k, hidden=hidden, seed=seed)
+        net = ActorCritic.create(SIX_ACTIONS, k=k, hidden=hidden,
+                                 seed=seed)
         vec = rng.random(3 * k) * rng.choice([1.0, 10.0, 1e3])
         probs, h = net.policy(vec)
         want_probs, _, want_h = net.forward(vec)
@@ -323,7 +343,7 @@ def test_policy_equals_forward_probs():
 
 def test_forward_stack_matches_row_by_row():
     rng = np.random.default_rng(14)
-    net = ActorCritic.create(k=8, hidden=24, seed=2)
+    net = ActorCritic.create(SIX_ACTIONS, k=8, hidden=24, seed=2)
     stack = rng.random((33, 24))
     probs, values, h = net.forward(stack)
     assert probs.shape == (33, len(net.actions))
@@ -337,7 +357,7 @@ def test_forward_stack_matches_row_by_row():
 
 def test_policy_is_probability_simplex():
     rng = np.random.default_rng(7)
-    net = ActorCritic.create(k=8, hidden=16, seed=11)
+    net = ActorCritic.create(SIX_ACTIONS, k=8, hidden=16, seed=11)
     for _ in range(20):
         probs, _ = net.policy(rng.random(24))
         assert probs.min() >= 0.0
@@ -409,7 +429,7 @@ def per_step_a3c_gradients(net, trajectory, gamma, entropy_weight=0.0):
 @pytest.mark.parametrize("entropy_weight", [0.0, 0.01])
 def test_batched_gradients_match_per_step_oracle(steps, entropy_weight):
     rng = np.random.default_rng(steps)
-    net = ActorCritic.create(k=8, hidden=24, seed=steps)
+    net = ActorCritic.create(SIX_ACTIONS, k=8, hidden=24, seed=steps)
     trajectory = [(rng.random(24), int(rng.integers(len(net.actions))),
                    float(rng.random()))
                   for _ in range(steps)]
@@ -424,7 +444,7 @@ def test_batched_gradients_match_per_step_oracle(steps, entropy_weight):
 
 
 def test_zero_advantage_kills_actor_gradient():
-    net = ActorCritic.create(k=2, hidden=4, actions=("a", "b"), seed=1)
+    net = ActorCritic.create(("a", "b"), k=2, hidden=4, seed=1)
     state = state_of(k=2)
     ret = net.forward(state)[1]  # advantage exactly zero
     actor_grads, _ = a3c_gradients(net, [(state, 1, ret)], gamma=0.88,
@@ -444,7 +464,7 @@ def test_a3c_gradients_match_finite_differences():
     h = 1e-6
     rng = np.random.default_rng(9)
     for trial in range(5):
-        net = ActorCritic.create(k=1, hidden=2, actions=("a", "b"),
+        net = ActorCritic.create(("a", "b"), k=1, hidden=2,
                                  seed=20 + trial)
         state = rng.random(3)
         action = int(rng.integers(2))
@@ -493,7 +513,7 @@ def test_a3c_gradients_match_finite_differences():
 
 
 def test_a3c_gradients_rejects_empty_trajectory():
-    net = ActorCritic.create(k=2, hidden=4, actions=("a", "b"), seed=0)
+    net = ActorCritic.create(("a", "b"), k=2, hidden=4, seed=0)
     with pytest.raises(ValueError, match="empty trajectory"):
         a3c_gradients(net, [], gamma=0.88)
 
@@ -504,8 +524,8 @@ def test_a3c_gradients_rejects_empty_trajectory():
 def test_train_scheduler_zero_epochs_returns_fresh_policy():
     result = train_scheduler(lambda w: TwoContextBanditEnv(), epochs=0,
                              seed=3, actions=("a", "b", "c"))
-    fresh = ActorCritic.create(TwoContextBanditEnv().k, 96,
-                               ("a", "b", "c"), seed=3)
+    fresh = ActorCritic.create(("a", "b", "c"), TwoContextBanditEnv().k, 96,
+                               seed=3)
     np.testing.assert_array_equal(result.net.trunk.weights,
                                   fresh.trunk.weights)
     assert result.mean_reward.size == 0
@@ -547,6 +567,77 @@ def test_multi_worker_matches_single_worker_mean():
     single = final_mean(1, range(3), epochs=400)
     multi = final_mean(3, range(3), epochs=200)
     assert abs(multi - single) <= 0.1 * single
+
+
+def test_workers_run_in_turn_on_the_live_net():
+    """train_scheduler(workers=3) equals, bit for bit, a loop that rolls
+    worker w's episode on the one net and applies its update before
+    worker w + 1 starts: no worker acts on stale parameters."""
+    seed, workers, epochs, hidden = 6, 3, 12, 16
+    actions = TwoContextBanditEnv.actions
+    result = train_scheduler(lambda w: TwoContextBanditEnv(), workers,
+                             epochs=epochs, hidden=hidden, seed=seed)
+
+    envs = [TwoContextBanditEnv() for _ in range(workers)]
+    probe = envs[0].reset(np.random.default_rng(seed))
+    net = ActorCritic.create(actions, len(probe) // 3, hidden, seed)
+    rngs = [np.random.default_rng(seed + 17 * w) for w in range(workers)]
+    means = []
+    for epoch in range(epochs):
+        weight = scheduler.ENTROPY_WEIGHT * (1.0 - epoch / epochs)
+        rewards = []
+        for env, rng in zip(envs, rngs):
+            state, done, trajectory = env.reset(rng), False, []
+            while not done:
+                action = sample_index(net.policy(state)[0], rng)
+                nxt, rew, done = env.step(action)
+                trajectory.append((state, action, rew))
+                state = nxt
+            scheduler.apply_gradients(
+                net, *a3c_gradients(net, trajectory, scheduler.DEFAULT_GAMMA,
+                                    weight), scheduler.DEFAULT_LR)
+            rewards.extend(r for _, _, r in trajectory)
+        means.append(float(np.mean(rewards)))
+
+    assert result.mean_reward.tolist() == means
+    assert result.net.actions == actions
+    for got, want in zip((result.net.trunk, result.net.actor,
+                          result.net.critic),
+                         (net.trunk, net.actor, net.critic)):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
+def test_train_scheduler_takes_the_first_env_actions():
+    class TwoActionEnv(TwoContextBanditEnv):
+        actions = ("a", "b")
+
+    result = train_scheduler(lambda w: TwoContextBanditEnv(), epochs=1,
+                             hidden=4)
+    assert result.net.actions == TwoContextBanditEnv.actions
+    mixed = lambda w: TwoActionEnv() if w else TwoContextBanditEnv()
+    with pytest.raises(ValueError, match="environment actions"):
+        train_scheduler(mixed, workers=2, epochs=1, hidden=4)
+
+
+def test_train_scheduler_rejects_no_workers():
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        train_scheduler(lambda w: TwoContextBanditEnv(), workers=0)
+
+
+def test_train_scheduler_rejects_negative_epochs():
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        train_scheduler(lambda w: TwoContextBanditEnv(), epochs=-1)
+
+
+def test_train_scheduler_rejects_an_empty_hidden_layer():
+    with pytest.raises(ValueError, match="hidden must be positive"):
+        train_scheduler(lambda w: TwoContextBanditEnv(), epochs=1, hidden=0)
+
+
+def test_create_rejects_an_empty_state_window():
+    with pytest.raises(ValueError, match="k must be positive"):
+        ActorCritic.create(("a", "b"), k=0)
 
 
 def test_bandit_env_oracle_structure():

@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from pcvstream.codec import (
 )
 from pcvstream import sim
 from pcvstream.scheduler import (
-    DEFAULT_ACTIONS, ActorCritic, build_state, train_scheduler,
+    NEUTRAL_FILL, ActorCritic, state_slot, train_scheduler,
 )
 from pcvstream.sim import (
     DeviceModel, ModelRegistry, NetworkTrace, RegistryEntry, Scene,
@@ -510,11 +509,19 @@ def test_env_states_keep_their_values_after_later_steps(tmp_path):
     assert len({s.tobytes() for s in saved}) > 1
 
 
+def build_state(slots, k):
+    """Oracle: the state of the last k (n, c, b) slots built by hand, the
+    n, c and b windows back to back, each oldest frame first and padded
+    with NEUTRAL_FILL before warm-up."""
+    window = [(NEUTRAL_FILL,) * 3] * (k - len(slots[-k:])) + slots[-k:]
+    return [slot[i] for i in range(3) for slot in window]
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_env_window_equals_build_state_over_its_frames(tmp_path, monkeypatch,
                                                       k):
-    """The env's shifted window equals build_state over the frames it
-    charged, recorded the way sessions record them."""
+    """The env's state equals the hand-built window of the slots of the
+    frames it charged, recorded the way sessions record them."""
     frames = []
 
     def recording_timing(payload, encode_s, decode_s, trace, send_start):
@@ -542,14 +549,14 @@ def test_env_window_equals_build_state_over_its_frames(tmp_path, monkeypatch,
     for episode in range(3):
         frames.clear()
         state = env.reset(rng)
-        records = []
-        np.testing.assert_array_equal(state, build_state([], k))
+        slots = []
+        assert state.tolist() == [NEUTRAL_FILL] * (3 * k)
         done = False
         while not done:
             state, _, done = env.step(int(rng.integers(len(env.actions))))
-            records.append(SimpleNamespace(**frames[-2], **frames[-1]))
-            assert state.tolist() == build_state(records, k).tolist()
-        assert len(records) > k
+            slots.append(state_slot(**frames[-2], **frames[-1]))
+            assert state.tolist() == build_state(slots, k)
+        assert len(slots) > k
     _, c_hist, b_hist = state.reshape(3, k)
     assert 0.0 < c_hist.min() and c_hist.max() < 1.0
     assert 0.0 < b_hist.min() and b_hist.max() < 1.0
@@ -570,7 +577,9 @@ def test_env_rejects_an_episode_shorter_than_one_step(tmp_path, episode_len):
 
 
 @pytest.mark.parametrize("actions", [("4x4-q8", "8x8-q8", "16x16-q8"),
-                                     ("16x16-q8", "4x4-q8"), DEFAULT_ACTIONS])
+                                     ("16x16-q8", "4x4-q8"),
+                                     ("4x4-q8", "4x4-q16", "8x8-q8", "8x8-q16",
+                                      "16x16-q8", "16x16-q16")])
 def test_scheduler_training_rejects_actions_out_of_the_env_order(tmp_path,
                                                                  actions):
     """The env names its actions in sorted id order; a net trained under
@@ -584,3 +593,23 @@ def test_scheduler_training_rejects_actions_out_of_the_env_order(tmp_path,
     trained = train_scheduler(lambda w: env, epochs=1, hidden=4,
                               actions=env.actions)
     assert trained.net.actions == env.actions
+
+
+@pytest.mark.parametrize("action", [-1, 3])
+def test_env_step_rejects_an_action_out_of_range(tmp_path, action):
+    """A negative index would charge and reward the last model."""
+    def fresh_env():
+        env = StreamingSchedulerEnv(cost_only_registry(tmp_path),
+                                    DeviceModel.preset("device-2"),
+                                    episode_len=4)
+        env.reset(np.random.default_rng(1))
+        return env
+
+    env = fresh_env()
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        env.step(action)
+    # the rejected step charged nothing
+    state, rew, done = env.step(0)
+    want_state, want_rew, want_done = fresh_env().step(0)
+    assert state.tolist() == want_state.tolist()
+    assert (rew, done) == (want_rew, want_done)
