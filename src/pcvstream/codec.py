@@ -8,6 +8,10 @@ position-independent. Block functions take (B, ...) stacks only: B blocks
 a single block is a one-block stack (`block[None]`), and any other shape
 raises ValueError. Latent sizes 16/64/256 form the model family used by
 the scheduler (ids "4x4" / "8x8" / "16x16").
+
+A model's layers are its one description: its latent size and block size
+are read from the last dense layer of the encoder and of the decoder, and
+`serialize` and `deserialize` are the one writer and reader of its file.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _DTYPE_CODES = {"f32": 0, "q8": 1, "q16": 2}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 DTYPE_BITS = {"f32": 32, "q8": 8, "q16": 16}  # bits per stored weight
+_CODE_DTYPES = {8: np.dtype("<u1"), 16: np.dtype("<u2")}  # q8, q16 codes
 
 
 class CodecFormatError(ValueError):
@@ -77,12 +82,21 @@ class PruneConfig:
 
 @dataclass
 class CodecModel:
+    """Encoder and decoder networks; `latent_dim` and `n_points` are read
+    from their last dense layers, so the layers hold the one shape."""
+
     encoder: Network
     decoder: Network
-    n_points: int
-    latent_dim: int
     dtype: str = "f32"
     quant_meta: list | None = None  # per dense layer, encoder then decoder
+
+    @property
+    def latent_dim(self) -> int:
+        return _rows(self.encoder)
+
+    @property
+    def n_points(self) -> int:
+        return _rows(self.decoder) // 3
 
     def dense_layers(self):
         return [l for l in self.encoder.layers + self.decoder.layers
@@ -113,7 +127,13 @@ def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
     # gentler init on the coordinate output keeps early losses tame
     dec.layers.append(dense(n_points * 3, prev, rng,
                             scale=math.sqrt(1.0 / prev)))
-    return CodecModel(enc, dec, n_points, latent_dim)
+    return CodecModel(enc, dec)
+
+
+def _rows(network: Network) -> int:
+    """Output width of a network's last dense layer."""
+    return next(l.weights.shape[0] for l in reversed(network.layers)
+                if l.weights is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +366,12 @@ def quantize_weights(tensor, m: int):
     if flat.size == 0:
         raise ValueError("empty tensor")
     mn, mx = float(flat.min()), float(flat.max())
-    dtype = np.uint8 if m == 8 else np.uint16
+    meta = {"min": mn, "max": mx, "bits": m, "size": flat.size}
     if mx == mn:
-        meta = {"min": mn, "max": mx, "bits": m, "size": flat.size}
-        return np.empty(0, dtype=dtype), meta
+        return np.empty(0, _CODE_DTYPES[m]), meta
     q = (2 ** m - 1) / (mx - mn)
     codes = np.round(q * (flat - mn)).astype(np.int64)
-    codes = np.clip(codes, 0, 2 ** m - 1).astype(dtype)
-    meta = {"min": mn, "max": mx, "bits": m, "size": flat.size}
-    return codes, meta
+    return np.clip(codes, 0, 2 ** m - 1).astype(_CODE_DTYPES[m]), meta
 
 
 def dequantize(codes, meta) -> np.ndarray:
@@ -444,36 +461,37 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _write_layer(parts, layer: Layer, dtype: str, meta=None):
-    if layer.weights is None:
-        parts.append(struct.pack("<BIIB", _KIND_CODES[layer.kind], 0, 0, 0))
-        return
-    rows, cols = layer.weights.shape
-    parts.append(struct.pack("<BIIB", _KIND_CODES[layer.kind], rows, cols,
-                             _DTYPE_CODES[dtype]))
-    if dtype == "f32":
-        parts.append(np.asarray(layer.weights, "<f4").tobytes())
-        parts.append(np.asarray(layer.bias, "<f4").tobytes())
-    else:
-        m = meta["bits"]
-        parts.append(struct.pack("<ffB", meta["min"], meta["max"], m))
-        codes = np.asarray(meta["codes"],
-                           dtype=np.uint8 if m == 8 else "<u2")
-        parts.append(codes.tobytes())
+def serialize(model: CodecModel, path) -> None:
+    """Write a codec model in the layout documented in `deserialize`.
 
-
-def write_layer_stream(path, entries) -> None:
-    """entries: list of (Layer, dtype, quant_meta or None); each record's
-    kind is its layer's `kind`."""
-    parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(entries))]
-    for layer, dtype, meta in entries:
-        _write_layer(parts, layer, dtype, meta)
+    Quantized metadata is stored at f32 precision, so weights reloaded from
+    disk can differ from the in-memory model by one metadata ulp.
+    """
+    layers = model.encoder.layers + model.decoder.layers
+    parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(layers))]
+    metas = iter(model.quant_meta or [])
+    for layer in layers:
+        kind = _KIND_CODES[layer.kind]
+        if layer.weights is None:
+            parts.append(struct.pack("<BIIB", kind, 0, 0, 0))
+            continue
+        rows, cols = layer.weights.shape
+        parts.append(struct.pack("<BIIB", kind, rows, cols,
+                                 _DTYPE_CODES[model.dtype]))
+        if model.dtype == "f32":
+            parts.append(np.asarray(layer.weights, "<f4").tobytes())
+            parts.append(np.asarray(layer.bias, "<f4").tobytes())
+        else:
+            meta = next(metas)
+            m = meta["bits"]
+            parts.append(struct.pack("<ffB", meta["min"], meta["max"], m))
+            parts.append(np.asarray(meta["codes"], _CODE_DTYPES[m]).tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
-def read_layer_stream(path):
-    """Inverse of write_layer_stream; returns (Layer, dtype, meta) entries.
+def deserialize(path) -> CodecModel:
+    """Load a model file written by `serialize`.
 
     Format v1, little-endian: magic b"ISCM", u16 version, u16 record
     count, then per record a u8 kind code (1 dense, 2 relu,
@@ -484,6 +502,9 @@ def read_layer_stream(path):
     biases as f32; q8 and q16 hold f32 min, f32 max and u8 bits (8 or 16,
     matching the dtype; any other value is rejected), then one u8 or u16
     code per weight and bias in the same order, no codes when min == max.
+    The records are the encoder's layers, ending at its one maxpool_points
+    layer, then the decoder's; the dense shapes chain from 3 inputs to a
+    multiple of 3 outputs, and every dense record has one dtype.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -502,7 +523,7 @@ def read_layer_stream(path):
     version, count = struct.unpack("<HH", take(4))
     if version != FORMAT_VERSION:
         raise CodecFormatError(f"unsupported format version {version}")
-    entries = []
+    layers, dtypes, metas = [], set(), []
     for _ in range(count):
         kind_code, rows, cols, dtype_code = struct.unpack("<BIIB", take(10))
         if kind_code not in _KIND_NAMES:
@@ -514,7 +535,7 @@ def read_layer_stream(path):
             raise CodecFormatError(f"{kind} layer record with {rows} weight "
                                    "rows")
         if weightless:
-            entries.append((Layer(kind), "f32", None))
+            layers.append(Layer(kind))
             continue
         if cols == 0:
             raise CodecFormatError("dense layer record with 0 weight "
@@ -523,28 +544,25 @@ def read_layer_stream(path):
         dtype = _DTYPE_NAMES.get(dtype_code)
         if dtype is None:
             raise CodecFormatError(f"unknown dtype code {dtype_code}")
+        dtypes.add(dtype)
         if dtype == "f32":
             w = np.frombuffer(take(4 * rows * cols), "<f4").astype(np.float64)
             b = np.frombuffer(take(4 * rows), "<f4").astype(np.float64)
             layer = Layer(kind, w.reshape(rows, cols), b)
             if (layer.weights == 0.0).any():
                 layer.prune_mask = (layer.weights != 0.0).astype(np.float64)
-            meta = None
         else:
             mn, mx, m = struct.unpack("<ffB", take(9))
             if m != DTYPE_BITS[dtype]:
                 raise CodecFormatError(f"{dtype} layer record with bits "
                                        f"field {m}, expected "
                                        f"{DTYPE_BITS[dtype]}")
+            code = _CODE_DTYPES[m]
+            n_codes = 0 if mn == mx else n_params
+            codes = np.frombuffer(take(n_codes * code.itemsize), code)
             meta = {"min": float(mn), "max": float(mx), "bits": m,
-                    "size": n_params}
-            if mn == mx:
-                codes = np.empty(0, np.uint8 if m == 8 else np.uint16)
-            else:
-                codes = np.frombuffer(
-                    take(n_params * (1 if m == 8 else 2)),
-                    np.uint8 if m == 8 else "<u2")
-            meta["codes"] = codes
+                    "size": n_params, "codes": codes}
+            metas.append(meta)
             params = dequantize(codes, meta)
             layer = Layer(kind, params[:rows * cols].reshape(rows, cols),
                           params[rows * cols:])
@@ -555,36 +573,15 @@ def read_layer_stream(path):
                 reshaped = codes[:rows * cols].reshape(rows, cols)
                 layer.prune_mask = (reshaped != zero_code).astype(np.float64)
                 layer.weights *= layer.prune_mask
-        entries.append((layer, dtype, meta))
+        layers.append(layer)
     if off != len(data):
         raise CodecFormatError(f"{len(data) - off} trailing bytes")
-    return entries
-
-
-def serialize(model: CodecModel, path) -> None:
-    """Write a codec model in the layout documented in read_layer_stream.
-
-    Quantized metadata is stored at f32 precision, so weights reloaded from
-    disk can differ from the in-memory model by one metadata ulp.
-    """
-    entries = []
-    metas = iter(model.quant_meta or [])
-    for layer in model.encoder.layers + model.decoder.layers:
-        if layer.weights is None or model.dtype == "f32":
-            entries.append((layer, "f32", None))
-        else:
-            entries.append((layer, model.dtype, next(metas)))
-    write_layer_stream(path, entries)
-
-
-def deserialize(path) -> CodecModel:
-    entries = read_layer_stream(path)
-    split = next((i for i, (layer, *_) in enumerate(entries)
-                  if layer.kind == "maxpool_points"), None)
-    if split is None:
-        raise CodecFormatError("model has no maxpool layer")
-    enc = Network([e[0] for e in entries[:split + 1]])
-    dec = Network([e[0] for e in entries[split + 1:]])
+    pools = [i for i, l in enumerate(layers) if l.kind == "maxpool_points"]
+    if len(pools) != 1:
+        raise CodecFormatError(f"model has {len(pools)} maxpool layers, "
+                               "expected 1")
+    enc = Network(layers[:pools[0] + 1])
+    dec = Network(layers[pools[0] + 1:])
     enc_dense = [l for l in enc.layers if l.weights is not None]
     dec_dense = [l for l in dec.layers if l.weights is not None]
     if not enc_dense or not dec_dense:
@@ -600,14 +597,9 @@ def deserialize(path) -> CodecModel:
     if width % 3:
         raise CodecFormatError(f"decoder output width {width} is not a "
                                "multiple of 3")
-    latent_dim = enc_dense[-1].weights.shape[0]
-    n_points = dec_dense[-1].weights.shape[0] // 3
-    dtypes = {d for l, d, _ in entries if l.weights is not None}
     if len(dtypes) != 1:
         raise CodecFormatError(f"mixed layer dtypes {sorted(dtypes)}")
-    dtype = dtypes.pop()
-    metas = [m for _, _, m in entries if m is not None] or None
-    return CodecModel(enc, dec, n_points, latent_dim, dtype, metas)
+    return CodecModel(enc, dec, dtypes.pop(), metas or None)
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,8 @@ def _matmul(x, w):
     A (B, n, f) @ (f, o) broadcast runs B separate products and is about
     1.7x slower. One product gives the same values wherever BLAS picks the
     same kernel for B*n rows as for n, which the tests pin for the codec's
-    128-point blocks. 1-D and 2-D inputs keep `x @ w`: a gemv and a 1-row
-    gemm may round differently.
+    128-point blocks.
     """
-    if x.ndim <= 2:
-        return x @ w
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], -1)
 
 
@@ -141,15 +138,9 @@ def backward(network: Network, caches, d_out: np.ndarray):
     for i in range(len(network.layers) - 1, -1, -1):
         layer, cache = network.layers[i], caches[i]
         if layer.kind == "dense":
-            x = cache
-            if x.ndim == 1:
-                dw = np.outer(d, x)
-                db = d.copy()
-            else:
-                d_rows = d.reshape(-1, d.shape[-1])
-                dw = d_rows.T @ x.reshape(-1, x.shape[-1])
-                db = d_rows.sum(axis=0)
-            grads[i] = (dw, db)
+            d_rows = d.reshape(-1, d.shape[-1])
+            grads[i] = (d_rows.T @ cache.reshape(-1, cache.shape[-1]),
+                        d_rows.sum(axis=0))
             d = _matmul(d, layer.effective_weights)
         elif layer.kind == "relu":
             d = d * (cache > 0.0)

@@ -155,7 +155,14 @@ class RegistryEntry:
 
     def __post_init__(self):
         # registry.json is outside input: a CD of 0 would divide by zero
-        # in `accuracy_table`, a NaN cost would poison every frame time
+        # in `accuracy_table`, a NaN cost would poison every frame time,
+        # a latent of 0 would charge a block its header only
+        if self.latent_dim < 1:
+            raise ValueError(f"model '{self.model_id}': latent_dim must be "
+                             f">= 1, got {self.latent_dim}")
+        if self.bits not in DTYPE_BITS.values():
+            raise ValueError(f"model '{self.model_id}': bits must be one of "
+                             f"{sorted(DTYPE_BITS.values())}, got {self.bits}")
         if not 0.0 < self.test_cd < np.inf:
             raise ValueError(f"model '{self.model_id}': test_cd must be "
                              f"finite and positive, got {self.test_cd}")
@@ -584,6 +591,8 @@ class StreamingSchedulerEnv:
         return self._window.state()
 
     def step(self, action: int):
+        if self._rng is None:
+            raise RuntimeError("the environment needs a reset before step")
         if not 0 <= action < len(self.entries):
             raise ValueError(f"action {action} is outside "
                              f"[0, {len(self.entries)})")

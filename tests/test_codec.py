@@ -15,7 +15,6 @@ from pcvstream.codec import (
     deserialize, encode, lightweight_train, make_codec_model, mean_chamfer,
     mean_reconstruction_loss, morton_cells, morton_key, normalize_block,
     octree_decode, octree_encode, prune_layer, prune_model, quantize_model, quantize_weights, serialize, toy_block_dataset, train,
-    write_layer_stream,
 )
 from pcvstream.nn import (
     Layer, LossSpec, chamfer_loss, emd_loss, rotate_points, rotation_matrix,
@@ -555,6 +554,28 @@ def test_deserialize_rejects_a_bits_field_that_does_not_match_the_dtype(
         deserialize(patched)
 
 
+def write_records(path, records):
+    """Model file of raw (Layer, dtype, quant meta) records, spelled out
+    field by field from the v1 layout, so a test can store what
+    `serialize` never writes."""
+    parts = [b"ISCM", struct.pack("<HH", 1, len(records))]
+    for layer, dtype, meta in records:
+        kind = {"dense": 1, "relu": 2, "maxpool_points": 4}[layer.kind]
+        if layer.weights is None:
+            parts.append(struct.pack("<BIIB", kind, 0, 0, 0))
+            continue
+        rows, cols = layer.weights.shape
+        parts.append(struct.pack("<BIIB", kind, rows, cols,
+                                 {"f32": 0, "q8": 1}[dtype]))
+        if dtype == "f32":
+            parts += [layer.weights.astype("<f4").tobytes(),
+                      layer.bias.astype("<f4").tobytes()]
+        else:
+            parts += [struct.pack("<ffB", meta["min"], meta["max"], 8),
+                      meta["codes"].astype(np.uint8).tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
 def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
     model = tiny_model(seed=21)
     layers = model.encoder.layers + model.decoder.layers
@@ -565,7 +586,7 @@ def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
     meta["codes"] = codes
     entries[-1] = (last, "q8", meta)  # one q8 layer among f32
     path = tmp_path / "mixed.iscm"
-    write_layer_stream(path, entries)
+    write_records(path, entries)
     with pytest.raises(CodecFormatError, match="mixed layer dtypes"):
         deserialize(path)
 
@@ -577,7 +598,7 @@ def test_deserialize_rejects_a_dense_record_without_weights(tmp_path):
     assert entries[2][0].kind == "dense"
     entries[2] = (Layer("dense"), "f32", None)  # written as 0 rows
     path = tmp_path / "weightless.iscm"
-    write_layer_stream(path, entries)
+    write_records(path, entries)
     with pytest.raises(CodecFormatError, match="dense layer record with 0"):
         deserialize(path)
 
@@ -589,7 +610,7 @@ def test_deserialize_rejects_a_weighted_record_without_columns(tmp_path):
     assert entries[2][0].kind == "dense"  # the second encoder dense layer
     entries[2] = (Layer("dense", np.zeros((8, 0))), "f32", None)
     path = tmp_path / "no-columns.iscm"
-    write_layer_stream(path, entries)
+    write_records(path, entries)
     with pytest.raises(CodecFormatError, match="dense layer record with 0 "
                        "weight columns"):
         deserialize(path)
@@ -602,14 +623,14 @@ def test_deserialize_rejects_dense_shapes_that_do_not_chain(tmp_path):
     rng = np.random.default_rng(36)
     assert entries[4][0].kind == "dense"  # the decoder's first dense layer
     mis_chained = tmp_path / "mis-chained.iscm"
-    write_layer_stream(mis_chained, entries[:4] + [
+    write_records(mis_chained, entries[:4] + [
         (Layer("dense", rng.normal(size=(16, 9))), "f32", None)]
         + entries[5:])
     with pytest.raises(CodecFormatError, match=r"\(16, 9\) does not take "
                        "the 8 features"):
         deserialize(mis_chained)
     not_xyz = tmp_path / "not-xyz.iscm"
-    write_layer_stream(not_xyz, entries[:-1] + [
+    write_records(not_xyz, entries[:-1] + [
         (Layer("dense", rng.normal(size=(47, 16))), "f32", None)])
     with pytest.raises(CodecFormatError, match="output width 47 is not a "
                        "multiple of 3"):
@@ -626,9 +647,47 @@ def test_deserialize_rejects_an_activation_record_with_weights(tmp_path,
     # dense weights under an activation's kind code
     entries[1] = (Layer(kind, layers[0].weights, layers[0].bias), "f32", None)
     path = tmp_path / "weighted.iscm"
-    write_layer_stream(path, entries)
+    write_records(path, entries)
     with pytest.raises(CodecFormatError, match=f"{kind} layer record with 8"):
         deserialize(path)
+
+
+@pytest.mark.parametrize("where", ["decoder", "encoder"])
+def test_deserialize_rejects_a_second_maxpool_layer(tmp_path, where):
+    # a decoder pool would collapse a multi-block decode's stack axis
+    model = make_codec_model(16, 32)
+    if where == "decoder":
+        model.decoder.layers.insert(1, Layer("maxpool_points"))
+    else:
+        model.encoder.layers.append(Layer("maxpool_points"))
+    path = tmp_path / "two-pools.iscm"
+    serialize(model, path)
+    with pytest.raises(CodecFormatError, match="model has 2 maxpool layers, "
+                       "expected 1"):
+        deserialize(path)
+
+
+# sha256 of serialize(make_codec_model(L, 128, seed=L)) at f32, or after
+# quantize_model to q8 or q16; a change here is a change of the file format
+MODEL_FILE_SHA256 = {
+    (16, "f32"): "e7598934c97c6ae5ce17723de267a05291f39e15a3b673fccda3e6a7a02eaa34",
+    (16, "q8"): "cea8a06dcecafa088367ecb6cd1c30692f310f1fb67bb1229dcf49c00e61646e",
+    (16, "q16"): "9170bd1659068195e27df65808a5e83f8c00c41265f9f5923a1698407e482229",
+    (256, "f32"): "03e8602061dfa046768b3af54dc8ad7f70503a92e20f66e181859f544c43fb9e",
+    (256, "q8"): "041214e46511f42d0ace55b77bdbd49e8c12e3b28e1d1fd2963e35e9eca9f5db",
+    (256, "q16"): "04406a68c168cdca2898845b076ed42df3335b1ac5a44cbdf1e25d96930e9cfd",
+}
+
+
+@pytest.mark.parametrize("latent, dtype", sorted(MODEL_FILE_SHA256))
+def test_model_file_bytes_are_pinned(tmp_path, latent, dtype):
+    model = make_codec_model(latent, 128, seed=latent)
+    if dtype != "f32":
+        quantize_model(model, int(dtype[1:]))
+    path = tmp_path / "m.iscm"
+    serialize(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        MODEL_FILE_SHA256[latent, dtype]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,12 +130,18 @@ def test_device_model_rejects_bad_compute_scale(scale):
      "non-negative"),
     ("decode_cost_s", math.inf, "decode_cost_s must be finite and "
      "non-negative"),
+    # a latent-0 entry would charge the 16-byte block header only
+    ("latent_dim", 0, "latent_dim must be >= 1, got 0"),
+    ("latent_dim", -3, "latent_dim must be >= 1, got -3"),
+    ("bits", 12, "bits must be one of [8, 16, 32], got 12"),
 ])
 def test_registry_entry_rejects_bad_measurements(field, value, message):
-    values = {"encode_cost_s": 2e-4, "decode_cost_s": 1e-4, "test_cd": 0.05}
+    values = {"latent_dim": 64, "bits": 8, "encode_cost_s": 2e-4,
+              "decode_cost_s": 1e-4, "test_cd": 0.05}
     values[field] = value
-    with pytest.raises(ValueError, match=f"model '8x8-q8': {message}"):
-        RegistryEntry("8x8-q8", "unused.iscm", 64, 8, **values)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"model '8x8-q8': {message}")):
+        RegistryEntry("8x8-q8", "unused.iscm", **values)
     # free costs are allowed
     assert RegistryEntry("8x8-q8", "unused.iscm", 64, 8, 0.0, 0.0,
                          0.05).encode_cost_s == 0.0
@@ -593,6 +600,13 @@ def test_scheduler_training_rejects_actions_out_of_the_env_order(tmp_path,
     trained = train_scheduler(lambda w: env, epochs=1, hidden=4,
                               actions=env.actions)
     assert trained.net.actions == env.actions
+
+
+def test_env_step_before_reset_raises(tmp_path):
+    env = StreamingSchedulerEnv(cost_only_registry(tmp_path),
+                                DeviceModel.preset("device-2"), episode_len=4)
+    with pytest.raises(RuntimeError, match="needs a reset before step"):
+        env.step(0)
 
 
 @pytest.mark.parametrize("action", [-1, 3])
