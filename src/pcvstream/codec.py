@@ -33,9 +33,9 @@ from .nn import (
 
 log = logging.getLogger(__name__)
 
-LATENT_SIZES = {"4x4": 16, "8x8": 64, "16x16": 256}
 DEFAULT_BLOCK_POINTS = 128
 BLOCK_ORDER_BITS = 10  # Morton grid resolution per axis in chunk_blocks
+OCTREE_MAX_DEPTH = 16
 # blocks per encoder forward of a stack: (8, 128, 256) float64 activations
 # are 2 MB, where a whole 157-block frame at once holds 41 MB per layer
 ENCODE_CHUNK_BLOCKS = 8
@@ -69,6 +69,12 @@ class PruneConfig:
             raise ValueError("zeta must lie in [0, 1)")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if not (self.loss_threshold is None
+                or 0.0 < self.loss_threshold < math.inf):
+            raise ValueError("loss_threshold must be None or finite and "
+                             "positive")
+        if self.finetune_epochs < 0:
+            raise ValueError("finetune_epochs must be >= 0")
 
     @property
     def per_round_ratio(self) -> float:
@@ -101,9 +107,6 @@ class CodecModel:
     def dense_layers(self):
         return [l for l in self.encoder.layers + self.decoder.layers
                 if l.weights is not None]
-
-    def copy(self) -> "CodecModel":
-        return copy.deepcopy(self)
 
 
 def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
@@ -326,20 +329,14 @@ def mean_chamfer(model: CodecModel, dataset) -> float:
 
 def prune_layer(layer: Layer, count: int) -> None:
     """Zero the `count` smallest-magnitude weights of one layer, in place,
-    ties in ascending flat-index order. The prune mask records the zeros.
+    ties in ascending flat-index order. A layer's zero weights are its
+    record of what is pruned; weights already zero stay zero.
 
     The largest |w| zeroed is the magnitude threshold w_th of Deep
     Compression (Han et al., ICLR 2016); an exact count needs no w_th.
     """
-    flat = layer.weights.ravel()
-    order = np.argsort(np.abs(flat), kind="stable")
-    kill = order[:count]
-    flat[kill] = 0.0
-    mask = np.ones_like(flat) if layer.prune_mask is None \
-        else layer.prune_mask.ravel().copy()
-    mask[kill] = 0.0
-    layer.prune_mask = mask.reshape(layer.weights.shape)
-    layer.weights *= layer.prune_mask
+    order = np.argsort(np.abs(layer.weights.ravel()), kind="stable")
+    layer.weights.flat[order[:count]] = 0.0
 
 
 def prune_model(model: CodecModel, zeta: float) -> None:
@@ -385,9 +382,10 @@ def dequantize(codes, meta) -> np.ndarray:
 def quantize_model(model: CodecModel, m: int) -> None:
     """Quantize every dense layer in place to m bits, weights and bias as
     one affine tensor (`quantize_weights`), and keep the codes in
-    `model.quant_meta`."""
+    `model.quant_meta`. Weights that were zero (pruned) stay exactly zero."""
     metas = []
     for layer in model.dense_layers():
+        kept = layer.weights != 0.0
         params = np.concatenate([layer.weights.ravel(), layer.bias])
         codes, meta = quantize_weights(params, m)
         meta["codes"] = codes
@@ -396,8 +394,7 @@ def quantize_model(model: CodecModel, m: int) -> None:
         n_w = layer.weights.size
         layer.weights = restored[:n_w].reshape(layer.weights.shape)
         layer.bias = restored[n_w:]
-        if layer.prune_mask is not None:  # pruned zeros stay exact
-            layer.weights *= layer.prune_mask
+        layer.weights *= kept
     model.quant_meta = metas
     model.dtype = f"q{m}"
 
@@ -415,14 +412,14 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
     the final round all dense layers are quantized to m bits (m=32 skips
     quantization). If the trigger never fires within a round's budget the
     model is returned best-effort, pruned short of zeta, with a logged
-    warning; the prune masks hold what was pruned.
+    warning; its zero weights are what was pruned.
     """
     if model.dtype != "f32":
         raise ValueError("lightweight_train expects an f32 model")
     if m not in (8, 16, 32):
         raise ValueError("bit-width must be 8, 16, or 32")
     data = np.asarray(dataset, dtype=np.float64)
-    out = model.copy()
+    out = copy.deepcopy(model)
 
     entry_loss = mean_reconstruction_loss(out, data)
     l_th = prune_cfg.loss_threshold
@@ -524,7 +521,7 @@ def deserialize(path) -> CodecModel:
     if version != FORMAT_VERSION:
         raise CodecFormatError(f"unsupported format version {version}")
     layers, dtypes, metas = [], set(), []
-    for _ in range(count):
+    for index in range(count):
         kind_code, rows, cols, dtype_code = struct.unpack("<BIIB", take(10))
         if kind_code not in _KIND_NAMES:
             raise CodecFormatError(f"unknown layer kind {kind_code}")
@@ -546,17 +543,19 @@ def deserialize(path) -> CodecModel:
             raise CodecFormatError(f"unknown dtype code {dtype_code}")
         dtypes.add(dtype)
         if dtype == "f32":
-            w = np.frombuffer(take(4 * rows * cols), "<f4").astype(np.float64)
-            b = np.frombuffer(take(4 * rows), "<f4").astype(np.float64)
-            layer = Layer(kind, w.reshape(rows, cols), b)
-            if (layer.weights == 0.0).any():
-                layer.prune_mask = (layer.weights != 0.0).astype(np.float64)
+            params = np.frombuffer(take(4 * n_params), "<f4").astype(float)
+            if not np.isfinite(params).all():
+                raise CodecFormatError(f"record {index}: non-finite f32 "
+                                       "parameters")
         else:
             mn, mx, m = struct.unpack("<ffB", take(9))
             if m != DTYPE_BITS[dtype]:
                 raise CodecFormatError(f"{dtype} layer record with bits "
                                        f"field {m}, expected "
                                        f"{DTYPE_BITS[dtype]}")
+            if not -math.inf < mn <= mx < math.inf:
+                raise CodecFormatError(f"record {index}: {dtype} min {mn} and "
+                                       f"max {mx} must be finite, min <= max")
             code = _CODE_DTYPES[m]
             n_codes = 0 if mn == mx else n_params
             codes = np.frombuffer(take(n_codes * code.itemsize), code)
@@ -564,16 +563,12 @@ def deserialize(path) -> CodecModel:
                     "size": n_params, "codes": codes}
             metas.append(meta)
             params = dequantize(codes, meta)
-            layer = Layer(kind, params[:rows * cols].reshape(rows, cols),
-                          params[rows * cols:])
-            # entries mapping to the code nearest zero are pruned zeros
+            # weights at the code nearest zero are taken as pruned zeros
             if mn < 0.0 < mx:
                 q = (2 ** m - 1) / (mx - mn)
-                zero_code = int(round(-mn * q))
-                reshaped = codes[:rows * cols].reshape(rows, cols)
-                layer.prune_mask = (reshaped != zero_code).astype(np.float64)
-                layer.weights *= layer.prune_mask
-        layers.append(layer)
+                params[:rows * cols] *= codes[:rows * cols] != round(-mn * q)
+        layers.append(Layer(kind, params[:rows * cols].reshape(rows, cols),
+                            params[rows * cols:]))
     if off != len(data):
         raise CodecFormatError(f"{len(data) - off} trailing bytes")
     pools = [i for i, l in enumerate(layers) if l.kind == "maxpool_points"]
@@ -612,8 +607,8 @@ def octree_encode(cloud: PointCloud, depth: int) -> bytes:
     one occupancy byte per internal node in breadth-first order. Bit k of a
     byte marks child octant k = x | y<<1 | z<<2.
     """
-    if not 1 <= depth <= 16:
-        raise ValueError("depth must lie in [1, 16]")
+    if not 1 <= depth <= OCTREE_MAX_DEPTH:
+        raise ValueError(f"depth must lie in [1, {OCTREE_MAX_DEPTH}]")
     pts = cloud.points.astype(np.float64)
     if len(pts) == 0:
         header = struct.pack("<3ffB", 0.0, 0.0, 0.0, 1.0, depth)
@@ -648,8 +643,12 @@ def octree_decode(data: bytes) -> PointCloud:
     if len(data) < 17:
         raise CodecFormatError("octree stream too short")
     x, y, z, edge, depth = struct.unpack("<3ffB", data[:17])
-    if not 1 <= depth <= 16:
+    if not 1 <= depth <= OCTREE_MAX_DEPTH:
         raise CodecFormatError(f"invalid octree depth {depth}")
+    if not np.isfinite([x, y, z]).all():
+        raise CodecFormatError(f"octree min corner {(x, y, z)} not finite")
+    if not 0.0 < edge < math.inf:
+        raise CodecFormatError(f"octree cube edge {edge} not finite and > 0")
     mn = np.array([x, y, z], dtype=np.float64)
     off = 17
     nodes = np.zeros(1, dtype=np.uint64)

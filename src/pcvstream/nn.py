@@ -1,5 +1,5 @@
 """Minimal dense-network engine: forward/backward with analytic gradients,
-point-set reconstruction losses, and Adam with pruning-mask preservation.
+point-set reconstruction losses, and Adam that keeps pruned weights at zero.
 
 The layer kinds are the codec's: `dense`, `relu` and `maxpool_points`.
 Layers operate on per-point feature rows (n, f) or stacks of them (B, n, f).
@@ -37,9 +37,8 @@ class NumericsError(FloatingPointError):
 @dataclass
 class Layer:
     kind: str
-    weights: np.ndarray | None = None   # (out, in), dense only
+    weights: np.ndarray | None = None   # (out, in), dense only; 0.0 = pruned
     bias: np.ndarray | None = None      # (out,)
-    prune_mask: np.ndarray | None = None  # None means nothing pruned
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -49,12 +48,6 @@ class Layer:
             if self.bias is None:
                 self.bias = np.zeros(self.weights.shape[0])
             self.bias = np.asarray(self.bias, dtype=np.float64)
-
-    @property
-    def effective_weights(self):
-        if self.prune_mask is None:
-            return self.weights
-        return self.weights * self.prune_mask
 
 
 @dataclass
@@ -111,7 +104,7 @@ def forward(network: Network, x: np.ndarray):
     for i, layer in enumerate(network.layers):
         if layer.kind == "dense":
             caches.append(x)
-            x = _matmul(x, layer.effective_weights.T)
+            x = _matmul(x, layer.weights.T)
             x += layer.bias
         elif layer.kind == "relu":
             caches.append(x)
@@ -141,7 +134,7 @@ def backward(network: Network, caches, d_out: np.ndarray):
             d_rows = d.reshape(-1, d.shape[-1])
             grads[i] = (d_rows.T @ cache.reshape(-1, cache.shape[-1]),
                         d_rows.sum(axis=0))
-            d = _matmul(d, layer.effective_weights)
+            d = _matmul(d, layer.weights)
         elif layer.kind == "relu":
             d = d * (cache > 0.0)
         elif layer.kind == "maxpool_points":
@@ -170,8 +163,8 @@ def adam_step(network: Network, grads, lr: float,
               state: dict | None = None) -> dict:
     """One Adam step; returns the moment state to pass back.
 
-    Pruned weights are re-zeroed after the update so masked entries stay
-    exact fixed points of training.
+    The weights that are 0.0 at a layer's first step in a state are its
+    pruned ones: each update re-zeroes them, so they stay fixed points.
     """
     if state is None:
         state = {"t": 0}
@@ -183,19 +176,18 @@ def adam_step(network: Network, grads, lr: float,
         if grad is None or layer.weights is None:
             continue
         if i not in state:
-            state[i] = tuple(np.zeros_like(g) for g in grad) \
-                + tuple(np.zeros_like(g) for g in grad)
-        mw, mb, vw, vb = state[i]
+            state[i] = tuple(np.zeros_like(g) for g in (*grad, *grad)) \
+                + (np.flatnonzero(layer.weights == 0.0),)
+        mw, mb, vw, vb, pruned = state[i]
         dw, db = grad
         mw = ADAM_BETA1 * mw + (1 - ADAM_BETA1) * dw
         mb = ADAM_BETA1 * mb + (1 - ADAM_BETA1) * db
         vw = ADAM_BETA2 * vw + (1 - ADAM_BETA2) * dw * dw
         vb = ADAM_BETA2 * vb + (1 - ADAM_BETA2) * db * db
-        state[i] = (mw, mb, vw, vb)
+        state[i] = (mw, mb, vw, vb, pruned)
         for param, m, v in ((layer.weights, mw, vw), (layer.bias, mb, vb)):
             param -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-        if layer.prune_mask is not None:
-            layer.weights *= layer.prune_mask
+        layer.weights.flat[pruned] *= 0.0  # not "= 0.0": keeps -0.0 signs
     return state
 
 

@@ -68,6 +68,8 @@ def reward(f_t: float, model_id, spec: RewardSpec) -> float:
 
 def normalized_accuracy(test_cds: dict) -> dict:
     """Per-model accuracy 1/CD, scaled so the best model scores 1."""
+    if not test_cds:
+        raise ValueError("no models to score: the model set is empty")
     inv = {k: 1.0 / v for k, v in test_cds.items()}
     top = max(inv.values())
     return {k: v / top for k, v in inv.items()}
@@ -128,6 +130,8 @@ class ActorCritic:
             raise ValueError("k must be positive")
         if hidden < 1:
             raise ValueError("hidden must be positive")
+        if not actions:
+            raise ValueError("an actor-critic needs at least one action")
         rng = np.random.default_rng(seed)
         return cls(dense(hidden, 3 * k, rng), dense(len(actions), hidden, rng),
                    dense(1, hidden, rng), tuple(actions))

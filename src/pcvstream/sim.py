@@ -21,8 +21,9 @@ from .cloud import Intrinsics, PointCloud, Pose, chamfer_hausdorff
 # unused here; kept because the benchmark's tracer patches these names
 from .cloud import chamfer_distance, hausdorff_distance  # noqa: F401
 from .codec import (
-    DTYPE_BITS, CodecModel, chunk_blocks, decode, denormalize_block,
-    deserialize, encode, normalize_block, octree_decode, octree_encode,
+    DTYPE_BITS, OCTREE_MAX_DEPTH, CodecModel, chunk_blocks, decode,
+    denormalize_block, deserialize, encode, normalize_block, octree_decode,
+    octree_encode,
 )
 from .roi import PoseHistory, RoiConfig, select_roi
 from .scheduler import (
@@ -405,9 +406,12 @@ def _parse_policy(policy: str):
     if policy.startswith("fixed:"):
         return "fixed", policy.split(":", 1)[1]
     if policy.startswith("octree:"):
-        return "octree", int(policy.split(":", 1)[1])
-    raise ValueError(f"unknown policy '{policy}'; expected 'drl', "
-                     "'fixed:<model>', or 'octree:<depth>'")
+        depth = policy.split(":", 1)[1]
+        if depth.isdecimal() and 1 <= int(depth) <= OCTREE_MAX_DEPTH:
+            return "octree", int(depth)
+    raise ValueError(f"policy '{policy}' is not 'drl', 'fixed:<model>' or "
+                     "'octree:<depth>' with an integer depth in "
+                     f"[1, {OCTREE_MAX_DEPTH}]")
 
 
 def run_session(scene: Scene, policy: str, trace: NetworkTrace,

@@ -42,11 +42,16 @@ def test_zero_weight_encoder_gives_zero_latent():
 
 @pytest.mark.parametrize("label,dim", [("4x4", 16), ("8x8", 64), ("16x16", 256)])
 def test_latent_sizes_match_model_family(label, dim):
-    from pcvstream.codec import LATENT_SIZES
-    assert LATENT_SIZES[label] == dim
+    # family id "AxB" names a latent of A * B values
+    side_a, side_b = map(int, label.split("x"))
+    assert side_a * side_b == dim
     model = make_codec_model(dim, 32, seed=1, enc_hidden=(8,), dec_hidden=(16,))
+    assert model.latent_dim == dim
+    assert model.encoder.layers[-2].weights.shape == (dim, 8)
+    assert model.decoder.layers[0].weights.shape == (16, dim)
     latent = encode(model, np.zeros((1, 32, 3)))
     assert latent.shape == (1, dim)
+    assert decode(model, latent).shape == (1, 32, 3)
 
 
 def test_latent_permutation_invariant():
@@ -352,14 +357,14 @@ def test_prune_layer_hand_case():
     layer = Layer("dense", np.array([[0.1, -0.5], [0.3, 0.9]]))
     prune_layer(layer, 2)
     np.testing.assert_array_equal(layer.weights, [[0.0, -0.5], [0.0, 0.9]])
-    np.testing.assert_array_equal(layer.prune_mask, [[0.0, 1.0], [0.0, 1.0]])
+    assert not np.signbit(layer.weights).any(where=layer.weights == 0.0)
 
 
 def test_prune_layer_zero_count_noop():
     layer = Layer("dense", np.array([[0.1, -0.5]]))
     prune_layer(layer, 0)
     np.testing.assert_array_equal(layer.weights, [[0.1, -0.5]])
-    np.testing.assert_array_equal(layer.prune_mask, [[1.0, 1.0]])
+    assert sorted(vars(layer)) == ["bias", "kind", "weights"]
 
 
 def test_prune_layer_idempotent():
@@ -386,7 +391,7 @@ def test_prune_model_rejects_zeta_outside_unit_interval(zeta):
         prune_model(model, zeta)
     for b, layer in zip(before, model.dense_layers()):
         np.testing.assert_array_equal(layer.weights, b)
-        assert layer.prune_mask is None
+        assert layer.weights.all()  # no weight zeroed
 
 
 def test_prune_model_exact_counts_vs_sorting_oracle():
@@ -520,6 +525,42 @@ def test_deserialize_rejects_garbage(tmp_path):
     wrong_version.write_bytes(raw[:4] + b"\x63\x00" + raw[6:])
     with pytest.raises(CodecFormatError, match="version"):
         deserialize(wrong_version)
+
+
+@pytest.mark.parametrize("offset", [18, 18 + 4 * 8 * 3])  # weight, bias
+def test_deserialize_rejects_non_finite_f32_parameters(tmp_path, offset):
+    """A NaN parameter fails the load, not the first encode."""
+    good = tmp_path / "good.iscm"
+    serialize(tiny_model(seed=21), good)
+    raw = good.read_bytes()
+    assert raw[8] == 1 and raw[17] == 0  # the first record: f32 dense 8x3
+    patched = tmp_path / "patched.iscm"
+    patched.write_bytes(raw[:offset] + struct.pack("<f", math.nan)
+                        + raw[offset + 4:])
+    with pytest.raises(CodecFormatError, match="record 0: non-finite f32"):
+        deserialize(patched)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("bounds", ["inf min", "nan max", "min above max"])
+def test_deserialize_rejects_bad_quantization_bounds(tmp_path, m, bounds):
+    """Unchecked, an infinite min loads NaN weights and a min above the
+    max loads mirrored ones."""
+    model = tiny_model(seed=21)
+    quantize_model(model, m)
+    good = tmp_path / "good.iscm"
+    serialize(model, good)
+    raw = good.read_bytes()
+    # header 8 bytes, record head 10, then f32 min, f32 max, u8 bits
+    mn, mx = struct.unpack("<ff", raw[18:26])
+    assert raw[8] == 1 and raw[26] == m and mn < mx
+    mn, mx = {"inf min": (math.inf, mx), "nan max": (mn, math.nan),
+              "min above max": (mx, mn)}[bounds]
+    patched = tmp_path / "patched.iscm"
+    patched.write_bytes(raw[:18] + struct.pack("<ff", mn, mx) + raw[26:])
+    with pytest.raises(CodecFormatError, match=f"record 0: q{m} min .* must "
+                       "be finite, min <= max"):
+        deserialize(patched)
 
 
 @pytest.mark.parametrize("code", [3, 5, 6, 0, 255])
@@ -690,6 +731,29 @@ def test_model_file_bytes_are_pinned(tmp_path, latent, dtype):
         MODEL_FILE_SHA256[latent, dtype]
 
 
+# sha256 of the decoded bytes of block_stack(11) through the reloaded file
+# of make_codec_model(L, 128, seed=L) quantized to q8 or q16: pins the
+# reload rule that zeroes the weights at the code nearest zero
+RELOADED_DECODE_SHA256 = {
+    (16, 8): "d07b260721c51747377c38e9ddabe2baab22a0cd76186851e8ba302bfde95b76",
+    (16, 16): "2d693d51c716e06e9bcefbf10404e715ec3e2a9f465295f03ceaa124b9577345",
+    (256, 8): "eaefc7d80e49eb19d8e80f12ca010f95e51e078674db80e625195e2bbf608bde",
+    (256, 16): "b6f6cc45085cde0acf8e0c64edf860fb8c3051d80273d3c7e1c961739fec3df1",
+}
+
+
+@pytest.mark.parametrize("latent, bits", sorted(RELOADED_DECODE_SHA256))
+def test_reloaded_decodes_are_pinned(tmp_path, latent, bits):
+    model = make_codec_model(latent, 128, seed=latent)
+    quantize_model(model, bits)
+    path = tmp_path / "m.iscm"
+    serialize(model, path)
+    loaded = deserialize(path)
+    out = decode(loaded, encode(loaded, block_stack(11)))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == \
+        RELOADED_DECODE_SHA256[latent, bits]
+
+
 # ---------------------------------------------------------------------------
 # lightweight training (small-scale behavior; quality gates live in
 # test_acceptance)
@@ -704,7 +768,7 @@ def test_lightweight_zeta_zero_m32_passthrough():
                             m=32, seed=0)
     assert out.dtype == "f32"
     for b, l in zip(before, out.dense_layers()):
-        assert l.prune_mask.all()  # nothing pruned
+        assert l.weights.all()  # nothing pruned
         np.testing.assert_array_equal(b, l.weights)
 
 
@@ -716,16 +780,15 @@ def test_lightweight_sparsity_reached():
     out = lightweight_train(model, data, cfg, m=8, lr=0.002, seed=0)
     assert out.dtype == "q8"
     for l in out.dense_layers():
-        pruned = l.prune_mask == 0
+        pruned = l.weights == 0.0
         assert pruned.sum() == ceil_count(cfg.cumulative_target(2),
                                           l.weights.size)
         assert pruned.mean() >= 0.5
-        assert not l.weights[pruned].any()
 
 
 def test_lightweight_train_quantizes_with_quantize_model():
     """m = 8 ends with quantize_model on the pruned model that m = 32
-    returns, and the pruned weights stay exactly zero."""
+    returns, and the weights that m = 32 pruned stay exactly zero."""
     data = toy_block_dataset(10, 16, seed=6)
     model = tiny_model(seed=22)
     train(model, data, epochs=3, lr=0.01, seed=0)
@@ -738,9 +801,33 @@ def test_lightweight_train_quantizes_with_quantize_model():
     for got, exp in zip(q8.dense_layers(), want.dense_layers()):
         np.testing.assert_array_equal(got.weights, exp.weights)
         np.testing.assert_array_equal(got.bias, exp.bias)
-        assert not got.weights[got.prune_mask == 0].any()
+    pruned_at_32 = lightweight_train(model, data, cfg, m=32, lr=0.002, seed=0)
+    for got, f32 in zip(q8.dense_layers(), pruned_at_32.dense_layers()):
+        assert (f32.weights == 0.0).any()
+        assert not got.weights[f32.weights == 0.0].any()
     for got, exp in zip(q8.quant_meta, want.quant_meta):
         np.testing.assert_array_equal(got["codes"], exp["codes"])
+
+
+# file sha256 of lightweight_train on the tiny model at m = 32 and 8; the
+# f32 file holds the sign of every pruned zero
+LIGHTWEIGHT_FILE_SHA256 = {
+    32: "2f521b5760e8b34767750e7235520825c9027eb8dfca0a979a6d5784b5815d97",
+    8: "4547a8797cc5e947c00bbdcb3a3537f90f4a4dd4790bbed99676ed33db2b9798",
+}
+
+
+@pytest.mark.parametrize("m", sorted(LIGHTWEIGHT_FILE_SHA256))
+def test_lightweight_train_file_is_pinned(tmp_path, m):
+    data = toy_block_dataset(10, 16, seed=6)
+    model = tiny_model(seed=22)
+    train(model, data, epochs=3, lr=0.01, seed=0)
+    cfg = PruneConfig(zeta=0.5, rounds=2, finetune_epochs=1)
+    out = lightweight_train(model, data, cfg, m=m, lr=0.002, seed=0)
+    path = tmp_path / "m.iscm"
+    serialize(out, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        LIGHTWEIGHT_FILE_SHA256[m]
 
 
 def test_lightweight_stalls_when_threshold_unreachable(caplog):
@@ -750,7 +837,7 @@ def test_lightweight_stalls_when_threshold_unreachable(caplog):
     cfg = PruneConfig(zeta=0.5, rounds=2, finetune_epochs=1,
                       loss_threshold=1e-12)  # unattainable trigger
     out = lightweight_train(model, data, cfg, m=8, seed=0)
-    assert all(l.prune_mask is None for l in out.dense_layers())
+    assert all(l.weights.all() for l in out.dense_layers())  # none pruned
     assert "pruning stalled in round 1" in caplog.text
     assert "reached sparsity 0.000 of requested 0.500" in caplog.text
 
@@ -758,9 +845,23 @@ def test_lightweight_stalls_when_threshold_unreachable(caplog):
 def test_prune_config_validation():
     with pytest.raises(ValueError):
         PruneConfig(zeta=1.0)
+    PruneConfig(loss_threshold=1e-12, finetune_epochs=0)  # both allowed
     cfg = PruneConfig(zeta=0.75, rounds=2)
     assert cfg.per_round_ratio == pytest.approx(0.5)
     assert cfg.cumulative_target(2) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_prune_config_rejects_a_bad_loss_threshold(threshold):
+    """A NaN threshold would never fire the pre-prune fine-tune."""
+    with pytest.raises(ValueError, match="loss_threshold must be None or "
+                       "finite and positive"):
+        PruneConfig(loss_threshold=threshold)
+
+
+def test_prune_config_rejects_negative_finetune_epochs():
+    with pytest.raises(ValueError, match="finetune_epochs must be >= 0"):
+        PruneConfig(finetune_epochs=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -928,3 +1029,17 @@ def test_octree_validates_depth_and_stream():
         octree_decode(stream[:-1])
     with pytest.raises(CodecFormatError):
         octree_decode(stream + b"\x00")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edge", math.nan), ("edge", -1.0), ("edge", 0.0), ("edge", math.inf),
+    ("corner", math.nan), ("corner", -math.inf)])
+def test_octree_decode_rejects_a_bad_header(field, value):
+    """Unchecked, a NaN edge fails PointCloud's finiteness check instead
+    and a negative edge decodes to mirrored points."""
+    stream = octree_encode(PointCloud([[0.0, 0, 0], [1.0, 2, 3]]), 3)
+    offset = {"corner": 4, "edge": 12}[field]  # corner y, then the edge
+    patched = stream[:offset] + struct.pack("<f", value) + stream[offset + 4:]
+    with pytest.raises(CodecFormatError, match=f"octree (cube {field}|min "
+                       f"{field})"):
+        octree_decode(patched)

@@ -63,13 +63,6 @@ def test_two_layer_hand_arithmetic():
     assert out[0] == pytest.approx(16.0, abs=1e-12)
 
 
-def test_dense_uses_prune_mask():
-    layer = Layer("dense", np.array([[2.0, 3.0]]), np.zeros(1))
-    layer.prune_mask = np.array([[1.0, 0.0]])
-    out, _ = forward(Network([layer]), np.array([1.0, 1.0]))
-    assert out[0] == 2.0
-
-
 def test_layer_rejects_unknown_kinds():
     for kind in ("tanh", "actor_head", "critic_head", "conv"):
         with pytest.raises(ValueError, match="unknown layer kind"):
@@ -460,16 +453,26 @@ def test_adam_first_step_moves_by_lr():
                                rtol=1e-7)
 
 
-def test_adam_respects_prune_mask():
-    layer = Layer("dense", np.array([[0.0, 1.0]]), np.zeros(1))
-    layer.prune_mask = np.array([[0.0, 1.0]])
+def test_adam_keeps_first_step_zeros_at_zero():
+    layer = Layer("dense", np.array([[0.0, 1.0, -0.0]]), np.zeros(1))
     net = Network([layer])
+    grad = [(np.array([[1.0, 1.0, -1.0]]), np.zeros(1))]
     state = None
     for _ in range(5):
-        state = adam_step(net, [(np.array([[1.0, 1.0]]), np.zeros(1))],
-                          lr=0.1, state=state)
-    assert layer.weights[0, 0] == 0.0
+        state = adam_step(net, grad, lr=0.1, state=state)
+    assert layer.weights[0, 0] == layer.weights[0, 2] == 0.0
     assert layer.weights[0, 1] != 1.0
+    # each zero keeps the sign of its update: down to -0.0, up to +0.0
+    assert np.signbit(layer.weights[0, 0])
+    assert not np.signbit(layer.weights[0, 2])
+    # a weight that reaches zero later is not pruned by that state ...
+    layer.weights[0, 1] = 0.0
+    state = adam_step(net, grad, lr=0.1, state=state)
+    assert layer.weights[0, 1] != 0.0
+    # ... but a fresh state records it
+    layer.weights[0, 1] = 0.0
+    adam_step(net, grad, lr=0.1)
+    assert layer.weights[0, 1] == 0.0
 
 
 # ---------------------------------------------------------------------------

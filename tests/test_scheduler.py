@@ -640,6 +640,12 @@ def test_create_rejects_an_empty_state_window():
         ActorCritic.create(("a", "b"), k=0)
 
 
+def test_create_rejects_an_empty_action_set():
+    """A 0-action net would fail only in select_action's max reduction."""
+    with pytest.raises(ValueError, match="needs at least one action"):
+        ActorCritic.create(())
+
+
 def test_bandit_env_oracle_structure():
     env = TwoContextBanditEnv()
     # stated context structure: high bandwidth wants action 2, low wants 0

@@ -408,6 +408,30 @@ def test_unknown_policy_and_missing_model(tmp_path):
         run_session(scene, "fixed:nope", trace, device, registry=registry)
 
 
+@pytest.mark.parametrize("policy", ["octree:abc", "octree:0", "octree:17",
+                                    "octree:", "octree:-3", "octree:1.5"])
+def test_octree_policy_depth_is_checked_before_the_first_frame(monkeypatch,
+                                                               policy):
+    def no_frame_work(*args):
+        raise AssertionError("the first frame's ROI work ran")
+
+    monkeypatch.setattr(sim, "select_roi", no_frame_work)
+    with pytest.raises(ValueError, match=re.escape(
+            f"policy '{policy}' is not 'drl', 'fixed:<model>' or "
+            "'octree:<depth>' with an integer depth in [1, 16]")):
+        run_session(small_scene(frames=3), policy, constant_trace(60.0),
+                    DeviceModel.preset("device-2"))
+
+
+def test_an_empty_model_set_is_named(tmp_path):
+    """Named here, not by max()'s "arg is an empty sequence"."""
+    empty = ModelRegistry(tmp_path)
+    with pytest.raises(ValueError, match="the model set is empty"):
+        empty.accuracy_table()
+    with pytest.raises(ValueError, match="the model set is empty"):
+        StreamingSchedulerEnv(empty, DeviceModel.preset("device-2"))
+
+
 def test_session_rejects_a_one_frame_scene():
     scene = small_scene(frames=2)
     one = Scene(scene.frames[:1], scene.subject_masks[:1], scene.poses[:1],
