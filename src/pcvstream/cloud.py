@@ -20,6 +20,20 @@ from scipy.spatial import cKDTree
 # because its block centres tie often.
 OPEN_SPACE_TREE = {"balanced_tree": False, "compact_nodes": False}
 
+# Query rows from which `nearest_distances` searches on two threads. The
+# threads are cKDTree's own (`workers`), not BLAS, so a BLAS thread pin
+# does not limit them. Each threaded call costs a fixed ~0.5-1 ms, so
+# small queries stay on one thread. Two-worker time over one-worker time
+# on stream-full codec decodes sub-sampled to n query rows (2-vCPU x86-64
+# VM, 6 scenes, 9 interleaved reps):
+#
+#   n                      2k    4k    6k    8k    12k   16k   20k
+#   2 workers / 1 worker   1.20  1.01  0.85  0.78  0.69  0.66  0.61
+#
+# The fixed cost depends on how busy the second vCPU is: a re-run on a
+# quieter host read 0.84 at 2k and 0.73 from 6k up.
+PARALLEL_QUERY_ROWS = 8192
+
 
 # ---------------------------------------------------------------------------
 # quaternion helpers (w, x, y, z convention, Hamilton product)
@@ -266,9 +280,13 @@ def nearest_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """For each row of p, Euclidean distance to its nearest row of q.
 
     The tree over q is an OPEN_SPACE_TREE: untrained decodes sit far from
-    q's surfaces.
+    q's surfaces. A query of at least PARALLEL_QUERY_ROWS rows runs on two
+    threads, a smaller one on one thread, where a thread's fixed start-up
+    cost outweighs its share of the search. Each row is searched on its
+    own, so the distances are the same bits at any worker count.
     """
-    return cKDTree(q, **OPEN_SPACE_TREE).query(p)[0]
+    workers = 2 if len(p) >= PARALLEL_QUERY_ROWS else 1
+    return cKDTree(q, **OPEN_SPACE_TREE).query(p, workers=workers)[0]
 
 
 def chamfer_hausdorff(p, q) -> tuple[float, float]:

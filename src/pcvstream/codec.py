@@ -65,6 +65,10 @@ class PruneConfig:
     finetune_epochs: int = 4
 
     def __post_init__(self):
+        for name in ("rounds", "finetune_epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 0.0 <= self.zeta < 1.0:
             raise ValueError("zeta must lie in [0, 1)")
         if self.rounds < 1:
@@ -165,26 +169,50 @@ def denormalize_block(points, centroid, scale):
     return pts * scale[:, None, None] + centroid[:, None, :]
 
 
+# Bit spread of one axis into every third key bit, in five shift-and-mask
+# steps: step i moves the bits that _MORTON_MASKS[i] keeps by
+# _MORTON_SHIFTS[i] into the positions _MORTON_MASKS[i + 1] keeps; the last
+# mask holds bits 0, 3, ..., 60. Compaction runs the steps backwards.
+_MORTON_SHIFTS = tuple(np.uint64(s) for s in (32, 16, 8, 4, 2))
+_MORTON_MASKS = tuple(np.uint64(m) for m in (
+    0x1FFFFF, 0x1F00000000FFFF, 0x1F0000FF0000FF, 0x100F00F00F00F00F,
+    0x10C30C30C30C30C3, 0x1249249249249249))
+MORTON_MAX_BITS = 21  # 3 x 21 bits fill a 64-bit key
+
+
+def _axis_mask(bits: int) -> np.uint64:
+    """Mask of the low `bits` bits of one axis, for 1 <= bits <= 21."""
+    if not 1 <= bits <= MORTON_MAX_BITS:
+        raise ValueError(f"bits must lie in [1, {MORTON_MAX_BITS}], "
+                         f"got {bits}")
+    return np.uint64((1 << bits) - 1)
+
+
 def morton_key(cells, bits: int) -> np.ndarray:
     """Morton (Z-order) key of non-negative integer (N, 3) cells: bit b of
-    axis a lands at key bit 3*b + a, for the low `bits` bits."""
+    axis a lands at key bit 3*b + a, for the low `bits` bits. A 64-bit key
+    holds 3 x 21 bits, so `bits` outside [1, 21] raises ValueError."""
+    low = _axis_mask(bits)
     cells = np.asarray(cells, dtype=np.uint64)
     key = np.zeros(len(cells), dtype=np.uint64)
-    for b in range(bits):
-        for axis in range(3):
-            key |= ((cells[:, axis] >> np.uint64(b)) & np.uint64(1)) \
-                << np.uint64(3 * b + axis)
+    for axis in range(3):
+        x = cells[:, axis] & low
+        for shift, mask in zip(_MORTON_SHIFTS, _MORTON_MASKS[1:]):
+            x = (x | (x << shift)) & mask
+        key |= x << np.uint64(axis)
     return key
 
 
 def morton_cells(keys, bits: int) -> np.ndarray:
     """(N, 3) uint64 cells of Morton keys: the inverse of `morton_key`."""
+    low = _axis_mask(bits)
     keys = np.asarray(keys, dtype=np.uint64)
-    cells = np.zeros((len(keys), 3), dtype=np.uint64)
-    for b in range(bits):
-        for axis in range(3):
-            cells[:, axis] |= ((keys >> np.uint64(3 * b + axis))
-                               & np.uint64(1)) << np.uint64(b)
+    cells = np.empty((len(keys), 3), dtype=np.uint64)
+    for axis in range(3):
+        x = (keys >> np.uint64(axis)) & _MORTON_MASKS[-1]
+        for shift, mask in zip(_MORTON_SHIFTS[::-1], _MORTON_MASKS[-2::-1]):
+            x = (x | (x >> shift)) & mask
+        cells[:, axis] = x & low
     return cells
 
 

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from pcvstream import cloud, roi
 from pcvstream.cloud import (
-    Camera, Intrinsics, PointCloud, Pose, bounds, chamfer_distance,
-    chamfer_hausdorff, frustum_cull, hausdorff_distance, nearest_distances,
-    partition,
+    OPEN_SPACE_TREE, PARALLEL_QUERY_ROWS, Camera, Intrinsics, PointCloud,
+    Pose, bounds, chamfer_distance, chamfer_hausdorff, frustum_cull,
+    hausdorff_distance, nearest_distances, partition,
 )
+from pcvstream.codec import (
+    chunk_blocks, decode, denormalize_block, encode, make_codec_model,
+    normalize_block, octree_decode, octree_encode,
+)
+from pcvstream.roi import PoseHistory, RoiConfig, select_roi
+from pcvstream.sim import generate_scene
 
 
 def brute_chamfer(p, q):
@@ -295,6 +302,68 @@ def test_nearest_distances_equal_default_tree_distances():
     for p, q in clouds:
         want = cKDTree(q).query(p)[0]
         np.testing.assert_array_equal(nearest_distances(p, q), want)
+
+
+def codec_decode(points, model):
+    """The decoded points of a frame, as a codec session rebuilds them."""
+    blocks, _ = chunk_blocks(points, model.n_points)
+    norm, centroid, scale = normalize_block(blocks)
+    rebuilt = decode(model, encode(model, norm))
+    return denormalize_block(rebuilt, centroid, scale).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_parallel_nearest_distances_equal_one_worker(seed):
+    """Queries of PARALLEL_QUERY_ROWS rows and more run on two threads and
+    give the one-worker distances bit for bit: on 20k-point frames against
+    their codec and octree:10 decodes, both ways, and on exact ties."""
+    frame = generate_scene(rooms=1, frames=2, seed=seed).frames[0]
+    truth = frame.points.astype(np.float64)
+    decodes = [
+        codec_decode(truth, make_codec_model(256, seed=seed)),
+        octree_decode(octree_encode(frame, 10)).points.astype(np.float64),
+    ]
+    lattice = np.stack(np.meshgrid(*[np.arange(24.0)] * 3), -1).reshape(-1, 3)
+    pairs = [(truth, d) for d in decodes] + [(d, truth) for d in decodes]
+    # every midpoint is 0.5 from two lattice points; the lattice repeats
+    pairs.append((lattice + [0.5, 0.0, 0.0], np.repeat(lattice, 2, axis=0)))
+    for p, q in pairs:
+        assert len(p) > PARALLEL_QUERY_ROWS
+        want = cKDTree(q, **OPEN_SPACE_TREE).query(p)[0]
+        for n in (PARALLEL_QUERY_ROWS - 1, PARALLEL_QUERY_ROWS, len(p)):
+            assert nearest_distances(p[:n], q).tobytes() == want[:n].tobytes()
+
+
+def test_only_queries_from_the_floor_up_run_on_two_workers(monkeypatch):
+    """Every KD query of cloud and roi, as (module, rows, workers): metric
+    queries of PARALLEL_QUERY_ROWS rows and more use two workers, smaller
+    ones and every roi query one."""
+    queries = []
+
+    def recording_tree(module):
+        class RecordingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                assert not args  # workers is passed by name
+                queries.append((module, len(x), kwargs.get("workers", 1)))
+                return super().query(x, **kwargs)
+        return RecordingTree
+
+    monkeypatch.setattr(cloud, "cKDTree", recording_tree("cloud"))
+    monkeypatch.setattr(roi, "cKDTree", recording_tree("roi"))
+    rng = np.random.default_rng(11)
+    q = rng.random((500, 3))
+    for n in (1, PARALLEL_QUERY_ROWS - 1, PARALLEL_QUERY_ROWS, 20000):
+        nearest_distances(rng.random((n, 3)), q)
+    chamfer_hausdorff(rng.random((20000, 3)), rng.random((3000, 3)))
+    scene = generate_scene(rooms=1, frames=24, seed=0)
+    select_roi(scene.frames[1], scene.frames[0], PoseHistory(scene.poses[:2]),
+               RoiConfig(), scene.intrinsics, seed=0)
+    metric = [(n, w) for module, n, w in queries if module == "cloud"]
+    assert metric == [(1, 1), (PARALLEL_QUERY_ROWS - 1, 1),
+                      (PARALLEL_QUERY_ROWS, 2), (20000, 2), (20000, 2),
+                      (3000, 1)]
+    # the flow query and the fine stage's lattice query
+    assert [w for module, _, w in queries if module == "roi"] == [1, 1]
 
 
 def test_metrics_symmetric():

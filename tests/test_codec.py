@@ -258,6 +258,53 @@ def test_morton_key_interleaves_axis_bits():
     assert morton_key(cells, 1).tolist() == [1, 2, 4, 7, 0, 1 + 4]
 
 
+def loop_morton_key(cells, bits):
+    """Reference: one bit at a time, bit b of axis a to key bit 3*b + a."""
+    cells = np.asarray(cells, dtype=np.uint64)
+    key = np.zeros(len(cells), dtype=np.uint64)
+    for b in range(bits):
+        for axis in range(3):
+            key |= ((cells[:, axis] >> np.uint64(b)) & np.uint64(1)) \
+                << np.uint64(3 * b + axis)
+    return key
+
+
+def loop_morton_cells(keys, bits):
+    """Reference: one bit at a time, key bit 3*b + a to bit b of axis a."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    cells = np.zeros((len(keys), 3), dtype=np.uint64)
+    for b in range(bits):
+        for axis in range(3):
+            cells[:, axis] |= ((keys >> np.uint64(3 * b + axis))
+                               & np.uint64(1)) << np.uint64(b)
+    return cells
+
+
+@pytest.mark.parametrize("bits", range(1, 22))
+def test_morton_bit_spread_equals_per_bit_loop(bits):
+    """Only the low `bits` bits of a cell, and the low 3 * bits of a key,
+    count: the random draws fill all 64 bits."""
+    rng = np.random.default_rng(100 + bits)
+    wide = rng.integers(0, 2 ** 64, size=(600, 3), dtype=np.uint64)
+    top = (1 << bits) - 1
+    edges = np.array([[0, 0, 0], [top, top, top], [top + 1, 0, 0],
+                      [2 ** 64 - 1] * 3], dtype=np.uint64)
+    cells = np.concatenate([wide, wide & np.uint64(top), edges])
+    keys = np.concatenate([wide[:, 0], edges[:, 0]])
+    assert morton_key(cells, bits).tobytes() == \
+        loop_morton_key(cells, bits).tobytes()
+    assert morton_cells(keys, bits).tobytes() == \
+        loop_morton_cells(keys, bits).tobytes()
+
+
+@pytest.mark.parametrize("bits", [0, -1, 22, 64])
+def test_morton_rejects_bits_a_64_bit_key_cannot_hold(bits):
+    with pytest.raises(ValueError, match=r"bits must lie in \[1, 21\]"):
+        morton_key([[0, 0, 1 << 21]], bits)
+    with pytest.raises(ValueError, match=r"bits must lie in \[1, 21\]"):
+        morton_cells([1], bits)
+
+
 @pytest.mark.parametrize("bits", [1, 10, 16, 21])
 def test_morton_cells_inverts_morton_key(bits):
     top = (1 << bits) - 1
@@ -849,6 +896,16 @@ def test_prune_config_validation():
     cfg = PruneConfig(zeta=0.75, rounds=2)
     assert cfg.per_round_ratio == pytest.approx(0.5)
     assert cfg.cumulative_target(2) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rounds", 2.5), ("rounds", 2.0), ("rounds", True),
+    ("finetune_epochs", 1.5), ("finetune_epochs", "1"),
+    ("finetune_epochs", False)])
+def test_prune_config_rejects_non_integer_counts(field, value):
+    """A float count would fail later in lightweight_train's loops."""
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        PruneConfig(**{field: value})
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
