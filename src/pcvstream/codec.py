@@ -27,8 +27,8 @@ import numpy as np
 from ._util import ceil_count
 from .cloud import PointCloud, bounds, chamfer_distance, quat_to_matrix
 from .nn import (
-    Layer, LossSpec, Network, adam_step, as_stack, backward, clip_scale,
-    dense, forward, rotate_points, rotate_points_backward, total_loss,
+    Layer, Network, adam_step, as_stack, backward, clip_scale, dense,
+    forward, rotate_points, rotate_points_backward, total_loss,
 )
 
 log = logging.getLogger(__name__)
@@ -41,7 +41,6 @@ OCTREE_MAX_DEPTH = 16
 ENCODE_CHUNK_BLOCKS = 8
 TRAIN_BATCH = 8
 TRAIN_CLIP_NORM = 25.0  # global gradient norm cap of one batch
-LOSS = LossSpec()
 
 MAGIC = b"ISCM"
 FORMAT_VERSION = 1
@@ -274,17 +273,18 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
     """Mini-batch training over normalized blocks; returns per-epoch mean
     loss.
 
-    Each sample owns a learned axis-angle alignment (zero-initialized) that
-    rotates the decoded block before the loss; its squared norm is
-    penalized. Batch-mean gradients are clipped by global norm. The
-    optimizer is Adam (momentum SGD stalls well short of convergence on the
-    matching loss). A batch runs as stacks: one forward and one backward
-    per network, one stacked rotation and one loss call; only the EMD
-    assignment is solved sample by sample.
+    The loss is `nn.total_loss`: the EMD between each decoded block and its
+    target plus the alignment penalty below, so `dataset` must be an
+    (S, model.n_points, 3) stack (ValueError otherwise). Each sample owns a
+    learned axis-angle alignment (zero-initialized) that rotates the
+    decoded block before the loss; its squared norm is penalized.
+    Batch-mean gradients are clipped by global norm. The optimizer is Adam
+    (momentum SGD stalls well short of convergence on the matching loss).
+    A batch runs as stacks: one forward and one backward per network, one
+    stacked rotation and one loss call; only the EMD assignment is solved
+    sample by sample.
     """
-    data = np.asarray(dataset, dtype=np.float64)
-    if data.ndim != 3 or data.shape[0] == 0:
-        raise ValueError("dataset must be a non-empty (S, n, 3) array")
+    data = as_stack(dataset, ("S", model.n_points, 3))
     n_samples = data.shape[0]
     rng = np.random.default_rng(seed)
     rot = np.zeros((n_samples, 3))
@@ -302,7 +302,7 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
             theta = rot[idx]
             pred, rot_cache = rotate_points(
                 theta, flat.reshape(b, model.n_points, 3))
-            losses, d_pred, d_rots = total_loss(pred, targets, theta, LOSS)
+            losses, d_pred, d_rots = total_loss(pred, targets, theta)
             for loss in losses:
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"NaN loss at epoch {epoch}")
@@ -339,7 +339,7 @@ def mean_reconstruction_loss(model: CodecModel, dataset) -> float:
     rebuilt = decode(model, encode(model, data))
     cuts = range(ENCODE_CHUNK_BLOCKS, len(data), ENCODE_CHUNK_BLOCKS)
     losses = np.concatenate([
-        total_loss(r, d, np.zeros((len(d), 3)), LOSS)[0]
+        total_loss(r, d, np.zeros((len(d), 3)))[0]
         for r, d in zip(np.split(rebuilt, cuts), np.split(data, cuts))])
     return sum(losses.tolist()) / len(data)
 
@@ -571,10 +571,12 @@ def deserialize(path) -> CodecModel:
             raise CodecFormatError(f"unknown dtype code {dtype_code}")
         dtypes.add(dtype)
         if dtype == "f32":
-            params = np.frombuffer(take(4 * n_params), "<f4").astype(float)
+            params = np.frombuffer(take(4 * n_params), "<f4")
+            # checked before the cast, which warns on a signalling NaN
             if not np.isfinite(params).all():
                 raise CodecFormatError(f"record {index}: non-finite f32 "
                                        "parameters")
+            params = params.astype(float)
         else:
             mn, mx, m = struct.unpack("<ffB", take(9))
             if m != DTYPE_BITS[dtype]:
@@ -677,6 +679,10 @@ def octree_decode(data: bytes) -> PointCloud:
         raise CodecFormatError(f"octree min corner {(x, y, z)} not finite")
     if not 0.0 < edge < math.inf:
         raise CodecFormatError(f"octree cube edge {edge} not finite and > 0")
+    # the leaf centres are cast to float32: the far corner must fit
+    if max(x, y, z) + edge > float(np.finfo(np.float32).max):
+        raise CodecFormatError(f"octree cube at {(x, y, z)} with edge {edge} "
+                               "exceeds the float32 range")
     mn = np.array([x, y, z], dtype=np.float64)
     off = 17
     nodes = np.zeros(1, dtype=np.uint64)

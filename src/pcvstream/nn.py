@@ -1,5 +1,5 @@
 """Minimal dense-network engine: forward/backward with analytic gradients,
-point-set reconstruction losses, and Adam that keeps pruned weights at zero.
+the codec's training loss, and Adam that keeps pruned weights at zero.
 
 The layer kinds are the codec's: `dense`, `relu` and `maxpool_points`.
 Layers operate on per-point feature rows (n, f) or stacks of them (B, n, f).
@@ -9,9 +9,12 @@ stack costs one matrix product per layer, not one per block.
 vector, which is what makes the encoder output order-invariant; it caches
 its input, and only `backward` looks up which point won.
 
-The losses and the rotation helpers take (B, ...) stacks only: B point sets
-(B, n, 3) with B angles (B, 3), one result per sample; a single sample is a
-one-sample stack (`x[None]`), and any other shape raises ValueError.
+The reconstruction loss is the exact earth mover's distance (EMD) between
+two point sets of one size, as the codec's blocks all have `n_points`
+points. The loss and the rotation helpers take (B, ...) stacks only: B
+point sets (B, n, 3) with B angles (B, 3), one result per sample; a single
+sample is a one-sample stack (`x[None]`), and any other shape raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from scipy.optimize import linear_sum_assignment
 
 LAYER_KINDS = ("dense", "relu", "maxpool_points")
 
-EMD_CAP = 256  # largest point count solved by the exact assignment
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -192,7 +194,7 @@ def adam_step(network: Network, grads, lr: float,
 
 
 # ---------------------------------------------------------------------------
-# reconstruction losses
+# reconstruction loss
 
 def _pairwise_distances(p, q):
     """Euclidean distances (..., n, m) between the rows of p (..., n, 3) and
@@ -213,34 +215,6 @@ def _pairwise_distances(p, q):
     return np.sqrt(d, out=d)
 
 
-def chamfer_loss(pred: np.ndarray, target: np.ndarray):
-    """Symmetric Chamfer losses (B,) of a (B, n, 3) stack against a
-    (B, m, 3) stack, and their gradients (B, n, 3) w.r.t. pred."""
-    pred = as_stack(pred, ("B", "n", 3))
-    target = as_stack(target, ("B", "m", 3))
-    if len(pred) != len(target):
-        raise ValueError(f"chamfer_loss needs stacks of one size B, got "
-                         f"{pred.shape} and {target.shape}")
-    d = _pairwise_distances(pred, target)
-    n_p, n_q = pred.shape[1], target.shape[1]
-    j_star = d.argmin(axis=2)   # nearest target per pred point
-    i_star = d.argmin(axis=1)   # nearest pred per target point
-    dist = np.take_along_axis(d, j_star[..., None], axis=2)[..., 0]
-    dist2 = np.take_along_axis(d, i_star[:, None, :], axis=1)[:, 0]
-    loss = dist.mean(axis=1) + dist2.mean(axis=1)
-
-    sample = np.arange(len(pred))[:, None]
-    grad = np.zeros_like(pred)
-    diff = pred - target[sample, j_star]
-    nz = dist > 0.0
-    grad[nz] += diff[nz] / dist[nz, None] / n_p
-    diff2 = pred[sample, i_star] - target
-    nz2 = dist2 > 0.0
-    np.add.at(grad, (np.broadcast_to(sample, nz2.shape)[nz2], i_star[nz2]),
-              diff2[nz2] / dist2[nz2, None] / n_q)
-    return loss, grad
-
-
 def emd_loss(pred: np.ndarray, target: np.ndarray):
     """Exact earth mover's distance over bijections, with gradient.
 
@@ -254,9 +228,6 @@ def emd_loss(pred: np.ndarray, target: np.ndarray):
     if pred.shape != target.shape:
         raise ValueError(f"emd_loss requires equal-cardinality stacks, got "
                          f"{pred.shape} and {target.shape}")
-    n = pred.shape[1]
-    if n > EMD_CAP:
-        raise ValueError(f"emd_loss capped at {EMD_CAP} points, got {n}")
     d = _pairwise_distances(pred, target)
     # a square assignment matches every row, in order: only cols vary
     cols = np.array([linear_sum_assignment(c)[1] for c in d])
@@ -267,34 +238,15 @@ def emd_loss(pred: np.ndarray, target: np.ndarray):
     return matched.sum(axis=-1), grad
 
 
-def total_loss(pred, target, rot_params, spec):
-    """Weighted reconstruction loss plus the rotation-parameter penalty.
+def total_loss(pred, target, rot_params):
+    """EMD reconstruction loss plus the rotation-parameter penalty.
 
-    A (B, n, 3) stack against its (B, m, 3) targets, with (B, 3) rotation
-    parameters, gives (loss (B,), d_pred (B, n, 3), d_rot (B, 3)).
-    Reconstruction is EMD when the sets have equal cardinality within the
-    solver cap, otherwise Chamfer (fallback).
+    Two (B, n, 3) stacks with (B, 3) rotation parameters give
+    (loss (B,), d_pred (B, n, 3), d_rot (B, 3)).
     """
-    pred = as_stack(pred, ("B", "n", 3))
-    target = as_stack(target, ("B", "m", 3))
-    rot = as_stack(rot_params, (len(pred), 3))
-    if pred.shape == target.shape and pred.shape[1] <= EMD_CAP:
-        rec, d_rec = emd_loss(pred, target)
-    else:
-        rec, d_rec = chamfer_loss(pred, target)
-    loss = spec.lambda_rec * rec \
-        + spec.rotation_penalty * (rot ** 2).sum(axis=-1)
-    return loss, spec.lambda_rec * d_rec, 2.0 * spec.rotation_penalty * rot
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    lambda_rec: float = 1.0
-    rotation_penalty: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_rec < 0.0:
-            raise ValueError("lambda_rec must be non-negative")
+    rec, d_rec = emd_loss(pred, target)
+    rot = as_stack(rot_params, (len(rec), 3))
+    return rec + (rot ** 2).sum(axis=-1), d_rec, 2.0 * rot
 
 
 # ---------------------------------------------------------------------------

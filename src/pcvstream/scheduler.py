@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -37,33 +37,15 @@ NEUTRAL_FILL = 0.5
 B_REF = 100.0          # Mbps that reads as full bandwidth
 T_REF = 1.0 / 30.0     # decode seconds that read as full compute
 F_TARGET = 30.0        # frames/s that earn the full frame-rate reward
+ETA = 0.5              # frame-rate weight of the reward; accuracy gets 1 - ETA
 # the largest |sum(p) - 1| that `sample_index` accepts, as Generator.choice
 PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
-class RewardSpec:
-    """Frame-rate / accuracy blend: r = eta*min(1, f/F_TARGET) + (1-eta)*L."""
-
-    eta: float = 0.5
-    accuracy_table: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if self.accuracy_table:
-            vals = list(self.accuracy_table.values())
-            if any(not 0.0 <= v <= 1.0 for v in vals):
-                raise ValueError("accuracy values must lie in [0, 1]")
-            if abs(max(vals) - 1.0) > 1e-9:
-                raise ValueError("best model accuracy must equal 1")
-
-
-def reward(f_t: float, model_id, spec: RewardSpec) -> float:
-    if model_id not in spec.accuracy_table:
-        raise KeyError(f"unknown model '{model_id}'")
-    return (spec.eta * min(1.0, f_t / F_TARGET)
-            + (1.0 - spec.eta) * spec.accuracy_table[model_id])
+def reward(f_t: float, accuracy: float) -> float:
+    """Reward of one frame: ETA * min(1, f_t / F_TARGET) + (1 - ETA) * L,
+    the frame-rate term blended with the model's normalized accuracy L."""
+    return ETA * min(1.0, f_t / F_TARGET) + (1.0 - ETA) * accuracy
 
 
 def normalized_accuracy(test_cds: dict) -> dict:

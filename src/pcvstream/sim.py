@@ -2,16 +2,15 @@
 device models, and the per-frame encode/transmit/decode timeline.
 
 One session is strictly sequential and fully seeded, so identical inputs
-produce byte-identical logs. Per-block codec costs come from a model
-registry built offline (costs are measured once and persisted, never
-re-measured inside a session).
+produce byte-identical logs. Per-block codec costs are read from the model
+registry (`registry.json`), never measured inside a session.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import time
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -27,8 +26,8 @@ from .codec import (
 )
 from .roi import PoseHistory, RoiConfig, select_roi
 from .scheduler import (
-    F_TARGET, ActorCritic, RewardSpec, StateWindow, normalized_accuracy,
-    reward, select_action, state_slot,
+    F_TARGET, ActorCritic, StateWindow, normalized_accuracy, reward,
+    select_action, state_slot,
 )
 
 TRACE_PRESETS = {"3g": 2.0, "4g": 25.0, "wifi": 60.0, "5g": 100.0}
@@ -158,6 +157,17 @@ class RegistryEntry:
         # registry.json is outside input: a CD of 0 would divide by zero
         # in `accuracy_table`, a NaN cost would poison every frame time,
         # a latent of 0 would charge a block its header only
+        for name, kind, what in (
+                ("file", str, "a string"),
+                ("latent_dim", numbers.Integral, "an integer"),
+                ("bits", numbers.Integral, "an integer"),
+                ("encode_cost_s", numbers.Real, "a real number"),
+                ("decode_cost_s", numbers.Real, "a real number"),
+                ("test_cd", numbers.Real, "a real number")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"model '{self.model_id}': {name} must be "
+                                 f"{what}, got {value!r}")
         if self.latent_dim < 1:
             raise ValueError(f"model '{self.model_id}': latent_dim must be "
                              f">= 1, got {self.latent_dim}")
@@ -233,34 +243,27 @@ class ModelRegistry:
 
     @classmethod
     def load(cls, root) -> "ModelRegistry":
+        """Read root/registry.json. A malformed entry raises ValueError
+        naming the model and the field; keys past STORED_FIELDS are
+        ignored."""
         root = Path(root)
         with open(root / "registry.json") as fh:
             payload = json.load(fh)
-        entries = {k: RegistryEntry(k, **{f: v[f] for f in cls.STORED_FIELDS})
-                   for k, v in payload["models"].items()}
+        models = payload.get("models") if isinstance(payload, dict) else None
+        if not isinstance(models, dict):
+            raise ValueError("registry.json must hold a 'models' object")
+        entries = {}
+        for model_id, stored in models.items():
+            if not isinstance(stored, dict):
+                raise ValueError(f"model '{model_id}': entry must be an "
+                                 f"object, got {stored!r}")
+            missing = [f for f in cls.STORED_FIELDS if f not in stored]
+            if missing:
+                raise ValueError(f"model '{model_id}': missing "
+                                 f"{', '.join(missing)}")
+            entries[model_id] = RegistryEntry(
+                model_id, **{f: stored[f] for f in cls.STORED_FIELDS})
         return cls(root, entries)
-
-
-def measure_block_costs(model: CodecModel, repeats: int = 30,
-                        seed: int = 0) -> tuple[float, float]:
-    """Median encode/decode wall time of a one-block stack on this host.
-
-    Run once when building a registry; sessions must read the stored
-    numbers so that repeated runs stay byte-identical.
-    """
-    rng = np.random.default_rng(seed)
-    block = normalize_block(rng.normal(size=(1, model.n_points, 3)))[0]
-    latent = encode(model, block)
-    enc_times, dec_times = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        encode(model, block)
-        t1 = time.perf_counter()
-        decode(model, latent)
-        t2 = time.perf_counter()
-        enc_times.append(t1 - t0)
-        dec_times.append(t2 - t1)
-    return float(np.median(enc_times)), float(np.median(dec_times))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +574,7 @@ class StreamingSchedulerEnv:
         self.actions = tuple(sorted(registry.entries))
         self.device = device
         self.mean_bw = mean_bandwidth_mbps
-        self.spec = RewardSpec(accuracy_table=registry.accuracy_table())
+        self.accuracy = registry.accuracy_table()
         self.episode_len = episode_len
         self.k = k
         self._window = StateWindow(k)  # raises on k < 1
@@ -609,5 +612,5 @@ class StreamingSchedulerEnv:
         self._window.push(state_slot(blocks, blocks, decode_s, bandwidth))
         self._t += max(transmit_s, 1.0 / F_TARGET)
         self._left -= 1
-        return (self._window.state(), reward(fps, entry.model_id, self.spec),
-                self._left <= 0)
+        return (self._window.state(),
+                reward(fps, self.accuracy[entry.model_id]), self._left <= 0)

@@ -17,8 +17,8 @@ from pcvstream.codec import (
     octree_decode, octree_encode, prune_layer, prune_model, quantize_model, quantize_weights, serialize, toy_block_dataset, train,
 )
 from pcvstream.nn import (
-    Layer, LossSpec, chamfer_loss, emd_loss, rotate_points, rotation_matrix,
-    rotation_matrix_jacobian, total_loss,
+    Layer, emd_loss, rotate_points, rotation_matrix, rotation_matrix_jacobian,
+    total_loss,
 )
 
 
@@ -155,10 +155,8 @@ def stack_calls():
         "denormalize_block": (denormalize_block, [blocks, theta, np.ones(1)]),
         "encode": (lambda b: encode(model, b), [blocks]),
         "decode": (lambda z: decode(model, z), [np.zeros((1, 8))]),
-        "chamfer_loss": (chamfer_loss, [blocks, blocks]),
         "emd_loss": (emd_loss, [blocks, blocks]),
-        "total_loss": (lambda p, t, r: total_loss(p, t, r, LossSpec()),
-                       [blocks, blocks, theta]),
+        "total_loss": (total_loss, [blocks, blocks, theta]),
         "rotation_matrix": (rotation_matrix, [theta]),
         "rotation_matrix_jacobian": (rotation_matrix_jacobian,
                                      [theta, np.eye(3)[None]]),
@@ -190,7 +188,7 @@ def test_dataset_means_match_per_sample_round_trips():
     data = toy_block_dataset(11, 16, seed=3)
     rebuilt = [decode(model, encode(model, b[None]))[0] for b in data]
     zero = np.zeros((1, 3))
-    want_loss = sum(total_loss(r[None], b[None], zero, LossSpec())[0][0]
+    want_loss = sum(total_loss(r[None], b[None], zero)[0][0]
                     for r, b in zip(rebuilt, data)) / len(data)
     want_cd = np.mean([chamfer_distance(r, b) for r, b in zip(rebuilt, data)])
     assert mean_reconstruction_loss(model, data) == \
@@ -202,7 +200,7 @@ def test_dataset_loss_in_slices_equals_one_loss_call(monkeypatch):
     model = tiny_model(seed=34)
     data = toy_block_dataset(2 * ENCODE_CHUNK_BLOCKS + 3, 16, seed=4)
     rebuilt = decode(model, encode(model, data))
-    losses = total_loss(rebuilt, data, np.zeros((len(data), 3)), LossSpec())[0]
+    losses = total_loss(rebuilt, data, np.zeros((len(data), 3)))[0]
     want = sum(losses.tolist()) / len(data)
 
     calls = []
@@ -375,6 +373,21 @@ def test_train_deterministic_curves():
     np.testing.assert_array_equal(c1, c2)
     for a, b in zip(m1.dense_layers(), m2.dense_layers()):
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("shape", [(4, 24, 3), (4, 8, 3), (4, 16, 2),
+                                   (0, 16, 3), (16, 3)],
+                         ids=["more-points", "fewer-points", "2-d-points",
+                              "empty", "one-block"])
+def test_train_rejects_blocks_of_another_size(shape):
+    """Blocks that are not the model's (n_points, 3) have no EMD against
+    its decodes; training must not start on them."""
+    model = tiny_model(seed=10)  # 16-point blocks
+    before = [l.weights.copy() for l in model.dense_layers()]
+    with pytest.raises(ValueError, match=r"\(S, 16, 3\) stack"):
+        train(model, np.ones(shape), epochs=1)
+    for b, l in zip(before, model.dense_layers()):
+        np.testing.assert_array_equal(b, l.weights)
 
 
 # Recorded from the per-sample training loop that the batched step replaced
@@ -584,6 +597,20 @@ def test_deserialize_rejects_non_finite_f32_parameters(tmp_path, offset):
     patched = tmp_path / "patched.iscm"
     patched.write_bytes(raw[:offset] + struct.pack("<f", math.nan)
                         + raw[offset + 4:])
+    with pytest.raises(CodecFormatError, match="record 0: non-finite f32"):
+        deserialize(patched)
+
+
+@pytest.mark.parametrize("bits", [0x7F800001, 0x7FBFFFFF, 0xFF800001],
+                         ids=hex)
+def test_deserialize_rejects_a_signalling_nan_f32_parameter(tmp_path, bits):
+    """A signalling NaN is rejected on the f32 view: its cast to float64
+    would warn "invalid value encountered in cast" first."""
+    good = tmp_path / "good.iscm"
+    serialize(tiny_model(seed=22), good)
+    raw = good.read_bytes()
+    patched = tmp_path / "patched.iscm"
+    patched.write_bytes(raw[:18] + struct.pack("<I", bits) + raw[22:])
     with pytest.raises(CodecFormatError, match="record 0: non-finite f32"):
         deserialize(patched)
 
@@ -1100,3 +1127,16 @@ def test_octree_decode_rejects_a_bad_header(field, value):
     with pytest.raises(CodecFormatError, match=f"octree (cube {field}|min "
                        f"{field})"):
         octree_decode(patched)
+
+
+@pytest.mark.parametrize("corner, edge", [
+    ((3e38, 0.0, 0.0), 3e38), ((0.0, 0.0, 3.4e38), 1e37)])
+def test_octree_decode_rejects_a_cube_past_the_float32_range(corner, edge):
+    """Leaf centres past the float32 range would warn "overflow encountered
+    in cast" before PointCloud rejects them."""
+    stream = struct.pack("<3ffB", *corner, edge, 1) + b"\x80"
+    with pytest.raises(CodecFormatError, match="exceeds the float32 range"):
+        octree_decode(stream)
+    # the same edge from a corner that leaves room decodes
+    room = struct.pack("<3ffB", -edge, -edge, -edge, edge, 1) + b"\x80"
+    assert np.isfinite(octree_decode(room).points).all()

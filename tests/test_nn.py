@@ -6,9 +6,9 @@ import pytest
 from pcvstream import nn
 from pcvstream.codec import DEFAULT_BLOCK_POINTS, make_codec_model
 from pcvstream.nn import (
-    EMD_CAP, Layer, LossSpec, Network, NumericsError, _pairwise_distances,
-    backward, chamfer_loss, dense, emd_loss, forward, rotate_points,
-    rotate_points_backward, adam_step, rotation_matrix, total_loss,
+    Layer, Network, NumericsError, _pairwise_distances, backward, dense,
+    emd_loss, forward, rotate_points, rotate_points_backward, adam_step,
+    rotation_matrix, total_loss,
 )
 
 H = 1e-5
@@ -207,84 +207,6 @@ def test_layer_gradients_match_finite_differences(case):
 # ---------------------------------------------------------------------------
 # losses
 
-def test_chamfer_loss_zero_on_identical():
-    rng = np.random.default_rng(1)
-    p = rng.normal(size=(2, 9, 3))
-    loss, grad = chamfer_loss(p, p.copy())
-    np.testing.assert_array_equal(loss, [0.0, 0.0])
-    np.testing.assert_array_equal(grad, np.zeros_like(p))
-
-
-def test_chamfer_loss_hand_pair():
-    loss, grad = chamfer_loss(np.array([[[0.0, 0, 0]]]),
-                              np.array([[[1.0, 0, 0]]]))
-    assert loss.shape == (1,)
-    assert loss[0] == pytest.approx(2.0, abs=1e-12)
-    np.testing.assert_allclose(grad, [[[-2.0, 0.0, 0.0]]], atol=1e-12)
-
-
-def test_chamfer_gradient_finite_difference():
-    # samples are independent, so the gradient of the summed losses is the
-    # per-sample gradient
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        p = rng.normal(size=(3, 6, 3))
-        q = rng.normal(size=(3, 6, 3))
-        _, grad = chamfer_loss(p, q)
-        fd = finite_diff(lambda x: chamfer_loss(x, q)[0].sum(), p.copy())
-        assert rel_err(grad, fd) <= 1e-4
-
-
-def scalar_chamfer(pred, target):
-    """Chamfer loss and gradient of one (n, 3) / (m, 3) pair, one point
-    set at a time: the reference for the stacked chamfer_loss."""
-    d = _pairwise_distances(pred, target)
-    n_p, n_q = pred.shape[0], target.shape[0]
-    j_star = d.argmin(axis=1)
-    i_star = d.argmin(axis=0)
-    loss = d[np.arange(n_p), j_star].mean() + d[i_star, np.arange(n_q)].mean()
-    grad = np.zeros_like(pred)
-    diff = pred - target[j_star]
-    dist = d[np.arange(n_p), j_star]
-    nz = dist > 0.0
-    grad[nz] += diff[nz] / dist[nz, None] / n_p
-    diff2 = pred[i_star] - target
-    dist2 = d[i_star, np.arange(n_q)]
-    nz2 = dist2 > 0.0
-    np.add.at(grad, i_star[nz2], diff2[nz2] / dist2[nz2, None] / n_q)
-    return loss, grad
-
-
-def test_chamfer_stack_equals_per_sample():
-    rng = np.random.default_rng(3)
-    p = rng.normal(size=(4, 5, 3))
-    q = rng.normal(size=(4, 7, 3))
-    q[1, :5] = p[1]                  # coincident points: zero distances
-    q[2, :3] = p[2, 0]               # one pred point nearest to three
-    p[3, 0], q[3, 0] = [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]
-    loss, grad = chamfer_loss(p, q)
-    assert loss.shape == (4,) and grad.shape == p.shape
-    for i in range(4):
-        one_loss, one_grad = chamfer_loss(p[i:i + 1], q[i:i + 1])
-        assert loss[i] == one_loss[0]
-        np.testing.assert_array_equal(grad[i], one_grad[0])
-        want_loss, want_grad = scalar_chamfer(p[i], q[i])
-        assert loss[i] == want_loss
-        assert grad[i].tobytes() == want_grad.tobytes()
-
-
-@pytest.mark.parametrize("bad", ["longer", "shorter", "empty", "single"])
-def test_chamfer_batch_must_match_its_targets(bad):
-    rng = np.random.default_rng(12)
-    pred, target = rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 5, 3))
-    pred, target = {"longer": (pred, np.concatenate([target, target])),
-                    "shorter": (pred, target[:2]),
-                    "empty": (pred[:0], target[:0]),
-                    "single": (pred, target[0])}[bad]
-    with pytest.raises(ValueError):
-        chamfer_loss(pred, target)
-
-
 def norm_distances(p, q):
     return np.linalg.norm(p[..., :, None, :] - q[..., None, :, :], axis=-1)
 
@@ -326,19 +248,21 @@ def test_emd_rejects_an_empty_stack():
         emd_loss(np.zeros((0, 4, 3)), np.zeros((0, 4, 3)))
 
 
-@pytest.mark.parametrize("n_pred, n_target", [
-    (5, 5), (7, 5), (EMD_CAP + 1, EMD_CAP + 1)])
+@pytest.mark.parametrize("n_pred, n_target", [(5, 5), (7, 5), (257, 257)])
 def test_total_loss_stack_equals_per_sample(n_pred, n_target):
-    # equal cardinality within the cap takes EMD, otherwise Chamfer
-    spec = LossSpec(lambda_rec=1.3, rotation_penalty=0.8)
+    # the loss is EMD at any size; sets of two sizes have no EMD
     rng = np.random.default_rng(15)
     p = rng.normal(size=(4, n_pred, 3))
     q = rng.normal(size=(4, n_target, 3))
     rot = rng.normal(scale=0.3, size=(4, 3))
-    losses, d_pred, d_rot = total_loss(p, q, rot, spec)
+    if n_pred != n_target:
+        with pytest.raises(ValueError, match="equal-cardinality"):
+            total_loss(p, q, rot)
+        return
+    losses, d_pred, d_rot = total_loss(p, q, rot)
     assert losses.shape == (4,)
     for j in range(4):
-        loss, dp, dr = total_loss(p[j:j + 1], q[j:j + 1], rot[j:j + 1], spec)
+        loss, dp, dr = total_loss(p[j:j + 1], q[j:j + 1], rot[j:j + 1])
         assert loss.shape == (1,) and losses[j] == loss[0]
         np.testing.assert_array_equal(d_pred[j], dp[0])
         np.testing.assert_array_equal(d_rot[j], dr[0])
@@ -385,51 +309,37 @@ def test_emd_gradient_finite_difference():
         assert rel_err(grad, fd) <= 1e-4
 
 
-def test_emd_rejects_mismatch_and_cap():
+def test_emd_rejects_mismatch():
     with pytest.raises(ValueError, match="equal-cardinality"):
         emd_loss(np.zeros((1, 3, 3)), np.zeros((1, 4, 3)))
     with pytest.raises(ValueError, match="equal-cardinality"):
         emd_loss(np.zeros((2, 3, 3)), np.zeros((1, 3, 3)))
-    with pytest.raises(ValueError, match="capped"):
-        emd_loss(np.zeros((1, EMD_CAP + 1, 3)),
-                 np.zeros((1, EMD_CAP + 1, 3)))
-
-
-def test_chamfer_bounded_by_emd():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        n = int(rng.integers(2, 12))
-        p = rng.normal(size=(1, n, 3))
-        q = rng.normal(size=(1, n, 3))
-        assert chamfer_loss(p, q)[0][0] <= emd_loss(p, q)[0][0] + 1e-12
 
 
 def test_total_loss_pure_penalty():
-    spec = LossSpec(lambda_rec=0.0)
+    # identical sets have EMD 0, so the loss is the penalty |rot|^2 alone
     p = np.zeros((1, 2, 3))
-    loss, _, d_rot = total_loss(p, p, np.array([[1.0, 2.0, 2.0]]), spec)
-    assert loss[0] == pytest.approx(9.0, abs=1e-12)
-    np.testing.assert_allclose(d_rot, [[2.0, 4.0, 4.0]])
+    loss, _, d_rot = total_loss(p, p, np.array([[1.0, 2.0, 2.0]]))
+    assert loss[0] == 9.0
+    np.testing.assert_array_equal(d_rot, [[2.0, 4.0, 4.0]])
 
 
 def test_total_loss_zero_rotation():
-    spec = LossSpec(lambda_rec=0.7)
     rng = np.random.default_rng(8)
     p, q = rng.normal(size=(1, 5, 3)), rng.normal(size=(1, 5, 3))
-    loss, _, _ = total_loss(p, q, np.zeros((1, 3)), spec)
-    assert loss[0] == pytest.approx(0.7 * emd_loss(p, q)[0][0], abs=1e-12)
+    loss, d_pred, _ = total_loss(p, q, np.zeros((1, 3)))
+    rec, d_rec = emd_loss(p, q)
+    assert loss.tobytes() == rec.tobytes()
+    assert d_pred.tobytes() == d_rec.tobytes()
 
 
 def test_total_loss_joint_gradient_finite_difference():
-    spec = LossSpec(lambda_rec=1.3, rotation_penalty=0.8)
     rng = np.random.default_rng(9)
     p, q = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
     rot = rng.normal(scale=0.3, size=(2, 3))
-    _, d_pred, d_rot = total_loss(p, q, rot, spec)
-    fd_pred = finite_diff(lambda x: total_loss(x, q, rot, spec)[0].sum(),
-                          p.copy())
-    fd_rot = finite_diff(lambda r: total_loss(p, q, r, spec)[0].sum(),
-                         rot.copy())
+    _, d_pred, d_rot = total_loss(p, q, rot)
+    fd_pred = finite_diff(lambda x: total_loss(x, q, rot)[0].sum(), p.copy())
+    fd_rot = finite_diff(lambda r: total_loss(p, q, r)[0].sum(), rot.copy())
     assert rel_err(d_pred, fd_pred) <= 1e-4
     assert rel_err(d_rot, fd_rot) <= 1e-4
 

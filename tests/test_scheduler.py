@@ -7,7 +7,7 @@ import pytest
 from pcvstream.nn import NumericsError
 from pcvstream import scheduler
 from pcvstream.scheduler import (
-    DEFAULT_WINDOW, NEUTRAL_FILL, ActorCritic, RewardSpec, StateWindow,
+    DEFAULT_WINDOW, ETA, F_TARGET, NEUTRAL_FILL, ActorCritic, StateWindow,
     a3c_gradients, discounted_returns, entropy, normalized_accuracy, reward,
     sample_index, select_action, state_slot, train_scheduler,
 )
@@ -201,37 +201,16 @@ def test_state_clamps_to_unit_interval():
 # ---------------------------------------------------------------------------
 # reward
 
-def accuracy_spec(eta=0.5):
-    return RewardSpec(eta=eta, accuracy_table={"small": 0.8, "large": 1.0})
-
-
-def test_reward_eta_one_at_target():
-    spec = RewardSpec(eta=1.0, accuracy_table={"m": 1.0})
-    assert reward(30.0, "m", spec) == pytest.approx(1.0)
-    assert reward(90.0, "m", spec) == pytest.approx(1.0)  # capped
-
-
-def test_reward_eta_zero_is_accuracy():
-    spec = accuracy_spec(eta=0.0)
-    assert reward(1.0, "small", spec) == pytest.approx(0.8)
-    assert reward(100.0, "small", spec) == pytest.approx(0.8)
+def test_reward_frame_term_capped_at_target():
+    assert reward(F_TARGET, 1.0) == 1.0
+    assert reward(3.0 * F_TARGET, 1.0) == 1.0  # capped
+    assert reward(3.0 * F_TARGET, 0.8) == reward(F_TARGET, 0.8)
 
 
 def test_reward_hand_value():
-    spec = accuracy_spec(eta=0.5)
-    assert reward(15.0, "small", spec) == pytest.approx(0.65)
-
-
-def test_reward_unknown_model():
-    with pytest.raises(KeyError):
-        reward(30.0, "nope", accuracy_spec())
-
-
-def test_reward_spec_validation():
-    with pytest.raises(ValueError):
-        RewardSpec(eta=1.5)
-    with pytest.raises(ValueError):
-        RewardSpec(accuracy_table={"a": 0.5, "b": 0.9})  # best must be 1
+    assert ETA == 0.5
+    assert reward(15.0, 0.8) == pytest.approx(0.65)
+    assert reward(0.0, 0.8) == pytest.approx(0.4)
 
 
 def test_normalized_accuracy_best_is_one():

@@ -16,8 +16,8 @@ from pcvstream.scheduler import (
 )
 from pcvstream.sim import (
     DeviceModel, ModelRegistry, NetworkTrace, RegistryEntry, Scene,
-    StreamingSchedulerEnv, frame_timing, generate_scene, measure_block_costs,
-    pipeline_fps, run_session, transmit_time,
+    StreamingSchedulerEnv, frame_timing, generate_scene, pipeline_fps,
+    run_session, transmit_time,
 )
 
 
@@ -159,6 +159,58 @@ def test_registry_load_rejects_a_zero_test_cd(tmp_path):
         ModelRegistry.load(tmp_path)
 
 
+def _set(field, value):
+    def edit(payload):
+        payload["models"]["4x4-q8"][field] = value
+    return edit
+
+
+# registry.json edits -> the ValueError each must raise
+BAD_REGISTRY_FILES = {
+    "missing-key": (lambda p: p["models"]["4x4-q8"].pop("bits"),
+                    "model '4x4-q8': missing bits"),
+    "number-file": (_set("file", 3),
+                    "model '4x4-q8': file must be a string, got 3"),
+    "string-latent": (_set("latent_dim", "16"),
+                      "model '4x4-q8': latent_dim must be an integer, "
+                      "got '16'"),
+    "fractional-latent": (_set("latent_dim", 16.5),
+                          "model '4x4-q8': latent_dim must be an integer, "
+                          "got 16.5"),
+    "bool-bits": (_set("bits", True),
+                  "model '4x4-q8': bits must be an integer, got True"),
+    "null-cost": (_set("encode_cost_s", None),
+                  "model '4x4-q8': encode_cost_s must be a real number, "
+                  "got None"),
+    "list-cost": (_set("decode_cost_s", [1e-4]),
+                  "model '4x4-q8': decode_cost_s must be a real number, "
+                  "got [0.0001]"),
+    "string-cd": (_set("test_cd", "0.05"),
+                  "model '4x4-q8': test_cd must be a real number, "
+                  "got '0.05'"),
+    "list-entry": (lambda p: p["models"].update({"4x4-q8": [16]}),
+                   "model '4x4-q8': entry must be an object, got [16]"),
+    "list-models": (lambda p: p.update(models=["4x4-q8"]),
+                    "registry.json must hold a 'models' object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REGISTRY_FILES))
+def test_registry_load_rejects_a_malformed_entry(tmp_path, case):
+    """registry.json is outside input: each malformed entry raises a
+    ValueError naming the model and the field, not a KeyError, TypeError
+    or AttributeError, and a fractional latent_dim does not load."""
+    edit, message = BAD_REGISTRY_FILES[case]
+    ModelRegistry(tmp_path, {"4x4-q8": RegistryEntry(
+        "4x4-q8", "4x4-q8.iscm", 16, 8, 1e-4, 1e-4, 0.05)}).save()
+    path = tmp_path / "registry.json"
+    stored = json.loads(path.read_text())
+    edit(stored)
+    path.write_text(json.dumps(stored))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelRegistry.load(tmp_path)
+
+
 def test_device_presets_ordering():
     d1 = DeviceModel.preset("device-1")
     d3 = DeviceModel.preset("device-3")
@@ -211,6 +263,11 @@ def test_scene_deterministic():
 # ---------------------------------------------------------------------------
 # registry
 
+# pinned (encode s, decode s) per block by latent size, so that sessions
+# over the toy registry do not depend on this host's speed
+TOY_COSTS = {16: (1.1e-4, 6.0e-5), 64: (1.6e-4, 6.5e-5)}
+
+
 def toy_registry(tmp_path, latents=(16, 64), bits=(8,)):
     data = toy_block_dataset(24, 32, seed=1)
     registry = ModelRegistry(tmp_path)
@@ -226,7 +283,7 @@ def toy_registry(tmp_path, latents=(16, 64), bits=(8,)):
                                   m=m, seed=0)
             fname = f"{label}-q{m}.iscm"
             serialize(q, tmp_path / fname)
-            enc_s, dec_s = measure_block_costs(q, repeats=3)
+            enc_s, dec_s = TOY_COSTS[latent]
             registry.add(RegistryEntry(
                 model_id=f"{label}-q{m}", file=fname, latent_dim=latent,
                 bits=m, encode_cost_s=enc_s, decode_cost_s=dec_s,
@@ -451,7 +508,7 @@ def test_registry_built_from_entries_normalises_accuracy(tmp_path):
     assert registry.accuracy_table() == pytest.approx(
         {"4x4-q8": 0.25, "8x8-q8": 1.0, "16x16-q8": 0.5})
     env = StreamingSchedulerEnv(registry, DeviceModel.preset("device-2"))
-    assert env.spec.accuracy_table == registry.accuracy_table()
+    assert env.accuracy == registry.accuracy_table()
     registry.save()
     path = tmp_path / "registry.json"
     stored = json.loads(path.read_text())
