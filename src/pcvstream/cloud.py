@@ -105,8 +105,18 @@ class PointCloud:
         return len(self.points)
 
     def select(self, indices) -> "PointCloud":
-        """New cloud keeping the given point indices (order preserved)."""
-        indices = np.asarray(indices, dtype=np.intp)
+        """New cloud keeping the given point indices (order preserved).
+
+        Indices must be integers: a boolean mask or float indices raise
+        ValueError, where numpy would read a mask as indices 0 and 1 and
+        truncate floats. An empty sequence selects nothing.
+        """
+        indices = np.asarray(indices)
+        if indices.size == 0:
+            indices = indices.astype(np.intp)
+        elif not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"select takes integer indices, got dtype "
+                             f"{indices.dtype}")
         colors = self.colors[indices] if self.colors is not None else None
         return PointCloud(self.points[indices], colors, self.frame_index)
 
@@ -229,7 +239,12 @@ def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
     pts = cloud.points.astype(np.float64)
     origin, top = bounds(pts)
     extent = top - origin
-    dims = np.maximum(np.ceil(extent / cell_size - 1e-12).astype(np.int64), 1)
+    dims = np.maximum(np.ceil(extent / cell_size - 1e-12), 1.0)
+    # counted in float64: int64 flat ids past 2^63 - 1 would wrap silently
+    if not dims.prod() < 2.0 ** 63:
+        raise ValueError(f"cell_size {cell_size} cuts the cloud's bounds into "
+                         "more cells than int64 cell ids can number")
+    dims = dims.astype(np.int64)
     idx = np.floor((pts - origin) / cell_size).astype(np.int64)
     idx = np.clip(idx, 0, dims - 1)
     flat = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])

@@ -9,9 +9,12 @@ a single block is a one-block stack (`block[None]`), and any other shape
 raises ValueError. Latent sizes 16/64/256 form the model family used by
 the scheduler (ids "4x4" / "8x8" / "16x16").
 
-A model's layers are its one description: its latent size and block size
-are read from the last dense layer of the encoder and of the decoder, and
-`serialize` and `deserialize` are the one writer and reader of its file.
+The network has one shape: a shared per-point MLP encoder, max-pooled over
+the block's points (PointNet, Qi et al., CVPR 2017), and an MLP decoder to
+n_points * 3 coordinates, each a list of dense layers run by `nn.forward`.
+The layers are the model's one description: its latent and block sizes
+are read from their last layers, and `serialize` and `deserialize` are the
+one writer and reader of its file.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 from ._util import ceil_count
 from .cloud import PointCloud, bounds, chamfer_distance, quat_to_matrix
 from .nn import (
-    Layer, Network, adam_step, as_stack, backward, clip_scale, dense,
-    forward, rotate_points, rotate_points_backward, total_loss,
+    Layer, adam_step, as_stack, backward, clip_scale, dense, forward,
+    maxpool_backward, rotate_points, rotate_points_backward, total_loss,
 )
 
 log = logging.getLogger(__name__)
@@ -44,8 +47,9 @@ TRAIN_CLIP_NORM = 25.0  # global gradient norm cap of one batch
 
 MAGIC = b"ISCM"
 FORMAT_VERSION = 1
-_KIND_CODES = {"dense": 1, "relu": 2, "maxpool_points": 4}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# record kind codes, and the names errors give them
+_DENSE, _RELU, _MAXPOOL = 1, 2, 4
+_KIND_NAMES = {_DENSE: "dense", _RELU: "ReLU", _MAXPOOL: "max-pool"}
 _DTYPE_CODES = {"f32": 0, "q8": 1, "q16": 2}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 DTYPE_BITS = {"f32": 32, "q8": 8, "q16": 16}  # bits per stored weight
@@ -91,11 +95,11 @@ class PruneConfig:
 
 @dataclass
 class CodecModel:
-    """Encoder and decoder networks; `latent_dim` and `n_points` are read
-    from their last dense layers, so the layers hold the one shape."""
+    """Encoder and decoder dense layers; `latent_dim` and `n_points` are
+    read from their last layers, so the layers hold the one shape."""
 
-    encoder: Network
-    decoder: Network
+    encoder: list[Layer]
+    decoder: list[Layer]
     dtype: str = "f32"
     quant_meta: list | None = None  # per dense layer, encoder then decoder
 
@@ -108,8 +112,7 @@ class CodecModel:
         return _rows(self.decoder) // 3
 
     def dense_layers(self):
-        return [l for l in self.encoder.layers + self.decoder.layers
-                if l.weights is not None]
+        return self.encoder + self.decoder
 
 
 def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
@@ -118,28 +121,19 @@ def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
     """Fresh f32 model: shared per-point dense stack + max-pool encoder and a
     dense decoder emitting n_points*3 coordinates."""
     rng = np.random.default_rng(seed)
-    enc = Network()
-    prev = 3
-    for h in enc_hidden:
-        enc.layers += [dense(h, prev, rng), Layer("relu")]
-        prev = h
-    enc.layers.append(dense(latent_dim, prev, rng))
-    enc.layers.append(Layer("maxpool_points"))
-    dec = Network()
-    prev = latent_dim
-    for h in dec_hidden:
-        dec.layers += [dense(h, prev, rng), Layer("relu")]
-        prev = h
+    widths = (3, *enc_hidden, latent_dim)
+    enc = [dense(n_out, n_in, rng) for n_in, n_out in zip(widths, widths[1:])]
+    widths = (latent_dim, *dec_hidden)
+    dec = [dense(n_out, n_in, rng) for n_in, n_out in zip(widths, widths[1:])]
     # gentler init on the coordinate output keeps early losses tame
-    dec.layers.append(dense(n_points * 3, prev, rng,
-                            scale=math.sqrt(1.0 / prev)))
+    dec.append(dense(n_points * 3, widths[-1], rng,
+                     scale=math.sqrt(1.0 / widths[-1])))
     return CodecModel(enc, dec)
 
 
-def _rows(network: Network) -> int:
-    """Output width of a network's last dense layer."""
-    return next(l.weights.shape[0] for l in reversed(network.layers)
-                if l.weights is not None)
+def _rows(layers: list[Layer]) -> int:
+    """Output width of the last of a list of dense layers."""
+    return layers[-1].weights.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +247,10 @@ def encode(model: CodecModel, block) -> np.ndarray:
     time, so its activation memory does not grow with B.
     """
     block = as_stack(block, ("B", model.n_points, 3))
-    return np.concatenate([
-        forward(model.encoder, block[i:i + ENCODE_CHUNK_BLOCKS])[0]
-        for i in range(0, len(block), ENCODE_CHUNK_BLOCKS)])
+    chunks = (block[i:i + ENCODE_CHUNK_BLOCKS]
+              for i in range(0, len(block), ENCODE_CHUNK_BLOCKS))
+    return np.concatenate([forward(model.encoder, chunk)[0].max(axis=-2)
+                           for chunk in chunks])
 
 
 def decode(model: CodecModel, latent) -> np.ndarray:
@@ -297,8 +292,8 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
             idx = order[start:start + TRAIN_BATCH]
             targets = data[idx]
             b = len(idx)
-            latents, enc_caches = forward(model.encoder, targets)
-            flat, dec_caches = forward(model.decoder, latents)
+            feats, enc_caches = forward(model.encoder, targets)
+            flat, dec_caches = forward(model.decoder, feats.max(axis=-2))
             theta = rot[idx]
             pred, rot_cache = rotate_points(
                 theta, flat.reshape(b, model.n_points, 3))
@@ -311,14 +306,15 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
             d_rots += d_theta
             d_latent, dec_grads = backward(model.decoder, dec_caches,
                                            d_pred0.reshape(b, -1) / b)
-            _, enc_grads = backward(model.encoder, enc_caches, d_latent)
+            _, enc_grads = backward(model.encoder, enc_caches,
+                                    maxpool_backward(feats, d_latent))
             scale = clip_scale([g for grads in (dec_grads, enc_grads)
-                                for pair in grads if pair is not None
-                                for g in pair] + [d_rots], TRAIN_CLIP_NORM)
+                                for pair in grads for g in pair] + [d_rots],
+                               TRAIN_CLIP_NORM)
             if scale != 1.0:
                 dec_grads, enc_grads = (
-                    [None if p is None else (p[0] * scale, p[1] * scale)
-                     for p in grads] for grads in (dec_grads, enc_grads))
+                    [(dw * scale, db * scale) for dw, db in grads]
+                    for grads in (dec_grads, enc_grads))
                 d_rots *= scale
             dec_state = adam_step(model.decoder, dec_grads, lr,
                                   state=dec_state)
@@ -486,20 +482,29 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
 # ---------------------------------------------------------------------------
 # serialization
 
+def _record_kinds(n_enc: int, n_dec: int) -> list[int]:
+    """Kind codes of a model file's records for n_enc >= 1 encoder and
+    n_dec >= 1 decoder dense layers: a ReLU record between consecutive dense
+    records of each network, and one max-pool record after the encoder's."""
+    return ([_DENSE] + [_RELU, _DENSE] * (n_enc - 1) + [_MAXPOOL, _DENSE]
+            + [_RELU, _DENSE] * (n_dec - 1))
+
+
 def serialize(model: CodecModel, path) -> None:
     """Write a codec model in the layout documented in `deserialize`.
 
     Quantized metadata is stored at f32 precision, so weights reloaded from
     disk can differ from the in-memory model by one metadata ulp.
     """
-    layers = model.encoder.layers + model.decoder.layers
-    parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(layers))]
+    kinds = _record_kinds(len(model.encoder), len(model.decoder))
+    parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(kinds))]
+    layers = iter(model.dense_layers())
     metas = iter(model.quant_meta or [])
-    for layer in layers:
-        kind = _KIND_CODES[layer.kind]
-        if layer.weights is None:
+    for kind in kinds:
+        if kind != _DENSE:
             parts.append(struct.pack("<BIIB", kind, 0, 0, 0))
             continue
+        layer = next(layers)
         rows, cols = layer.weights.shape
         parts.append(struct.pack("<BIIB", kind, rows, cols,
                                  _DTYPE_CODES[model.dtype]))
@@ -519,16 +524,17 @@ def deserialize(path) -> CodecModel:
     """Load a model file written by `serialize`.
 
     Format v1, little-endian: magic b"ISCM", u16 version, u16 record
-    count, then per record a u8 kind code (1 dense, 2 relu,
-    4 maxpool_points; any other code is rejected), u32 rows, u32 cols and
-    a u8 dtype code. relu and maxpool_points records have 0 rows and no
-    payload. A dense record has rows, cols >= 1 and is followed by its
-    payload: f32 holds the rows*cols weights (row-major) and then the rows
-    biases as f32; q8 and q16 hold f32 min, f32 max and u8 bits (8 or 16,
-    matching the dtype; any other value is rejected), then one u8 or u16
-    code per weight and bias in the same order, no codes when min == max.
-    The records are the encoder's layers, ending at its one maxpool_points
-    layer, then the decoder's; the dense shapes chain from 3 inputs to a
+    count, then per record a u8 kind code (1 dense, 2 ReLU, 4 max-pool;
+    any other code is rejected), u32 rows, u32 cols and a u8 dtype code.
+    ReLU and max-pool records have 0 rows and no payload. A dense record
+    has rows, cols >= 1 and is followed by its payload: f32 holds the
+    rows*cols weights (row-major) and then the rows biases as f32; q8 and
+    q16 hold f32 min, f32 max and u8 bits (8 or 16, matching the dtype;
+    any other value is rejected), then one u8 or u16 code per weight and
+    bias in the same order, no codes when min == max. The kinds follow
+    `_record_kinds`: the encoder's dense records with a ReLU record between
+    consecutive ones, one max-pool record, then the decoder's likewise, at
+    least one dense record each; the dense shapes chain from 3 inputs to a
     multiple of 3 outputs, and every dense record has one dtype.
     """
     with open(path, "rb") as fh:
@@ -548,19 +554,18 @@ def deserialize(path) -> CodecModel:
     version, count = struct.unpack("<HH", take(4))
     if version != FORMAT_VERSION:
         raise CodecFormatError(f"unsupported format version {version}")
-    layers, dtypes, metas = [], set(), []
+    kinds, layers, dtypes, metas = [], [], set(), []
     for index in range(count):
-        kind_code, rows, cols, dtype_code = struct.unpack("<BIIB", take(10))
-        if kind_code not in _KIND_NAMES:
-            raise CodecFormatError(f"unknown layer kind {kind_code}")
-        kind = _KIND_NAMES[kind_code]
+        kind, rows, cols, dtype_code = struct.unpack("<BIIB", take(10))
+        if kind not in _KIND_NAMES:
+            raise CodecFormatError(f"unknown layer kind {kind}")
+        kinds.append(kind)
         # activations carry no weights; dense needs at least one row
-        weightless = kind != "dense"
+        weightless = kind != _DENSE
         if weightless != (rows == 0):
-            raise CodecFormatError(f"{kind} layer record with {rows} weight "
-                                   "rows")
+            raise CodecFormatError(f"{_KIND_NAMES[kind]} layer record with "
+                                   f"{rows} weight rows")
         if weightless:
-            layers.append(Layer(kind))
             continue
         if cols == 0:
             raise CodecFormatError("dense layer record with 0 weight "
@@ -597,22 +602,20 @@ def deserialize(path) -> CodecModel:
             if mn < 0.0 < mx:
                 q = (2 ** m - 1) / (mx - mn)
                 params[:rows * cols] *= codes[:rows * cols] != round(-mn * q)
-        layers.append(Layer(kind, params[:rows * cols].reshape(rows, cols),
+        layers.append(Layer(params[:rows * cols].reshape(rows, cols),
                             params[rows * cols:]))
     if off != len(data):
         raise CodecFormatError(f"{len(data) - off} trailing bytes")
-    pools = [i for i, l in enumerate(layers) if l.kind == "maxpool_points"]
-    if len(pools) != 1:
-        raise CodecFormatError(f"model has {len(pools)} maxpool layers, "
-                               "expected 1")
-    enc = Network(layers[:pools[0] + 1])
-    dec = Network(layers[pools[0] + 1:])
-    enc_dense = [l for l in enc.layers if l.weights is not None]
-    dec_dense = [l for l in dec.layers if l.weights is not None]
-    if not enc_dense or not dec_dense:
-        raise CodecFormatError("model is missing dense layers")
+    # an empty network would still get a dense record from _record_kinds:
+    # one more than `layers` holds, so it cannot match
+    pool = kinds.index(_MAXPOOL) if _MAXPOOL in kinds else 0
+    n_enc = kinds[:pool].count(_DENSE)
+    if kinds != _record_kinds(n_enc, len(layers) - n_enc):
+        names = " ".join(_KIND_NAMES[k] for k in kinds)
+        raise CodecFormatError(f"layer records {names} do not follow the "
+                               "codec layout")
     width = 3  # xyz in, through the latent, to n_points * 3 out
-    for layer in enc_dense + dec_dense:
+    for layer in layers:
         rows, cols = layer.weights.shape
         if cols != width:
             raise CodecFormatError(f"dense layer of shape {(rows, cols)} "
@@ -624,7 +627,8 @@ def deserialize(path) -> CodecModel:
                                "multiple of 3")
     if len(dtypes) != 1:
         raise CodecFormatError(f"mixed layer dtypes {sorted(dtypes)}")
-    return CodecModel(enc, dec, dtypes.pop(), metas or None)
+    return CodecModel(layers[:n_enc], layers[n_enc:], dtypes.pop(),
+                      metas or None)
 
 
 # ---------------------------------------------------------------------------

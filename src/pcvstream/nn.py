@@ -1,13 +1,10 @@
 """Minimal dense-network engine: forward/backward with analytic gradients,
 the codec's training loss, and Adam that keeps pruned weights at zero.
 
-The layer kinds are the codec's: `dense`, `relu` and `maxpool_points`.
-Layers operate on per-point feature rows (n, f) or stacks of them (B, n, f).
-A dense layer runs as one 2-D GEMM over the flattened leading axes, so a
-stack costs one matrix product per layer, not one per block.
-`maxpool_points` collapses the point axis into a single symmetric feature
-vector, which is what makes the encoder output order-invariant; it caches
-its input, and only `backward` looks up which point won.
+A network is a list of dense layers with a ReLU between consecutive ones,
+run on per-point rows (n, f) or stacks of them (B, n, f) as one 2-D GEMM
+per layer over the flattened leading axes, not one product per block.
+`maxpool_backward` is the gradient of the codec's max-pool over points.
 
 The reconstruction loss is the exact earth mover's distance (EMD) between
 two point sets of one size, as the codec's blocks all have `n_points`
@@ -20,12 +17,10 @@ ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-LAYER_KINDS = ("dense", "relu", "maxpool_points")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -38,31 +33,21 @@ class NumericsError(FloatingPointError):
 
 @dataclass
 class Layer:
-    kind: str
-    weights: np.ndarray | None = None   # (out, in), dense only; 0.0 = pruned
-    bias: np.ndarray | None = None      # (out,)
+    weights: np.ndarray               # (out, in); 0.0 = pruned
+    bias: np.ndarray | None = None    # (out,), zeros if None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind '{self.kind}'")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.bias is None:
-                self.bias = np.zeros(self.weights.shape[0])
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-
-
-@dataclass
-class Network:
-    layers: list[Layer] = field(default_factory=list)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.bias is None:
+            self.bias = np.zeros(self.weights.shape[0])
+        self.bias = np.asarray(self.bias, dtype=np.float64)
 
 
 def dense(n_out: int, n_in: int, rng: np.random.Generator,
           scale: float | None = None) -> Layer:
     if scale is None:
         scale = math.sqrt(2.0 / n_in)  # He init
-    return Layer("dense", rng.normal(scale=scale, size=(n_out, n_in)),
-                 np.zeros(n_out))
+    return Layer(rng.normal(scale=scale, size=(n_out, n_in)), np.zeros(n_out))
 
 
 def _check_finite(arr, where):
@@ -94,58 +79,45 @@ def _matmul(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], -1)
 
 
-def forward(network: Network, x: np.ndarray):
-    """Run the network; returns (output, caches) for use by backward().
-
-    Dense and relu layers broadcast over leading axes, so per-point
-    inputs may be (n, f) or batched (B, n, f); maxpool_points collapses the
-    points axis (the second-to-last one).
-    """
+def forward(layers: list[Layer], x: np.ndarray):
+    """Run the layers, with a ReLU before each but the first; returns
+    (output, caches), each layer's cache its input after the ReLU."""
     x = np.asarray(x, dtype=np.float64)
     caches = []
-    for i, layer in enumerate(network.layers):
-        if layer.kind == "dense":
-            caches.append(x)
-            x = _matmul(x, layer.weights.T)
-            x += layer.bias
-        elif layer.kind == "relu":
-            caches.append(x)
+    for i, layer in enumerate(layers):
+        if i:
             x = np.maximum(x, 0.0)
-        elif layer.kind == "maxpool_points":
-            if x.ndim not in (2, 3):
-                raise ValueError("maxpool_points expects (n, f) or (B, n, f)")
-            caches.append(x)
-            x = x.max(axis=-2)
-        else:
-            raise ValueError(f"unknown layer kind '{layer.kind}'")
-        _check_finite(x, f"layer {i} ({layer.kind}) output")
+        caches.append(x)
+        x = _matmul(x, layer.weights.T)
+        x += layer.bias
+        _check_finite(x, f"layer {i} output")
     return x, caches
 
 
-def backward(network: Network, caches, d_out: np.ndarray):
-    """Backpropagate d_out; returns (d_input, grads).
-
-    grads is a list parallel to network.layers of (dW, db) or None. A
-    max-pool passes each gradient to the first point holding the maximum.
-    """
+def backward(layers: list[Layer], caches, d_out: np.ndarray):
+    """Backpropagate d_out; returns (d_input, grads), grads a list parallel
+    to layers of (dW, db). relu(z) > 0 exactly where z > 0."""
     d = np.asarray(d_out, dtype=np.float64)
-    grads = [None] * len(network.layers)
-    for i in range(len(network.layers) - 1, -1, -1):
-        layer, cache = network.layers[i], caches[i]
-        if layer.kind == "dense":
-            d_rows = d.reshape(-1, d.shape[-1])
-            grads[i] = (d_rows.T @ cache.reshape(-1, cache.shape[-1]),
-                        d_rows.sum(axis=0))
-            d = _matmul(d, layer.weights)
-        elif layer.kind == "relu":
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[i], caches[i]
+        d_rows = d.reshape(-1, d.shape[-1])
+        grads[i] = (d_rows.T @ cache.reshape(-1, cache.shape[-1]),
+                    d_rows.sum(axis=0))
+        d = _matmul(d, layer.weights)
+        _check_finite(d, f"layer {i} gradient")
+        if i:
             d = d * (cache > 0.0)
-        elif layer.kind == "maxpool_points":
-            winners = np.expand_dims(np.argmax(cache, axis=-2), -2)
-            dx = np.zeros_like(cache)
-            np.put_along_axis(dx, winners, np.expand_dims(d, -2), axis=-2)
-            d = dx
-        _check_finite(d, f"layer {i} ({layer.kind}) gradient")
     return d, grads
+
+
+def maxpool_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """Gradient of x.max(axis=-2) for (n, f) rows or a (B, n, f) stack:
+    each d_out value goes to the first point holding the maximum."""
+    winners = np.expand_dims(np.argmax(x, axis=-2), -2)
+    dx = np.zeros_like(x)
+    np.put_along_axis(dx, winners, np.expand_dims(d_out, -2), axis=-2)
+    return dx
 
 
 def clip_scale(grads, max_norm: float) -> float:
@@ -161,7 +133,7 @@ def clip_scale(grads, max_norm: float) -> float:
     return max_norm / total
 
 
-def adam_step(network: Network, grads, lr: float,
+def adam_step(layers: list[Layer], grads, lr: float,
               state: dict | None = None) -> dict:
     """One Adam step; returns the moment state to pass back.
 
@@ -174,9 +146,7 @@ def adam_step(network: Network, grads, lr: float,
     t = state["t"]
     correct1 = 1.0 - ADAM_BETA1 ** t
     correct2 = 1.0 - ADAM_BETA2 ** t
-    for i, (layer, grad) in enumerate(zip(network.layers, grads)):
-        if grad is None or layer.weights is None:
-            continue
+    for i, (layer, grad) in enumerate(zip(layers, grads)):
         if i not in state:
             state[i] = tuple(np.zeros_like(g) for g in (*grad, *grad)) \
                 + (np.flatnonzero(layer.weights == 0.0),)

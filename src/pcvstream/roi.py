@@ -84,7 +84,10 @@ class RoiConfig:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         for name in ("R", "sub_bins"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 

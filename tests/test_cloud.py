@@ -94,6 +94,30 @@ def test_intrinsics_reject_nan_and_nonpositive_values(field, value, message):
         Intrinsics(**{field: value})
 
 
+def colored_cloud():
+    pts = np.arange(12, dtype=np.float32).reshape(4, 3)
+    return PointCloud(pts, np.arange(12).reshape(4, 3), frame_index=3)
+
+
+def test_select_keeps_integer_indices_in_order():
+    cloud = colored_cloud()
+    picked = cloud.select(np.array([3, 1], dtype=np.int32))
+    np.testing.assert_array_equal(picked.points, cloud.points[[3, 1]])
+    np.testing.assert_array_equal(picked.colors, cloud.colors[[3, 1]])
+    assert picked.frame_index == 3
+    for empty in ([], np.array([], dtype=np.float64), np.empty(0, bool)):
+        assert len(cloud.select(empty)) == 0
+
+
+@pytest.mark.parametrize("indices", [
+    [False, True, False, True], np.ones(4, dtype=bool), [0.0, 2.7],
+    np.array([1.0])], ids=["bool list", "bool array", "floats", "float"])
+def test_select_rejects_a_mask_and_float_indices(indices):
+    # numpy would read the mask as indices 0, 1, 0, 1 and truncate 2.7 to 2
+    with pytest.raises(ValueError, match="integer indices"):
+        colored_cloud().select(indices)
+
+
 # ---------------------------------------------------------------------------
 # partition
 
@@ -120,6 +144,21 @@ def test_partition_covers_exactly_once():
     everything = np.concatenate([grid.indices(i) for i in range(len(grid.ids))])
     assert len(everything) == 1000
     assert set(everything.tolist()) == set(range(1000))
+
+
+def test_partition_rejects_more_cells_than_int64_ids():
+    # a 1 um grid over a room frame has 5.27M x 2.88M x 4.54M cells: the
+    # flat ids wrapped, and most points fell outside their row's cell
+    frame = generate_scene(rooms=1, frames=3, seed=0).frames[0]
+    with pytest.raises(ValueError, match="more cells than int64"):
+        partition(frame, 1e-6)
+    # a unit cube at 2^21 cells per axis has 2^63 cells, one past int64
+    cube = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="more cells than int64"):
+        partition(cube, 2.0 ** -21)
+    grid = partition(cube, 2.0 ** -20)
+    assert grid.dims == (2 ** 20,) * 3
+    assert grid.ids.tolist() == [0, 2 ** 60 - 1]
 
 
 def test_partition_points_inside_cell_bounds():

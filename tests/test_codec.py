@@ -32,10 +32,9 @@ def tiny_model(latent=8, n_points=16, seed=0):
 
 def test_zero_weight_encoder_gives_zero_latent():
     model = tiny_model()
-    for layer in model.encoder.layers:
-        if layer.weights is not None:
-            layer.weights[:] = 0.0
-            layer.bias[:] = 0.0
+    for layer in model.encoder:
+        layer.weights[:] = 0.0
+        layer.bias[:] = 0.0
     latent = encode(model, np.random.default_rng(0).normal(size=(1, 16, 3)))
     np.testing.assert_array_equal(latent, np.zeros((1, 8)))
 
@@ -47,8 +46,8 @@ def test_latent_sizes_match_model_family(label, dim):
     assert side_a * side_b == dim
     model = make_codec_model(dim, 32, seed=1, enc_hidden=(8,), dec_hidden=(16,))
     assert model.latent_dim == dim
-    assert model.encoder.layers[-2].weights.shape == (dim, 8)
-    assert model.decoder.layers[0].weights.shape == (16, dim)
+    assert model.encoder[-1].weights.shape == (dim, 8)
+    assert model.decoder[0].weights.shape == (16, dim)
     latent = encode(model, np.zeros((1, 32, 3)))
     assert latent.shape == (1, dim)
     assert decode(model, latent).shape == (1, 32, 3)
@@ -65,9 +64,8 @@ def test_latent_permutation_invariant():
 
 def test_decode_zero_latent_zero_bias():
     model = tiny_model(seed=4)
-    for layer in model.decoder.layers:
-        if layer.weights is not None:
-            layer.bias[:] = 0.0
+    for layer in model.decoder:
+        layer.bias[:] = 0.0
     out = decode(model, np.zeros((1, 8)))
     np.testing.assert_array_equal(out, np.zeros((1, 16, 3)))
 
@@ -414,22 +412,22 @@ def test_train_is_pinned_bit_for_bit():
 # pruning
 
 def test_prune_layer_hand_case():
-    layer = Layer("dense", np.array([[0.1, -0.5], [0.3, 0.9]]))
+    layer = Layer(np.array([[0.1, -0.5], [0.3, 0.9]]))
     prune_layer(layer, 2)
     np.testing.assert_array_equal(layer.weights, [[0.0, -0.5], [0.0, 0.9]])
     assert not np.signbit(layer.weights).any(where=layer.weights == 0.0)
 
 
 def test_prune_layer_zero_count_noop():
-    layer = Layer("dense", np.array([[0.1, -0.5]]))
+    layer = Layer(np.array([[0.1, -0.5]]))
     prune_layer(layer, 0)
     np.testing.assert_array_equal(layer.weights, [[0.1, -0.5]])
-    assert sorted(vars(layer)) == ["bias", "kind", "weights"]
+    assert sorted(vars(layer)) == ["bias", "weights"]
 
 
 def test_prune_layer_idempotent():
     rng = np.random.default_rng(11)
-    layer = Layer("dense", rng.normal(size=(8, 8)))
+    layer = Layer(rng.normal(size=(8, 8)))
     prune_layer(layer, 32)
     after_first = layer.weights.copy()
     prune_layer(layer, 32)
@@ -438,7 +436,7 @@ def test_prune_layer_idempotent():
 
 
 def test_prune_layer_tie_break_by_flat_index():
-    layer = Layer("dense", np.array([[0.3, -0.3, 0.3, 0.5]]))
+    layer = Layer(np.array([[0.3, -0.3, 0.3, 0.5]]))
     prune_layer(layer, 2)
     np.testing.assert_array_equal(layer.weights, [[0.0, 0.0, 0.3, 0.5]])
 
@@ -520,14 +518,13 @@ def test_serialized_f32_size_formula(tmp_path):
                              dec_hidden=(16,))
     path = tmp_path / "m.iscm"
     serialize(model, path)
-    layers = model.encoder.layers + model.decoder.layers
     header = 8  # magic + version + count
-    expect = header
-    for l in layers:
-        expect += 10  # kind, rows, cols, dtype
-        if l.weights is not None:
-            rows, cols = l.weights.shape
-            expect += 4 * (rows * cols + rows)
+    # 10 bytes (kind, rows, cols, dtype) per record: the dense ones, a
+    # ReLU between consecutive ones and the max-pool after the encoder
+    expect = header + 10 * (2 * len(model.dense_layers()) - 1)
+    for l in model.dense_layers():
+        rows, cols = l.weights.shape
+        expect += 4 * (rows * cols + rows)
     assert os.path.getsize(path) == expect
 
 
@@ -639,7 +636,7 @@ def test_deserialize_rejects_bad_quantization_bounds(tmp_path, m, bounds):
 
 @pytest.mark.parametrize("code", [3, 5, 6, 0, 255])
 def test_deserialize_rejects_an_unknown_kind_code(tmp_path, code):
-    # the codes outside 1 dense, 2 relu and 4 maxpool_points, among them
+    # the codes outside 1 dense, 2 ReLU and 4 max-pool, among them
     # 3, 5 and 6, which no model file uses
     good = tmp_path / "good.iscm"
     serialize(tiny_model(seed=21), good)
@@ -669,14 +666,28 @@ def test_deserialize_rejects_a_bits_field_that_does_not_match_the_dtype(
         deserialize(patched)
 
 
+def model_records(model):
+    """(kind code, layer, dtype, quant meta) records of an f32 model in the
+    v1 layout: 1 dense, 2 ReLU between consecutive dense records, and one
+    4 max-pool after the encoder's last; activations have layer None."""
+    records = []
+    for layers, tail in ((model.encoder, [POOL]), (model.decoder, [])):
+        for i, layer in enumerate(layers):
+            records += [RELU] * (i > 0) + [(1, layer, "f32", None)]
+        records += tail
+    return records
+
+
+RELU, POOL = (2, None, "f32", None), (4, None, "f32", None)
+
+
 def write_records(path, records):
-    """Model file of raw (Layer, dtype, quant meta) records, spelled out
-    field by field from the v1 layout, so a test can store what
-    `serialize` never writes."""
+    """Model file of raw (kind code, Layer or None, dtype, quant meta)
+    records, spelled out field by field from the v1 layout, so a test can
+    store what `serialize` never writes."""
     parts = [b"ISCM", struct.pack("<HH", 1, len(records))]
-    for layer, dtype, meta in records:
-        kind = {"dense": 1, "relu": 2, "maxpool_points": 4}[layer.kind]
-        if layer.weights is None:
+    for kind, layer, dtype, meta in records:
+        if layer is None:
             parts.append(struct.pack("<BIIB", kind, 0, 0, 0))
             continue
         rows, cols = layer.weights.shape
@@ -691,15 +702,32 @@ def write_records(path, records):
     path.write_bytes(b"".join(parts))
 
 
+@pytest.mark.parametrize("enc_hidden", [(), (8,), (8, 12)], ids=len)
+@pytest.mark.parametrize("dec_hidden", [(), (16,), (16, 24)], ids=len)
+def test_serialize_round_trip_bytes_for_every_depth(tmp_path, enc_hidden,
+                                                    dec_hidden):
+    model = make_codec_model(8, 16, seed=23, enc_hidden=enc_hidden,
+                             dec_hidden=dec_hidden)
+    p1, p2, p3 = (tmp_path / f"{n}.iscm" for n in "abc")
+    serialize(model, p1)
+    back = deserialize(p1)
+    serialize(back, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert (len(back.encoder), len(back.decoder)) == \
+        (len(enc_hidden) + 1, len(dec_hidden) + 1)
+    # the records serialize writes are the layout spelled out by hand
+    write_records(p3, model_records(model))
+    assert p1.read_bytes() == p3.read_bytes()
+
+
 def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
     model = tiny_model(seed=21)
-    layers = model.encoder.layers + model.decoder.layers
-    entries = [(l, "f32", None) for l in layers]
-    last = layers[-1]
+    entries = model_records(model)
+    last = model.decoder[-1]
     codes, meta = quantize_weights(
         np.concatenate([last.weights.ravel(), last.bias]), 8)
     meta["codes"] = codes
-    entries[-1] = (last, "q8", meta)  # one q8 layer among f32
+    entries[-1] = (1, last, "q8", meta)  # one q8 layer among f32
     path = tmp_path / "mixed.iscm"
     write_records(path, entries)
     with pytest.raises(CodecFormatError, match="mixed layer dtypes"):
@@ -707,11 +735,9 @@ def test_deserialize_rejects_mixed_layer_dtypes(tmp_path):
 
 
 def test_deserialize_rejects_a_dense_record_without_weights(tmp_path):
-    model = tiny_model(seed=21)
-    layers = model.encoder.layers + model.decoder.layers
-    entries = [(l, "f32", None) for l in layers]
-    assert entries[2][0].kind == "dense"
-    entries[2] = (Layer("dense"), "f32", None)  # written as 0 rows
+    entries = model_records(tiny_model(seed=21))
+    assert entries[2][0] == 1  # the second encoder dense layer
+    entries[2] = (1, None, "f32", None)  # written as 0 rows
     path = tmp_path / "weightless.iscm"
     write_records(path, entries)
     with pytest.raises(CodecFormatError, match="dense layer record with 0"):
@@ -719,11 +745,9 @@ def test_deserialize_rejects_a_dense_record_without_weights(tmp_path):
 
 
 def test_deserialize_rejects_a_weighted_record_without_columns(tmp_path):
-    model = tiny_model(seed=21)
-    layers = model.encoder.layers + model.decoder.layers
-    entries = [(l, "f32", None) for l in layers]
-    assert entries[2][0].kind == "dense"  # the second encoder dense layer
-    entries[2] = (Layer("dense", np.zeros((8, 0))), "f32", None)
+    entries = model_records(tiny_model(seed=21))
+    assert entries[2][0] == 1  # the second encoder dense layer
+    entries[2] = (1, Layer(np.zeros((8, 0))), "f32", None)
     path = tmp_path / "no-columns.iscm"
     write_records(path, entries)
     with pytest.raises(CodecFormatError, match="dense layer record with 0 "
@@ -733,20 +757,18 @@ def test_deserialize_rejects_a_weighted_record_without_columns(tmp_path):
 
 def test_deserialize_rejects_dense_shapes_that_do_not_chain(tmp_path):
     model = tiny_model(seed=21)  # 3 -> 8 -> latent 8 | 8 -> 16 -> 48
-    layers = model.encoder.layers + model.decoder.layers
-    entries = [(l, "f32", None) for l in layers]
+    entries = model_records(model)
     rng = np.random.default_rng(36)
-    assert entries[4][0].kind == "dense"  # the decoder's first dense layer
+    assert entries[4][0] == 1  # the decoder's first dense layer
     mis_chained = tmp_path / "mis-chained.iscm"
     write_records(mis_chained, entries[:4] + [
-        (Layer("dense", rng.normal(size=(16, 9))), "f32", None)]
-        + entries[5:])
+        (1, Layer(rng.normal(size=(16, 9))), "f32", None)] + entries[5:])
     with pytest.raises(CodecFormatError, match=r"\(16, 9\) does not take "
                        "the 8 features"):
         deserialize(mis_chained)
     not_xyz = tmp_path / "not-xyz.iscm"
     write_records(not_xyz, entries[:-1] + [
-        (Layer("dense", rng.normal(size=(47, 16))), "f32", None)])
+        (1, Layer(rng.normal(size=(47, 16))), "f32", None)])
     with pytest.raises(CodecFormatError, match="output width 47 is not a "
                        "multiple of 3"):
         deserialize(not_xyz)
@@ -756,29 +778,51 @@ def test_deserialize_rejects_dense_shapes_that_do_not_chain(tmp_path):
 def test_deserialize_rejects_an_activation_record_with_weights(tmp_path,
                                                               kind):
     model = tiny_model(seed=21)
-    layers = model.encoder.layers + model.decoder.layers
-    entries = [(l, "f32", None) for l in layers]
-    assert entries[1][0].kind == "relu"
+    entries = model_records(model)
+    assert entries[1] == RELU
     # dense weights under an activation's kind code
-    entries[1] = (Layer(kind, layers[0].weights, layers[0].bias), "f32", None)
+    code, name = {"relu": (2, "ReLU"), "maxpool_points": (4, "max-pool")}[kind]
+    entries[1] = (code, model.encoder[0], "f32", None)
     path = tmp_path / "weighted.iscm"
     write_records(path, entries)
-    with pytest.raises(CodecFormatError, match=f"{kind} layer record with 8"):
+    with pytest.raises(CodecFormatError, match=f"{name} layer record with 8"):
         deserialize(path)
 
 
 @pytest.mark.parametrize("where", ["decoder", "encoder"])
 def test_deserialize_rejects_a_second_maxpool_layer(tmp_path, where):
     # a decoder pool would collapse a multi-block decode's stack axis
-    model = make_codec_model(16, 32)
-    if where == "decoder":
-        model.decoder.layers.insert(1, Layer("maxpool_points"))
-    else:
-        model.encoder.layers.append(Layer("maxpool_points"))
+    entries = model_records(make_codec_model(16, 32))
+    assert entries[5] == POOL  # dense relu dense relu dense pool | decoder
+    at = {"decoder": 7, "encoder": 6}[where]
     path = tmp_path / "two-pools.iscm"
-    serialize(model, path)
-    with pytest.raises(CodecFormatError, match="model has 2 maxpool layers, "
-                       "expected 1"):
+    write_records(path, entries[:at] + [POOL] + entries[at:])
+    with pytest.raises(CodecFormatError, match="do not follow the codec "
+                       "layout"):
+        deserialize(path)
+
+
+# tiny_model's records changed off the codec layout, one way each
+OFF_LAYOUT = {
+    "relu after the decoder's last dense": lambda e: e + [RELU],
+    "missing relu": lambda e: e[:1] + e[2:],
+    "maxpool in the decoder": lambda e: e[:5] + [POOL] + e[6:],
+    "relu before the first dense": lambda e: [RELU] + e,
+    "relu before the maxpool": lambda e: e[:3] + [RELU] + e[3:],
+    "no maxpool": lambda e: e[:3] + e[4:],
+    "no decoder": lambda e: e[:4],
+    "no encoder": lambda e: e[3:],
+}
+
+
+@pytest.mark.parametrize("change", sorted(OFF_LAYOUT))
+def test_deserialize_rejects_records_off_the_codec_layout(tmp_path, change):
+    entries = model_records(tiny_model(seed=21))
+    assert [e[0] for e in entries] == [1, 2, 1, 4, 1, 2, 1]
+    path = tmp_path / "off-layout.iscm"
+    write_records(path, OFF_LAYOUT[change](entries))
+    with pytest.raises(CodecFormatError, match="do not follow the codec "
+                       "layout"):
         deserialize(path)
 
 

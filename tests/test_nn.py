@@ -6,9 +6,9 @@ import pytest
 from pcvstream import nn
 from pcvstream.codec import DEFAULT_BLOCK_POINTS, make_codec_model
 from pcvstream.nn import (
-    Layer, Network, NumericsError, _pairwise_distances, backward, dense,
-    emd_loss, forward, rotate_points, rotate_points_backward, adam_step,
-    rotation_matrix, total_loss,
+    Layer, NumericsError, _pairwise_distances, backward, dense, emd_loss,
+    forward, maxpool_backward, rotate_points, rotate_points_backward,
+    adam_step, rotation_matrix, total_loss,
 )
 
 H = 1e-5
@@ -39,48 +39,50 @@ def rel_err(a, b):
 # forward
 
 def test_identity_dense_layer():
-    net = Network([Layer("dense", np.eye(4), np.zeros(4))])
+    net = [Layer(np.eye(4), np.zeros(4))]
     x = np.array([1.0, -2.0, 3.0, 0.5])
     out, _ = forward(net, x)
     np.testing.assert_allclose(out, x)
 
 
-def test_relu_forward():
-    net = Network([Layer("relu")])
+def test_no_relu_after_the_last_layer():
+    net = [Layer(np.array([[1.0, 0.0], [0.0, -1.0]]))]
     out, _ = forward(net, np.array([-1.0, 2.0]))
-    np.testing.assert_array_equal(out, [0.0, 2.0])
+    np.testing.assert_array_equal(out, [-1.0, -2.0])
 
 
 def test_two_layer_hand_arithmetic():
     w1 = np.array([[1.0, 2.0], [0.0, -1.0]])
     b1 = np.array([0.5, 0.0])
     w2 = np.array([[2.0, 1.0]])
-    net = Network([Layer("dense", w1, b1), Layer("relu"),
-                   Layer("dense", w2, np.array([1.0]))])
+    net = [Layer(w1, b1), Layer(w2, np.array([1.0]))]
     x = np.array([1.0, 3.0])
     # dense: (1+6+0.5, -3) = (7.5, -3); relu: (7.5, 0); dense: 2*7.5+0+1
-    out, _ = forward(net, x)
+    out, caches = forward(net, x)
     assert out[0] == pytest.approx(16.0, abs=1e-12)
-
-
-def test_layer_rejects_unknown_kinds():
-    for kind in ("tanh", "actor_head", "critic_head", "conv"):
-        with pytest.raises(ValueError, match="unknown layer kind"):
-            Layer(kind)
+    # the second layer's cache is its input after the ReLU
+    np.testing.assert_array_equal(caches[1], [7.5, 0.0])
 
 
 def test_forward_rejects_nan():
-    net = Network([Layer("dense", np.array([[np.inf]]), np.zeros(1))])
+    net = [Layer(np.array([[np.inf]]), np.zeros(1))]
     with pytest.raises(NumericsError):
+        forward(net, np.array([1.0]))
+
+
+def test_forward_rejects_an_intermediate_minus_inf():
+    # checked before the next layer's ReLU, which would map -inf to 0
+    net = [Layer(np.array([[-np.inf]])), Layer(np.array([[1.0]]))]
+    with pytest.raises(NumericsError, match="layer 0 output"):
         forward(net, np.array([1.0]))
 
 
 def test_maxpool_symmetry():
     rng = np.random.default_rng(0)
-    net = Network([dense(8, 3, rng), Layer("relu"), Layer("maxpool_points")])
+    net = [dense(8, 3, rng), dense(8, 8, rng)]
     x = rng.normal(size=(12, 3))
-    out1, _ = forward(net, x)
-    out2, _ = forward(net, x[rng.permutation(12)])
+    out1 = forward(net, x)[0].max(axis=-2)
+    out2 = forward(net, x[rng.permutation(12)])[0].max(axis=-2)
     np.testing.assert_allclose(out1, out2)
 
 
@@ -95,7 +97,7 @@ def test_stacked_forward_equals_per_block_forward(count):
     # one product per block, for the codec's layer sizes
     encoder = make_codec_model(64, seed=41).encoder
     blocks = point_stack(count)
-    for net in (encoder, Network(encoder.layers[:-1])):
+    for net in (encoder, encoder[:-1]):
         got = forward(net, blocks)[0]
         want = np.stack([forward(net, b)[0] for b in blocks])
         assert got.shape == want.shape
@@ -112,53 +114,34 @@ def argmax_gather_maxpool(x, d_out):
     return out, d_x
 
 
-def pooled_net_inputs(rng):
-    """(net, x) pairs whose pooled features tie: duplicated points, and
-    ReLU columns that are 0 at every point."""
-    net = Network([dense(16, 3, rng), Layer("relu"), dense(8, 16, rng),
-                   Layer("relu"), Layer("maxpool_points")])
-    net.layers[2].bias[:3] = -50.0  # these features are 0 everywhere
+def tied_features(rng):
+    """Per-point features whose pooled maxima tie: those of duplicated
+    points, and ReLU columns that are 0 at every point."""
+    net = [dense(16, 3, rng), dense(8, 16, rng)]
+    net[1].bias[:3] = -50.0  # these features are 0 everywhere after a ReLU
     for shape in ((12, 3), (1, 12, 3), (3, 12, 3), (8, 12, 3)):
         x = rng.normal(size=shape)
         x[..., 5, :] = x[..., 2, :]
-        yield net, x
+        yield np.maximum(forward(net, x)[0], 0.0)
 
 
 def test_maxpool_backward_matches_argmax_gather_oracle():
     rng = np.random.default_rng(42)
-    for net, x in pooled_net_inputs(rng):
-        out, caches = forward(net, x)
-        d_out = rng.normal(size=out.shape)
-        d_x, grads = backward(net, caches, d_out)
-
-        # the same net with the max-pool done by the oracle
-        body = Network(net.layers[:-1])
-        feats, body_caches = forward(body, x)
+    for feats in tied_features(rng):
         assert (feats == feats.max(axis=-2, keepdims=True)).sum() > \
             feats.size // feats.shape[-2]  # the case has ties
-        want_out, d_feats = argmax_gather_maxpool(feats, d_out)
-        want_dx, want_grads = backward(body, body_caches, d_feats)
-        np.testing.assert_array_equal(out, want_out)
-        np.testing.assert_array_equal(d_x, want_dx)
-        for got, want in zip(grads, want_grads + [None]):
-            if want is None:
-                assert got is None
-                continue
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-
-
-def test_maxpool_rejects_a_point_vector():
-    with pytest.raises(ValueError, match="maxpool_points expects"):
-        forward(Network([Layer("maxpool_points")]), np.zeros(4))
+        d_out = rng.normal(size=feats.max(axis=-2).shape)
+        want_out, want_d_feats = argmax_gather_maxpool(feats, d_out)
+        np.testing.assert_array_equal(feats.max(axis=-2), want_out)
+        np.testing.assert_array_equal(maxpool_backward(feats, d_out),
+                                      want_d_feats)
 
 
 def test_nan_weight_in_a_middle_layer_of_a_stack_names_that_layer():
     rng = np.random.default_rng(43)
-    net = Network([dense(8, 3, rng), Layer("relu"), dense(8, 8, rng),
-                   Layer("relu"), dense(4, 8, rng), Layer("maxpool_points")])
-    net.layers[2].weights[3, 1] = np.nan
-    with pytest.raises(NumericsError, match=r"layer 2 \(dense\) output"):
+    net = [dense(8, 3, rng), dense(8, 8, rng), dense(4, 8, rng)]
+    net[1].weights[3, 1] = np.nan
+    with pytest.raises(NumericsError, match="layer 1 output"):
         forward(net, rng.normal(size=(5, 16, 3)))
 
 
@@ -166,41 +149,45 @@ def test_nan_weight_in_a_middle_layer_of_a_stack_names_that_layer():
 # layer gradient checks (finite differences)
 
 def layer_nets(rng):
-    yield "dense", Network([dense(5, 4, rng)]), (7, 4)
-    yield "relu", Network([dense(5, 4, rng), Layer("relu")]), (7, 4)
-    yield "maxpool", Network([dense(5, 4, rng), Layer("maxpool_points")]), (7, 4)
+    """(name, layers, input shape, pooled): a dense layer, two with the
+    ReLU between them, and two pooled as the codec's encoder is."""
+    yield "dense", [dense(5, 4, rng)], (7, 4), False
+    yield "relu", [dense(5, 4, rng), dense(3, 5, rng)], (7, 4), False
+    yield "maxpool", [dense(5, 4, rng), dense(3, 5, rng)], (7, 4), True
 
 
 @pytest.mark.parametrize("case", range(10))
 def test_layer_gradients_match_finite_differences(case):
     rng = np.random.default_rng(100 + case)
-    for name, net, shape in layer_nets(rng):
+    for name, net, shape, pooled in layer_nets(rng):
+
+        def run(xv):
+            out, caches = forward(net, xv)
+            return (out.max(axis=-2) if pooled else out), out, caches
+
         x = rng.normal(size=shape)
-        target = rng.normal(size=forward(net, x)[0].shape)
+        target = rng.normal(size=run(x)[0].shape)
 
         def loss_of_input(xv):
-            out, _ = forward(net, xv)
-            return 0.5 * ((out - target) ** 2).sum()
+            return 0.5 * ((run(xv)[0] - target) ** 2).sum()
 
-        out, caches = forward(net, x)
-        dx, grads = backward(net, caches, out - target)
+        y, out, caches = run(x)
+        d_out = maxpool_backward(out, y - target) if pooled else y - target
+        dx, grads = backward(net, caches, d_out)
         fd = finite_diff(loss_of_input, x.copy())
         assert rel_err(dx, fd) <= 1e-4, name
 
-        for li, layer in enumerate(net.layers):
-            if layer.weights is None:
-                continue
+        for li in range(len(net)):
 
             def loss_of_weights(w, li=li):
-                old = net.layers[li].weights
-                net.layers[li].weights = w
+                old = net[li].weights
+                net[li].weights = w
                 try:
-                    out, _ = forward(net, x)
+                    return loss_of_input(x)
                 finally:
-                    net.layers[li].weights = old
-                return 0.5 * ((out - target) ** 2).sum()
+                    net[li].weights = old
 
-            fd_w = finite_diff(loss_of_weights, net.layers[li].weights.copy())
+            fd_w = finite_diff(loss_of_weights, net[li].weights.copy())
             assert rel_err(grads[li][0], fd_w) <= 1e-4, name
 
 
@@ -349,23 +336,23 @@ def test_total_loss_joint_gradient_finite_difference():
 
 def test_adam_zero_lr_keeps_network():
     rng = np.random.default_rng(10)
-    net = Network([dense(3, 2, rng)])
-    before = net.layers[0].weights.copy()
+    net = [dense(3, 2, rng)]
+    before = net[0].weights.copy()
     adam_step(net, [(np.ones((3, 2)), np.ones(3))], lr=0.0)
-    np.testing.assert_array_equal(net.layers[0].weights, before)
+    np.testing.assert_array_equal(net[0].weights, before)
 
 
 def test_adam_first_step_moves_by_lr():
     # bias-corrected first step: m_hat / sqrt(v_hat) = g / |g|
-    net = Network([Layer("dense", np.array([[1.0, 1.0]]), np.zeros(1))])
+    net = [Layer(np.array([[1.0, 1.0]]), np.zeros(1))]
     adam_step(net, [(np.array([[0.5, -2.0]]), np.zeros(1))], lr=0.1)
-    np.testing.assert_allclose(net.layers[0].weights, [[0.9, 1.1]],
+    np.testing.assert_allclose(net[0].weights, [[0.9, 1.1]],
                                rtol=1e-7)
 
 
 def test_adam_keeps_first_step_zeros_at_zero():
-    layer = Layer("dense", np.array([[0.0, 1.0, -0.0]]), np.zeros(1))
-    net = Network([layer])
+    layer = Layer(np.array([[0.0, 1.0, -0.0]]), np.zeros(1))
+    net = [layer]
     grad = [(np.array([[1.0, 1.0, -1.0]]), np.zeros(1))]
     state = None
     for _ in range(5):
