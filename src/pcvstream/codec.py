@@ -14,7 +14,7 @@ the block's points (PointNet, Qi et al., CVPR 2017), and an MLP decoder to
 n_points * 3 coordinates, each a list of dense layers run by `nn.forward`.
 The layers are the model's one description: its latent and block sizes
 are read from their last layers, and `serialize` and `deserialize` are the
-one writer and reader of its file.
+one writer and reader of its file, whose format `deserialize` documents.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ TRAIN_BATCH = 8
 TRAIN_CLIP_NORM = 25.0  # global gradient norm cap of one batch
 
 MAGIC = b"ISCM"
-FORMAT_VERSION = 1
-# record kind codes, and the names errors give them
-_DENSE, _RELU, _MAXPOOL = 1, 2, 4
-_KIND_NAMES = {_DENSE: "dense", _RELU: "ReLU", _MAXPOOL: "max-pool"}
+FORMAT_VERSION = 2
+_HEAD = struct.Struct("<4sHBHH")  # magic, version, dtype code, n_enc, count
 _DTYPE_CODES = {"f32": 0, "q8": 1, "q16": 2}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 DTYPE_BITS = {"f32": 32, "q8": 8, "q16": 16}  # bits per stored weight
-_CODE_DTYPES = {8: np.dtype("<u1"), 16: np.dtype("<u2")}  # q8, q16 codes
+_STORED = {"f32": np.dtype("<f4"), "q8": np.dtype("<u1"),  # one parameter
+           "q16": np.dtype("<u2")}
 
 
 class CodecFormatError(ValueError):
@@ -375,30 +374,33 @@ def prune_model(model: CodecModel, zeta: float) -> None:
 # quantization (affine, per tensor)
 
 def quantize_weights(tensor, m: int):
-    """Affine m-bit quantization of a tensor.
+    """Affine m-bit quantization of a finite tensor.
 
     Codes are round(q*(w - min)) with q = (2^m - 1)/(max - min); a constant
-    tensor degenerates to a zero-length payload holding only min.
-    Returns (codes, meta); `dequantize` inverts within half a step.
+    tensor degenerates to all-zero codes. A NaN or infinite value raises
+    ValueError. Returns (codes, meta); `dequantize` inverts within half a
+    step.
     """
     if m not in (8, 16):
         raise ValueError("bit-width must be 8 or 16")
     flat = np.asarray(tensor, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("empty tensor")
+    if not np.isfinite(flat).all():
+        raise ValueError("tensor holds non-finite values")
     mn, mx = float(flat.min()), float(flat.max())
-    meta = {"min": mn, "max": mx, "bits": m, "size": flat.size}
+    meta = {"min": mn, "max": mx, "bits": m}
     if mx == mn:
-        return np.empty(0, _CODE_DTYPES[m]), meta
+        return np.zeros(flat.size, _STORED[f"q{m}"]), meta
     q = (2 ** m - 1) / (mx - mn)
     codes = np.round(q * (flat - mn)).astype(np.int64)
-    return np.clip(codes, 0, 2 ** m - 1).astype(_CODE_DTYPES[m]), meta
+    return np.clip(codes, 0, 2 ** m - 1).astype(_STORED[f"q{m}"]), meta
 
 
 def dequantize(codes, meta) -> np.ndarray:
     mn, mx, m = meta["min"], meta["max"], meta["bits"]
     if mx == mn:
-        return np.full(meta["size"], mn)
+        return np.full(len(codes), mn)
     q = (2 ** m - 1) / (mx - mn)
     return np.asarray(codes, dtype=np.float64) / q + mn
 
@@ -482,40 +484,34 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _record_kinds(n_enc: int, n_dec: int) -> list[int]:
-    """Kind codes of a model file's records for n_enc >= 1 encoder and
-    n_dec >= 1 decoder dense layers: a ReLU record between consecutive dense
-    records of each network, and one max-pool record after the encoder's."""
-    return ([_DENSE] + [_RELU, _DENSE] * (n_enc - 1) + [_MAXPOOL, _DENSE]
-            + [_RELU, _DENSE] * (n_dec - 1))
-
-
 def serialize(model: CodecModel, path) -> None:
-    """Write a codec model in the layout documented in `deserialize`.
+    """Write a codec model in the format documented in `deserialize`.
 
-    Quantized metadata is stored at f32 precision, so weights reloaded from
-    disk can differ from the in-memory model by one metadata ulp.
+    A value to store that is not finite as float32 (an f32 parameter, a
+    q8/q16 min or max) raises ValueError naming its layer before the path
+    is opened. Quantized metadata is stored at f32 precision, so weights
+    reloaded from disk can differ from the in-memory model by one metadata
+    ulp.
     """
-    kinds = _record_kinds(len(model.encoder), len(model.decoder))
-    parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(kinds))]
-    layers = iter(model.dense_layers())
-    metas = iter(model.quant_meta or [])
-    for kind in kinds:
-        if kind != _DENSE:
-            parts.append(struct.pack("<BIIB", kind, 0, 0, 0))
-            continue
-        layer = next(layers)
-        rows, cols = layer.weights.shape
-        parts.append(struct.pack("<BIIB", kind, rows, cols,
-                                 _DTYPE_CODES[model.dtype]))
+    layers = model.dense_layers()
+    parts = [_HEAD.pack(MAGIC, FORMAT_VERSION, _DTYPE_CODES[model.dtype],
+                        len(model.encoder), len(layers)),
+             struct.pack(f"<{len(layers)}I",
+                         *(layer.weights.shape[0] for layer in layers))]
+    for index, layer in enumerate(layers):
         if model.dtype == "f32":
-            parts.append(np.asarray(layer.weights, "<f4").tobytes())
-            parts.append(np.asarray(layer.bias, "<f4").tobytes())
+            values = np.concatenate([layer.weights.ravel(), layer.bias])
+            codes = b""
         else:
-            meta = next(metas)
-            m = meta["bits"]
-            parts.append(struct.pack("<ffB", meta["min"], meta["max"], m))
-            parts.append(np.asarray(meta["codes"], _CODE_DTYPES[m]).tobytes())
+            meta = model.quant_meta[index]
+            values = np.array([meta["min"], meta["max"]])
+            codes = np.asarray(meta["codes"], _STORED[model.dtype]).tobytes()
+        with np.errstate(over="ignore"):  # past the f32 range: inf, refused
+            stored = values.astype(_STORED["f32"])
+        if not np.isfinite(stored).all():
+            raise ValueError(f"layer {index}: {model.dtype} values not "
+                             "finite as float32")
+        parts += [stored.tobytes(), codes]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -523,112 +519,80 @@ def serialize(model: CodecModel, path) -> None:
 def deserialize(path) -> CodecModel:
     """Load a model file written by `serialize`.
 
-    Format v1, little-endian: magic b"ISCM", u16 version, u16 record
-    count, then per record a u8 kind code (1 dense, 2 ReLU, 4 max-pool;
-    any other code is rejected), u32 rows, u32 cols and a u8 dtype code.
-    ReLU and max-pool records have 0 rows and no payload. A dense record
-    has rows, cols >= 1 and is followed by its payload: f32 holds the
-    rows*cols weights (row-major) and then the rows biases as f32; q8 and
-    q16 hold f32 min, f32 max and u8 bits (8 or 16, matching the dtype;
-    any other value is rejected), then one u8 or u16 code per weight and
-    bias in the same order, no codes when min == max. The kinds follow
-    `_record_kinds`: the encoder's dense records with a ReLU record between
-    consecutive ones, one max-pool record, then the decoder's likewise, at
-    least one dense record each; the dense shapes chain from 3 inputs to a
-    multiple of 3 outputs, and every dense record has one dtype.
+    Format v2, little-endian. The header is magic b"ISCM", u16 version 2,
+    u8 dtype code (0 f32, 1 q8, 2 q16), u16 encoder layer count n_enc,
+    u16 layer count, then one u32 output width per dense layer, encoder
+    first. Layer i's weights have shape (width[i], width[i - 1]), with 3
+    (xyz) inputs to the first. The widths are positive, the last is a
+    multiple of 3 (n_points * 3), and 1 <= n_enc < layer count. The ReLU
+    between layers and the max-pool after the encoder are fixed by the
+    codec, not stored.
+
+    The layer payloads follow in order, with no record head. An f32 layer
+    holds its weights (row-major) and then its biases as finite f32. A q8
+    or q16 layer holds f32 min and f32 max (finite, min <= max), then one
+    u8 or u16 code per weight and bias in the same order, all zero when
+    min == max. So the header fixes the file size, which is checked before
+    any payload is read. Weights at a q layer's code nearest zero are
+    reloaded as exact (pruned) zeros.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise CodecFormatError(f"truncated payload at byte {len(data)}")
-        chunk = data[off:off + n]
-        off += n
-        return chunk
-
-    if take(4) != MAGIC:
+    if data[:4] != MAGIC:
         raise CodecFormatError("bad magic: not a model file")
-    version, count = struct.unpack("<HH", take(4))
+    if len(data) < _HEAD.size:
+        raise CodecFormatError(f"truncated header at byte {len(data)}")
+    _, version, dtype_code, n_enc, count = _HEAD.unpack_from(data)
     if version != FORMAT_VERSION:
         raise CodecFormatError(f"unsupported format version {version}")
-    kinds, layers, dtypes, metas = [], [], set(), []
-    for index in range(count):
-        kind, rows, cols, dtype_code = struct.unpack("<BIIB", take(10))
-        if kind not in _KIND_NAMES:
-            raise CodecFormatError(f"unknown layer kind {kind}")
-        kinds.append(kind)
-        # activations carry no weights; dense needs at least one row
-        weightless = kind != _DENSE
-        if weightless != (rows == 0):
-            raise CodecFormatError(f"{_KIND_NAMES[kind]} layer record with "
-                                   f"{rows} weight rows")
-        if weightless:
-            continue
-        if cols == 0:
-            raise CodecFormatError("dense layer record with 0 weight "
-                                   "columns")
-        n_params = rows * cols + rows
-        dtype = _DTYPE_NAMES.get(dtype_code)
-        if dtype is None:
-            raise CodecFormatError(f"unknown dtype code {dtype_code}")
-        dtypes.add(dtype)
+    dtype = _DTYPE_NAMES.get(dtype_code)
+    if dtype is None:
+        raise CodecFormatError(f"unknown dtype code {dtype_code}")
+    if not 1 <= n_enc < count:
+        raise CodecFormatError(f"encoder layer count {n_enc} must lie in "
+                               f"[1, {count}), the layer count")
+    off = _HEAD.size + 4 * count
+    if len(data) < off:
+        raise CodecFormatError(f"truncated header at byte {len(data)}")
+    widths = struct.unpack_from(f"<{count}I", data, _HEAD.size)
+    if 0 in widths:
+        raise CodecFormatError(f"layer {widths.index(0)} has output width 0")
+    if widths[-1] % 3:
+        raise CodecFormatError(f"decoder output width {widths[-1]} is not a "
+                               "multiple of 3")
+    shapes = list(zip(widths, (3,) + widths[:-1]))
+    sizes = [rows * cols + rows for rows, cols in shapes]
+    lead = 0 if dtype == "f32" else 8  # a q layer's f32 min and max
+    size = off + lead * count + _STORED[dtype].itemsize * sum(sizes)
+    if len(data) != size:
+        raise CodecFormatError(f"file of {len(data)} bytes, but its header "
+                               f"fixes {size}")
+    layers, metas = [], []
+    for index, ((rows, cols), n_params) in enumerate(zip(shapes, sizes)):
+        stored = np.frombuffer(data, _STORED[dtype], n_params, off + lead)
         if dtype == "f32":
-            params = np.frombuffer(take(4 * n_params), "<f4")
             # checked before the cast, which warns on a signalling NaN
-            if not np.isfinite(params).all():
-                raise CodecFormatError(f"record {index}: non-finite f32 "
+            if not np.isfinite(stored).all():
+                raise CodecFormatError(f"layer {index}: non-finite f32 "
                                        "parameters")
-            params = params.astype(float)
+            params = stored.astype(float)
         else:
-            mn, mx, m = struct.unpack("<ffB", take(9))
-            if m != DTYPE_BITS[dtype]:
-                raise CodecFormatError(f"{dtype} layer record with bits "
-                                       f"field {m}, expected "
-                                       f"{DTYPE_BITS[dtype]}")
+            mn, mx = struct.unpack_from("<ff", data, off)
             if not -math.inf < mn <= mx < math.inf:
-                raise CodecFormatError(f"record {index}: {dtype} min {mn} and "
+                raise CodecFormatError(f"layer {index}: {dtype} min {mn} and "
                                        f"max {mx} must be finite, min <= max")
-            code = _CODE_DTYPES[m]
-            n_codes = 0 if mn == mx else n_params
-            codes = np.frombuffer(take(n_codes * code.itemsize), code)
-            meta = {"min": float(mn), "max": float(mx), "bits": m,
-                    "size": n_params, "codes": codes}
+            meta = {"min": mn, "max": mx, "bits": DTYPE_BITS[dtype],
+                    "codes": stored}
             metas.append(meta)
-            params = dequantize(codes, meta)
+            params = dequantize(stored, meta)
             # weights at the code nearest zero are taken as pruned zeros
             if mn < 0.0 < mx:
-                q = (2 ** m - 1) / (mx - mn)
-                params[:rows * cols] *= codes[:rows * cols] != round(-mn * q)
+                q = (2 ** meta["bits"] - 1) / (mx - mn)
+                params[:rows * cols] *= stored[:rows * cols] != round(-mn * q)
         layers.append(Layer(params[:rows * cols].reshape(rows, cols),
                             params[rows * cols:]))
-    if off != len(data):
-        raise CodecFormatError(f"{len(data) - off} trailing bytes")
-    # an empty network would still get a dense record from _record_kinds:
-    # one more than `layers` holds, so it cannot match
-    pool = kinds.index(_MAXPOOL) if _MAXPOOL in kinds else 0
-    n_enc = kinds[:pool].count(_DENSE)
-    if kinds != _record_kinds(n_enc, len(layers) - n_enc):
-        names = " ".join(_KIND_NAMES[k] for k in kinds)
-        raise CodecFormatError(f"layer records {names} do not follow the "
-                               "codec layout")
-    width = 3  # xyz in, through the latent, to n_points * 3 out
-    for layer in layers:
-        rows, cols = layer.weights.shape
-        if cols != width:
-            raise CodecFormatError(f"dense layer of shape {(rows, cols)} "
-                                   f"does not take the {width} features "
-                                   "before it")
-        width = rows
-    if width % 3:
-        raise CodecFormatError(f"decoder output width {width} is not a "
-                               "multiple of 3")
-    if len(dtypes) != 1:
-        raise CodecFormatError(f"mixed layer dtypes {sorted(dtypes)}")
-    return CodecModel(layers[:n_enc], layers[n_enc:], dtypes.pop(),
-                      metas or None)
+        off += lead + stored.nbytes
+    return CodecModel(layers[:n_enc], layers[n_enc:], dtype, metas or None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 files) and `codec.octree_decode` (octree streams).
 
 Every truncation of a small valid input, plus seeded single-byte changes
-of it, is read with every warning an error. Each input must either raise
-the reader's typed `CodecFormatError` or load and round-trip to finite
-output; a model that loads may also raise `NumericsError` from its first
-forward, which is typed too. Any other exception or warning fails.
+of it, is read with every warning an error; a model file's header (magic
+through the layer widths) is changed exhaustively, every byte by every
+nonzero XOR. Each input must either raise the reader's typed
+`CodecFormatError` or load and round-trip to finite output; a model that
+loads may also raise `NumericsError` from its first forward, which is
+typed too. Any other exception or warning fails.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -85,6 +89,26 @@ def test_model_file_fuzz_ends_in_a_typed_error_or_a_finite_round_trip(
                 for changed in changed_bytes(data, rng)]
     # both outcomes occur, so neither check above is vacuous
     assert set(outcomes) == {"typed", "loaded"}
+
+
+@pytest.mark.parametrize("dtype", ["f32", "q8", "q16"])
+def test_every_model_header_change_ends_in_a_typed_error_or_a_round_trip(
+        tmp_path, dtype):
+    """The header alone fixes the file size, so every change of it must be
+    caught before a payload is read, or describe a model that works."""
+    data = model_bytes(tmp_path, dtype)
+    # magic, u16 version, u8 dtype, u16 n_enc, u16 count, u32 widths
+    header = 11 + 4 * struct.unpack_from("<H", data, 9)[0]
+    assert header == 27  # four dense layers
+    rng = np.random.default_rng(SEED)
+    path = tmp_path / "fuzzed.iscm"
+    outcomes = set()
+    for pos in range(header):
+        for flip in range(1, 256):
+            changed = bytearray(data)
+            changed[pos] ^= flip
+            outcomes.add(read_model(path, bytes(changed), rng))
+    assert outcomes == {"typed", "loaded"}
 
 
 def test_octree_stream_fuzz_ends_in_a_typed_error_or_finite_points():
