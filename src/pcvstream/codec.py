@@ -31,7 +31,8 @@ from ._util import ceil_count
 from .cloud import PointCloud, bounds, chamfer_distance, quat_to_matrix
 from .nn import (
     Layer, adam_step, as_stack, backward, clip_scale, dense, forward,
-    maxpool_backward, rotate_points, rotate_points_backward, total_loss,
+    emd_loss, maxpool_backward, rotate_points, rotate_points_backward,
+    total_loss,
 )
 
 log = logging.getLogger(__name__)
@@ -119,6 +120,11 @@ def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
                      dec_hidden=(128, 256)) -> CodecModel:
     """Fresh f32 model: shared per-point dense stack + max-pool encoder and a
     dense decoder emitting n_points*3 coordinates."""
+    for name, value in (("latent_dim", latent_dim), ("n_points", n_points),
+                        ("enc_hidden", enc_hidden),
+                        ("dec_hidden", dec_hidden)):
+        if any(w < 1 for w in np.ravel(value)):
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     rng = np.random.default_rng(seed)
     widths = (3, *enc_hidden, latent_dim)
     enc = [dense(n_out, n_in, rng) for n_in, n_out in zip(widths, widths[1:])]
@@ -325,7 +331,7 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
 
 
 def mean_reconstruction_loss(model: CodecModel, dataset) -> float:
-    """Mean loss over a dataset without updates (zero alignment).
+    """Mean EMD over a dataset without updates (zero alignment).
 
     One encode/decode round trip, then the loss ENCODE_CHUNK_BLOCKS samples
     at a time, so the (S, n, n) EMD distances never exist all at once.
@@ -334,7 +340,7 @@ def mean_reconstruction_loss(model: CodecModel, dataset) -> float:
     rebuilt = decode(model, encode(model, data))
     cuts = range(ENCODE_CHUNK_BLOCKS, len(data), ENCODE_CHUNK_BLOCKS)
     losses = np.concatenate([
-        total_loss(r, d, np.zeros((len(d), 3)))[0]
+        emd_loss(r, d)[0]
         for r, d in zip(np.split(rebuilt, cuts), np.split(data, cuts))])
     return sum(losses.tolist()) / len(data)
 
@@ -377,9 +383,9 @@ def quantize_weights(tensor, m: int):
     """Affine m-bit quantization of a finite tensor.
 
     Codes are round(q*(w - min)) with q = (2^m - 1)/(max - min); a constant
-    tensor degenerates to all-zero codes. A NaN or infinite value raises
-    ValueError. Returns (codes, meta); `dequantize` inverts within half a
-    step.
+    tensor degenerates to all-zero codes. A NaN or infinite value, or a
+    max - min or q that is not finite, raises ValueError. Returns (codes,
+    meta); `dequantize` inverts within half a step.
     """
     if m not in (8, 16):
         raise ValueError("bit-width must be 8 or 16")
@@ -393,6 +399,9 @@ def quantize_weights(tensor, m: int):
     if mx == mn:
         return np.zeros(flat.size, _STORED[f"q{m}"]), meta
     q = (2 ** m - 1) / (mx - mn)
+    if not (math.isfinite(mx - mn) and math.isfinite(q)):
+        raise ValueError(f"tensor range [{mn!r}, {mx!r}] has no finite "
+                         f"{m}-bit step")
     codes = np.round(q * (flat - mn)).astype(np.int64)
     return np.clip(codes, 0, 2 ** m - 1).astype(_STORED[f"q{m}"]), meta
 

@@ -1,12 +1,13 @@
 """Two-stage region-of-interest selection.
 
-Stage one (coarse): extrapolate the viewer pose, cull to the predicted
-frustum, grid the result, score blocks by mean motion magnitude, and keep
-the top fraction. Motion is nearest-neighbor flow from the previous frame;
-a point equal to the previous frame's point at its own index has zero flow
-without a neighbor search, so only changed points reach the KD-tree. That
-tree is a `cloud.OPEN_SPACE_TREE`, as the metric trees are: the changed
-points are mostly the moved subject, which searches open space.
+Stage one (coarse): cull to the frustum of the viewer's predicted camera,
+grid the result, score blocks by mean motion magnitude, and keep the top
+fraction. The caller predicts the camera (`predict_pose`). Motion is
+nearest-neighbor flow from the previous frame; a point equal to the
+previous frame's point at its own index has zero flow without a neighbor
+search, so only changed points reach the KD-tree. That tree is a
+`cloud.OPEN_SPACE_TREE`, as the metric trees are: the changed points are
+mostly the moved subject, which searches open space.
 
 Stage two (fine): re-grid the survivors, score blocks by viewpoint
 proximity/angle times geometric-texture distinctiveness, and downsample
@@ -30,33 +31,14 @@ from scipy.spatial import cKDTree
 
 from ._util import ceil_count
 from .cloud import (
-    OPEN_SPACE_TREE, BlockGrid, Camera, Intrinsics, PointCloud, Pose,
-    frustum_cull, frustum_mask, partition, quat_conjugate, quat_multiply,
-    quat_normalize,
+    OPEN_SPACE_TREE, BlockGrid, Camera, PointCloud, Pose, frustum_cull,
+    frustum_mask, partition, quat_conjugate, quat_multiply, quat_normalize,
 )
 
 log = logging.getLogger(__name__)
 
 CHI2_EPS = 1e-8
 TEXTURE_BINS = 8  # trailing entries of every block feature vector
-
-
-@dataclass(frozen=True)
-class PoseHistory:
-    """Recent viewer poses, oldest first; timestamps strictly increasing."""
-
-    samples: tuple[Pose, ...]
-
-    def __init__(self, samples):
-        object.__setattr__(self, "samples", tuple(samples))
-        if len(self.samples) < 2:
-            raise ValueError("pose history needs at least 2 samples")
-        times = [p.timestamp for p in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("pose timestamps must be strictly increasing")
-
-    def __len__(self):
-        return len(self.samples)
 
 
 @dataclass
@@ -94,13 +76,14 @@ class RoiConfig:
 # ---------------------------------------------------------------------------
 # stage one
 
-def predict_pose(history: PoseHistory) -> Pose:
-    """Extrapolate the next pose from the last two samples.
+def predict_pose(prev: Pose, last: Pose) -> Pose:
+    """Extrapolate the pose one step after the last of two samples.
 
     Position advances at the last observed velocity; orientation repeats the
-    last relative rotation (renormalized).
+    last relative rotation (renormalized). The timestamps must increase.
     """
-    prev, last = history.samples[-2], history.samples[-1]
+    if not last.timestamp > prev.timestamp:
+        raise ValueError("pose timestamps must be strictly increasing")
     dt = last.timestamp - prev.timestamp
     velocity = (last.position - prev.position) / dt
     delta = quat_normalize(quat_multiply(last.orientation,
@@ -159,11 +142,11 @@ def _coarse_kept_rows(grid: BlockGrid, scores: np.ndarray,
 
 
 def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
-                          history: PoseHistory, cfg: RoiConfig,
-                          camera_intrinsics: Intrinsics):
-    """Stage-one ROI: predicted-frustum cull plus motion-ranked block keep.
+                          camera: Camera, cfg: RoiConfig):
+    """Stage-one ROI: cull to the predicted camera's frustum, then keep
+    blocks ranked by motion.
 
-    Returns (cloud, grid, scores, camera). The grid and the (B,) per-row
+    Returns (cloud, grid, scores). The grid and the (B,) per-row
     scores cover the whole culled cloud. An empty frustum returns an empty
     cloud, empty scores and grid None.
 
@@ -171,17 +154,16 @@ def coarse_select_details(frame: PointCloud, prev_frame: PointCloud,
     with prev_frame for estimate_flow's zero-flow rule, and then sliced to
     the frustum.
     """
-    camera = Camera(predict_pose(history), camera_intrinsics)
     inside = np.flatnonzero(frustum_mask(frame, camera))
     culled = frame.select(inside)
     if len(culled) == 0:
         log.warning("frame %d: predicted frustum is empty", frame.frame_index)
-        return culled, None, np.zeros(0), camera
+        return culled, None, np.zeros(0)
     grid = partition(culled, cfg.coarse_cell_size)
     scores = dynamic_saliency(grid, estimate_flow(prev_frame, frame)[inside])
     keep = np.zeros(len(grid.ids), dtype=bool)
     keep[_coarse_kept_rows(grid, scores, cfg)] = True
-    return culled.select(np.flatnonzero(keep[grid.rows])), grid, scores, camera
+    return culled.select(np.flatnonzero(keep[grid.rows])), grid, scores
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +304,11 @@ class RoiResult:
     frustum_points: int  # points inside the predicted frustum
 
 
-def select_roi(frame: PointCloud, prev_frame: PointCloud,
-               history: PoseHistory, cfg: RoiConfig,
-               camera_intrinsics: Intrinsics, seed: int) -> RoiResult:
-    """Run both ROI stages on one frame; empty frustum yields an empty ROI."""
-    coarse, grid, _, camera = coarse_select_details(
-        frame, prev_frame, history, cfg, camera_intrinsics)
+def select_roi(frame: PointCloud, prev_frame: PointCloud, camera: Camera,
+               cfg: RoiConfig, seed: int) -> RoiResult:
+    """Run both ROI stages on one frame for the predicted camera; an empty
+    frustum yields an empty ROI."""
+    coarse, grid, _ = coarse_select_details(frame, prev_frame, camera, cfg)
     if grid is None:  # empty frustum
         return RoiResult(coarse, 0)
     cloud = fine_select_details(coarse, camera.pose.position,

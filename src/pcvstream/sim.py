@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import Intrinsics, PointCloud, Pose, chamfer_hausdorff
+from .cloud import Camera, Intrinsics, PointCloud, Pose, chamfer_hausdorff
 # unused here; kept because the benchmark's tracer patches these names
 from .cloud import chamfer_distance, hausdorff_distance  # noqa: F401
 from .codec import (
@@ -24,7 +24,7 @@ from .codec import (
     denormalize_block, deserialize, encode, normalize_block, octree_decode,
     octree_encode,
 )
-from .roi import PoseHistory, RoiConfig, select_roi
+from .roi import RoiConfig, predict_pose, select_roi
 from .scheduler import (
     F_TARGET, ActorCritic, StateWindow, normalized_accuracy, reward,
     select_action, state_slot,
@@ -424,6 +424,9 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
     """Stream every frame of a scene after the first through encode ->
     transmit -> decode, one frame at a time; cut the scene to stream fewer.
 
+    With ROI on, frame t is culled to the camera that `predict_pose`
+    extrapolates from poses t-1 and t.
+
     Codec policies score CD/HD against the ROI selection (what was meant to
     be sent); the octree baseline scores against the full frame. Frame
     timing comes from `frame_timing`, shared with the scheduler's training
@@ -443,6 +446,9 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         raise ValueError("roi must be 'on' or 'off'")
     if len(scene.frames) < 2:  # frame 0 only seeds the flow estimator
         raise ValueError("a session needs a scene of at least 2 frames")
+    if len(scene.poses) != len(scene.frames):
+        raise ValueError(f"a scene of {len(scene.frames)} frames needs one "
+                         f"pose per frame, got {len(scene.poses)} poses")
     roi_cfg = RoiConfig()
 
     records = []
@@ -468,10 +474,10 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
                 select_action(policy_net, window.state())]
 
         if roi == "on":
-            history = PoseHistory(scene.poses[t - 1:t + 1])
-            result = select_roi(frame, prev, history, roi_cfg,
-                                scene.intrinsics, frame_seed)
-            roi_cloud = result.cloud
+            camera = Camera(predict_pose(scene.poses[t - 1], scene.poses[t]),
+                            scene.intrinsics)
+            roi_cloud = select_roi(frame, prev, camera, roi_cfg,
+                                   frame_seed).cloud
         else:
             roi_cloud = frame
 

@@ -14,7 +14,7 @@ from pcvstream.codec import (
     chunk_blocks, decode, denormalize_block, encode, make_codec_model,
     normalize_block, octree_decode, octree_encode,
 )
-from pcvstream.roi import PoseHistory, RoiConfig, select_roi
+from pcvstream.roi import RoiConfig, predict_pose, select_roi
 from pcvstream.sim import generate_scene
 
 
@@ -395,8 +395,8 @@ def test_only_queries_from_the_floor_up_run_on_two_workers(monkeypatch):
         nearest_distances(rng.random((n, 3)), q)
     chamfer_hausdorff(rng.random((20000, 3)), rng.random((3000, 3)))
     scene = generate_scene(rooms=1, frames=24, seed=0)
-    select_roi(scene.frames[1], scene.frames[0], PoseHistory(scene.poses[:2]),
-               RoiConfig(), scene.intrinsics, seed=0)
+    camera = Camera(predict_pose(*scene.poses[:2]), scene.intrinsics)
+    select_roi(scene.frames[1], scene.frames[0], camera, RoiConfig(), seed=0)
     metric = [(n, w) for module, n, w in queries if module == "cloud"]
     assert metric == [(1, 1), (PARALLEL_QUERY_ROWS - 1, 1),
                       (PARALLEL_QUERY_ROWS, 2), (20000, 2), (20000, 2),

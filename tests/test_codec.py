@@ -39,6 +39,21 @@ def test_zero_weight_encoder_gives_zero_latent():
     np.testing.assert_array_equal(latent, np.zeros((1, 8)))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("latent_dim", 0), ("latent_dim", -4), ("n_points", 0),
+    ("enc_hidden", (8, 0)), ("dec_hidden", (0,))], ids=str)
+def test_make_codec_model_rejects_widths_below_one(monkeypatch, field, value):
+    """Unchecked, a zero width died in He init with ZeroDivisionError, or
+    (n_points) built a model whose file deserialize rejects."""
+    def no_weights(*args, **kwargs):
+        raise AssertionError("a weight was drawn")
+
+    monkeypatch.setattr(codec, "dense", no_weights)
+    args = {"latent_dim": 8, "n_points": 16, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        make_codec_model(**args)
+
+
 @pytest.mark.parametrize("label,dim", [("4x4", 16), ("8x8", 64), ("16x16", 256)])
 def test_latent_sizes_match_model_family(label, dim):
     # family id "AxB" names a latent of A * B values
@@ -209,12 +224,12 @@ def test_dataset_loss_in_slices_equals_one_loss_call(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("encode", "decode", "total_loss"):
+    for name in ("encode", "decode", "emd_loss"):
         monkeypatch.setattr(codec, name, recording(name, getattr(codec, name)))
     assert mean_reconstruction_loss(model, data) == want
     slices = [ENCODE_CHUNK_BLOCKS, ENCODE_CHUNK_BLOCKS, 3]
     assert calls == [("encode", len(data)), ("decode", len(data))] + [
-        ("total_loss", n) for n in slices]
+        ("emd_loss", n) for n in slices]
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +508,16 @@ def test_quantize_rejects_a_non_finite_tensor(value):
     model.decoder[0].bias[3] = value
     with pytest.raises(ValueError, match="non-finite"):
         quantize_model(model, 8)
+
+
+@pytest.mark.parametrize("tensor", [[-1e308, 1e308, 0.0], [0.0, 5e-324, 0.0]],
+                         ids=["range overflows", "step overflows"])
+def test_quantize_rejects_a_range_without_a_finite_step(tensor):
+    """Unchecked, max - min overflows to inf (so q = 0) or q does (and
+    inf * 0 is NaN), with only numpy warnings."""
+    for m in (8, 16):
+        with pytest.raises(ValueError, match=f"no finite {m}-bit step"):
+            quantize_weights(np.array(tensor), m)
 
 
 def test_quantize_binary_tensor_exact():

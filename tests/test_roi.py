@@ -11,7 +11,7 @@ from pcvstream.cloud import (
 from pcvstream import roi
 from pcvstream._util import ceil_count
 from pcvstream.roi import (
-    CHI2_EPS, TEXTURE_BINS, PoseHistory, RoiConfig,
+    CHI2_EPS, TEXTURE_BINS, RoiConfig,
     _coarse_kept_rows, _feature_matrix, _neighbor_rows, _static_scores,
     _viewpoint_scores, coarse_select_details, dynamic_saliency, estimate_flow,
     fine_select_details, predict_pose, select_roi, texture_descriptor,
@@ -100,37 +100,36 @@ def coarse_kept_ids(scores, cfg):
     return ranked[:ceil_count(cfg.coarse_keep_fraction, len(ranked))]
 
 
-def static_history(position=(0.0, 0.0, 0.0), n=3):
-    return PoseHistory([Pose(position, IDENTITY_Q, float(t)) for t in range(n)])
+def static_camera(position, intrinsics):
+    """The camera predicted from two poses at rest at position."""
+    prev, last = (Pose(position, IDENTITY_Q, float(t)) for t in (1, 2))
+    return Camera(predict_pose(prev, last), intrinsics)
 
 
 # ---------------------------------------------------------------------------
 # pose prediction
 
 def test_predict_pose_stationary():
-    pose = predict_pose(static_history((1.0, 2.0, 3.0)))
+    pose = predict_pose(Pose((1.0, 2.0, 3.0), IDENTITY_Q, 1.0),
+                        Pose((1.0, 2.0, 3.0), IDENTITY_Q, 2.0))
     np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])
     np.testing.assert_allclose(pose.orientation, IDENTITY_Q)
     assert pose.timestamp == 3.0
 
 
 def test_predict_pose_linear():
-    hist = PoseHistory([Pose((0, 0, 0), IDENTITY_Q, 0.0),
-                        Pose((1, 0, 0), IDENTITY_Q, 1.0),
-                        Pose((3, 0, 0), IDENTITY_Q, 2.0)])
-    pred = predict_pose(hist)  # only the last two samples count
+    pred = predict_pose(Pose((1, 0, 0), IDENTITY_Q, 1.0),
+                        Pose((3, 0, 0), IDENTITY_Q, 2.0))
     np.testing.assert_allclose(pred.position, [5.0, 0.0, 0.0])
     assert pred.timestamp == pytest.approx(3.0)
 
 
 def test_predict_pose_rotation_matches_matrix_oracle():
     step = math.radians(10.0)
-    hist = PoseHistory([  # unit quaternions of rotations about +z
+    pred = predict_pose(  # unit quaternions of rotations about +z
         Pose((0, 0, 0), (1.0, 0.0, 0.0, 0.0), 0.0),
         Pose((0, 0, 0), (math.cos(step / 2), 0.0, 0.0, math.sin(step / 2)),
-             1.0),
-    ])
-    pred = predict_pose(hist)
+             1.0))
     # compose the per-frame rotation matrix twice: 10 deg * (1 + 1)
     per_frame = np.array([[math.cos(step), -math.sin(step), 0],
                           [math.sin(step), math.cos(step), 0],
@@ -140,12 +139,11 @@ def test_predict_pose_rotation_matches_matrix_oracle():
                                atol=1e-6)
 
 
-def test_pose_history_rejects_duplicates():
-    with pytest.raises(ValueError):
-        PoseHistory([Pose((0, 0, 0), IDENTITY_Q, 1.0),
-                     Pose((0, 0, 0), IDENTITY_Q, 1.0)])
-    with pytest.raises(ValueError):
-        PoseHistory([Pose((0, 0, 0), IDENTITY_Q, 0.0)])
+@pytest.mark.parametrize("last_time", [1.0, 0.5], ids=["equal", "decreasing"])
+def test_predict_pose_rejects_timestamps_that_do_not_increase(last_time):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        predict_pose(Pose((0, 0, 0), IDENTITY_Q, 1.0),
+                     Pose((0, 0, 0), IDENTITY_Q, last_time))
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +234,17 @@ def assert_flow_equals_kd_flow(prev, curr):
 
 
 def scene_pair(seed):
-    """(prev, frame, history, intrinsics) around frame 2 of a small scene."""
+    """(prev, frame, camera) around frame 2 of a small scene, the camera
+    predicted from poses 1 and 2 as a session does."""
     scene = generate_scene(rooms=1, frames=4, subject_points=400,
                            background_points=3000, seed=seed)
-    return (scene.frames[1], scene.frames[2], PoseHistory(scene.poses[:3]),
-            scene.intrinsics)
+    return (scene.frames[1], scene.frames[2],
+            Camera(predict_pose(*scene.poses[1:3]), scene.intrinsics))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_flow_equals_kd_flow_on_scene_pairs(seed):
-    prev, curr, _, _ = scene_pair(seed)
+    prev, curr, _ = scene_pair(seed)
     assert_flow_equals_kd_flow(prev, curr)
 
 
@@ -341,8 +340,8 @@ def test_equal_at_another_index_goes_through_the_tree(kd_calls):
 
 
 def test_coarse_select_queries_only_points_changed_at_their_index(kd_calls):
-    prev, frame, history, intr = scene_pair(3)
-    coarse_select_details(frame, prev, history, RoiConfig(), intr)
+    prev, frame, camera = scene_pair(3)
+    coarse_select_details(frame, prev, camera, RoiConfig())
     changed = (frame.points != prev.points).any(axis=1)
     assert [c[0] for c in kd_calls] == ["build", "query"]
     assert kd_calls[0][1] == len(prev)
@@ -351,8 +350,8 @@ def test_coarse_select_queries_only_points_changed_at_their_index(kd_calls):
 
 
 def test_only_the_flow_tree_is_an_open_space_tree(kd_calls):
-    prev, frame, history, intr = scene_pair(3)
-    select_roi(frame, prev, history, RoiConfig(), intr, seed=0)
+    prev, frame, camera = scene_pair(3)
+    select_roi(frame, prev, camera, RoiConfig(), seed=0)
     builds = [c for c in kd_calls if c[0] == "build"]
     assert len(builds) == 2
     assert builds[0][1:] == (len(prev), OPEN_SPACE_TREE)  # estimate_flow
@@ -360,9 +359,9 @@ def test_only_the_flow_tree_is_an_open_space_tree(kd_calls):
 
 
 def test_coarse_select_on_a_static_pair_builds_no_tree(kd_calls):
-    _, frame, history, intr = scene_pair(3)
-    coarse, _, scores, _ = coarse_select_details(frame, frame, history,
-                                                 RoiConfig(), intr)
+    _, frame, camera = scene_pair(3)
+    coarse, _, scores = coarse_select_details(frame, frame, camera,
+                                              RoiConfig())
     assert len(coarse) > 0
     assert kd_calls == []
     assert not scores.any()
@@ -372,11 +371,9 @@ def test_coarse_select_on_a_static_pair_builds_no_tree(kd_calls):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_coarse_select_equals_culled_kd_flow_path(seed):
-    prev, frame, history, intr = scene_pair(seed)
+    prev, frame, camera = scene_pair(seed)
     cfg = RoiConfig()
-    coarse, grid, scores, _ = coarse_select_details(
-        frame, prev, history, cfg, intr)
-    camera = Camera(predict_pose(history), intr)
+    coarse, grid, scores = coarse_select_details(frame, prev, camera, cfg)
     culled = frustum_cull(frame, camera)
     want_grid = partition(culled, cfg.coarse_cell_size)
     want_flow = kd_flow(prev, culled)
@@ -465,26 +462,22 @@ def cluster_scene(moving=(2, 5, 7), shift=0.05, n_clusters=10, per=20):
     return PointCloud(prev), PointCloud(curr)
 
 
-def wide_camera_history():
-    center = (4.7, 0.2, -6.0)
-    return static_history(center), Intrinsics(90.0, 2.0, 0.1, 50.0)
+def wide_camera():
+    return static_camera((4.7, 0.2, -6.0), Intrinsics(90.0, 2.0, 0.1, 50.0))
 
 
 def test_coarse_select_keep_all_equals_frustum():
     prev, curr = cluster_scene(moving=())
-    hist, intr = wide_camera_history()
+    cam = wide_camera()
     cfg = RoiConfig(coarse_keep_fraction=1.0, coarse_cell_size=1.0)
-    out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
-    cam = Camera(predict_pose(hist), intr)
+    out = coarse_select_details(curr, prev, cam, cfg)[0]
     np.testing.assert_array_equal(out.points, frustum_cull(curr, cam).points)
 
 
 def test_coarse_select_finds_moving_blocks():
     prev, curr = cluster_scene(moving=(2, 5, 7))
-    hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.3, coarse_cell_size=1.0)
-    out, grid, scores, _ = coarse_select_details(curr, prev, hist, cfg,
-                                                 intr)
+    out, grid, scores = coarse_select_details(curr, prev, wide_camera(), cfg)
     assert len(grid.ids) == 10
     assert len(out) == 3 * 20
     xs = np.floor(out.points[:, 0] + 0.5).astype(int)
@@ -493,10 +486,8 @@ def test_coarse_select_finds_moving_blocks():
 
 def test_coarse_select_default_block_count():
     prev, curr = cluster_scene(moving=(1,))
-    hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_cell_size=1.0)  # default 60% keep
-    out, grid, scores, _ = coarse_select_details(curr, prev, hist, cfg,
-                                                 intr)
+    out, grid, scores = coarse_select_details(curr, prev, wide_camera(), cfg)
     b = len(grid.ids)
     kept_blocks = math.ceil(0.6 * b - 1e-9)
     assert len(out) == kept_blocks * 20
@@ -504,19 +495,18 @@ def test_coarse_select_default_block_count():
 
 def test_coarse_select_empty_frustum():
     prev, curr = cluster_scene(moving=())
-    hist = static_history((0.0, 0.0, 1000.0))  # looking away from the scene
-    out = coarse_select_details(curr, prev, hist,
-                                RoiConfig(coarse_cell_size=1.0),
-                                Intrinsics(60.0, 1.0, 0.1, 10.0))[0]
+    # looking away from the scene
+    cam = static_camera((0.0, 0.0, 1000.0), Intrinsics(60.0, 1.0, 0.1, 10.0))
+    out = coarse_select_details(curr, prev, cam,
+                                RoiConfig(coarse_cell_size=1.0))[0]
     assert len(out) == 0
 
 
 def test_coarse_subset_of_frustum_subset_of_frame():
     prev, curr = cluster_scene()
-    hist, intr = wide_camera_history()
+    cam = wide_camera()
     cfg = RoiConfig(coarse_keep_fraction=0.5, coarse_cell_size=1.0)
-    out = coarse_select_details(curr, prev, hist, cfg, intr)[0]
-    cam = Camera(predict_pose(hist), intr)
+    out = coarse_select_details(curr, prev, cam, cfg)[0]
     frustum = set(map(tuple, frustum_cull(curr, cam).points.tolist()))
     frame = set(map(tuple, curr.points.tolist()))
     kept = set(map(tuple, out.points.tolist()))
@@ -708,32 +698,30 @@ def test_fine_select_deterministic():
 
 def test_identity_bypass_equals_frustum():
     prev, curr = cluster_scene()
-    hist, intr = wide_camera_history()
+    cam = wide_camera()
     cfg = RoiConfig(coarse_keep_fraction=1.0, r_min=1.0, r_max=1.0,
                     coarse_cell_size=1.0, fine_cell_size=0.5)
-    result = select_roi(curr, prev, hist, cfg, intr, seed=0)
-    cam = Camera(predict_pose(hist), intr)
+    result = select_roi(curr, prev, cam, cfg, seed=0)
     np.testing.assert_array_equal(result.cloud.points,
                                   frustum_cull(curr, cam).points)
 
 
 def test_select_roi_rejects_a_coarse_stage_that_keeps_nothing():
     prev, curr = cluster_scene()
-    hist, intr = wide_camera_history()
     # ceil_count rounds 1e-12 of 10 blocks down to 0
     cfg = RoiConfig(coarse_keep_fraction=1e-12, coarse_cell_size=1.0)
     with pytest.raises(ValueError, match="non-empty coarse ROI"):
-        select_roi(curr, prev, hist, cfg, intr, seed=0)
+        select_roi(curr, prev, wide_camera(), cfg, seed=0)
 
 
 def test_fine_scores_on_the_coarse_roi():
     """The fine-stage scores select_roi ranks by: one row per fine block of
     the coarse ROI, texture in [0, 1), static = viewpoint * texture."""
-    prev, frame, history, intr = scene_pair(0)
+    prev, frame, camera = scene_pair(0)
     cfg = RoiConfig()
-    result = select_roi(frame, prev, history, cfg, intr, seed=0)
-    coarse = coarse_select_details(frame, prev, history, cfg, intr)[0]
-    pose = predict_pose(history)
+    result = select_roi(frame, prev, camera, cfg, seed=0)
+    coarse = coarse_select_details(frame, prev, camera, cfg)[0]
+    pose = camera.pose
     grid = partition(coarse, cfg.fine_cell_size)
     scores = _static_scores(grid, coarse, pose.position, pose.forward(), cfg)
     for row in scores:
@@ -838,11 +826,10 @@ def test_neighbor_rows_match_list_filter():
     assert _neighbor_rows(nbrs, 2).tolist() == expect
 
 
-def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
+def scalar_select_roi(frame, prev, camera, cfg, seed):
     """Both ROI stages from the scalar pieces, with a second flow pass on
     the coarse cloud; returns (ROI point indices into the culled cloud,
     culled cloud)."""
-    camera = Camera(predict_pose(history), intrinsics)
     culled = frustum_cull(frame, camera)
     blocks = blocks_of(partition(culled, cfg.coarse_cell_size))
     mags = np.linalg.norm(estimate_flow(prev, culled), axis=1)
@@ -869,23 +856,18 @@ def scalar_select_roi(frame, prev, history, cfg, intrinsics, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_select_roi_matches_scalar_oracle(seed):
-    scene = generate_scene(rooms=1, frames=4, subject_points=400,
-                           background_points=3000, seed=seed)
+    prev, frame, camera = scene_pair(seed)
     cfg = RoiConfig()
-    history = PoseHistory(scene.poses[:3])
-    frame, prev = scene.frames[2], scene.frames[1]
-    result = select_roi(frame, prev, history, cfg, scene.intrinsics, seed=7)
-    idx, culled = scalar_select_roi(frame, prev, history, cfg,
-                                    scene.intrinsics, seed=7)
+    result = select_roi(frame, prev, camera, cfg, seed=7)
+    idx, culled = scalar_select_roi(frame, prev, camera, cfg, seed=7)
     assert result.frustum_points == len(culled)
     np.testing.assert_array_equal(result.cloud.points, culled.points[idx])
 
 
 def test_coarse_flow_equals_second_flow_pass():
     prev, curr = cluster_scene(moving=(2, 5, 7))
-    hist, intr = wide_camera_history()
     cfg = RoiConfig(coarse_keep_fraction=0.5, coarse_cell_size=1.0)
-    coarse = coarse_select_details(curr, prev, hist, cfg, intr)[0]
+    coarse = coarse_select_details(curr, prev, wide_camera(), cfg)[0]
     frame_index = {p: i for i, p in enumerate(map(tuple, curr.points.tolist()))}
     assert len(frame_index) == len(curr)  # every point is distinct
     kept = [frame_index[p] for p in map(tuple, coarse.points.tolist())]

@@ -498,6 +498,23 @@ def test_session_rejects_a_one_frame_scene():
                     DeviceModel.preset("device-2"), roi="off")
 
 
+@pytest.mark.parametrize("poses", [1, 2, 4])
+def test_session_rejects_a_scene_without_one_pose_per_frame(monkeypatch,
+                                                            poses):
+    def no_frame_work(*args):
+        raise AssertionError("the first frame's ROI work ran")
+
+    monkeypatch.setattr(sim, "select_roi", no_frame_work)
+    scene = small_scene(frames=4)
+    cut = Scene(scene.frames[:3], scene.subject_masks[:3],
+                scene.poses[:poses], scene.intrinsics)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a scene of 3 frames needs one pose per frame, got {poses} "
+            "poses")):
+        run_session(cut, "octree:4", constant_trace(60.0),
+                    DeviceModel.preset("device-2"))
+
+
 def test_registry_built_from_entries_normalises_accuracy(tmp_path):
     entries = {model_id: RegistryEntry(model_id, f"{model_id}.iscm", latent,
                                        8, 1e-4, 1e-4, cd)
