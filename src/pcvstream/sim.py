@@ -271,8 +271,15 @@ class ModelRegistry:
 
 @dataclass
 class Scene:
-    frames: list            # PointCloud per frame
-    subject_masks: list     # boolean array per frame (True = moving subject)
+    """Point cloud video with its ground truth and its viewer.
+
+    From `generate_scene`, each frame's float32 points are built in place,
+    and the frames of a room share one read-only subject mask.
+    """
+
+    frames: list            # PointCloud per frame, float32 points
+    subject_masks: list     # read-only boolean array per frame (True =
+                            # moving subject), one array per room
     poses: list             # camera Pose per frame
     intrinsics: Intrinsics
 
@@ -323,21 +330,43 @@ def generate_scene(rooms: int = 5, frames: int = 100,
                    background_points: int = 18000, seed: int = 0) -> Scene:
     """Procedural rooms with one moving subject each; `frames` frames per
     room. Subject masks double as flow ground truth (background is static).
+
+    Each frame's points are written once, as float32, into the array its
+    PointCloud keeps: the room's background, cast once, then the subject
+    moved to its centre, summed in float64 and rounded once. The frames of
+    a room share one read-only subject mask.
+
+    Raises ValueError naming the argument, before drawing anything, when a
+    count is not an integer (a bool included), when rooms < 1, frames < 2
+    or a point count is negative, or when a frame would hold no points.
     """
-    if frames < 2:
-        raise ValueError("need at least 2 frames per room")
+    for name, value, low in (("rooms", rooms, 1), ("frames", frames, 2),
+                             ("subject_points", subject_points, 0),
+                             ("background_points", background_points, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if subject_points + background_points == 0:
+        raise ValueError("subject_points + background_points must be >= 1: "
+                         "a frame needs a point")
     rng = np.random.default_rng(seed)
     out = Scene([], [], [], Intrinsics(70.0, 1.6, 0.1, 60.0))
     frame_idx = 0
     for room in range(rooms):
         background, width, depth = _room_background(rng, background_points)
+        background = background.astype(np.float32)
         subject = _subject_blob(rng, subject_points) \
             if subject_points > 0 else np.empty((0, 3))
+        n_bg = len(background)
+        mask = np.zeros(n_bg + len(subject), dtype=bool)
+        mask[n_bg:] = True
+        mask.flags.writeable = False
         # smooth seeded path inside the room
         cx, cz = width / 2.0, depth / 2.0
         ax = rng.uniform(0.2 * width, 0.35 * width)
         az = rng.uniform(0.2 * depth, 0.35 * depth)
-        w1 = rng.uniform(0.5, 1.5) * 2 * np.pi / max(frames, 1)
+        w1 = rng.uniform(0.5, 1.5) * 2 * np.pi / frames
         phase = rng.uniform(0, 2 * np.pi)
         speed = rng.uniform(0.8, 1.2)
         cam_pos = np.array([cx, 1.5, -0.35 * depth])
@@ -345,12 +374,10 @@ def generate_scene(rooms: int = 5, frames: int = 100,
             t = f * speed
             center = np.array([cx + ax * np.sin(w1 * t + phase), 0.0,
                                cz + az * np.sin(2 * w1 * t)])
-            pts = background if len(subject) == 0 else \
-                np.concatenate([background, subject + center])
-            mask = np.zeros(len(pts), dtype=bool)
-            mask[len(background):] = True
-            out.frames.append(PointCloud(pts.astype(np.float32),
-                                         frame_index=frame_idx))
+            pts = np.empty((len(mask), 3), dtype=np.float32)
+            pts[:n_bg] = background
+            np.add(subject, center, out=pts[n_bg:], casting="same_kind")
+            out.frames.append(PointCloud(pts, frame_index=frame_idx))
             out.subject_masks.append(mask)
             # camera drifts laterally, always facing +z into the room
             cam = cam_pos + np.array([0.3 * np.sin(0.05 * f), 0.0, 0.0])

@@ -1146,6 +1146,22 @@ def test_octree_encode_matches_unique_per_level_oracle():
                 (len(points), depth)
 
 
+@pytest.mark.parametrize("depth", [6, 10, 16])
+def test_octree_encode_drops_repeated_keys_like_unique(depth):
+    """Clouds where most points repeat another; at depth 16 the leaf keys
+    span 48 bits."""
+    rng = np.random.default_rng(36)
+    clouds = [
+        rng.integers(0, 6, size=(5000, 3)),  # 216 distinct points
+        rng.permutation(np.repeat(rng.normal(size=(700, 3)), 9, axis=0)),
+        np.vstack([rng.random((2000, 3)) * 100.0, np.zeros((3000, 3))]),
+    ]
+    for points in clouds:
+        cloud = PointCloud(points.astype(np.float32))
+        assert octree_encode(cloud, depth) == \
+            unique_per_level_octree_encode(cloud, depth), len(points)
+
+
 def decode_error(decoder, data):
     try:
         decoder(data)

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +261,116 @@ def test_scene_deterministic():
                        background_points=100, seed=9)
     for fa, fb in zip(a.frames, b.frames):
         np.testing.assert_array_equal(fa.points, fb.points)
+
+
+def scene_digests(scene):
+    """sha256 of the frames (dtype, shape, index and bytes), of the masks
+    and of the poses."""
+    frames, masks, poses = (hashlib.sha256() for _ in range(3))
+    for frame, mask, pose in zip(scene.frames, scene.subject_masks,
+                                 scene.poses):
+        pts = frame.points
+        frames.update(f"{pts.dtype.str}{pts.shape}{frame.frame_index};"
+                      .encode())
+        frames.update(pts.tobytes())
+        masks.update(f"{mask.dtype.str}{mask.shape};".encode())
+        masks.update(mask.tobytes())
+        poses.update(pose.position.tobytes() + pose.orientation.tobytes()
+                     + struct.pack("<d", pose.timestamp))
+    return (len(scene.frames), frames.hexdigest(), masks.hexdigest(),
+            poses.hexdigest())
+
+
+# recorded from the float64 concatenate-then-cast frame loop
+PINNED_SCENES = [
+    (dict(rooms=2, frames=3, subject_points=150, background_points=1200,
+          seed=11),
+     (6, "8923137357d266525ea280b83ac6a41e3638867d786cc36bce08509f5edd88c4",
+      "e138f9ccf5f6fb5b84340eb6ff5d4840a31777c2fda92e34d448b0610eaa6514",
+      "8c06dccc97d6d2b20e2e6703b61f1be1f0d7dfa0f505e346a5f5833c35a4fd28")),
+    (dict(rooms=1, frames=4, subject_points=0, background_points=500,
+          seed=2),
+     (4, "be6bcf689b19af6140dc4634b38d89b5a6c3c1dcfe59dc03321680af129c4ec8",
+      "083cc7a8b4baeedc273d0c163ca5422e84e252cc263fc4366c3c20967be1317e",
+      "d15d18a714ce3ee14e37b6155ba93958bf1bed3d9c8c9a1cc239884b6f43e450")),
+    (dict(rooms=2, frames=3, subject_points=300, background_points=0,
+          seed=5),
+     (6, "025aa90104f202161f4986c4c0fb2fe6c2ea95ee3f18052a73b42a0494be78fc",
+      "366e3834264309ff78d9b5156d7e5fedd14b3236a1c2f21b089bd533b9954912",
+      "8097892791d930e97d50496c569cbc8002db60c16caf79863e26791961cce3c2")),
+    (dict(rooms=1, frames=24, seed=7),
+     (24, "d605c91294051fc0aca1bb3f5a64c0ed16553144e4f97d506ffa97bd8297f772",
+      "c34e112430c42d0b8e0c2527c602615cef427fe21b325290f89f796235f2509b",
+      "e623a4f0870c875683ced4bfffb34281a40d1ca1da84ed59765da385d79d800b")),
+]
+
+
+def test_generate_scene_bytes_are_pinned():
+    for config, digests in PINNED_SCENES:
+        assert scene_digests(generate_scene(**config)) == digests, config
+
+
+def test_generate_scene_room_allocates_under_two_frames_beyond_the_scene():
+    """Each frame is written once into the array it keeps, so one room's
+    peak traced memory exceeds what the scene keeps by less than two
+    frames: the float32 background and the subject."""
+    frame_bytes = 20000 * 3 * np.dtype(np.float32).itemsize
+    generate_scene(rooms=1, frames=2, seed=1)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        scene = generate_scene(rooms=1, frames=24, seed=3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scene.frames) == 24
+    assert all(f.points.dtype == np.float32 for f in scene.frames)
+    assert peak - kept < 2 * frame_bytes, (peak - kept) / frame_bytes
+
+
+def test_room_frames_share_one_read_only_mask():
+    scene = generate_scene(rooms=2, frames=3, subject_points=50,
+                           background_points=200, seed=4)
+    masks = scene.subject_masks
+    assert masks[0] is masks[1] is masks[2]
+    assert masks[3] is masks[4] is masks[5]
+    assert masks[3] is not masks[0]
+    assert masks[0].sum() == 50 and masks[0][200:].all()
+    with pytest.raises(ValueError, match="read-only"):
+        masks[0][0] = True
+
+
+# case -> (arguments, the name the error starts with)
+BAD_COUNTS = {
+    "rooms=0": (dict(rooms=0), "rooms"),
+    "rooms=-2": (dict(rooms=-2), "rooms"),
+    "rooms=True": (dict(rooms=True), "rooms"),
+    "rooms=1.0": (dict(rooms=1.0), "rooms"),
+    "frames=2.5": (dict(frames=2.5), "frames"),
+    "frames=True": (dict(frames=True), "frames"),
+    "subject_points=-5": (dict(subject_points=-5), "subject_points"),
+    "subject_points=2.5": (dict(subject_points=2.5), "subject_points"),
+    "subject_points=False": (dict(subject_points=False), "subject_points"),
+    "background_points=-1": (dict(background_points=-1),
+                             "background_points"),
+    "background_points=100.0": (dict(background_points=100.0),
+                                "background_points"),
+    "no points": (dict(subject_points=0, background_points=0),
+                  r"subject_points \+ background_points"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_generate_scene_rejects_bad_counts_before_drawing(monkeypatch, case):
+    kwargs, name = BAD_COUNTS[case]
+
+    def no_draws(*args):
+        raise AssertionError("drew from the generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    config = dict(rooms=1, frames=3, subject_points=20,
+                  background_points=100, seed=0) | kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        generate_scene(**config)
 
 
 # ---------------------------------------------------------------------------
