@@ -3,7 +3,9 @@ device models, and the per-frame encode/transmit/decode timeline.
 
 One session is strictly sequential and fully seeded, so identical inputs
 produce byte-identical logs. Per-block codec costs are read from the model
-registry (`registry.json`), never measured inside a session.
+registry (`registry.json`), never measured inside a session. A generated
+scene keeps the state of its rooms and builds each frame and camera pose
+when it is read, so a session holds the frames it streams, not the video.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -269,18 +273,42 @@ class ModelRegistry:
 # ---------------------------------------------------------------------------
 # synthetic scenes
 
+class LazySequence(Sequence):
+    """Read-only sequence of n items whose item i is `build(i)`, built anew
+    on every read. Indices and slices work as on a list; a slice returns a
+    list."""
+
+    def __init__(self, n: int, build):
+        self._n = n
+        self._build = build
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._build(i) for i in range(*index.indices(self._n))]
+        i = operator.index(index)
+        if not -self._n <= i < self._n:
+            raise IndexError(f"index {index} is out of range for "
+                             f"{self._n} items")
+        return self._build(i % self._n)
+
+
 @dataclass
 class Scene:
     """Point cloud video with its ground truth and its viewer.
 
-    From `generate_scene`, each frame's float32 points are built in place,
-    and the frames of a room share one read-only subject mask.
+    `frames` and `poses` are lists or any sequence. From `generate_scene`
+    they are `LazySequence`s that build a frame's float32 points, or a
+    camera pose, each time it is read, and the frames of a room share one
+    read-only subject mask.
     """
 
-    frames: list            # PointCloud per frame, float32 points
+    frames: Sequence        # PointCloud per frame, float32 points
     subject_masks: list     # read-only boolean array per frame (True =
                             # moving subject), one array per room
-    poses: list             # camera Pose per frame
+    poses: Sequence         # camera Pose per frame
     intrinsics: Intrinsics
 
 
@@ -331,10 +359,12 @@ def generate_scene(rooms: int = 5, frames: int = 100,
     """Procedural rooms with one moving subject each; `frames` frames per
     room. Subject masks double as flow ground truth (background is static).
 
-    Each frame's points are written once, as float32, into the array its
-    PointCloud keeps: the room's background, cast once, then the subject
-    moved to its centre, summed in float64 and rounded once. The frames of
-    a room share one read-only subject mask.
+    The scene keeps each room's state, drawn here: its background, cast
+    once to float32, its subject and its seeded paths. Frames and poses
+    draw nothing and are built each time they are read: a frame's points
+    are written once, as float32, into the array its PointCloud keeps, the
+    subject moved to its centre, summed in float64 and rounded once. The
+    frames of a room share one read-only subject mask.
 
     Raises ValueError naming the argument, before drawing anything, when a
     count is not an integer (a bool included), when rooms < 1, frames < 2
@@ -351,9 +381,8 @@ def generate_scene(rooms: int = 5, frames: int = 100,
         raise ValueError("subject_points + background_points must be >= 1: "
                          "a frame needs a point")
     rng = np.random.default_rng(seed)
-    out = Scene([], [], [], Intrinsics(70.0, 1.6, 0.1, 60.0))
-    frame_idx = 0
-    for room in range(rooms):
+    rooms_state, masks = [], []
+    for _ in range(rooms):
         background, width, depth = _room_background(rng, background_points)
         background = background.astype(np.float32)
         subject = _subject_blob(rng, subject_points) \
@@ -362,6 +391,7 @@ def generate_scene(rooms: int = 5, frames: int = 100,
         mask = np.zeros(n_bg + len(subject), dtype=bool)
         mask[n_bg:] = True
         mask.flags.writeable = False
+        masks += [mask] * frames
         # smooth seeded path inside the room
         cx, cz = width / 2.0, depth / 2.0
         ax = rng.uniform(0.2 * width, 0.35 * width)
@@ -370,21 +400,32 @@ def generate_scene(rooms: int = 5, frames: int = 100,
         phase = rng.uniform(0, 2 * np.pi)
         speed = rng.uniform(0.8, 1.2)
         cam_pos = np.array([cx, 1.5, -0.35 * depth])
-        for f in range(frames):
-            t = f * speed
-            center = np.array([cx + ax * np.sin(w1 * t + phase), 0.0,
-                               cz + az * np.sin(2 * w1 * t)])
-            pts = np.empty((len(mask), 3), dtype=np.float32)
-            pts[:n_bg] = background
-            np.add(subject, center, out=pts[n_bg:], casting="same_kind")
-            out.frames.append(PointCloud(pts, frame_index=frame_idx))
-            out.subject_masks.append(mask)
-            # camera drifts laterally, always facing +z into the room
-            cam = cam_pos + np.array([0.3 * np.sin(0.05 * f), 0.0, 0.0])
-            out.poses.append(Pose(cam, (1.0, 0.0, 0.0, 0.0),
-                                  float(frame_idx)))
-            frame_idx += 1
-    return out
+        rooms_state.append((background, subject,
+                            (cx, cz, ax, az, w1, phase, speed), cam_pos))
+
+    def frame(i):
+        room, f = divmod(i, frames)
+        background, subject, (cx, cz, ax, az, w1, phase, speed), _ = \
+            rooms_state[room]
+        t = f * speed
+        center = np.array([cx + ax * np.sin(w1 * t + phase), 0.0,
+                           cz + az * np.sin(2 * w1 * t)])
+        n_bg = len(background)
+        pts = np.empty((n_bg + len(subject), 3), dtype=np.float32)
+        pts[:n_bg] = background
+        np.add(subject, center, out=pts[n_bg:], casting="same_kind")
+        return PointCloud(pts, frame_index=i)
+
+    def pose(i):
+        room, f = divmod(i, frames)
+        # camera drifts laterally, always facing +z into the room
+        cam = rooms_state[room][3] + np.array([0.3 * np.sin(0.05 * f), 0.0,
+                                               0.0])
+        return Pose(cam, (1.0, 0.0, 0.0, 0.0), float(i))
+
+    return Scene(LazySequence(len(masks), frame), masks,
+                 LazySequence(len(masks), pose),
+                 Intrinsics(70.0, 1.6, 0.1, 60.0))
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +510,9 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         if missing:
             raise ValueError(f"policy actions {missing} are not in the "
                              "registry")
+    if kind == "fixed" and arg not in registry.entries:
+        raise ValueError(f"model '{arg}' is not in the registry, which "
+                         f"holds {sorted(registry.entries)}")
     if roi not in ("on", "off"):
         raise ValueError("roi must be 'on' or 'off'")
     if len(scene.frames) < 2:  # frame 0 only seeds the flow estimator
@@ -483,8 +527,6 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
     clock_send_end = 0.0
     if kind == "fixed":
         current_model = arg
-        if current_model not in registry.entries:
-            raise KeyError(f"model '{current_model}' not in registry")
     elif kind == "drl":  # start from the most accurate model
         accuracy = registry.accuracy_table()
         current_model = max(accuracy, key=accuracy.get)
@@ -492,17 +534,17 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
     else:
         current_model = None
 
-    for t in range(1, len(scene.frames)):  # frame 0 seeds the flow estimator
-        frame = scene.frames[t]
-        prev = scene.frames[t - 1]
+    # frame 0 seeds the flow estimator; each frame and pose is read once
+    prev, prev_pose = scene.frames[0], scene.poses[0]
+    for t in range(1, len(scene.frames)):
+        frame, pose = scene.frames[t], scene.poses[t]
         frame_seed = seed * 100003 + t
         if kind == "drl" and records:  # decide from the frames so far
             current_model = policy_net.actions[
                 select_action(policy_net, window.state())]
 
         if roi == "on":
-            camera = Camera(predict_pose(scene.poses[t - 1], scene.poses[t]),
-                            scene.intrinsics)
+            camera = Camera(predict_pose(prev_pose, pose), scene.intrinsics)
             roi_cloud = select_roi(frame, prev, camera, roi_cfg,
                                    frame_seed).cloud
         else:
@@ -552,6 +594,7 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
         if kind == "drl":
             window.push(state_slot(len(frame), len(roi_cloud), decode_s,
                                    bandwidth))
+        prev, prev_pose = frame, pose
 
     config = {"policy": policy, "roi": roi, "trace": trace.tag,
               "device": device.name, "seed": seed,

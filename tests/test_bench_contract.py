@@ -1,4 +1,4 @@
-"""What the benchmark's traced run needs from pcvstream.
+"""What the benchmark's set-up and traced run need from pcvstream.
 
 `perfbench/tracer.py` patches pcvstream helpers by name where they are
 called (PATCH_POINTS) and counts a frame as ended at each `sim.pipeline_fps`
@@ -13,12 +13,12 @@ from pathlib import Path
 import pcvstream
 from pcvstream import codec, scheduler, sim
 
-TRACER_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_FILE)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,7 +41,7 @@ def forward_rows(spans, parent):
 
 
 def test_traced_frames_end_at_pipeline_fps(tmp_path):
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     registry = tiny_registry(tmp_path)
     scene = sim.generate_scene(rooms=1, frames=3, subject_points=150,
                                background_points=1200, seed=5)
@@ -75,7 +75,7 @@ def test_traced_frames_end_at_pipeline_fps(tmp_path):
 
 
 def test_traced_drl_decisions_fall_on_the_frames_they_serve(tmp_path):
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     registry = tiny_registry(tmp_path)
     scene = sim.generate_scene(rooms=1, frames=4, subject_points=150,
                                background_points=1200, seed=5)
@@ -92,7 +92,7 @@ def test_traced_drl_decisions_fall_on_the_frames_they_serve(tmp_path):
 
 
 def test_traced_scheduler_training_spans_one_per_step(tmp_path):
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     registry = tiny_registry(tmp_path)
     registry.add(sim.RegistryEntry("tiny-2", "tiny.iscm", 16, 32, 2e-4,
                                    1e-4, 0.04))
@@ -118,7 +118,7 @@ def test_traced_scheduler_training_spans_one_per_step(tmp_path):
 
 
 def test_traced_codec_train_runs_the_networks_once_per_batch():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     model = codec.make_codec_model(16, 32, seed=6, enc_hidden=(8,),
                                    dec_hidden=(16,))
     data = codec.toy_block_dataset(2 * codec.TRAIN_BATCH + 1, 32, seed=6)
@@ -136,3 +136,22 @@ def test_traced_codec_train_runs_the_networks_once_per_batch():
     assert calls == "ffbb" * 3
     assert all(s[3] == train_span[0] for s in spans.spans
                if s[0] in ("nn.forward", "nn.backward"))
+
+
+def test_a_bench_scene_builds_only_the_frames_it_keeps(monkeypatch):
+    """`workloads.make_scene` cuts a generated room to the frames a session
+    streams plus the flow seed frame: only those frames are built."""
+    workloads = load_perfbench("workloads")
+    built = []
+    point_cloud = sim.PointCloud
+
+    def counted(*args, **kwargs):
+        cloud = point_cloud(*args, **kwargs)
+        built.append(cloud.frame_index)
+        return cloud
+
+    monkeypatch.setattr(sim, "PointCloud", counted)
+    scene = workloads.make_scene(seed=3)
+    keep = workloads.STREAMED_FRAMES + 1
+    assert len(scene.frames) == keep
+    assert built == list(range(keep))

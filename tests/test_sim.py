@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -310,10 +311,10 @@ def test_generate_scene_bytes_are_pinned():
         assert scene_digests(generate_scene(**config)) == digests, config
 
 
-def test_generate_scene_room_allocates_under_two_frames_beyond_the_scene():
-    """Each frame is written once into the array it keeps, so one room's
-    peak traced memory exceeds what the scene keeps by less than two
-    frames: the float32 background and the subject."""
+def test_generate_scene_room_keeps_under_two_frames_and_peaks_under_four():
+    """A room keeps its float32 background and its subject, not its frames.
+    The peak is its background's float64 surfaces and their
+    concatenation."""
     frame_bytes = 20000 * 3 * np.dtype(np.float32).itemsize
     generate_scene(rooms=1, frames=2, seed=1)  # numpy's first-call set-up
     tracemalloc.start()
@@ -324,7 +325,65 @@ def test_generate_scene_room_allocates_under_two_frames_beyond_the_scene():
         tracemalloc.stop()
     assert len(scene.frames) == 24
     assert all(f.points.dtype == np.float32 for f in scene.frames)
-    assert peak - kept < 2 * frame_bytes, (peak - kept) / frame_bytes
+    assert kept < 2 * frame_bytes, kept / frame_bytes
+    assert peak < 4 * frame_bytes, peak / frame_bytes
+
+
+def test_a_default_scene_keeps_under_two_megabytes():
+    generate_scene(rooms=1, frames=2, seed=1)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        scene = generate_scene()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scene.frames) == len(scene.poses) == 500
+    assert kept < 2_000_000, kept
+
+
+def test_lazy_sequence_reads_like_a_list():
+    built = []
+
+    def build(i):
+        built.append(i)
+        return 10 * i
+
+    seq = sim.LazySequence(5, build)
+    items = [0, 10, 20, 30, 40]
+    assert isinstance(seq, Sequence)
+    assert len(seq) == 5 and not built
+    assert (seq[0], seq[4], seq[-1], seq[-5], seq[np.int64(2)]) == \
+        (0, 40, 40, 0, 20)
+    for cut in (slice(None), slice(1, 4), slice(None, None, 2),
+                slice(None, None, -2), slice(4, 0, -3), slice(-2, None),
+                slice(3, 1), slice(7, 9)):
+        assert type(seq[cut]) is list
+        assert seq[cut] == items[cut], cut
+    assert list(seq) == items
+    assert list(reversed(seq)) == items[::-1]
+    assert 30 in seq and seq.index(30) == 3
+    for bad in (5, -6, 99):
+        with pytest.raises(IndexError):
+            seq[bad]
+    for bad in ("1", 1.0):
+        with pytest.raises(TypeError):
+            seq[bad]
+    with pytest.raises(TypeError):
+        seq[0] = 1
+
+
+def test_generated_frames_and_poses_are_the_same_on_every_read():
+    scene = generate_scene(rooms=2, frames=3, subject_points=50,
+                           background_points=200, seed=4)
+    a, b = scene.frames[4], scene.frames[-2]
+    assert a is not b
+    assert a.frame_index == b.frame_index == 4
+    assert a.points.dtype == np.float32
+    assert a.points.tobytes() == b.points.tobytes()
+    assert scene.frames[3:5][1].points.tobytes() == a.points.tobytes()
+    p, q = scene.poses[4], scene.poses[-2]
+    assert p.position.tobytes() == q.position.tobytes()
+    assert p.timestamp == q.timestamp == 4.0
 
 
 def test_room_frames_share_one_read_only_mask():
@@ -574,7 +633,8 @@ def test_unknown_policy_and_missing_model(tmp_path):
     with pytest.raises(ValueError):
         run_session(scene, "magic", trace, device)
     registry = toy_registry(tmp_path, latents=(16,))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=re.escape(
+            "model 'nope' is not in the registry, which holds ['4x4-q8']")):
         run_session(scene, "fixed:nope", trace, device, registry=registry)
 
 
@@ -600,6 +660,35 @@ def test_an_empty_model_set_is_named(tmp_path):
         empty.accuracy_table()
     with pytest.raises(ValueError, match="the model set is empty"):
         StreamingSchedulerEnv(empty, DeviceModel.preset("device-2"))
+
+
+class SpySequence(Sequence):
+    """A sequence that records the index of every read."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = []
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return self.items[index]
+
+
+@pytest.mark.parametrize("roi", ["on", "off"])
+def test_a_session_reads_each_frame_and_pose_once(roi):
+    scene = small_scene(frames=5)
+    frames, poses = SpySequence(scene.frames), SpySequence(scene.poses)
+    spied = run_session(Scene(frames, scene.subject_masks, poses,
+                              scene.intrinsics), "octree:5",
+                        constant_trace(60.0), DeviceModel.preset("device-2"),
+                        roi=roi, seed=1)
+    assert sorted(frames.reads) == sorted(poses.reads) == list(range(5))
+    plain = run_session(scene, "octree:5", constant_trace(60.0),
+                        DeviceModel.preset("device-2"), roi=roi, seed=1)
+    assert spied.records == plain.records
 
 
 def test_session_rejects_a_one_frame_scene():
