@@ -1,6 +1,14 @@
 """Trace-driven streaming simulator: synthetic scenes, bandwidth traces,
 device models, and the per-frame encode/transmit/decode timeline.
 
+A session is two steps. `scene_geometry` yields one `FrameGeometry` per
+frame: the ROI selection and, per model, one round trip's payload, costs
+and CD/HD. Codec models are scored against the ROI selection, the octree
+baseline against the full frame. `replay` then builds the session records
+from those counts and trip results alone, under one policy, trace and
+device: the scheduler decision, the device's decode scaling and the clocks.
+So one geometry pass serves any number of replays.
+
 One session is strictly sequential and fully seeded, so identical inputs
 produce byte-identical logs. Per-block codec costs are read from the model
 registry (`registry.json`), never measured inside a session. A generated
@@ -30,8 +38,8 @@ from .codec import (
 )
 from .roi import RoiConfig, predict_pose, select_roi
 from .scheduler import (
-    F_TARGET, ActorCritic, StateWindow, normalized_accuracy, reward,
-    select_action, state_slot,
+    DEFAULT_WINDOW, F_TARGET, ActorCritic, StateWindow, normalized_accuracy,
+    reward, select_action, state_slot,
 )
 
 TRACE_PRESETS = {"3g": 2.0, "4g": 25.0, "wifi": 60.0, "5g": 100.0}
@@ -190,13 +198,12 @@ class RegistryEntry:
     def payload_per_block(self) -> int:
         return self.latent_dim * LATENT_BYTES_PER_VALUE + BLOCK_HEADER_BYTES
 
-    def frame_costs(self, blocks: int,
-                    device: DeviceModel) -> tuple[int, float, float]:
+    def frame_costs(self, blocks: int) -> tuple[int, float, float]:
         """(payload bytes, encode s, decode s) of a frame of `blocks`
-        blocks, decode scaled to the device."""
+        blocks on the reference host; a timeline scales decode to its
+        device."""
         return (blocks * self.payload_per_block(),
-                blocks * self.encode_cost_s,
-                device.decode_time(blocks * self.decode_cost_s))
+                blocks * self.encode_cost_s, blocks * self.decode_cost_s)
 
 
 class ModelRegistry:
@@ -471,18 +478,167 @@ class StreamSession:
                                else value)
                 writer.writerow(row)
 
-def _parse_policy(policy: str):
+
+def _parse_policy(policy: str, registry, policy_net) -> str | None:
+    """The trip id a fixed policy streams every frame, a registry id or
+    `octree:<depth>`, or None for `drl`. Raises ValueError when the policy
+    is malformed or lacks the registry, the policy net or a model it names.
+    """
+    if (policy == "drl" or policy.startswith("fixed:")) and registry is None:
+        raise ValueError("codec policies need a model registry")
     if policy == "drl":
-        return "drl", None
+        if policy_net is None:
+            raise ValueError("the drl policy needs a trained policy net")
+        missing = sorted(set(policy_net.actions) - set(registry.entries))
+        if missing:
+            raise ValueError(f"policy actions {missing} are not in the "
+                             "registry")
+        return None
+    arg = policy.partition(":")[2]
     if policy.startswith("fixed:"):
-        return "fixed", policy.split(":", 1)[1]
-    if policy.startswith("octree:"):
-        depth = policy.split(":", 1)[1]
-        if depth.isdecimal() and 1 <= int(depth) <= OCTREE_MAX_DEPTH:
-            return "octree", int(depth)
+        if arg not in registry.entries:
+            raise ValueError(f"model '{arg}' is not in the registry, which "
+                             f"holds {sorted(registry.entries)}")
+        return arg
+    if policy.startswith("octree:") and arg.isdecimal() \
+            and 1 <= int(arg) <= OCTREE_MAX_DEPTH:
+        return f"octree:{int(arg)}"
     raise ValueError(f"policy '{policy}' is not 'drl', 'fixed:<model>' or "
                      "'octree:<depth>' with an integer depth in "
                      f"[1, {OCTREE_MAX_DEPTH}]")
+
+
+class FrameGeometry:
+    """The geometry of one streamed frame: the full frame, the cloud that is
+    streamed of it (`roi`: the ROI selection, or the frame itself with ROI
+    off) and, per model, the outcome of one round trip.
+
+    Nothing here depends on a policy, a trace or a device, so one geometry
+    serves any number of replays. Round trips run when `trip` first asks
+    for a model, so a frame pays only for the models a replay picks.
+    """
+
+    def __init__(self, frame: PointCloud, roi: PointCloud, registry=None):
+        self.frame, self.roi, self.registry = frame, roi, registry
+        self._trips: dict[str, tuple] = {}
+
+    def trip(self, model_id: str) -> tuple[int, float, float, float, float]:
+        """(payload bytes, encode s, reference-device decode s, CD, HD) of
+        the streamed cloud through `model_id`, computed once per id. No
+        decoded point is kept.
+
+        A registry id cuts the cloud into blocks, round-trips them through
+        its model and charges the entry's `frame_costs`; CD and HD are
+        scored against the streamed cloud, what was meant to be sent.
+        `octree:<depth>` sends the cloud's octree stream, charged per point;
+        it is scored against the full frame. CD and HD are NaN when the
+        decode or its reference is empty.
+        """
+        if model_id not in self._trips:
+            if model_id.startswith("octree:"):
+                stream = octree_encode(self.roi, int(model_id.split(":")[1]))
+                decoded = octree_decode(stream).points.astype(np.float64)
+                costs = (len(stream),
+                         len(self.roi) * OCTREE_ENCODE_S_PER_POINT,
+                         len(decoded) * OCTREE_DECODE_S_PER_POINT)
+                truth = self.frame
+            else:
+                model = self.registry.model(model_id)
+                blocks, _ = chunk_blocks(self.roi.points, model.n_points)
+                decoded = np.empty((0, 3))
+                if len(blocks):
+                    norm, centroid, scale = normalize_block(blocks)
+                    rebuilt = decode(model, encode(model, norm))
+                    decoded = denormalize_block(rebuilt, centroid,
+                                                scale).reshape(-1, 3)
+                costs = self.registry.entries[model_id].frame_costs(
+                    len(blocks))
+                truth = self.roi
+            quality = chamfer_hausdorff(decoded, truth.points) \
+                if len(decoded) and len(truth) else (np.nan, np.nan)
+            self._trips[model_id] = (*costs, *quality)
+        return self._trips[model_id]
+
+
+def scene_geometry(scene: Scene, roi: str = "on",
+                   registry: ModelRegistry | None = None, seed: int = 0):
+    """Generator of one FrameGeometry per frame of the scene after the
+    first, each built when it is reached, so that a reader that drops the
+    last one holds one frame at a time. Frame 0 only seeds the flow
+    estimator; each frame and pose is read once.
+
+    With ROI on, frame t is culled to the camera that `predict_pose`
+    extrapolates from poses t-1 and t, and `select_roi` draws with seed
+    `seed * 100003 + t`. The first read raises ValueError, before it reads
+    a frame, when roi is not 'on' or 'off' or the scene has fewer than 2
+    frames or not one pose per frame.
+    """
+    if roi not in ("on", "off"):
+        raise ValueError("roi must be 'on' or 'off'")
+    if len(scene.frames) < 2:
+        raise ValueError("a session needs a scene of at least 2 frames")
+    if len(scene.poses) != len(scene.frames):
+        raise ValueError(f"a scene of {len(scene.frames)} frames needs one "
+                         f"pose per frame, got {len(scene.poses)} poses")
+    roi_cfg = RoiConfig()
+    prev, prev_pose = scene.frames[0], scene.poses[0]
+    for t in range(1, len(scene.frames)):
+        frame, pose = scene.frames[t], scene.poses[t]
+        streamed = frame
+        if roi == "on":
+            camera = Camera(predict_pose(prev_pose, pose), scene.intrinsics)
+            streamed = select_roi(frame, prev, camera, roi_cfg,
+                                  seed * 100003 + t).cloud
+        yield FrameGeometry(frame, streamed, registry)
+        prev, prev_pose = frame, pose
+
+
+def replay(geometry, policy: str, trace: NetworkTrace, device: DeviceModel,
+           registry: ModelRegistry | None = None,
+           policy_net: ActorCritic | None = None) -> list[FrameRecord]:
+    """The FrameRecords of streaming `geometry` under one policy, trace and
+    device. `geometry` is read once, in order; its items are FrameGeometry
+    records (or anything with `frame`, `roi` and `trip`), and item i is
+    recorded as frame i + 1, the numbering of `scene_geometry`.
+
+    The replay reads counts and `trip` results only, never a point. A
+    `fixed:` or `octree:` policy trips every frame through its one model;
+    `drl` starts from the most accurate model and then picks greedily from
+    the state window of the frames before. The device scales each trip's
+    reference decode time. The encoder runs frames back to back, a frame
+    starts sending once it is encoded and the link is free, and
+    `frame_timing` charges the rest. Raises ValueError, before it reads a
+    geometry, when the policy cannot run.
+    """
+    fixed = _parse_policy(policy, registry, policy_net)
+    model_id = fixed
+    if fixed is None:  # drl: start from the most accurate model
+        accuracy = registry.accuracy_table()
+        model_id = max(accuracy, key=accuracy.get)
+        window = StateWindow(policy_net.k)
+    records = []
+    clock_encode_end = clock_send_end = 0.0
+    for t, geo in enumerate(geometry, start=1):
+        if fixed is None and records:  # decide from the frames so far
+            model_id = policy_net.actions[
+                select_action(policy_net, window.state())]
+        payload, encode_s, reference_decode_s, cd, hd = geo.trip(model_id)
+        decode_s = device.decode_time(reference_decode_s)
+        clock_encode_end += encode_s
+        send_start = max(clock_send_end, clock_encode_end)
+        transmit_s, bandwidth, fps = frame_timing(payload, encode_s, decode_s,
+                                                  trace, send_start)
+        clock_send_end = send_start + transmit_s
+        records.append(FrameRecord(
+            frame_idx=t, input_points=len(geo.frame),
+            roi_points=len(geo.roi), payload_bytes=payload,
+            encode_s=encode_s, transmit_s=transmit_s, decode_s=decode_s,
+            cd=cd, hd=hd, model_id=model_id, bandwidth_mbps=bandwidth,
+            fps=fps, latency_s=encode_s + transmit_s + decode_s))
+        if fixed is None:
+            window.push(state_slot(len(geo.frame), len(geo.roi), decode_s,
+                                   bandwidth))
+    return records
 
 
 def run_session(scene: Scene, policy: str, trace: NetworkTrace,
@@ -492,113 +648,19 @@ def run_session(scene: Scene, policy: str, trace: NetworkTrace,
     """Stream every frame of a scene after the first through encode ->
     transmit -> decode, one frame at a time; cut the scene to stream fewer.
 
-    With ROI on, frame t is culled to the camera that `predict_pose`
-    extrapolates from poses t-1 and t.
-
-    Codec policies score CD/HD against the ROI selection (what was meant to
-    be sent); the octree baseline scores against the full frame. Frame
-    timing comes from `frame_timing`, shared with the scheduler's training
-    environment.
+    A session is a geometry pass and a replay over its counts:
+    `scene_geometry` yields each frame's FrameGeometry (ROI selection and
+    round trips), and `replay` turns them into records under the policy,
+    trace and device. Codec policies score CD/HD against the ROI selection
+    (what was meant to be sent); the octree baseline scores against the
+    full frame. Frame timing comes from `frame_timing`, shared with the
+    scheduler's training environment.
     """
-    kind, arg = _parse_policy(policy)
-    if kind in ("drl", "fixed") and registry is None:
-        raise ValueError("codec policies need a model registry")
-    if kind == "drl":
-        if policy_net is None:
-            raise ValueError("the drl policy needs a trained policy net")
-        missing = sorted(set(policy_net.actions) - set(registry.entries))
-        if missing:
-            raise ValueError(f"policy actions {missing} are not in the "
-                             "registry")
-    if kind == "fixed" and arg not in registry.entries:
-        raise ValueError(f"model '{arg}' is not in the registry, which "
-                         f"holds {sorted(registry.entries)}")
-    if roi not in ("on", "off"):
-        raise ValueError("roi must be 'on' or 'off'")
-    if len(scene.frames) < 2:  # frame 0 only seeds the flow estimator
-        raise ValueError("a session needs a scene of at least 2 frames")
-    if len(scene.poses) != len(scene.frames):
-        raise ValueError(f"a scene of {len(scene.frames)} frames needs one "
-                         f"pose per frame, got {len(scene.poses)} poses")
-    roi_cfg = RoiConfig()
-
-    records = []
-    clock_encode_end = 0.0
-    clock_send_end = 0.0
-    if kind == "fixed":
-        current_model = arg
-    elif kind == "drl":  # start from the most accurate model
-        accuracy = registry.accuracy_table()
-        current_model = max(accuracy, key=accuracy.get)
-        window = StateWindow(policy_net.k)
-    else:
-        current_model = None
-
-    # frame 0 seeds the flow estimator; each frame and pose is read once
-    prev, prev_pose = scene.frames[0], scene.poses[0]
-    for t in range(1, len(scene.frames)):
-        frame, pose = scene.frames[t], scene.poses[t]
-        frame_seed = seed * 100003 + t
-        if kind == "drl" and records:  # decide from the frames so far
-            current_model = policy_net.actions[
-                select_action(policy_net, window.state())]
-
-        if roi == "on":
-            camera = Camera(predict_pose(prev_pose, pose), scene.intrinsics)
-            roi_cloud = select_roi(frame, prev, camera, roi_cfg,
-                                   frame_seed).cloud
-        else:
-            roi_cloud = frame
-
-        if kind == "octree":
-            ground_truth = frame
-            stream = octree_encode(roi_cloud, arg)
-            payload = len(stream)
-            decoded = octree_decode(stream).points.astype(np.float64)
-            encode_s = len(roi_cloud) * OCTREE_ENCODE_S_PER_POINT
-            decode_s = device.decode_time(
-                len(decoded) * OCTREE_DECODE_S_PER_POINT)
-            model_id = f"octree:{arg}"
-        else:
-            ground_truth = roi_cloud
-            model = registry.model(current_model)
-            blocks, _ = chunk_blocks(roi_cloud.points, model.n_points)
-            if len(blocks):
-                norm, centroid, scale = normalize_block(blocks)
-                rebuilt = decode(model, encode(model, norm))
-                decoded = denormalize_block(rebuilt, centroid,
-                                            scale).reshape(-1, 3)
-            else:
-                decoded = np.empty((0, 3))
-            payload, encode_s, decode_s = \
-                registry.entries[current_model].frame_costs(len(blocks),
-                                                            device)
-            model_id = current_model
-
-        if len(decoded) and len(ground_truth):
-            cd, hd = chamfer_hausdorff(decoded, ground_truth.points)
-        else:
-            cd = hd = float("nan")
-
-        clock_encode_end += encode_s
-        send_start = max(clock_send_end, clock_encode_end)
-        transmit_s, bandwidth, fps = frame_timing(payload, encode_s, decode_s,
-                                                  trace, send_start)
-        clock_send_end = send_start + transmit_s
-        records.append(FrameRecord(
-            frame_idx=t, input_points=len(frame), roi_points=len(roi_cloud),
-            payload_bytes=int(payload), encode_s=encode_s,
-            transmit_s=transmit_s, decode_s=decode_s, cd=cd, hd=hd,
-            model_id=model_id, bandwidth_mbps=bandwidth, fps=fps,
-            latency_s=encode_s + transmit_s + decode_s))
-        if kind == "drl":
-            window.push(state_slot(len(frame), len(roi_cloud), decode_s,
-                                   bandwidth))
-        prev, prev_pose = frame, pose
-
+    records = replay(scene_geometry(scene, roi, registry, seed), policy,
+                     trace, device, registry, policy_net)
     config = {"policy": policy, "roi": roi, "trace": trace.tag,
               "device": device.name, "seed": seed,
-              "frames": len(scene.frames) - 1, "roi_cfg": vars(roi_cfg)}
+              "frames": len(scene.frames) - 1, "roi_cfg": vars(RoiConfig())}
     return StreamSession(records, config)
 
 
@@ -633,17 +695,18 @@ def pipeline_fps(encode_s: float, transmit_s: float, decode_s: float) -> float:
 class StreamingSchedulerEnv:
     """Lightweight frame-timing environment for scheduler training.
 
-    Charges each frame with the session timing model (`frame_costs`, then
-    `frame_timing`) and scores it with `scheduler.reward`, without
-    geometry, so episodes are cheap. Each episode draws a fresh seeded
-    trace around the configured mean and a fresh ROI-size profile. Each
-    charged frame is pushed to a `scheduler.StateWindow`, as sessions push
-    theirs, and `reset` and `step` return its read-only (3k,) state.
+    Charges each frame with the session timing model (`frame_costs`, decode
+    scaled to the device, then `frame_timing`) and scores it with
+    `scheduler.reward`, without geometry, so episodes are cheap. Each
+    episode draws a fresh seeded trace around the configured mean and a
+    fresh ROI-size profile. Each charged frame is pushed to a
+    `scheduler.StateWindow`, as sessions push theirs, and `reset` and
+    `step` return its read-only (3k,) state.
     """
 
     def __init__(self, registry: ModelRegistry, device: DeviceModel,
                  mean_bandwidth_mbps: float = 25.0, episode_len: int = 64,
-                 k: int = 8):
+                 k: int = DEFAULT_WINDOW):
         if episode_len < 1:
             raise ValueError("episode_len must be >= 1")
         self.entries = [registry.entries[k] for k in sorted(registry.entries)]
@@ -681,7 +744,8 @@ class StreamingSchedulerEnv:
                              f"[0, {len(self.entries)})")
         entry = self.entries[action]
         blocks = self._blocks()
-        payload, encode_s, decode_s = entry.frame_costs(blocks, self.device)
+        payload, encode_s, decode_s = entry.frame_costs(blocks)
+        decode_s = self.device.decode_time(decode_s)
         transmit_s, bandwidth, fps = frame_timing(payload, encode_s, decode_s,
                                                   self._trace, self._t)
         # every block is streamed: the ROI share of the points is 1

@@ -1,0 +1,26 @@
+"""Shared test helpers."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py, imported once under the private name
+    `perfbench_<name>`. The module goes into sys.modules before it runs, so
+    that its dataclasses can resolve their own module, and every later call
+    returns that one module."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key,
+                                                      PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[key]  # a later call retries the import
+            raise
+    return sys.modules[key]

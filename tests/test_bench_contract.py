@@ -7,21 +7,9 @@ routing a frame's work around a patch point. `test_imports.py` checks that
 every patch point exists.
 """
 
-import importlib.util
-from pathlib import Path
-
+from conftest import load_perfbench
 import pcvstream
 from pcvstream import codec, scheduler, sim
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def tiny_registry(root):
@@ -89,6 +77,35 @@ def test_traced_drl_decisions_fall_on_the_frames_they_serve(tmp_path):
     assert [rec.frame_idx for rec in session.records] == [1, 2, 3]
     frames = [s[4] for s in spans.spans if s[0] == "scheduler.policy"]
     assert frames == [2, 3]
+
+
+def test_a_replay_of_made_trips_records_no_geometry_span(tmp_path):
+    """Once a frame's trips are made, replaying it under any policy is
+    counts and timing only; each frame still sends once and ends at
+    `sim.pipeline_fps`."""
+    tracer = load_perfbench("tracer")
+    registry = tiny_registry(tmp_path)
+    scene = sim.generate_scene(rooms=1, frames=4, subject_points=150,
+                               background_points=1200, seed=5)
+    geometry = list(sim.scene_geometry(scene, "on", registry, seed=5))
+    for geo in geometry:
+        geo.trip("tiny")
+        geo.trip("octree:6")
+    net = scheduler.ActorCritic.create(actions=("tiny",), seed=5)
+    for policy in ("fixed:tiny", "octree:6", "drl"):
+        spans = tracer.Tracer()
+        with tracer.traced(pcvstream, spans):
+            records = sim.replay(geometry, policy,
+                                 sim.NetworkTrace.preset("4g", seed=5),
+                                 sim.DeviceModel.preset("device-3"),
+                                 registry, net)
+        names = [s[0] for s in spans.spans]
+        assert len(records) == len(geometry) == 3
+        for name in ("roi.select_roi", "codec.encode", "codec.decode",
+                     "codec.octree_encode", "cloud.nearest_distances"):
+            assert name not in names, (policy, name)
+        assert names.count("sim.transmit_time") == len(geometry)
+        assert names.count("sim.pipeline_fps") == len(geometry)
 
 
 def test_traced_scheduler_training_spans_one_per_step(tmp_path):

@@ -6,29 +6,12 @@ Running the same comparison here makes a signature change or an output
 change in pcvstream fail the tests, not only a benchmark run.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import load_perfbench
 
-
-def load_bench_module(name):
-    """Import perfbench/<name>.py under a private name. The module goes into
-    sys.modules before it runs, so that its dataclasses can resolve their
-    own module."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  BENCH_DIR / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = load_bench_module("workloads")
-reference = load_bench_module("reference")
+workloads = load_perfbench("workloads")
+reference = load_perfbench("reference")
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

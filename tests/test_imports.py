@@ -9,23 +9,15 @@ up.
 
 import ast
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+from conftest import load_perfbench
 import pcvstream
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "pcvstream").glob("*.py"))
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def imported_names(tree):
@@ -84,7 +76,7 @@ def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     patched = {attr.split(".")[0]
-               for module, attr, _ in load_tracer().PATCH_POINTS
+               for module, attr, _ in load_perfbench("tracer").PATCH_POINTS
                if module == path.stem}
     unused = [name for name in imported_names(tree)
               if name not in used and name not in patched]
@@ -94,7 +86,7 @@ def test_module_level_imports_are_used(path):
 def test_every_patch_point_resolves_through_vars():
     """`tracer.traced` resolves each point and swaps `vars(owner)[attr]`;
     a point that lookup cannot find fails the traced benchmark run."""
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
 
     def resolves(module, path):
         importlib.import_module(f"pcvstream.{module}")

@@ -1,15 +1,18 @@
+import dataclasses
 import hashlib
 import json
+import logging
 import math
 import re
 import struct
 import tracemalloc
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pcvstream.cloud import PointCloud
+from pcvstream.cloud import PointCloud, Pose
 from pcvstream.codec import (
     PruneConfig, lightweight_train, make_codec_model, mean_chamfer,
     quantize_model, serialize, toy_block_dataset, train,
@@ -111,10 +114,12 @@ def test_frame_timing_matches_its_parts():
 
 def test_frame_costs_scale_with_blocks():
     entry = RegistryEntry("8x8-q8", "unused.iscm", 64, 8, 2e-4, 1e-4, 0.05)
-    payload, encode_s, decode_s = entry.frame_costs(10, DeviceModel("x2", 2.0))
+    payload, encode_s, decode_s = entry.frame_costs(10)
     assert payload == 10 * (64 * 4 + 16)
     assert encode_s == pytest.approx(2e-3)
-    assert decode_s == pytest.approx(5e-4)  # twice the reference speed
+    assert decode_s == pytest.approx(1e-3)  # on the reference host
+    # a timeline scales decode to its device: twice the reference speed
+    assert DeviceModel("x2", 2.0).decode_time(decode_s) == pytest.approx(5e-4)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
@@ -691,6 +696,58 @@ def test_a_session_reads_each_frame_and_pose_once(roi):
     assert spied.records == plain.records
 
 
+@pytest.mark.parametrize("case", ["no registry", "no policy net", "roi"])
+def test_session_arguments_are_checked_before_a_frame_is_read(tmp_path, case):
+    registry = ModelRegistry(tmp_path, {"4x4-q8": RegistryEntry(
+        "4x4-q8", "unused.iscm", 16, 8, 1e-4, 1e-4, 0.05)})
+    policy, kwargs, message = {
+        "no registry": ("fixed:4x4-q8", {},
+                        "codec policies need a model registry"),
+        "no policy net": ("drl", {"registry": registry},
+                          "the drl policy needs a trained policy net"),
+        "roi": ("octree:4", {"roi": "maybe"}, "roi must be 'on' or 'off'"),
+    }[case]
+    scene = small_scene(frames=3)
+    frames, poses = SpySequence(scene.frames), SpySequence(scene.poses)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_session(Scene(frames, scene.subject_masks, poses,
+                          scene.intrinsics), policy, constant_trace(60.0),
+                    DeviceModel.preset("device-2"), **kwargs)
+    assert frames.reads == poses.reads == []
+
+
+def facing_away(scene):
+    """The scene with its viewer turned half a circle, to look out of the
+    room: every predicted frustum is empty."""
+    poses = [Pose(p.position, (0.0, 0.0, 1.0, 0.0), p.timestamp)
+             for p in scene.poses]
+    return Scene(scene.frames, scene.subject_masks, poses, scene.intrinsics)
+
+
+@pytest.mark.parametrize("policy, payload", [("fixed:tiny", 0),
+                                             ("octree:5", 18), ("drl", 0)])
+def test_an_empty_roi_streams_empty_frames(tmp_path, caplog, policy,
+                                           payload):
+    """A codec frame sends no block; the octree sends its 18-byte stream of
+    an empty cloud. Neither has a decode to score."""
+    tiny_files(tmp_path)
+    registry = ModelRegistry(tmp_path, {"tiny": RegistryEntry(
+        "tiny", "tiny.iscm", 16, 32, 1e-4, 5e-5, 0.05)})
+    net = ActorCritic.create(actions=("tiny",), seed=0)
+    with caplog.at_level(logging.WARNING, logger="pcvstream.roi"):
+        session = run_session(facing_away(small_scene(frames=4)), policy,
+                              constant_trace(60.0),
+                              DeviceModel.preset("device-2"),
+                              registry=registry, policy_net=net, roi="on",
+                              seed=1)
+    assert [rec.roi_points for rec in session.records] == [0, 0, 0]
+    assert [rec.payload_bytes for rec in session.records] == [payload] * 3
+    assert all(math.isnan(rec.cd) and math.isnan(rec.hd)
+               for rec in session.records)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"frame {t}: predicted frustum is empty" for t in (1, 2, 3)]
+
+
 def test_session_rejects_a_one_frame_scene():
     scene = small_scene(frames=2)
     one = Scene(scene.frames[:1], scene.subject_masks[:1], scene.poses[:1],
@@ -762,6 +819,84 @@ def test_drl_state_uses_the_policy_window(tmp_path):
                           DeviceModel.preset("device-2"), registry=registry,
                           policy_net=net, seed=1)
     assert [rec.model_id for rec in session.records] == ["tiny"] * 3
+
+
+# ---------------------------------------------------------------------------
+# geometry and replay
+
+def csv_bytes(records, tmp_path):
+    """The CSV rows of a record list, as a session writes them."""
+    path = tmp_path / "records.csv"
+    sim.StreamSession(records, {}).to_csv(path)
+    return path.read_bytes()
+
+
+def test_one_geometry_replays_as_run_session_in_every_cell(tmp_path,
+                                                           monkeypatch):
+    registry = toy_registry(tmp_path)
+    scene = small_scene(frames=4)
+    cells = [(f"fixed:{model_id}", trace, device)
+             for model_id in sorted(registry.entries)
+             for trace in (NetworkTrace.preset("3g", seed=2),
+                           NetworkTrace.preset("4g", seed=2))
+             for device in (DeviceModel.preset("device-1"),
+                            DeviceModel.preset("device-3"))]
+    sessions = [run_session(scene, *cell, registry=registry, roi="on",
+                            seed=2) for cell in cells]
+    geometry = list(sim.scene_geometry(scene, "on", registry, seed=2))
+    encoded = []
+
+    def counted(model, blocks, encode=sim.encode):
+        encoded.append(model)
+        return encode(model, blocks)
+
+    monkeypatch.setattr(sim, "encode", counted)
+    for cell, session in zip(cells, sessions):
+        records = sim.replay(geometry, *cell, registry)
+        assert csv_bytes(records, tmp_path) == \
+            csv_bytes(session.records, tmp_path), cell
+    # each (frame, model) round trip ran once across the four replays
+    assert len(encoded) == len(geometry) * len(registry.entries)
+
+
+def test_a_drl_replay_decides_from_counts_alone(tmp_path):
+    """Geometry that keeps only point counts and trips without quality
+    yields the same decisions, payloads and timings: the scheduler reads no
+    decoded point."""
+    registry = toy_registry(tmp_path)
+    net = ActorCritic.create(actions=tuple(sorted(registry.entries)), k=3,
+                             hidden=8, seed=3)
+    scene = small_scene(frames=6)
+    trace, device = NetworkTrace.preset("3g", seed=2), \
+        DeviceModel.preset("device-1")
+    geometry = list(sim.scene_geometry(scene, "on", registry, seed=2))
+    counts_only = [SimpleNamespace(
+        frame=range(len(g.frame)), roi=range(len(g.roi)),
+        trip=lambda model_id, g=g: (*g.trip(model_id)[:3], math.nan,
+                                    math.nan)) for g in geometry]
+    real = sim.replay(geometry, "drl", trace, device, registry, net)
+    blind = sim.replay(counts_only, "drl", trace, device, registry, net)
+    assert real == run_session(scene, "drl", trace, device, registry, net,
+                               roi="on", seed=2).records
+    assert len({rec.model_id for rec in real}) == 2  # decisions change
+    for full, counts in zip(real, blind, strict=True):
+        assert math.isnan(counts.cd) and math.isnan(counts.hd)
+        assert dataclasses.replace(counts, cd=full.cd, hd=full.hd) == full
+
+
+@pytest.mark.parametrize("roi", ["on", "off"])
+@pytest.mark.parametrize("policy", ["fixed:4x4-q8", "octree:5"])
+def test_a_replay_of_the_scene_geometry_is_the_session(tmp_path, policy, roi):
+    registry = toy_registry(tmp_path, latents=(16,))
+    scene = small_scene(frames=4)
+    trace, device = NetworkTrace.preset("4g", seed=3), \
+        DeviceModel.preset("device-2")
+    session = run_session(scene, policy, trace, device, registry=registry,
+                          roi=roi, seed=3)
+    records = sim.replay(sim.scene_geometry(scene, roi, registry, seed=3),
+                         policy, trace, device, registry)
+    assert csv_bytes(records, tmp_path) == csv_bytes(session.records,
+                                                     tmp_path)
 
 
 # ---------------------------------------------------------------------------
