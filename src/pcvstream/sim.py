@@ -180,6 +180,12 @@ class RegistryEntry:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"model '{self.model_id}': {name} must be "
                                  f"{what}, got {value!r}")
+        # the registry opens root / file, which must stay under root
+        file = Path(self.file)
+        if file.is_absolute() or ".." in file.parts:
+            raise ValueError(f"model '{self.model_id}': file must be a "
+                             f"relative path without '..', got "
+                             f"{self.file!r}")
         if self.latent_dim < 1:
             raise ValueError(f"model '{self.model_id}': latent_dim must be "
                              f">= 1, got {self.latent_dim}")
@@ -216,7 +222,7 @@ class ModelRegistry:
     def __init__(self, root, entries=None):
         self.root = Path(root)
         self.entries: dict[str, RegistryEntry] = dict(entries or {})
-        self._cache: dict[str, CodecModel] = {}
+        self._loaded: tuple[str, CodecModel] | None = None
 
     def add(self, entry: RegistryEntry) -> None:
         self.entries[entry.model_id] = entry
@@ -228,10 +234,12 @@ class ModelRegistry:
             {k: e.test_cd for k, e in self.entries.items()})
 
     def model(self, model_id: str) -> CodecModel:
-        """The entry's model file, loaded once. Raises ValueError when the
-        file's latent size or bit width differs from the entry's, which
-        sets the bytes charged per block."""
-        if model_id not in self._cache:
+        """The entry's model, loaded from its file. Only the model served
+        last stays resident: asking for another id reloads and re-checks
+        that id's file, then drops the model held before. Raises ValueError
+        when the file's latent size or bit width differs from the entry's,
+        which sets the bytes charged per block."""
+        if self._loaded is None or self._loaded[0] != model_id:
             entry = self.entries[model_id]
             model = deserialize(self.root / entry.file)
             found = (model.latent_dim, DTYPE_BITS[model.dtype])
@@ -241,8 +249,8 @@ class ModelRegistry:
                     f"{entry.latent_dim} and bits {entry.bits}, but "
                     f"{entry.file} holds latent_dim {found[0]} and bits "
                     f"{found[1]}")
-            self._cache[model_id] = model
-        return self._cache[model_id]
+            self._loaded = (model_id, model)
+        return self._loaded[1]
 
     def save(self) -> None:
         payload = {
@@ -282,24 +290,29 @@ class ModelRegistry:
 
 class LazySequence(Sequence):
     """Read-only sequence of n items whose item i is `build(i)`, built anew
-    on every read. Indices and slices work as on a list; a slice returns a
-    list."""
+    on every read. Indices work as on a list. A slice is a LazySequence
+    over the picked indices of `build`, as slicing a range gives a range.
+
+    It keeps `build` and a range, never an item: what stays resident is
+    whatever `build` holds, for a slice too."""
 
     def __init__(self, n: int, build):
-        self._n = n
+        self._indices = range(n)
         self._build = build
 
     def __len__(self):
-        return self._n
+        return len(self._indices)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._build(i) for i in range(*index.indices(self._n))]
+            cut = LazySequence(0, self._build)
+            cut._indices = self._indices[index]
+            return cut
         i = operator.index(index)
-        if not -self._n <= i < self._n:
+        if not -len(self) <= i < len(self):
             raise IndexError(f"index {index} is out of range for "
-                             f"{self._n} items")
-        return self._build(i % self._n)
+                             f"{len(self)} items")
+        return self._build(self._indices[i])
 
 
 @dataclass
@@ -309,7 +322,10 @@ class Scene:
     `frames` and `poses` are lists or any sequence. From `generate_scene`
     they are `LazySequence`s that build a frame's float32 points, or a
     camera pose, each time it is read, and the frames of a room share one
-    read-only subject mask.
+    read-only subject mask. What a scene keeps resident is then its rooms'
+    state and its masks, not its frames, also when it is built from slices
+    of another scene's sequences: `Scene(scene.frames[:k], ...)` keeps
+    every room of `scene`, and builds none of its k frames until read.
     """
 
     frames: Sequence        # PointCloud per frame, float32 points
@@ -367,7 +383,8 @@ def generate_scene(rooms: int = 5, frames: int = 100,
     room. Subject masks double as flow ground truth (background is static).
 
     The scene keeps each room's state, drawn here: its background, cast
-    once to float32, its subject and its seeded paths. Frames and poses
+    once to float32, its subject and its seeded paths, about 264 KB for a
+    room of the default sizes, plus one mask per room. Frames and poses
     draw nothing and are built each time they are read: a frame's points
     are written once, as float32, into the array its PointCloud keeps, the
     subject moved to its centre, summed in float64 and rounded once. The

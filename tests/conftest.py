@@ -2,7 +2,10 @@
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
+
+from pcvstream.sim import generate_scene
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,3 +27,17 @@ def load_perfbench(name):
             del sys.modules[key]  # a later call retries the import
             raise
     return sys.modules[key]
+
+
+def traced_bytes(fn):
+    """(fn(), kept, peak): the bytes that tracemalloc sees fn's run keep
+    while its result is alive, and the most it held at once. numpy's
+    first-call set-up runs before tracing starts, so it is not counted."""
+    generate_scene(rooms=1, frames=2, seed=1).frames[0]
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak

@@ -5,13 +5,15 @@ import logging
 import math
 import re
 import struct
-import tracemalloc
+import weakref
 from collections.abc import Sequence
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import load_perfbench, traced_bytes
 from pcvstream.cloud import PointCloud, Pose
 from pcvstream.codec import (
     PruneConfig, lightweight_train, make_codec_model, mean_chamfer,
@@ -316,32 +318,24 @@ def test_generate_scene_bytes_are_pinned():
         assert scene_digests(generate_scene(**config)) == digests, config
 
 
+# the bytes of one default frame's float32 points
+FRAME_BYTES = 20000 * 3 * np.dtype(np.float32).itemsize
+
+
 def test_generate_scene_room_keeps_under_two_frames_and_peaks_under_four():
     """A room keeps its float32 background and its subject, not its frames.
     The peak is its background's float64 surfaces and their
     concatenation."""
-    frame_bytes = 20000 * 3 * np.dtype(np.float32).itemsize
-    generate_scene(rooms=1, frames=2, seed=1)  # numpy's first-call set-up
-    tracemalloc.start()
-    try:
-        scene = generate_scene(rooms=1, frames=24, seed=3)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    scene, kept, peak = traced_bytes(
+        lambda: generate_scene(rooms=1, frames=24, seed=3))
     assert len(scene.frames) == 24
     assert all(f.points.dtype == np.float32 for f in scene.frames)
-    assert kept < 2 * frame_bytes, kept / frame_bytes
-    assert peak < 4 * frame_bytes, peak / frame_bytes
+    assert kept < 2 * FRAME_BYTES, kept / FRAME_BYTES
+    assert peak < 4 * FRAME_BYTES, peak / FRAME_BYTES
 
 
 def test_a_default_scene_keeps_under_two_megabytes():
-    generate_scene(rooms=1, frames=2, seed=1)  # numpy's first-call set-up
-    tracemalloc.start()
-    try:
-        scene = generate_scene()
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    scene, kept, _ = traced_bytes(generate_scene)
     assert len(scene.frames) == len(scene.poses) == 500
     assert kept < 2_000_000, kept
 
@@ -359,11 +353,24 @@ def test_lazy_sequence_reads_like_a_list():
     assert len(seq) == 5 and not built
     assert (seq[0], seq[4], seq[-1], seq[-5], seq[np.int64(2)]) == \
         (0, 40, 40, 0, 20)
-    for cut in (slice(None), slice(1, 4), slice(None, None, 2),
-                slice(None, None, -2), slice(4, 0, -3), slice(-2, None),
-                slice(3, 1), slice(7, 9)):
-        assert type(seq[cut]) is list
-        assert seq[cut] == items[cut], cut
+    cuts = (slice(None), slice(1, 4), slice(None, None, 2),
+            slice(None, None, -2), slice(4, 0, -3), slice(-2, None),
+            slice(3, 1), slice(7, 9))
+    for cut in cuts:
+        built.clear()
+        part = seq[cut]
+        assert type(part) is sim.LazySequence
+        assert len(part) == len(items[cut])
+        assert not built, cut  # a slice builds nothing until read
+        assert list(part) == items[cut], cut
+        assert list(reversed(part)) == items[cut][::-1], cut
+        for inner in cuts:  # a slice of a slice
+            assert type(part[inner]) is sim.LazySequence
+            assert list(part[inner]) == items[cut][inner], (cut, inner)
+        for i in range(-len(part), len(part)):
+            assert part[i] == items[cut][i], (cut, i)
+        with pytest.raises(IndexError):
+            part[len(part)]
     assert list(seq) == items
     assert list(reversed(seq)) == items[::-1]
     assert 30 in seq and seq.index(30) == 3
@@ -375,6 +382,42 @@ def test_lazy_sequence_reads_like_a_list():
             seq[bad]
     with pytest.raises(TypeError):
         seq[0] = 1
+
+
+def test_a_cut_scene_keeps_its_room_not_its_frames(monkeypatch):
+    """A scene cut to its first two frames keeps the room's state, under
+    1.5 frames' bytes, builds a frame only when one is read, and reads the
+    uncut scene's frames and poses."""
+    built = []
+    point_cloud = sim.PointCloud
+
+    def counted(*args, **kwargs):
+        cloud = point_cloud(*args, **kwargs)
+        built.append(cloud.frame_index)
+        return cloud
+
+    def cut():
+        scene = generate_scene(rooms=1, frames=24, seed=3)
+        return Scene(scene.frames[:2], scene.subject_masks[:2],
+                     scene.poses[:2], scene.intrinsics)
+
+    monkeypatch.setattr(sim, "PointCloud", counted)
+    scene, kept, _ = traced_bytes(cut)
+    assert built == [0]  # the helper's warm-up frame, not the cut's
+    built.clear()
+    assert kept < 1.5 * FRAME_BYTES, kept / FRAME_BYTES
+    assert len(scene.frames) == len(scene.poses) == 2 and built == []
+    uncut = generate_scene(rooms=1, frames=24, seed=3)
+    for i in range(2):
+        a, b = scene.frames[i], uncut.frames[i]
+        assert a.frame_index == b.frame_index == i
+        assert a.points.dtype == b.points.dtype == np.float32
+        assert a.points.tobytes() == b.points.tobytes()
+        p, q = scene.poses[i], uncut.poses[i]
+        assert p.position.tobytes() == q.position.tobytes()
+        assert p.orientation.tobytes() == q.orientation.tobytes()
+        assert p.timestamp == q.timestamp
+    assert built == [0, 0, 1, 1]
 
 
 def test_generated_frames_and_poses_are_the_same_on_every_read():
@@ -503,6 +546,82 @@ def test_registry_model_rejects_an_entry_that_disagrees_with_its_file(
     with pytest.raises(ValueError, match=f"model 'm': .* latent_dim {latent} "
                        f"and bits {bits}, but {file} holds latent_dim 16"):
         registry.model("m")
+
+
+@pytest.mark.parametrize("file", ["/etc/passwd", "../x.iscm",
+                                  "models/../../x.iscm"])
+def test_a_model_file_outside_the_registry_root_is_rejected(tmp_path, file):
+    """The registry opens root / file: an absolute path or a '..' part
+    would open a file outside the root."""
+    message = (f"model '4x4-q8': file must be a relative path without "
+               f"'..', got {file!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RegistryEntry("4x4-q8", file, 16, 8, 1e-4, 1e-4, 0.05)
+    ModelRegistry(tmp_path, {"4x4-q8": RegistryEntry(
+        "4x4-q8", "models/4x4-q8.iscm", 16, 8, 1e-4, 1e-4, 0.05)}).save()
+    path = tmp_path / "registry.json"
+    stored = json.loads(path.read_text())
+    stored["models"]["4x4-q8"]["file"] = file
+    path.write_text(json.dumps(stored))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelRegistry.load(tmp_path)
+
+
+def test_the_registry_keeps_only_the_model_it_served_last(tmp_path):
+    tiny_files(tmp_path)
+    registry = ModelRegistry(tmp_path, {
+        "a": RegistryEntry("a", "tiny.iscm", 16, 32, 1e-4, 5e-5, 0.05),
+        "b": RegistryEntry("b", "tiny-q8.iscm", 16, 8, 1e-4, 5e-5, 0.05)})
+    first = weakref.ref(registry.model("a"))
+    assert registry.model("a") is first()  # served again, not reloaded
+    assert registry.model("b").dtype == "q8"
+    assert first() is None
+
+
+def test_a_registry_that_loaded_every_bench_model_keeps_under_two_megabytes(
+        tmp_path):
+    """The benchmark's six models take 8.5 MB loaded; the registry keeps
+    one of them."""
+    workloads = load_perfbench("workloads")
+
+    def load_all():
+        registry = workloads.build_registry(tmp_path)
+        for model_id in sorted(registry.entries):
+            registry.model(model_id)
+        return registry
+
+    registry, kept, _ = traced_bytes(load_all)
+    assert len(registry.entries) == 6
+    assert kept < 2_000_000, kept
+
+
+def test_sessions_that_alternate_models_share_a_registry(tmp_path,
+                                                         monkeypatch):
+    """Sessions on one registry give the records that fresh registries
+    give, and each switch of model loads its file once."""
+    toy_registry(tmp_path)
+    scene = small_scene(frames=4)
+    policies = ["fixed:4x4-q8", "fixed:8x8-q8", "fixed:4x4-q8",
+                "fixed:8x8-q8"]
+
+    def records(policy, registry):
+        return run_session(scene, policy, constant_trace(25.0),
+                           DeviceModel.preset("device-2"), registry,
+                           seed=1).records
+
+    fresh = [records(p, ModelRegistry.load(tmp_path)) for p in policies]
+    loads = []
+    deserialize = sim.deserialize
+
+    def spy(path):
+        loads.append(Path(path).name)
+        return deserialize(path)
+
+    monkeypatch.setattr(sim, "deserialize", spy)
+    shared = ModelRegistry.load(tmp_path)
+    assert [records(p, shared) for p in policies] == fresh
+    assert loads == ["4x4-q8.iscm", "8x8-q8.iscm", "4x4-q8.iscm",
+                     "8x8-q8.iscm"]
 
 
 # ---------------------------------------------------------------------------
