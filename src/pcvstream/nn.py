@@ -12,6 +12,12 @@ points. The loss and the rotation helpers take (B, ...) stacks only: B
 point sets (B, n, 3) with B angles (B, 3), one result per sample; a single
 sample is a one-sample stack (`x[None]`), and any other shape raises
 ValueError.
+
+The assignment solver (`scipy.optimize`) is imported by the first
+`emd_loss` call, not with this module. Only training computes the loss,
+and a stream process never trains: loading the solver there would cost it
+about 11.5 MB of resident memory and 146 scipy modules. So the first loss
+call in a process pays for the import, about 0.1 s.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -192,7 +197,12 @@ def emd_loss(pred: np.ndarray, target: np.ndarray):
     vectors along each matched pair. Two (B, n, 3) stacks give the (B,)
     per-sample losses and the (B, n, 3) gradients, with one assignment
     solved per sample.
+
+    The solver is imported here, so the first call in a process also pays
+    for loading `scipy.optimize` (see the module docstring).
     """
+    from scipy.optimize import linear_sum_assignment
+
     pred = as_stack(pred, ("B", "n", 3))
     target = as_stack(target, ("B", "n", 3))
     if pred.shape != target.shape:

@@ -78,6 +78,10 @@ class NetworkTrace:
             raise ValueError("trace timestamps must be non-decreasing")
         if np.any(b <= 0):
             raise ValueError("trace bandwidth must be positive")
+        # sessions and the scheduler's environment start their clocks at 0,
+        # and no rate is defined before the first timestamp
+        if t[0] != 0.0:
+            raise ValueError(f"trace times must start at 0, got {t[0]}")
         t.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "times", t)

@@ -60,6 +60,13 @@ def test_trace_rejects_non_finite_values(bad):
             NetworkTrace(np.array(times), np.array(mbps))
 
 
+def test_trace_rejects_a_first_timestamp_other_than_zero():
+    # it would bill the time before 1.0 s at the first segment's rate
+    with pytest.raises(ValueError, match="trace times must start at 0, "
+                                         "got 1.0"):
+        NetworkTrace(np.array([1.0, 2.0]), np.array([5.0, 6.0]))
+
+
 def test_transmit_time_zero_payload():
     trace = constant_trace(50.0)
     assert transmit_time(0, trace) == 0.0
