@@ -13,8 +13,9 @@ The network has one shape: a shared per-point MLP encoder, max-pooled over
 the block's points (PointNet, Qi et al., CVPR 2017), and an MLP decoder to
 n_points * 3 coordinates, each a list of dense layers run by `nn.forward`.
 The layers are the model's one description: its latent and block sizes
-are read from their last layers, and `serialize` and `deserialize` are the
-one writer and reader of its file, whose format `deserialize` documents.
+are read from their last layers, a q8/q16 model's codes are derived from
+them when it is written, and `serialize` and `deserialize` are the one
+writer and reader of its file, whose format `deserialize` documents.
 """
 
 from __future__ import annotations
@@ -96,12 +97,12 @@ class PruneConfig:
 @dataclass
 class CodecModel:
     """Encoder and decoder dense layers; `latent_dim` and `n_points` are
-    read from their last layers, so the layers hold the one shape."""
+    read from their last layers, so the layers hold the one shape. A q8/q16
+    model's layers hold its codes dequantized; `serialize` re-derives them."""
 
     encoder: list[Layer]
     decoder: list[Layer]
     dtype: str = "f32"
-    quant_meta: list | None = None  # per dense layer, encoder then decoder
 
     @property
     def latent_dim(self) -> int:
@@ -282,8 +283,12 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
     (momentum SGD stalls well short of convergence on the matching loss).
     A batch runs as stacks: one forward and one backward per network, one
     stacked rotation and one loss call; only the EMD assignment is solved
-    sample by sample.
+    sample by sample. Only an f32 model trains (ValueError otherwise): a
+    q8/q16 model's weights stay on the code grid `serialize` derives its
+    codes from.
     """
+    if model.dtype != "f32":
+        raise ValueError("train expects an f32 model")
     data = as_stack(dataset, ("S", model.n_points, 3))
     n_samples = data.shape[0]
     rng = np.random.default_rng(seed)
@@ -392,9 +397,10 @@ def quantize_weights(tensor, m: int):
     flat = np.asarray(tensor, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("empty tensor")
-    if not np.isfinite(flat).all():
-        raise ValueError("tensor holds non-finite values")
+    # a NaN makes both NaN, an infinity one of them
     mn, mx = float(flat.min()), float(flat.max())
+    if not (math.isfinite(mn) and math.isfinite(mx)):
+        raise ValueError("tensor holds non-finite values")
     meta = {"min": mn, "max": mx, "bits": m}
     if mx == mn:
         return np.zeros(flat.size, _STORED[f"q{m}"]), meta
@@ -402,8 +408,10 @@ def quantize_weights(tensor, m: int):
     if not (math.isfinite(mx - mn) and math.isfinite(q)):
         raise ValueError(f"tensor range [{mn!r}, {mx!r}] has no finite "
                          f"{m}-bit step")
-    codes = np.round(q * (flat - mn)).astype(np.int64)
-    return np.clip(codes, 0, 2 ** m - 1).astype(_STORED[f"q{m}"]), meta
+    scaled = flat - mn  # one float64 buffer, scaled and rounded in place
+    scaled *= q
+    np.clip(np.rint(scaled, out=scaled), 0, 2 ** m - 1, out=scaled)
+    return scaled.astype(_STORED[f"q{m}"]), meta
 
 
 def dequantize(codes, meta) -> np.ndarray:
@@ -416,21 +424,17 @@ def dequantize(codes, meta) -> np.ndarray:
 
 def quantize_model(model: CodecModel, m: int) -> None:
     """Quantize every dense layer in place to m bits, weights and bias as
-    one affine tensor (`quantize_weights`), and keep the codes in
-    `model.quant_meta`. Weights that were zero (pruned) stay exactly zero."""
-    metas = []
+    one affine tensor (`quantize_weights`), and keep the dequantized values
+    in the layers; `serialize` quantizes them again to the same codes.
+    Weights that were zero (pruned) stay exactly zero."""
     for layer in model.dense_layers():
         kept = layer.weights != 0.0
         params = np.concatenate([layer.weights.ravel(), layer.bias])
-        codes, meta = quantize_weights(params, m)
-        meta["codes"] = codes
-        metas.append(meta)
-        restored = dequantize(codes, meta)
+        restored = dequantize(*quantize_weights(params, m))
         n_w = layer.weights.size
         layer.weights = restored[:n_w].reshape(layer.weights.shape)
         layer.bias = restored[n_w:]
         layer.weights *= kept
-    model.quant_meta = metas
     model.dtype = f"q{m}"
 
 
@@ -496,11 +500,12 @@ def lightweight_train(model: CodecModel, dataset, prune_cfg: PruneConfig,
 def serialize(model: CodecModel, path) -> None:
     """Write a codec model in the format documented in `deserialize`.
 
-    A value to store that is not finite as float32 (an f32 parameter, a
-    q8/q16 min or max) raises ValueError naming its layer before the path
-    is opened. Quantized metadata is stored at f32 precision, so weights
-    reloaded from disk can differ from the in-memory model by one metadata
-    ulp.
+    A q8/q16 layer's codes are derived here, by `quantize_weights` of its
+    parameters, which gives back the codes `quantize_model` dequantized. A
+    parameter not finite as float32 (so also a min or max) raises
+    ValueError naming its layer before the path is opened. Quantized
+    metadata is stored at f32 precision, so weights reloaded from disk can
+    differ from the in-memory model by one metadata ulp.
     """
     layers = model.dense_layers()
     parts = [_HEAD.pack(MAGIC, FORMAT_VERSION, _DTYPE_CODES[model.dtype],
@@ -508,19 +513,16 @@ def serialize(model: CodecModel, path) -> None:
              struct.pack(f"<{len(layers)}I",
                          *(layer.weights.shape[0] for layer in layers))]
     for index, layer in enumerate(layers):
-        if model.dtype == "f32":
-            values = np.concatenate([layer.weights.ravel(), layer.bias])
-            codes = b""
-        else:
-            meta = model.quant_meta[index]
-            values = np.array([meta["min"], meta["max"]])
-            codes = np.asarray(meta["codes"], _STORED[model.dtype]).tobytes()
+        values = np.concatenate([layer.weights.ravel(), layer.bias])
         with np.errstate(over="ignore"):  # past the f32 range: inf, refused
             stored = values.astype(_STORED["f32"])
         if not np.isfinite(stored).all():
             raise ValueError(f"layer {index}: {model.dtype} values not "
                              "finite as float32")
-        parts += [stored.tobytes(), codes]
+        if model.dtype != "f32":  # its f32 min and max, then its codes
+            stored, meta = quantize_weights(values, DTYPE_BITS[model.dtype])
+            parts.append(struct.pack("<ff", meta["min"], meta["max"]))
+        parts.append(stored.tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -576,7 +578,7 @@ def deserialize(path) -> CodecModel:
     if len(data) != size:
         raise CodecFormatError(f"file of {len(data)} bytes, but its header "
                                f"fixes {size}")
-    layers, metas = [], []
+    layers = []
     for index, ((rows, cols), n_params) in enumerate(zip(shapes, sizes)):
         stored = np.frombuffer(data, _STORED[dtype], n_params, off + lead)
         if dtype == "f32":
@@ -590,9 +592,7 @@ def deserialize(path) -> CodecModel:
             if not -math.inf < mn <= mx < math.inf:
                 raise CodecFormatError(f"layer {index}: {dtype} min {mn} and "
                                        f"max {mx} must be finite, min <= max")
-            meta = {"min": mn, "max": mx, "bits": DTYPE_BITS[dtype],
-                    "codes": stored}
-            metas.append(meta)
+            meta = {"min": mn, "max": mx, "bits": DTYPE_BITS[dtype]}
             params = dequantize(stored, meta)
             # weights at the code nearest zero are taken as pruned zeros
             if mn < 0.0 < mx:
@@ -601,7 +601,7 @@ def deserialize(path) -> CodecModel:
         layers.append(Layer(params[:rows * cols].reshape(rows, cols),
                             params[rows * cols:]))
         off += lead + stored.nbytes
-    return CodecModel(layers[:n_enc], layers[n_enc:], dtype, metas or None)
+    return CodecModel(layers[:n_enc], layers[n_enc:], dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,15 @@ class NetworkTrace:
                                             size=len(t)))
         return cls(t, bw, tag)
 
+    def segment(self, t: float) -> int:
+        """Index of the segment holding t; t < 0 or NaN raises ValueError."""
+        if not t >= 0.0:
+            raise ValueError(f"trace time must be >= 0, got {t}")
+        return int(np.searchsorted(self.times, t, side="right")) - 1
+
     def bandwidth_at(self, t: float) -> float:
         """Bandwidth of the segment containing t (last segment extends)."""
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.bandwidth_mbps[max(0, i)])
+        return float(self.bandwidth_mbps[self.segment(t)])
 
 
 def transmit_time(payload_bytes: float, trace: NetworkTrace,
@@ -119,21 +124,15 @@ def transmit_time(payload_bytes: float, trace: NetworkTrace,
     if payload_bytes < 0:
         raise ValueError("payload must be non-negative")
     bits = payload_bytes * 8.0
-    if bits == 0.0:
-        return 0.0
     t = start_t
-    while True:
-        i = int(np.searchsorted(trace.times, t, side="right")) - 1
-        rate = float(trace.bandwidth_mbps[max(0, i)]) * 1e6
-        if i + 1 >= len(trace.times):
-            return t - start_t + bits / rate
+    for i in range(trace.segment(start_t), len(trace.times) - 1):
+        rate = float(trace.bandwidth_mbps[i]) * 1e6
         seg_end = float(trace.times[i + 1])
-        window = max(0.0, seg_end - t)
-        capacity = rate * window
+        capacity = rate * (seg_end - t)
         if bits <= capacity:
             return t - start_t + bits / rate
-        bits -= capacity
-        t = seg_end
+        bits, t = bits - capacity, seg_end
+    return t - start_t + bits / (float(trace.bandwidth_mbps[-1]) * 1e6)
 
 
 @dataclass(frozen=True)

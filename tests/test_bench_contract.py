@@ -7,6 +7,9 @@ routing a frame's work around a patch point. `test_imports.py` checks that
 every patch point exists.
 """
 
+import numpy as np
+import pytest
+
 from conftest import load_perfbench
 import pcvstream
 from pcvstream import codec, scheduler, sim
@@ -177,3 +180,24 @@ def test_a_bench_scene_builds_only_the_frames_it_keeps(monkeypatch):
                     sim.NetworkTrace.preset(workloads.TRACE_PRESET, seed=3),
                     sim.DeviceModel.preset(workloads.DEVICE), seed=3)
     assert sorted(built) == list(range(keep))
+
+
+@pytest.mark.parametrize("model_id",
+                         sorted(load_perfbench("workloads").REGISTRY))
+def test_bench_quantize_is_quantize_model(tmp_path, model_id):
+    """`workloads._quantize` repeats `codec.quantize_model` for the
+    benchmark's registry: both give the same layers and file bytes."""
+    workloads = load_perfbench("workloads")
+    latent, bits = workloads.REGISTRY[model_id][:2]
+    bench, want = (codec.make_codec_model(latent, workloads.BLOCK_POINTS,
+                                          seed=latent) for _ in range(2))
+    workloads._quantize(bench, bits)
+    codec.quantize_model(want, bits)
+    assert bench.dtype == want.dtype == f"q{bits}"
+    for got, exp in zip(bench.dense_layers(), want.dense_layers()):
+        np.testing.assert_array_equal(got.weights, exp.weights)
+        np.testing.assert_array_equal(got.bias, exp.bias)
+    codec.serialize(bench, tmp_path / "bench.iscm")
+    codec.serialize(want, tmp_path / "want.iscm")
+    assert (tmp_path / "bench.iscm").read_bytes() == \
+        (tmp_path / "want.iscm").read_bytes()

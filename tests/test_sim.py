@@ -100,6 +100,29 @@ def test_transmit_time_monotone_properties():
             transmit_time(int(s), trace, 2.0) + 1e-12
 
 
+def test_transmit_time_skips_a_zero_length_segment():
+    # the 999 Mbps segment at 1 s lasts no time and carries nothing
+    trace = NetworkTrace(np.array([0.0, 1.0, 1.0]),
+                         np.array([50.0, 999.0, 100.0]))
+    assert transmit_time(12_500_000, trace) == \
+        1.0 + (12_500_000 * 8 - 50e6) / 100e6
+    assert transmit_time(12_500_000, trace, start_t=1.0) == \
+        12_500_000 * 8 / 100e6
+    assert trace.bandwidth_at(1.0) == 100.0
+
+
+@pytest.mark.parametrize("t", [-1.0, -5.0, -1e-300, math.nan])
+def test_trace_times_before_zero_raise(t):
+    """Unchecked, the time before 0 is billed at the first segment's rate:
+    transmit_time(1_250_000, trace, start_t=-1.0) reads 1.0 s and
+    bandwidth_at(-5.0) reads 10.0."""
+    trace = NetworkTrace(np.array([0.0, 1.0]), np.array([10.0, 100.0]))
+    with pytest.raises(ValueError, match=r"^trace time must be >= 0, got "):
+        transmit_time(1_250_000, trace, start_t=t)
+    with pytest.raises(ValueError, match=r"^trace time must be >= 0, got "):
+        trace.bandwidth_at(t)
+
+
 def test_transmit_time_extends_last_sample():
     trace = NetworkTrace(np.array([0.0, 1.0]), np.array([80.0, 10.0]))
     # starting beyond the trace end uses the final rate indefinitely
