@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._util import check_count, check_positive
+
 # cKDTree build options for queries that search open space. The tree splits
 # at sliding midpoints and keeps full-size node boxes (not balanced, not
 # compact): a query far from the data then visits far fewer leaves
@@ -98,8 +100,7 @@ class PointCloud:
                 raise ValueError("color count must match point count")
             col.flags.writeable = False
             object.__setattr__(self, "colors", col)
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
+        check_count("frame_index", self.frame_index, low=0)
 
     def __len__(self):
         return len(self.points)
@@ -232,8 +233,7 @@ def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
     Cells are half-open [lo, hi) per axis; points on the grid's max corner
     are clamped into the last cell so every point lands in exactly one block.
     """
-    if not 0.0 < cell_size < math.inf:
-        raise ValueError("cell_size must be finite and positive")
+    check_positive("cell_size", cell_size)
     if len(cloud) == 0:
         raise ValueError("cannot partition an empty cloud")
     pts = cloud.points.astype(np.float64)

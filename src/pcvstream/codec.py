@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ceil_count
+from ._util import ceil_count, check_count, check_positive
 from .cloud import PointCloud, bounds, chamfer_distance, quat_to_matrix
 from .nn import (
     Layer, adam_step, as_stack, backward, clip_scale, dense, forward,
@@ -69,20 +69,12 @@ class PruneConfig:
     finetune_epochs: int = 4
 
     def __post_init__(self):
-        for name in ("rounds", "finetune_epochs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        check_count("rounds", self.rounds)
+        check_count("finetune_epochs", self.finetune_epochs, low=0)
         if not 0.0 <= self.zeta < 1.0:
             raise ValueError("zeta must lie in [0, 1)")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not (self.loss_threshold is None
-                or 0.0 < self.loss_threshold < math.inf):
-            raise ValueError("loss_threshold must be None or finite and "
-                             "positive")
-        if self.finetune_epochs < 0:
-            raise ValueError("finetune_epochs must be >= 0")
+        if self.loss_threshold is not None:
+            check_positive("loss_threshold", self.loss_threshold)
 
     @property
     def per_round_ratio(self) -> float:
@@ -122,10 +114,9 @@ def make_codec_model(latent_dim: int, n_points: int = DEFAULT_BLOCK_POINTS,
     """Fresh f32 model: shared per-point dense stack + max-pool encoder and a
     dense decoder emitting n_points*3 coordinates."""
     for name, value in (("latent_dim", latent_dim), ("n_points", n_points),
-                        ("enc_hidden", enc_hidden),
-                        ("dec_hidden", dec_hidden)):
-        if any(w < 1 for w in np.ravel(value)):
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+                        *(("enc_hidden", w) for w in enc_hidden),
+                        *(("dec_hidden", w) for w in dec_hidden)):
+        check_count(name, value)
     rng = np.random.default_rng(seed)
     widths = (3, *enc_hidden, latent_dim)
     enc = [dense(n_out, n_in, rng) for n_in, n_out in zip(widths, widths[1:])]
@@ -222,8 +213,7 @@ def chunk_blocks(points, n_points: int):
     the tail run is padded by repeating its own points. Returns
     (blocks (B, n, 3), valid_counts (B,)) with valid counts < n flagging pads.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
+    check_count("n_points", n_points)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         return np.empty((0, n_points, 3)), np.empty(0, dtype=int)
@@ -293,7 +283,7 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
     n_samples = data.shape[0]
     rng = np.random.default_rng(seed)
     rot = np.zeros((n_samples, 3))
-    enc_state = dec_state = None
+    state = None
     curve = np.empty(epochs)
     for epoch in range(epochs):
         order = rng.permutation(n_samples)
@@ -318,18 +308,16 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
                                            d_pred0.reshape(b, -1) / b)
             _, enc_grads = backward(model.encoder, enc_caches,
                                     maxpool_backward(feats, d_latent))
-            scale = clip_scale([g for grads in (dec_grads, enc_grads)
-                                for pair in grads for g in pair] + [d_rots],
+            grads = dec_grads + enc_grads  # this sum order sets the clip
+            scale = clip_scale([g for pair in grads for g in pair] + [d_rots],
                                TRAIN_CLIP_NORM)
             if scale != 1.0:
-                dec_grads, enc_grads = (
-                    [(dw * scale, db * scale) for dw, db in grads]
-                    for grads in (dec_grads, enc_grads))
+                for dw, db in grads:
+                    dw *= scale
+                    db *= scale
                 d_rots *= scale
-            dec_state = adam_step(model.decoder, dec_grads, lr,
-                                  state=dec_state)
-            enc_state = adam_step(model.encoder, enc_grads, lr,
-                                  state=enc_state)
+            state = adam_step(model.dense_layers(), enc_grads + dec_grads, lr,
+                              state=state)
             rot[idx] -= lr * d_rots
         curve[epoch] = total / n_samples
     return curve
@@ -623,7 +611,8 @@ def octree_encode(cloud: PointCloud, depth: int) -> bytes:
     one occupancy byte per internal node in breadth-first order. Bit k of a
     byte marks child octant k = x | y<<1 | z<<2.
     """
-    if not 1 <= depth <= OCTREE_MAX_DEPTH:
+    check_count("depth", depth)
+    if depth > OCTREE_MAX_DEPTH:
         raise ValueError(f"depth must lie in [1, {OCTREE_MAX_DEPTH}]")
     pts = cloud.points.astype(np.float64)
     if len(pts) == 0:

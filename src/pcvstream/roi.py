@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import ceil_count
+from ._util import ceil_count, check_count, check_positive
 from .cloud import (
     OPEN_SPACE_TREE, BlockGrid, Camera, PointCloud, Pose, frustum_cull,
     frustum_mask, partition, quat_conjugate, quat_multiply, quat_normalize,
@@ -63,14 +63,9 @@ class RoiConfig:
         if not 0.0 <= self.r_min <= self.r_max <= 1.0:
             raise ValueError("require 0 <= r_min <= r_max <= 1")
         for name in ("coarse_cell_size", "fine_cell_size"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            check_positive(name, getattr(self, name))
         for name in ("R", "sub_bins"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_count(name, getattr(self, name))
 
 
 # ---------------------------------------------------------------------------

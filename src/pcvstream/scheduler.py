@@ -24,6 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._util import check_count
 from .nn import Layer, NumericsError, clip_scale, dense
 
 DEFAULT_WINDOW = 8
@@ -78,8 +79,7 @@ class StateWindow:
     before warm-up."""
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be positive")
+        check_count("k", k)
         self._hist = np.full((3, k), NEUTRAL_FILL)
 
     def push(self, slot) -> None:
@@ -108,10 +108,8 @@ class ActorCritic:
     @classmethod
     def create(cls, actions, k: int = DEFAULT_WINDOW,
                hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> "ActorCritic":
-        if k < 1:
-            raise ValueError("k must be positive")
-        if hidden < 1:
-            raise ValueError("hidden must be positive")
+        check_count("k", k)
+        check_count("hidden", hidden)
         if not actions:
             raise ValueError("an actor-critic needs at least one action")
         rng = np.random.default_rng(seed)
@@ -277,10 +275,8 @@ def train_scheduler(env_factory, workers: int = 1,
     gradient batches are clipped to global norm CLIP_NORM, which keeps
     plain-SGD steps of DEFAULT_LR stable.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
+    check_count("workers", workers)
+    check_count("epochs", epochs, low=0)
     envs = [env_factory(w) for w in range(workers)]
     actions = tuple(envs[0].actions if actions is None else actions)
     for env in envs:
@@ -300,7 +296,13 @@ def train_scheduler(env_factory, workers: int = 1,
             done = False
             while not done:
                 probs, _ = net.policy(state)
-                action = sample_index(probs, rng)
+                try:
+                    action = sample_index(probs, rng)
+                except ValueError:
+                    if np.isfinite(probs).all():
+                        raise
+                    raise NumericsError("non-finite action probabilities") \
+                        from None
                 nxt, rew, done = env.step(action)
                 if not math.isfinite(rew):
                     raise FloatingPointError("environment produced a "

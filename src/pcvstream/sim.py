@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import check_count, check_positive
 from .cloud import Camera, Intrinsics, PointCloud, Pose, chamfer_hausdorff
 # unused here; kept because the benchmark's tracer patches these names
 from .cloud import chamfer_distance, hausdorff_distance  # noqa: F401
@@ -100,6 +101,7 @@ class NetworkTrace:
     def fluctuating(cls, mean_mbps: float, duration_s: float = 120.0,
                     seed: int = 0,
                     tag: str = "fluctuating") -> "NetworkTrace":
+        check_positive("duration_s", duration_s)
         rng = np.random.default_rng(seed)
         t = np.arange(0.0, duration_s, TRACE_INTERVAL_S)
         bw = mean_mbps * (1.0 + rng.uniform(-TRACE_JITTER, TRACE_JITTER,
@@ -141,8 +143,7 @@ class DeviceModel:
     compute_scale: float
 
     def __post_init__(self):
-        if not 0.0 < self.compute_scale < np.inf:
-            raise ValueError("compute_scale must be finite and positive")
+        check_positive("compute_scale", self.compute_scale)
 
     @classmethod
     def preset(cls, name: str) -> "DeviceModel":
@@ -172,37 +173,29 @@ class RegistryEntry:
         # registry.json is outside input: a CD of 0 would divide by zero
         # in `accuracy_table`, a NaN cost would poison every frame time,
         # a latent of 0 would charge a block its header only
-        for name, kind, what in (
-                ("file", str, "a string"),
-                ("latent_dim", numbers.Integral, "an integer"),
-                ("bits", numbers.Integral, "an integer"),
-                ("encode_cost_s", numbers.Real, "a real number"),
-                ("decode_cost_s", numbers.Real, "a real number"),
-                ("test_cd", numbers.Real, "a real number")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"model '{self.model_id}': {name} must be "
-                                 f"{what}, got {value!r}")
+        where = f"model '{self.model_id}': "
+        if not isinstance(self.file, str):
+            raise ValueError(f"{where}file must be a string, "
+                             f"got {self.file!r}")
         # the registry opens root / file, which must stay under root
         file = Path(self.file)
         if file.is_absolute() or ".." in file.parts:
-            raise ValueError(f"model '{self.model_id}': file must be a "
-                             f"relative path without '..', got "
-                             f"{self.file!r}")
-        if self.latent_dim < 1:
-            raise ValueError(f"model '{self.model_id}': latent_dim must be "
-                             f">= 1, got {self.latent_dim}")
+            raise ValueError(f"{where}file must be a relative path "
+                             f"without '..', got {self.file!r}")
+        check_count(where + "latent_dim", self.latent_dim)
+        check_count(where + "bits", self.bits)
         if self.bits not in DTYPE_BITS.values():
-            raise ValueError(f"model '{self.model_id}': bits must be one of "
+            raise ValueError(f"{where}bits must be one of "
                              f"{sorted(DTYPE_BITS.values())}, got {self.bits}")
-        if not 0.0 < self.test_cd < np.inf:
-            raise ValueError(f"model '{self.model_id}': test_cd must be "
-                             f"finite and positive, got {self.test_cd}")
+        check_positive(where + "test_cd", self.test_cd)
         for name in ("encode_cost_s", "decode_cost_s"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{where}{name} must be a real number, "
+                                 f"got {value!r}")
             if not 0.0 <= value < np.inf:
-                raise ValueError(f"model '{self.model_id}': {name} must be "
-                                 f"finite and non-negative, got {value}")
+                raise ValueError(f"{where}{name} must be finite and "
+                                 f"non-negative, got {value}")
 
     def payload_per_block(self) -> int:
         return self.latent_dim * LATENT_BYTES_PER_VALUE + BLOCK_HEADER_BYTES
@@ -400,10 +393,7 @@ def generate_scene(rooms: int = 5, frames: int = 100,
     for name, value, low in (("rooms", rooms, 1), ("frames", frames, 2),
                              ("subject_points", subject_points, 0),
                              ("background_points", background_points, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+        check_count(name, value, low)
     if subject_points + background_points == 0:
         raise ValueError("subject_points + background_points must be >= 1: "
                          "a frame needs a point")
@@ -715,20 +705,22 @@ def pipeline_fps(encode_s: float, transmit_s: float, decode_s: float) -> float:
 class StreamingSchedulerEnv:
     """Lightweight frame-timing environment for scheduler training.
 
-    Charges each frame with the session timing model (`frame_costs`, decode
-    scaled to the device, then `frame_timing`) and scores it with
-    `scheduler.reward`, without geometry, so episodes are cheap. Each
-    episode draws a fresh seeded trace around the configured mean and a
-    fresh ROI-size profile. Each charged frame is pushed to a
-    `scheduler.StateWindow`, as sessions push theirs, and `reset` and
-    `step` return its read-only (3k,) state.
+    Each step charges one frame without geometry, so episodes are cheap:
+    a block count drawn from N(ENV_BLOCKS_MEAN, 0.15 * ENV_BLOCKS_MEAN),
+    at least 1, costed by `frame_costs`, decode scaled to the device, and
+    `frame_timing`, and scored by `scheduler.reward`. Each episode draws a
+    fresh seeded trace around the configured mean. Unlike a session, it
+    pushes an ROI share of 1.0, since every block is streamed (ROADMAP.md
+    item 3), and its clock advances by max(transmit, 1 / F_TARGET) per
+    frame, with no encode stage and no send queue (item 19). Each charged
+    frame is pushed to a `scheduler.StateWindow`, as sessions push theirs,
+    and `reset` and `step` return its read-only (3k,) state.
     """
 
     def __init__(self, registry: ModelRegistry, device: DeviceModel,
                  mean_bandwidth_mbps: float = 25.0, episode_len: int = 64,
                  k: int = DEFAULT_WINDOW):
-        if episode_len < 1:
-            raise ValueError("episode_len must be >= 1")
+        check_count("episode_len", episode_len)
         self.entries = [registry.entries[k] for k in sorted(registry.entries)]
         self.actions = tuple(sorted(registry.entries))
         self.device = device
@@ -736,7 +728,7 @@ class StreamingSchedulerEnv:
         self.accuracy = registry.accuracy_table()
         self.episode_len = episode_len
         self.k = k
-        self._window = StateWindow(k)  # raises on k < 1
+        self._window = StateWindow(k)  # checks k
         self._trace = None
         self._t = 0.0
         self._left = 0

@@ -258,7 +258,7 @@ def test_chunk_blocks_pads_tail_by_repetition():
 @pytest.mark.parametrize("n_points", [0, -1])
 @pytest.mark.parametrize("count", [0, 5])
 def test_chunk_blocks_rejects_nonpositive_block_sizes(count, n_points):
-    with pytest.raises(ValueError, match="n_points must be positive"):
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
         chunk_blocks(np.ones((count, 3)), n_points)
 
 
@@ -1050,8 +1050,8 @@ def test_prune_config_rejects_non_integer_counts(field, value):
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
 def test_prune_config_rejects_a_bad_loss_threshold(threshold):
     """A NaN threshold would never fire the pre-prune fine-tune."""
-    with pytest.raises(ValueError, match="loss_threshold must be None or "
-                       "finite and positive"):
+    with pytest.raises(ValueError, match="loss_threshold must be finite and "
+                       "positive"):
         PruneConfig(loss_threshold=threshold)
 
 

@@ -43,12 +43,12 @@ def imported_names(tree):
 LAYERS = {
     "__init__": set(),
     "_util": set(),
-    "cloud": set(),
+    "cloud": {"_util"},
     "nn": set(),
     "roi": {"_util", "cloud"},
     "codec": {"_util", "cloud", "nn"},
-    "scheduler": {"nn"},
-    "sim": {"cloud", "codec", "roi", "scheduler"},
+    "scheduler": {"_util", "nn"},
+    "sim": {"_util", "cloud", "codec", "roi", "scheduler"},
 }
 
 

@@ -153,7 +153,7 @@ def test_build_state_hand_log():
 
 def test_build_state_rejects_nonpositive_window():
     for k in (0, -1):
-        with pytest.raises(ValueError, match="k must be positive"):
+        with pytest.raises(ValueError, match="k must be >= 1"):
             StateWindow(k)
 
 
@@ -237,6 +237,30 @@ def test_greedy_raises_on_non_finite_probabilities():
     assert np.isnan(net.policy(state)[0]).all()
     with pytest.raises(NumericsError):
         select_action(net, state)
+
+
+def test_training_raises_on_non_finite_probabilities(monkeypatch):
+    """Training reports a net that outputs NaN as serving does, not as
+    sample_index's "probabilities must be non-negative and sum to 1"."""
+    create = ActorCritic.create.__func__
+
+    def nan_trunk(cls, *args, **kwargs):
+        net = create(cls, *args, **kwargs)
+        net.trunk.weights[0, 0] = np.nan
+        return net
+
+    monkeypatch.setattr(ActorCritic, "create", classmethod(nan_trunk))
+    with pytest.raises(NumericsError, match="non-finite action probabilities"):
+        train_scheduler(lambda w: TwoContextBanditEnv(), epochs=1, hidden=4)
+
+
+def test_training_passes_on_other_sampling_errors(monkeypatch):
+    def refuse(probs, rng):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(scheduler, "sample_index", refuse)
+    with pytest.raises(ValueError, match="^refused$"):
+        train_scheduler(lambda w: TwoContextBanditEnv(), epochs=1, hidden=4)
 
 
 def test_dominant_logits_sampled_almost_always():
@@ -610,12 +634,12 @@ def test_train_scheduler_rejects_negative_epochs():
 
 
 def test_train_scheduler_rejects_an_empty_hidden_layer():
-    with pytest.raises(ValueError, match="hidden must be positive"):
+    with pytest.raises(ValueError, match="hidden must be >= 1"):
         train_scheduler(lambda w: TwoContextBanditEnv(), epochs=1, hidden=0)
 
 
 def test_create_rejects_an_empty_state_window():
-    with pytest.raises(ValueError, match="k must be positive"):
+    with pytest.raises(ValueError, match="k must be >= 1"):
         ActorCritic.create(("a", "b"), k=0)
 
 

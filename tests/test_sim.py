@@ -227,7 +227,7 @@ BAD_REGISTRY_FILES = {
                   "model '4x4-q8': decode_cost_s must be a real number, "
                   "got [0.0001]"),
     "string-cd": (_set("test_cd", "0.05"),
-                  "model '4x4-q8': test_cd must be a real number, "
+                  "model '4x4-q8': test_cd must be finite and positive, "
                   "got '0.05'"),
     "list-entry": (lambda p: p["models"].update({"4x4-q8": [16]}),
                    "model '4x4-q8': entry must be an object, got [16]"),
@@ -1154,7 +1154,7 @@ def test_env_window_equals_build_state_over_its_frames(tmp_path, monkeypatch,
 
 
 def test_env_rejects_nonpositive_window(tmp_path):
-    with pytest.raises(ValueError, match="k must be positive"):
+    with pytest.raises(ValueError, match="k must be >= 1"):
         StreamingSchedulerEnv(cost_only_registry(tmp_path),
                               DeviceModel.preset("device-2"), k=0)
 
