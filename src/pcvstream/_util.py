@@ -5,13 +5,29 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
 
-def ceil_count(fraction: float, n: int) -> int:
-    """ceil(fraction * n) with a 1e-9 slack so that products like 0.6*100
-    that land a hair above an integer do not round up one too far."""
-    if n <= 0:
-        return 0
-    return max(0, min(n, math.ceil(fraction * n - 1e-9)))
+
+def ceil_count(fraction, n):
+    """ceil(fraction * n) clipped to [0, n], with a 1e-9 slack so that
+    products like 0.6*100 that land a hair above an integer do not round up
+    one too far. Scalars give an int; arrays give an int64 array,
+    element-wise. A product that is not finite raises ValueError."""
+    product = np.multiply(fraction, n, dtype=np.float64)
+    if not np.isfinite(product).all():
+        raise ValueError("ceil_count needs finite fraction * n")
+    take = np.clip(np.ceil(product - 1e-9), 0,
+                   np.maximum(n, 0)).astype(np.int64)
+    return int(take) if take.ndim == 0 else take
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a
+    non-empty sorted array."""
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def check_count(name: str, value, low: int = 1) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import check_count, check_positive
+from ._util import check_count, check_positive, run_starts
 
 # cKDTree build options for queries that search open space. The tree splits
 # at sliding midpoints and keeps full-size node boxes (not balanced, not
@@ -162,9 +162,8 @@ class Intrinsics:
     def __post_init__(self):
         if not 0.0 < self.vertical_fov < 180.0:
             raise ValueError("vertical_fov must lie strictly inside (0, 180)")
-        # negated comparisons, so that NaN fails them too
-        if not self.aspect > 0.0:
-            raise ValueError("aspect must be positive")
+        check_positive("aspect", self.aspect)
+        # a negated comparison, so that NaN fails it too
         if not 0.0 < self.near < self.far:
             raise ValueError("require 0 < near < far")
 
@@ -232,6 +231,8 @@ def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
 
     Cells are half-open [lo, hi) per axis; points on the grid's max corner
     are clamped into the last cell so every point lands in exactly one block.
+    One stable sort of the flat cell ids orders the points; the runs of
+    equal ids in that order are the block rows, so no second sort is made.
     """
     check_positive("cell_size", cell_size)
     if len(cloud) == 0:
@@ -249,11 +250,12 @@ def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
     idx = np.clip(idx, 0, dims - 1)
     flat = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])
     order = np.argsort(flat, kind="stable")
-    ids, starts, inverse = np.unique(flat[order], return_index=True,
-                                     return_inverse=True)
-    rows = np.empty(len(flat), dtype=np.intp)
-    rows[order] = inverse
+    ordered = flat[order]
+    starts = run_starts(ordered)
+    ids = ordered[starts]
     offsets = np.append(starts, len(flat))
+    rows = np.empty(len(flat), dtype=np.intp)
+    rows[order] = np.repeat(np.arange(len(ids)), np.diff(offsets))
     for arr in (origin, ids, rows, order, offsets):
         arr.flags.writeable = False
     return BlockGrid(origin, float(cell_size), tuple(int(d) for d in dims),

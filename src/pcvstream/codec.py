@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ceil_count, check_count, check_positive
+from ._util import ceil_count, check_count, check_positive, run_starts
 from .cloud import PointCloud, bounds, chamfer_distance, quat_to_matrix
 from .nn import (
     Layer, adam_step, as_stack, backward, clip_scale, dense, forward,
@@ -275,8 +275,9 @@ def train(model: CodecModel, dataset, epochs: int = 50, lr: float = 0.002,
     stacked rotation and one loss call; only the EMD assignment is solved
     sample by sample. Only an f32 model trains (ValueError otherwise): a
     q8/q16 model's weights stay on the code grid `serialize` derives its
-    codes from.
+    codes from. `epochs` may be 0, which returns an empty curve.
     """
+    check_count("epochs", epochs, low=0)
     if model.dtype != "f32":
         raise ValueError("train expects an f32 model")
     data = as_stack(dataset, ("S", model.n_points, 3))
@@ -595,15 +596,6 @@ def deserialize(path) -> CodecModel:
 # ---------------------------------------------------------------------------
 # octree baseline
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in a
-    non-empty sorted array."""
-    first = np.empty(len(values), dtype=bool)
-    first[0] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return np.flatnonzero(first)
-
-
 def octree_encode(cloud: PointCloud, depth: int) -> bytes:
     """Breadth-first occupancy-byte octree of the cloud's bounding cube.
 
@@ -627,12 +619,12 @@ def octree_encode(cloud: PointCloud, depth: int) -> bytes:
     # sort and drop repeats: np.unique took 13-19x as long on 20k keys
     # (numpy 2.4)
     keys = np.sort(morton_key(cells, depth))
-    keys = keys[_run_starts(keys)]
+    keys = keys[run_starts(keys)]
     levels = []  # occupancy bytes per level, leaves' parents first
     for _ in range(depth):
         # parents of sorted unique keys come sorted: each run is one parent
         up = keys >> np.uint64(3)
-        starts = _run_starts(up)
+        starts = run_starts(up)
         bits = np.uint8(1) << (keys & np.uint64(7)).astype(np.uint8)
         levels.append(np.bitwise_or.reduceat(bits, starts))
         keys = up[starts]
@@ -689,6 +681,8 @@ def octree_decode(data: bytes) -> PointCloud:
 def toy_block_dataset(count: int = 500, n_points: int = DEFAULT_BLOCK_POINTS,
                       seed: int = 7) -> np.ndarray:
     """Normalized parametric shape blocks for codec training and tests."""
+    check_count("count", count)
+    check_count("n_points", n_points)
     rng = np.random.default_rng(seed)
     shapes = ("sphere", "ball", "box", "plane", "clusters", "helix")
     blocks = np.empty((count, n_points, 3))

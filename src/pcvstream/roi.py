@@ -5,7 +5,8 @@ grid the result, score blocks by mean motion magnitude, and keep the top
 fraction. The caller predicts the camera (`predict_pose`). Motion is
 nearest-neighbor flow from the previous frame; a point equal to the
 previous frame's point at its own index has zero flow without a neighbor
-search, so only changed points reach the KD-tree. That tree is a
+search, so only changed points reach the KD-tree, and that tree holds only
+the previous points near them (`estimate_flow`'s box rule). It is a
 `cloud.OPEN_SPACE_TREE`, as the metric trees are: the changed points are
 mostly the moved subject, which searches open space.
 
@@ -31,8 +32,9 @@ from scipy.spatial import cKDTree
 
 from ._util import ceil_count, check_count, check_positive
 from .cloud import (
-    OPEN_SPACE_TREE, BlockGrid, Camera, PointCloud, Pose, frustum_cull,
-    frustum_mask, partition, quat_conjugate, quat_multiply, quat_normalize,
+    OPEN_SPACE_TREE, BlockGrid, Camera, PointCloud, Pose, bounds,
+    frustum_cull, frustum_mask, partition, quat_conjugate, quat_multiply,
+    quat_normalize,
 )
 
 log = logging.getLogger(__name__)
@@ -97,24 +99,49 @@ def estimate_flow(prev: PointCloud, curr: PointCloud) -> np.ndarray:
     Zero-flow rule: a current point equal in all three coordinates to the
     previous point at the same index is its own nearest neighbor (distance
     0) and gets zero flow without a query. Only the other points, and those
-    past the end of prev, are queried against a KD-tree over all of prev;
-    when there are none, no tree is built. The tree is an OPEN_SPACE_TREE
-    (see `cloud`): the queried points are mostly the moved subject, up to
-    ~1.5 m from prev's nearest point. Equidistant scene points are rare: it
-    found the default tree's neighbor for every query of the 920
-    consecutive frame pairs of 40 `generate_scene(rooms=1, frames=24)`
-    scenes.
+    past the end of prev, are queried; when there are none, no tree is
+    built.
+
+    Box rule: a changed point c_i is R_i = |c_i - p_i| from prev's point at
+    its own index, so its nearest neighbor, and every tie at that distance,
+    lies within R_i of it. The tree is built over only the prev points
+    inside the changed points' bounding box grown by R, the largest R_i
+    (plus a relative margin, so that rounding cannot shrink the box), and
+    its indices are mapped back to prev. A changed point past the end of
+    prev has no bound: R is then infinite and the box holds all of prev.
+
+    The tree is an OPEN_SPACE_TREE (see `cloud`): the queried points are
+    mostly the moved subject, up to ~1.5 m from prev's nearest point.
+    Equidistant scene points are rare: it found the default tree's
+    neighbor over all of prev for every query of the 920 consecutive frame
+    pairs of 40 `generate_scene(rooms=1, frames=24)` scenes.
     """
     if len(prev) == 0 or len(curr) == 0:
         raise ValueError("flow estimation requires non-empty clouds")
     p, c = prev.points, curr.points
     n = min(len(p), len(c))
     changed = np.ones(len(c), dtype=bool)
-    changed[:n] = (c[:n] != p[:n]).any(axis=1)
+    changed[:n] = c[:n, 0] != p[:n, 0]
+    for a in (1, 2):
+        changed[:n] |= c[:n, a] != p[:n, a]
     idx = np.arange(len(c))
     query = np.flatnonzero(changed)
     if len(query):
-        _, idx[query] = cKDTree(p, **OPEN_SPACE_TREE).query(c[query])
+        q = c[query].astype(np.float64)
+        if query[-1] < len(p):
+            step = q - p[query]
+            reach = math.sqrt(np.einsum("ij,ij->i", step, step).max())
+        else:
+            reach = math.inf
+        reach *= 1.0 + 1e-6
+        lo, hi = bounds(q)
+        lo, hi = lo - reach, hi + reach
+        inside = (p[:, 0] >= lo[0]) & (p[:, 0] <= hi[0])
+        for a in (1, 2):
+            inside &= (p[:, a] >= lo[a]) & (p[:, a] <= hi[a])
+        near = np.flatnonzero(inside)
+        _, found = cKDTree(p[near], **OPEN_SPACE_TREE).query(q)
+        idx[query] = near[found]
     return c.astype(np.float64) - p[idx].astype(np.float64)
 
 
@@ -282,10 +309,11 @@ def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
         norm = np.ones_like(static)  # constant saliency: keep fully
 
     ratios = cfg.r_min + (cfg.r_max - cfg.r_min) * norm
-    takes = map(ceil_count, ratios.tolist(), grid.counts.tolist())
+    takes = ceil_count(ratios, grid.counts).tolist()
+    offsets, order = grid.offsets.tolist(), grid.order
     rng = np.random.default_rng(seed)
     indices = np.sort(np.concatenate([
-        rng.choice(grid.indices(i), size=take, replace=False)
+        rng.choice(order[offsets[i]:offsets[i + 1]], size=take, replace=False)
         for i, take in enumerate(takes)]))
     return coarse.select(indices)
 

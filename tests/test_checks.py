@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from pcvstream._util import check_count, check_positive
-from pcvstream.cloud import PointCloud, partition
+from pcvstream.cloud import Intrinsics, PointCloud, partition
 from pcvstream.codec import (
     PruneConfig, chunk_blocks, make_codec_model, octree_encode,
+    toy_block_dataset, train,
 )
 from pcvstream.roi import RoiConfig
 from pcvstream.scheduler import ActorCritic, StateWindow, train_scheduler
@@ -50,6 +51,10 @@ def codec_model(**args):
     return make_codec_model(**({"latent_dim": 8, "n_points": 16} | args))
 
 
+# built here: its weights are drawn, and the checks run where draws fail
+MODEL = codec_model()
+
+
 # (site, argument, lowest count, call with the value); the error names the
 # argument, after the site's prefix if it has one
 COUNTS = [
@@ -65,6 +70,10 @@ COUNTS = [
      lambda v: codec_model(enc_hidden=(8, v))),
     ("make_codec_model", "dec_hidden", 1,
      lambda v: codec_model(dec_hidden=(v,))),
+    ("train", "epochs", 0,
+     lambda v: train(MODEL, np.zeros((2, 16, 3)), epochs=v)),
+    ("toy_block_dataset", "count", 1, lambda v: toy_block_dataset(v, 16)),
+    ("toy_block_dataset", "n_points", 1, lambda v: toy_block_dataset(2, v)),
     ("chunk_blocks", "n_points", 1, lambda v: chunk_blocks(CLOUD.points, v)),
     ("octree_encode", "depth", 1, lambda v: octree_encode(CLOUD, v)),
     ("PointCloud", "frame_index", 0,
@@ -100,6 +109,7 @@ POSITIVES = [
     ("PruneConfig", "loss_threshold",
      lambda v: PruneConfig(loss_threshold=v)),
     ("partition", "cell_size", lambda v: partition(CLOUD, v)),
+    ("Intrinsics", "aspect", lambda v: Intrinsics(aspect=v)),
     ("RegistryEntry", "model 'm': test_cd", lambda v: entry(test_cd=v)),
     ("DeviceModel", "compute_scale", lambda v: DeviceModel("x", v)),
     ("NetworkTrace.fluctuating", "duration_s",

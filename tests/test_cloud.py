@@ -83,8 +83,9 @@ def test_camera_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("aspect", math.nan, "aspect must be positive"),
-    ("aspect", 0.0, "aspect must be positive"),
+    ("aspect", math.nan, "aspect must be finite and positive"),
+    ("aspect", 0.0, "aspect must be finite and positive"),
+    ("aspect", math.inf, "aspect must be finite and positive"),
     ("near", math.nan, "0 < near < far"),
     ("far", math.nan, "0 < near < far"),
     ("vertical_fov", math.nan, "vertical_fov"),
@@ -191,6 +192,46 @@ def test_partition_arrays_are_consistent(n, cell):
     cell_idx = np.round((grid.cell_lows() - grid.origin) / cell).astype(int)
     np.testing.assert_array_equal(
         cell_idx[:, 0] + nx * (cell_idx[:, 1] + ny * cell_idx[:, 2]), grid.ids)
+
+
+def unique_partition(cloud, cell):
+    """(ids, rows, order, offsets) of partition's cells from one np.unique
+    call: the oracle for its run starts."""
+    pts = cloud.points.astype(np.float64)
+    origin = pts.min(axis=0)
+    dims = np.maximum(np.ceil((pts.max(axis=0) - origin) / cell - 1e-12),
+                      1.0).astype(np.int64)
+    idx = np.clip(np.floor((pts - origin) / cell).astype(np.int64), 0,
+                  dims - 1)
+    flat = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])
+    ids, rows = np.unique(flat, return_inverse=True)
+    order = np.argsort(rows, kind="stable")
+    offsets = np.append(np.searchsorted(rows[order], np.arange(len(ids))),
+                        len(flat))
+    return ids, rows, order, offsets
+
+
+PARTITION_CASES = {
+    "random": (PointCloud(np.random.default_rng(5).normal(
+        size=(3000, 3)).astype(np.float32)), 0.3),
+    "random coarse": (PointCloud(np.random.default_rng(6).random(
+        (500, 3)).astype(np.float32) * 4), 1.1),
+    "one point": (PointCloud([[1.0, -2.0, 3.0]]), 0.5),
+    "all duplicates": (PointCloud(np.tile([[0.5, 0.25, -1.0]], (40, 1))),
+                       0.25),
+    "single cell": (PointCloud(np.random.default_rng(7).random(
+        (64, 3)).astype(np.float32) * 0.2), 1.0),
+}
+
+
+@pytest.mark.parametrize("cloud, cell", PARTITION_CASES.values(),
+                         ids=PARTITION_CASES)
+def test_partition_equals_np_unique_reference(cloud, cell):
+    grid = partition(cloud, cell)
+    ids, rows, order, offsets = unique_partition(cloud, cell)
+    for got, want in ((grid.ids, ids), (grid.rows, rows),
+                      (grid.order, order), (grid.offsets, offsets)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_partition_rejects_empty_and_bad_cell():

@@ -233,10 +233,49 @@ def scene_pair(seed):
             Camera(predict_pose(*scene.poses[1:3]), scene.intrinsics))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(16))
 def test_flow_equals_kd_flow_on_scene_pairs(seed):
     prev, curr, _ = scene_pair(seed)
     assert_flow_equals_kd_flow(prev, curr)
+
+
+def flow_box_count(prev, curr):
+    """Points of prev inside the changed points' bounding box grown by
+    their largest same-index displacement, or len(prev) when a changed
+    point has no index in prev: the size of estimate_flow's tree."""
+    p, c = prev.points, curr.points
+    if len(c) > len(p):
+        return len(p)
+    moved = np.flatnonzero((c != p[:len(c)]).any(axis=1))
+    reach = np.linalg.norm(c[moved].astype(np.float64) - p[moved], axis=1)
+    lo = c[moved].min(axis=0) - reach.max()
+    hi = c[moved].max(axis=0) + reach.max()
+    return int(np.all((p >= lo) & (p <= hi), axis=1).sum())
+
+
+def test_flow_finds_a_neighbor_exactly_its_displacement_away(kd_calls):
+    """The nearest prev point of the one moved point sits on the face of
+    the grown box; prev points just outside the box are farther off."""
+    prev = np.array([[0.0, 0.0, 1.0],    # moved to (0, 0, 0): 1 m along z
+                     [3.0, 3.0, 3.0],
+                     [0.9, 0.9, 0.0],    # in the box, 1.27 m off
+                     [1.25, 0.0, 0.0],   # past the box's +x face
+                     [0.0, -1.5, 0.5],   # past its -y face
+                     [4.0, 4.0, 4.0]], np.float32)
+    curr = prev.copy()
+    curr[0] = (0.0, 0.0, 0.0)
+    flow = assert_flow_equals_kd_flow(PointCloud(prev), PointCloud(curr))
+    np.testing.assert_array_equal(flow[0], [0.0, 0.0, -1.0])
+    assert not flow[1:].any()
+    assert kd_calls[0][1] == flow_box_count(PointCloud(prev),
+                                            PointCloud(curr)) == 2
+
+
+def test_a_curr_longer_than_prev_searches_all_of_prev(kd_calls):
+    prev, curr = flow_case("prev shorter")
+    assert_flow_equals_kd_flow(prev, curr)
+    assert [c[0] for c in kd_calls] == ["build", "query"]
+    assert kd_calls[0][1:] == (len(prev), OPEN_SPACE_TREE)
 
 
 def benchmark_pair(seed):
@@ -335,7 +374,7 @@ def test_coarse_select_queries_only_points_changed_at_their_index(kd_calls):
     coarse_select_details(frame, prev, camera, RoiConfig())
     changed = (frame.points != prev.points).any(axis=1)
     assert [c[0] for c in kd_calls] == ["build", "query"]
-    assert kd_calls[0][1] == len(prev)
+    assert kd_calls[0][1] == flow_box_count(prev, frame)
     np.testing.assert_array_equal(kd_calls[1][1], frame.points[changed])
     assert 0 < changed.sum() <= 400  # at most the subject moved
 
@@ -345,7 +384,8 @@ def test_only_the_flow_tree_is_an_open_space_tree(kd_calls):
     select_roi(frame, prev, camera, RoiConfig(), seed=0)
     builds = [c for c in kd_calls if c[0] == "build"]
     assert len(builds) == 2
-    assert builds[0][1:] == (len(prev), OPEN_SPACE_TREE)  # estimate_flow
+    # estimate_flow
+    assert builds[0][1:] == (flow_box_count(prev, frame), OPEN_SPACE_TREE)
     assert builds[1][2] == {}  # _static_scores: the lattice of centres
 
 
@@ -674,6 +714,35 @@ def test_fine_select_cardinality_oracle():
         assert cfg.r_min - 1e-12 <= r <= cfg.r_max + 1e-12
         expect += math.ceil(r * len(blocks[int(bid)]) - 1e-9)
     assert len(out) == expect
+
+
+def loop_fine_select(coarse, viewpoint, view_direction, cfg, seed):
+    """fine_select_details as one take and one rng.choice per block row,
+    in row order: the oracle for its array takes."""
+    grid = partition(coarse, cfg.fine_cell_size)
+    static = _static_scores(grid, coarse, viewpoint, view_direction, cfg)[3]
+    lo, hi = static.min(), static.max()
+    norm = (static - lo) / (hi - lo) if hi > lo else np.ones_like(static)
+    rng = np.random.default_rng(seed)
+    picked = []
+    for i, count in enumerate(grid.counts.tolist()):
+        ratio = cfg.r_min + (cfg.r_max - cfg.r_min) * float(norm[i])
+        take = max(0, min(count, math.ceil(ratio * count - 1e-9)))
+        picked.append(rng.choice(grid.indices(i), size=take, replace=False))
+    return coarse.select(np.sort(np.concatenate(picked)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fine_select_equals_per_block_loop(seed):
+    cloud = colored_cloud(300 + 40 * seed, seed, colors=seed % 3 > 0)
+    cfg = RoiConfig(fine_cell_size=(0.25, 0.4, 0.75)[seed % 3],
+                    r_min=(0.1, 0.0, 0.3, 1.0)[seed % 4],
+                    r_max=1.0 if seed % 4 == 3 else 0.9)
+    args = (cloud, [1.5, 1.5, -4.0], [0, 0.2, 1.0], cfg, 100 + seed)
+    want = loop_fine_select(*args)
+    got = fine_select_details(*args)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.colors is None or got.colors.tobytes() == want.colors.tobytes()
 
 
 def test_fine_select_deterministic():
