@@ -38,8 +38,18 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def check_real(name: str, value) -> None:
+    """ValueError naming `name` unless value is a non-bool real number, so
+    that a range check after it compares numbers."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
     """ValueError naming `name` unless value is a non-bool finite real > 0."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value < math.inf):
+    if not (_is_real(value) and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")

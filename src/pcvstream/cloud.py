@@ -198,10 +198,6 @@ class BlockGrid:
         """Points per block row, (B,)."""
         return np.diff(self.offsets)
 
-    def indices(self, row: int) -> np.ndarray:
-        """Point indices of one block row, ascending."""
-        return self.order[self.offsets[row]:self.offsets[row + 1]]
-
     def cell_lows(self) -> np.ndarray:
         """(B, 3) minimum corner of every block row's cell."""
         nx, ny, _ = self.dims

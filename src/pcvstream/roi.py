@@ -17,6 +17,18 @@ neighbors come from a default (balanced) KD-tree over the block centres:
 they sit on a regular lattice, so equal distances are common, and another
 tree may return another of two equidistant neighbors.
 
+The fine draw is `Generator.choice(n, k, replace=False)` once per block
+row, in row order, on one seeded generator, replayed without the per-row
+calls. On numpy 2.4.6, choice runs Floyd's sampler (Bentley & Floyd, CACM
+1987) unless n > CHOICE_FLOYD_MAX and k > n // CHOICE_TAIL_CUTOFF, when it
+tail-shuffles instead. Floyd's k steps and the shuffle of its picks make
+2k - 1 bounded draws (none for k = 0), each one Lemire draw (Lemire, ACM
+TOMACS 2019), the draw `rng.integers` makes over an array of bounds. So a
+run of Floyd-regime rows takes one `integers` call, and a tail-shuffle row
+calls choice in its turn: the picks and the generator's state after are
+those of the per-row calls. If a numpy release changes choice's
+algorithm, `test_fine_select_equals_per_block_loop` fails first.
+
 The stages pass plain arrays: the flow is an (N, 3) float64 array and
 block scores are (B,) arrays in block-row order.
 """
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import ceil_count, check_count, check_positive
+from ._util import ceil_count, check_count, check_positive, check_real
 from .cloud import (
     OPEN_SPACE_TREE, BlockGrid, Camera, PointCloud, Pose, bounds,
     frustum_cull, frustum_mask, partition, quat_conjugate, quat_multiply,
@@ -41,6 +53,10 @@ log = logging.getLogger(__name__)
 
 CHI2_EPS = 1e-8
 TEXTURE_BINS = 8  # trailing entries of every block feature vector
+# numpy's Generator.choice(n, k, replace=False) tail-shuffles when
+# n > CHOICE_FLOYD_MAX and k > n // CHOICE_TAIL_CUTOFF, else runs Floyd
+CHOICE_FLOYD_MAX = 10_000
+CHOICE_TAIL_CUTOFF = 50
 
 
 @dataclass
@@ -56,6 +72,9 @@ class RoiConfig:
     sub_bins: int = 2
 
     def __post_init__(self):
+        for name in ("coarse_keep_fraction", "beta", "lambda_", "r_min",
+                     "r_max"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.coarse_keep_fraction <= 1.0:
             raise ValueError("coarse_keep_fraction must lie in (0, 1]")
         if not 0.0 <= self.beta <= 1.0:
@@ -293,10 +312,81 @@ def _static_scores(grid: BlockGrid, cloud: PointCloud, viewpoint,
     return centers, view_scores, tex_scores, view_scores * tex_scores
 
 
+def _floyd_positions(rng, starts: np.ndarray, counts: np.ndarray,
+                     takes: np.ndarray) -> np.ndarray:
+    """Grid positions that `rng.choice(n, k, replace=False)` picks in each
+    block (n = counts[b], k = takes[b], shifted by starts[b]), in block
+    order, with every bounded draw made by one `rng.integers` call. Every
+    block must be in the Floyd regime. A position may appear twice.
+
+    Floyd's step j, for m = n - k <= j < n, draws t_j in [0, j] and inserts
+    t_j, or j when t_j is already in. choice then shuffles its k picks with
+    k - 1 draws, bounds k - 1 down to 1, which are made and dropped: the
+    caller sorts the picks. v is picked if some step drew it, or if v >= m
+    and step v inserted v, c(v): t_v = v, or t_v was drawn at an earlier
+    step, or m <= t_v < v and c(t_v). The chains of c resolve by pointer
+    doubling.
+    """
+    draws_per_block = np.maximum(2 * takes - 1, 0)
+    block = np.repeat(np.arange(len(takes)), draws_per_block)
+    first_draw = np.cumsum(draws_per_block) - draws_per_block
+    i = np.arange(len(block)) - first_draw[block]
+    k, m = takes[block], (counts - takes)[block]
+    floyd = i < k
+    bounds = np.where(floyd, m + i, 2 * k - 1 - i)
+    t = rng.integers(0, bounds, endpoint=True, dtype=np.int64)[floyd]
+    j, m, start = bounds[floyd], m[floyd], starts[block[floyd]]
+
+    drawn = start + t
+    by_value = np.argsort(drawn, kind="stable")
+    ranked = drawn[by_value]
+    repeat = np.zeros(len(t), dtype=bool)
+    repeat[by_value[1:]] = ranked[1:] == ranked[:-1]
+    # c per step, found along link (step j -> step t_j); a false sink ends
+    # every chain
+    sink = len(t)
+    inserted = np.append((t == j) | repeat, False)
+    link = np.append(np.where(inserted[:-1] | (t < m), sink,
+                              np.arange(sink) - (j - t)), sink)
+    while (link[:-1] != sink).any():
+        inserted |= inserted[link]
+        link = np.where(inserted, sink, link[link])
+    return np.concatenate([drawn, (start + j)[inserted[:-1]]])
+
+
+def _block_choices(rng, order: np.ndarray, offsets: np.ndarray,
+                   takes: np.ndarray) -> np.ndarray:
+    """The ascending union of `rng.choice(order[offsets[i]:offsets[i + 1]],
+    takes[i], replace=False)` over the blocks i in order, with the
+    generator left as those calls leave it. Each run of Floyd-regime blocks
+    is one `_floyd_positions` call; a tail-shuffle block calls choice."""
+    starts, counts = offsets[:-1], np.diff(offsets)
+    keep = np.zeros(len(order), dtype=bool)
+    shuffled = np.flatnonzero((counts > CHOICE_FLOYD_MAX)
+                              & (takes > counts // CHOICE_TAIL_CUTOFF))
+    first = 0
+    for row in [*shuffled.tolist(), len(counts)]:
+        run = slice(first, row)
+        keep[order[_floyd_positions(rng, starts[run], counts[run],
+                                    takes[run])]] = True
+        if row < len(counts):
+            block = order[offsets[row]:offsets[row + 1]]
+            keep[rng.choice(block, size=takes[row], replace=False)] = True
+        first = row + 1
+    return np.flatnonzero(keep)
+
+
 def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
                         cfg: RoiConfig, seed: int):
     """Stage-two ROI: saliency-proportional per-block downsampling.
-    Returns the downsampled cloud."""
+    Returns the downsampled cloud.
+
+    Block row i keeps the take_i = ceil(ratio_i * n_i) points that
+    `rng.choice(points_i, take_i, replace=False)` picks, called once per
+    row in row order on a generator seeded with `seed`.
+    `_block_choices` draws them without those calls (see the module
+    docstring): the same points, checked on numpy 2.4.6.
+    """
     if len(coarse) == 0:
         raise ValueError("fine_select_details requires a non-empty coarse ROI")
     grid = partition(coarse, cfg.fine_cell_size)
@@ -309,13 +399,9 @@ def fine_select_details(coarse: PointCloud, viewpoint, view_direction,
         norm = np.ones_like(static)  # constant saliency: keep fully
 
     ratios = cfg.r_min + (cfg.r_max - cfg.r_min) * norm
-    takes = ceil_count(ratios, grid.counts).tolist()
-    offsets, order = grid.offsets.tolist(), grid.order
+    takes = ceil_count(ratios, grid.counts)
     rng = np.random.default_rng(seed)
-    indices = np.sort(np.concatenate([
-        rng.choice(order[offsets[i]:offsets[i + 1]], size=take, replace=False)
-        for i, take in enumerate(takes)]))
-    return coarse.select(indices)
+    return coarse.select(_block_choices(rng, grid.order, grid.offsets, takes))
 
 
 # ---------------------------------------------------------------------------

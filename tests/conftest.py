@@ -41,3 +41,8 @@ def traced_bytes(fn):
     finally:
         tracemalloc.stop()
     return result, kept, peak
+
+
+def block_indices(grid, row):
+    """Point indices of one block row of a `cloud.BlockGrid`, ascending."""
+    return grid.order[grid.offsets[row]:grid.offsets[row + 1]]

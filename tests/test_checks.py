@@ -1,7 +1,9 @@
-"""Every entry point checks its counts with `_util.check_count` and its
-positive reals with `_util.check_positive`: a bool, a float count and an
-out-of-range value each raise a ValueError that names the argument, before
-any weight, point or trace is drawn."""
+"""Every entry point checks its counts with `_util.check_count`, its
+positive reals with `_util.check_positive` and its other reals with
+`_util.check_real` before their range checks: a bool, a float count, a
+value that is not a number and an out-of-range value each raise a
+ValueError that names the argument, before any weight, point or trace is
+drawn."""
 
 import math
 import re
@@ -9,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from pcvstream._util import check_count, check_positive
+from pcvstream._util import check_count, check_positive, check_real
 from pcvstream.cloud import Intrinsics, PointCloud, partition
 from pcvstream.codec import (
     PruneConfig, chunk_blocks, make_codec_model, octree_encode,
@@ -116,13 +118,21 @@ POSITIVES = [
      lambda v: NetworkTrace.fluctuating(25.0, duration_s=v)),
 ]
 
+# (site, argument, call with the value) of reals that a range check follows
+REALS = [("RoiConfig", name, lambda v, name=name: RoiConfig(**{name: v}))
+         for name in ("coarse_keep_fraction", "beta", "lambda_", "r_min",
+                      "r_max")]
+
 CASES = [(site, name, value, call, what)
          for site, name, low, call in COUNTS
          for value, what in ((True, "an integer"), (2.5, "an integer"),
                              (low - 1, f">= {low}"))] + [
     (site, name, value, call, "finite and positive")
     for site, name, call in POSITIVES
-    for value in (True, 0.0, -1.0, math.nan)]
+    for value in (True, 0.0, -1.0, math.nan)] + [
+    (site, name, value, call, "a real number")
+    for site, name, call in REALS
+    for value in (True, False, "0.5", None)]
 
 
 @pytest.mark.parametrize(
@@ -144,7 +154,8 @@ def test_numpy_numbers_are_accepted_as_counts_and_reals():
     """A Python-int-only check rejected np.int64 counts in RoiConfig and
     PruneConfig."""
     assert RoiConfig(R=np.int64(6), sub_bins=np.int64(2),
-                     fine_cell_size=np.float64(0.25)) == RoiConfig()
+                     fine_cell_size=np.float64(0.25), beta=np.float64(0.5),
+                     r_max=np.int64(1)) == RoiConfig()
     assert PruneConfig(rounds=np.int64(5), finetune_epochs=np.int64(4),
                        loss_threshold=np.float32(0.5)).rounds == 5
     assert make_codec_model(np.int64(8), np.int64(16), enc_hidden=(
@@ -164,3 +175,9 @@ def test_check_positive_rejects_what_is_not_a_finite_positive_real(value):
     with pytest.raises(ValueError,
                        match=r"^x must be finite and positive, got "):
         check_positive("x", value)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), "0.5", None, 0.5 + 0j])
+def test_check_real_rejects_what_is_not_a_real_number(value):
+    with pytest.raises(ValueError, match=r"^x must be a real number, got "):
+        check_real("x", value)

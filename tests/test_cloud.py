@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import block_indices
 from pcvstream import cloud, roi
 from pcvstream.cloud import (
     OPEN_SPACE_TREE, PARALLEL_QUERY_ROWS, Camera, Intrinsics, PointCloud,
@@ -133,7 +134,7 @@ def test_partition_two_corner_points():
 def test_partition_single_point():
     grid = partition(PointCloud([[1.0, 2.0, 3.0]]), 0.5)
     assert len(grid.ids) == 1
-    np.testing.assert_array_equal(grid.indices(0), [0])
+    np.testing.assert_array_equal(block_indices(grid, 0), [0])
     np.testing.assert_array_equal(grid.cell_lows(), [[1.0, 2.0, 3.0]])
 
 
@@ -142,7 +143,8 @@ def test_partition_covers_exactly_once():
     cloud = PointCloud(rng.random((1000, 3)).astype(np.float32))
     grid = partition(cloud, 0.25)
     assert len(grid.cell_lows()) == len(grid.ids)
-    everything = np.concatenate([grid.indices(i) for i in range(len(grid.ids))])
+    everything = np.concatenate([block_indices(grid, i)
+                                 for i in range(len(grid.ids))])
     assert len(everything) == 1000
     assert set(everything.tolist()) == set(range(1000))
 
@@ -168,7 +170,7 @@ def test_partition_points_inside_cell_bounds():
     grid = partition(cloud, 0.7)
     for i, lo in enumerate(grid.cell_lows()):
         hi = lo + grid.cell_size
-        pts = cloud.points[grid.indices(i)].astype(np.float64)
+        pts = cloud.points[block_indices(grid, i)].astype(np.float64)
         assert (pts >= lo - 1e-9).all()
         # half-open upper bound except for max-corner clamping
         assert (pts <= hi + 1e-9).all()
@@ -184,7 +186,7 @@ def test_partition_arrays_are_consistent(n, cell):
     assert len(grid.offsets) == len(grid.ids) + 1
     assert len(grid.rows) == n and (grid.counts > 0).all()
     for i in range(len(grid.ids)):
-        idx = grid.indices(i)
+        idx = block_indices(grid, i)
         assert (np.diff(idx) > 0).all()
         assert (grid.rows[idx] == i).all()
     # ids are the flat cell index x + nx * (y + ny * z) of each cell

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import block_indices
 from pcvstream.cloud import (
     OPEN_SPACE_TREE, Camera, Intrinsics, PointCloud, Pose, frustum_cull,
     frustum_mask, partition, quat_to_matrix,
@@ -12,9 +13,10 @@ from pcvstream import roi
 from pcvstream._util import ceil_count
 from pcvstream.roi import (
     CHI2_EPS, TEXTURE_BINS, RoiConfig,
-    _coarse_kept_rows, _feature_matrix, _neighbor_rows, _static_scores,
-    _viewpoint_scores, coarse_select_details, dynamic_saliency, estimate_flow,
-    fine_select_details, predict_pose, select_roi, texture_descriptor,
+    _block_choices, _coarse_kept_rows, _feature_matrix, _neighbor_rows,
+    _static_scores, _viewpoint_scores, coarse_select_details,
+    dynamic_saliency, estimate_flow, fine_select_details, predict_pose,
+    select_roi, texture_descriptor,
 )
 from pcvstream.sim import generate_scene
 
@@ -26,7 +28,7 @@ IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 def blocks_of(grid):
     """{flat cell id: ascending point indices} of every occupied cell."""
-    return {int(b): grid.indices(i) for i, b in enumerate(grid.ids)}
+    return {int(b): block_indices(grid, i) for i, b in enumerate(grid.ids)}
 
 
 def cell_bounds(grid, block_id):
@@ -728,7 +730,8 @@ def loop_fine_select(coarse, viewpoint, view_direction, cfg, seed):
     for i, count in enumerate(grid.counts.tolist()):
         ratio = cfg.r_min + (cfg.r_max - cfg.r_min) * float(norm[i])
         take = max(0, min(count, math.ceil(ratio * count - 1e-9)))
-        picked.append(rng.choice(grid.indices(i), size=take, replace=False))
+        picked.append(rng.choice(block_indices(grid, i), size=take,
+                                 replace=False))
     return coarse.select(np.sort(np.concatenate(picked)))
 
 
@@ -743,6 +746,75 @@ def test_fine_select_equals_per_block_loop(seed):
     got = fine_select_details(*args)
     assert got.points.tobytes() == want.points.tobytes()
     assert got.colors is None or got.colors.tobytes() == want.colors.tobytes()
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its `choice` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.choices = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def assert_block_choices_are_per_block_choices(counts, takes, seed):
+    """_block_choices picks what one rng.choice per block picks, in block
+    order, leaves the generator in the same state, and calls choice itself
+    only for the blocks where numpy tail-shuffles; returns that count."""
+    counts, takes = np.asarray(counts), np.asarray(takes)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    order = np.random.default_rng(seed).permutation(offsets[-1])
+    fused, loop = CountingGenerator(seed), np.random.default_rng(seed)
+    got = _block_choices(fused, order, offsets, takes)
+    want = np.sort(np.concatenate([
+        loop.choice(order[a:b], size=k, replace=False)
+        for a, b, k in zip(offsets[:-1], offsets[1:], takes)]))
+    assert got.tolist() == want.tolist(), f"seed {seed}"
+    assert fused.rng.bit_generator.state == loop.bit_generator.state, \
+        f"seed {seed}"
+    return fused.choices
+
+
+def test_block_choices_equal_per_block_choice_on_random_frames():
+    """2,000 frames of 1-40 blocks: one-point blocks, and takes of 0 and of
+    the whole block, are common."""
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        n_blocks = int(rng.integers(1, 41))
+        counts = np.where(rng.random(n_blocks) < 0.2, 1,
+                          rng.integers(1, 300, n_blocks))
+        kind = rng.random(n_blocks)
+        takes = np.where(kind < 0.15, 0, np.where(
+            kind < 0.3, counts, rng.integers(0, counts + 1)))
+        assert assert_block_choices_are_per_block_choices(
+            counts, takes, seed) == 0
+
+
+@pytest.mark.parametrize("counts, takes, shuffled", [
+    ([4], [0], 0),
+    ([1, 1, 1, 1], [0, 1, 1, 0], 0),
+    ([10_000], [200], 0),
+    ([10_000], [201], 0),
+    ([10_000], [10_000], 0),
+    ([10_001], [200], 0),
+    ([10_001], [201], 1),
+    ([10_001], [10_001], 1),
+    ([5, 12_000, 1, 7], [3, 5_000, 1, 0], 1),
+    ([5, 12_000, 1, 7], [3, 240, 1, 7], 0),
+    ([3, 10_001, 4, 12_000, 2], [2, 201, 4, 241, 1], 2),
+    ([12_000, 9, 10_001], [12_000, 0, 9_000], 2),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else str(v))
+def test_block_choices_follow_numpys_regime_switch(counts, takes, shuffled):
+    """Blocks of 10,000 and 10,001 points at take n // 50 and n // 50 + 1,
+    and tail-shuffled blocks among small ones, first and last."""
+    for seed in range(3):
+        assert assert_block_choices_are_per_block_choices(
+            counts, takes, seed) == shuffled
 
 
 def test_fine_select_deterministic():
