@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import check_count, check_positive, run_starts
+from ._util import check_count, check_positive, run_starts, stable_argsort
 
 # cKDTree build options for queries that search open space. The tree splits
 # at sliding midpoints and keeps full-size node boxes (not balanced, not
@@ -227,8 +227,10 @@ def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
 
     Cells are half-open [lo, hi) per axis; points on the grid's max corner
     are clamped into the last cell so every point lands in exactly one block.
-    One stable sort of the flat cell ids orders the points; the runs of
-    equal ids in that order are the block rows, so no second sort is made.
+    One stable sort of the flat cell ids orders the points, by
+    `_util.stable_argsort`: it packs each id with its point index into one
+    word, unless an id is too wide to pack. The runs of equal ids in that
+    order are the block rows, so no second sort is made.
     """
     check_positive("cell_size", cell_size)
     if len(cloud) == 0:
@@ -245,7 +247,7 @@ def partition(cloud: PointCloud, cell_size: float) -> BlockGrid:
     idx = np.floor((pts - origin) / cell_size).astype(np.int64)
     idx = np.clip(idx, 0, dims - 1)
     flat = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])
-    order = np.argsort(flat, kind="stable")
+    order = stable_argsort(flat)
     ordered = flat[order]
     starts = run_starts(ordered)
     ids = ordered[starts]

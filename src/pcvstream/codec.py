@@ -28,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ceil_count, check_count, check_positive, run_starts
+from ._util import (
+    ceil_count, check_count, check_positive, run_starts, stable_argsort,
+)
 from .cloud import PointCloud, bounds, chamfer_distance, quat_to_matrix
 from .nn import (
-    Layer, adam_step, as_stack, backward, clip_scale, dense, forward,
-    emd_loss, maxpool_backward, rotate_points, rotate_points_backward,
-    total_loss,
+    Layer, _matmul, adam_step, as_stack, backward, clip_scale, dense,
+    forward, emd_loss, maxpool_backward, proves_finite, rotate_points,
+    rotate_points_backward, total_loss,
 )
 
 log = logging.getLogger(__name__)
@@ -210,8 +212,10 @@ def chunk_blocks(points, n_points: int):
     """Split a cloud into spatially coherent n-point blocks.
 
     Points are ordered along a Morton curve and cut into runs of n_points;
-    the tail run is padded by repeating its own points. Returns
-    (blocks (B, n, 3), valid_counts (B,)) with valid counts < n flagging pads.
+    the tail run is padded by repeating its own points. Points of one
+    Morton key keep their input order (`_util.stable_argsort`, which packs
+    each 30-bit key with its point index). Returns (blocks (B, n, 3),
+    valid_counts (B,)) with valid counts < n flagging pads.
     """
     check_count("n_points", n_points)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -221,7 +225,7 @@ def chunk_blocks(points, n_points: int):
     lo, hi = bounds(pts)
     span = np.where(hi > lo, hi - lo, 1.0)
     cells = np.clip(((pts - lo) / span * res).astype(np.uint64), 0, res - 1)
-    pts = pts[np.argsort(morton_key(cells, BLOCK_ORDER_BITS), kind="stable")]
+    pts = pts[stable_argsort(morton_key(cells, BLOCK_ORDER_BITS))]
     n_full, tail = divmod(len(pts), n_points)
     blocks = np.empty((n_full + (tail > 0), n_points, 3))
     blocks[:n_full] = pts[:n_full * n_points].reshape(n_full, n_points, 3)
@@ -241,12 +245,35 @@ def encode(model: CodecModel, block) -> np.ndarray:
 
     The stack runs through the encoder ENCODE_CHUNK_BLOCKS blocks at a
     time, so its activation memory does not grow with B.
+
+    Where `nn.proves_finite` proves the whole encoder on the whole stack,
+    which bounds every chunk, only the hidden layers run through
+    `nn.forward` (so a traced `nn.forward` span covers those layers alone);
+    the last layer's product is max-pooled over the points and its bias is
+    added once per block, to the (B, latent_dim) maxima. That is exact:
+    fl(z + b) is monotone in z, so the maximum over points of fl(z_p + b)
+    is fl(max_p z_p + b), the same bits as adding the bias to every point
+    first, and the proof stands in for the finiteness scan of every
+    point's output. An unproven stack runs the whole encoder through
+    `nn.forward`, which scans every layer's output, so a point driven to
+    -inf raises even where its block's maximum is finite.
     """
     block = as_stack(block, ("B", model.n_points, 3))
-    chunks = (block[i:i + ENCODE_CHUNK_BLOCKS]
-              for i in range(0, len(block), ENCODE_CHUNK_BLOCKS))
-    return np.concatenate([forward(model.encoder, chunk)[0].max(axis=-2)
-                           for chunk in chunks])
+    *hidden, last = model.encoder
+    proven = proves_finite(model.encoder, block)
+    latents = []
+    for i in range(0, len(block), ENCODE_CHUNK_BLOCKS):
+        chunk = block[i:i + ENCODE_CHUNK_BLOCKS]
+        if proven:
+            feats = forward(hidden, chunk)[0]
+            if hidden:
+                np.maximum(feats, 0.0, out=feats)
+            pooled = _matmul(feats, last.weights.T).max(axis=-2)
+            pooled += last.bias
+        else:
+            pooled = forward(model.encoder, chunk)[0].max(axis=-2)
+        latents.append(pooled)
+    return np.concatenate(latents)
 
 
 def decode(model: CodecModel, latent) -> np.ndarray:
@@ -635,6 +662,16 @@ def octree_encode(cloud: PointCloud, depth: int) -> bytes:
     return header + out
 
 
+def _child_nodes(nodes: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
+    """Keys of the children of uint64 octree `nodes`, breadth-first: node
+    i has child octant k where bit k of occupancy[i] is set, and its key is
+    nodes[i] << 3 | k. Set bit j of the little-endian bit string of the
+    occupancy bytes is bit j % 8 of byte j // 8, so its index names the
+    parent and the octant, in breadth-first order."""
+    bits = np.flatnonzero(np.unpackbits(occupancy, bitorder="little"))
+    return (nodes[bits >> 3] << np.uint64(3)) | (bits & 7).astype(np.uint64)
+
+
 def octree_decode(data: bytes) -> PointCloud:
     """Occupied-leaf centers of an octree stream."""
     if len(data) < 17:
@@ -653,17 +690,12 @@ def octree_decode(data: bytes) -> PointCloud:
     mn = np.array([x, y, z], dtype=np.float64)
     off = 17
     nodes = np.zeros(1, dtype=np.uint64)
-    octants = np.arange(8, dtype=np.uint64)
     for _ in range(depth):
         if off + len(nodes) > len(data):
             raise CodecFormatError(f"truncated octree stream at byte {off}")
         occupancy = np.frombuffer(data, np.uint8, len(nodes), off)
         off += len(nodes)
-        # row i, column k: node i has child octant k (bit k of its byte);
-        # row-major selection keeps the breadth-first child order
-        mask = np.unpackbits(occupancy[:, None], axis=1,
-                             bitorder="little").astype(bool)
-        nodes = ((nodes[:, None] << np.uint64(3)) | octants)[mask]
+        nodes = _child_nodes(nodes, occupancy)
         if len(nodes) == 0:
             break
     if off != len(data):

@@ -5,6 +5,10 @@ A network is a list of dense layers with a ReLU between consecutive ones,
 run on per-point rows (n, f) or stacks of them (B, n, f) as one 2-D GEMM
 per layer over the flattened leading axes, not one product per block.
 `maxpool_backward` is the gradient of the codec's max-pool over points.
+`forward` raises NumericsError on a layer output that is not finite; where
+`proves_finite` bounds every layer's output below overflow up front, with
+a rounding slack of Higham's gamma_n, it skips those scans. It computes the
+bound only where reading the weights costs less than scanning the outputs.
 
 The reconstruction loss is the exact earth mover's distance (EMD) between
 two point sets of one size, as the codec's blocks all have `n_points`
@@ -84,18 +88,79 @@ def _matmul(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], -1)
 
 
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the float64 unit roundoff."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def proves_finite(layers: list[Layer], x: np.ndarray) -> bool:
+    """True when a bound proves that `forward(layers, x)` makes no inf or
+    NaN, so its per-layer finiteness scans can be skipped; False when the
+    bound fails or is not worth computing.
+
+    With B_0 = max|x| and, for layer i of input width n,
+    B_{i+1} = (max row-L1(W_i) * B_i + max|b_i|)(1 + gamma_{4(n+4)}),
+    every value of layer i's output is at most B_{i+1} in magnitude: a
+    computed dot product of n terms plus a bias, and each partial sum of
+    it, is at most (1 + gamma_{n+1}) times the exact sum of its terms'
+    magnitudes, in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1); the rest of the slack covers the
+    rounding made while computing the bound. A ReLU bounds its
+    output by its input's bound. So when every B_i is finite, no product,
+    partial sum or bias add can overflow, and with finite inputs none can
+    make a NaN. A NaN or inf in x or in a layer makes a bound NaN or inf.
+
+    The bound reads x and every weight and bias once; the scans read every
+    output, rows x widths values. It is computed only when it reads fewer
+    values, which the shapes decide: the codec's encoder over a stack of
+    128-point blocks (128 rows a block, widths 32 + 64 + 256 against 18.8k
+    parameters) is proven, its decoder over a 157-block frame's latents
+    is scanned.
+    """
+    widths = sum(len(layer.bias) for layer in layers)
+    reads = x.size + sum(layer.weights.size for layer in layers) + widths
+    if x.size == 0 or reads >= math.prod(x.shape[:-1]) * widths:
+        return False
+    bound = float(np.maximum(x.max(), -x.min()))
+    with np.errstate(over="ignore"):  # an overflowing bound fails below
+        for layer in layers:
+            l1 = float(np.abs(layer.weights).sum(axis=1).max(initial=0.0))
+            bias = float(np.abs(layer.bias).max(initial=0.0))
+            slack = _gamma(4 * (layer.weights.shape[1] + 4))
+            # Python floats overflow to inf without a warning
+            bound = (l1 * bound + bias) * (1.0 + slack)
+            if not bound <= _FLOAT_MAX:  # also False for NaN
+                return False
+    return True
+
+
 def forward(layers: list[Layer], x: np.ndarray):
     """Run the layers, with a ReLU before each but the first; returns
-    (output, caches), each layer's cache its input after the ReLU."""
+    (output, caches), each layer's cache its input after the ReLU.
+
+    A layer output holding an inf or NaN raises NumericsError naming the
+    layer, before the next ReLU could map a -inf to 0. Where
+    `proves_finite` proves that no output can (a per-layer magnitude bound
+    with a gamma_{4(n+4)} rounding slack, computed only where it reads
+    fewer values than the scans), the scans are skipped; the values are
+    the same either way. Each ReLU runs in place on the previous layer's
+    fresh output.
+    """
     x = np.asarray(x, dtype=np.float64)
+    scan = not proves_finite(layers, x)
     caches = []
     for i, layer in enumerate(layers):
         if i:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
         caches.append(x)
         x = _matmul(x, layer.weights.T)
         x += layer.bias
-        _check_finite(x, f"layer {i} output")
+        if scan:
+            _check_finite(x, f"layer {i} output")
     return x, caches
 
 

@@ -42,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import ceil_count, check_count, check_positive, check_real
+from ._util import (
+    ceil_count, check_count, check_positive, check_real, stable_argsort,
+)
 from .cloud import (
     OPEN_SPACE_TREE, BlockGrid, Camera, PointCloud, Pose, bounds,
     frustum_cull, frustum_mask, partition, quat_conjugate, quat_multiply,
@@ -338,7 +340,7 @@ def _floyd_positions(rng, starts: np.ndarray, counts: np.ndarray,
     j, m, start = bounds[floyd], m[floyd], starts[block[floyd]]
 
     drawn = start + t
-    by_value = np.argsort(drawn, kind="stable")
+    by_value = stable_argsort(drawn)
     ranked = drawn[by_value]
     repeat = np.zeros(len(t), dtype=bool)
     repeat[by_value[1:]] = ranked[1:] == ranked[:-1]

@@ -59,8 +59,10 @@ def test_traced_frames_end_at_pipeline_fps(tmp_path):
                 enc = [i for i, s in frame if s[0] == "codec.encode"]
                 dec = [i for i, s in frame if s[0] == "codec.decode"]
                 assert len(chunks) == len(enc) == len(dec) == 1
-                # every block of the frame goes through the encoder's and
-                # the decoder's nn.forward calls
+                # every block of the frame goes through the decoder's
+                # nn.forward calls, and through the encoder's: those of its
+                # hidden layers where encode proves the encoder finite and
+                # pools before the last layer's bias, else the whole encoder
                 assert forward_rows(spans, enc[0]) == chunks[0] * 32
                 assert forward_rows(spans, dec[0]) == chunks[0]
 

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import traced_bytes
+from conftest import outcome, scanned_encode, scanned_forward, traced_bytes
 from pcvstream._util import ceil_count
 from pcvstream.cloud import PointCloud, chamfer_distance, hausdorff_distance
 from pcvstream import codec
@@ -119,6 +119,56 @@ def test_stacked_encode_equals_per_block_encode(count):
     # for B * 128 rows as for 128
     np.testing.assert_array_equal(
         got, [encode(model, b[None])[0] for b in blocks])
+
+
+@pytest.mark.parametrize("latent", [16, 64, 256])
+@pytest.mark.parametrize("dtype", ["f32", "q8"])
+@pytest.mark.parametrize("enc_hidden", [(32, 64), ()], ids=str)
+def test_pooled_bias_encode_equals_scanned_encode(latent, dtype, enc_hidden):
+    """The proven path (bias added after the max-pool) gives the bytes of
+    the path that adds it to every point and scans, on a 20,000-point
+    cloud: 157 blocks, the last a padded tail block in a 5-block chunk.
+    A one-layer encoder has no hidden layer, so no ReLU, and the blocks
+    are left as they were."""
+    model = make_codec_model(latent, seed=latent, enc_hidden=enc_hidden)
+    if dtype == "q8":
+        quantize_model(model, 8)
+    rng = np.random.default_rng(37)
+    blocks, valid = chunk_blocks(rng.normal(size=(20_000, 3)) * 4.0, 128)
+    blocks = normalize_block(blocks)[0]
+    assert len(blocks) == 157 and valid[-1] == 32
+    assert len(blocks) % ENCODE_CHUNK_BLOCKS == 5
+    assert codec.proves_finite(model.encoder, blocks)
+    before = blocks.copy()
+    assert encode(model, blocks).tobytes() == \
+        scanned_encode(model, blocks).tobytes()
+    np.testing.assert_array_equal(blocks, before)
+
+
+def minus_inf_encoder(n_points=128):
+    """A two-layer encoder whose last layer maps a point of x = 1e150 to
+    -inf in column 0 and every point of |x| <= 1 to a finite value."""
+    first = Layer(np.eye(3))
+    last = Layer(np.array([[-1e160, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    decoder = [Layer(np.zeros((n_points * 3, 2)))]
+    return CodecModel([first, last], decoder)
+
+
+def test_a_point_driven_to_minus_inf_raises_though_its_block_max_is_finite():
+    model = minus_inf_encoder()
+    blocks = block_stack(12)
+    assert codec.proves_finite(model.encoder, blocks)
+    blocks[9, 40] = [1e150, 0.0, 0.0]
+    with np.errstate(over="ignore"):  # numpy's own warning, an error here
+        feats = scanned_forward(model.encoder[:1], blocks[8:])
+        column = np.maximum(feats, 0.0) @ model.encoder[1].weights[0]
+    assert column[1, 40] == -np.inf
+    assert np.isfinite(np.delete(column[1], 40)).all()  # its max is finite
+    assert not codec.proves_finite(model.encoder, blocks)
+    want = "NumericsError: non-finite values in layer 1 output"
+    with np.errstate(over="ignore"):
+        assert outcome(scanned_encode, model, blocks) == want
+        assert outcome(encode, model, blocks) == want
 
 
 def test_stacked_decode_matches_per_block_decode():
@@ -1215,6 +1265,69 @@ def test_octree_decode_matches_node_walk_oracle():
             want = node_walk_octree_decode(stream).points
             assert got.dtype == want.dtype == np.float32
             assert got.tobytes() == want.tobytes(), (len(points), depth)
+
+
+def mask_child_nodes(nodes, occupancy):
+    """The children of `nodes` by a 2-D mask, the reference for
+    `codec._child_nodes`: row i, column k is set where node i has child
+    octant k (bit k of its byte), and row-major selection keeps the
+    breadth-first order."""
+    mask = np.unpackbits(occupancy[:, None], axis=1,
+                         bitorder="little").astype(bool)
+    octants = np.arange(8, dtype=np.uint64)
+    return ((nodes[:, None] << np.uint64(3)) | octants)[mask]
+
+
+def random_occupancy_levels(rng, depth, full_levels=0, empty_level=None,
+                            cap=300):
+    """Occupancy bytes per level of a random octree: every byte 0xFF on the
+    first `full_levels` levels, all zero on `empty_level`, else random
+    bytes, and single bits once a level has more than `cap` nodes."""
+    levels, count = [], 1
+    for level in range(depth):
+        if level < full_levels:
+            occupancy = np.full(count, 0xFF, dtype=np.uint8)
+        elif level == empty_level:
+            occupancy = np.zeros(count, dtype=np.uint8)
+        elif count > cap:
+            occupancy = (1 << rng.integers(0, 8, count)).astype(np.uint8)
+            occupancy[rng.random(count) < 0.5] = 0
+        else:
+            occupancy = rng.integers(0, 256, count, dtype=np.uint8)
+        levels.append(occupancy)
+        count = int(np.unpackbits(occupancy).sum())
+        if count == 0:
+            break
+    return levels
+
+
+@pytest.mark.parametrize("depth,full_levels,empty_level", [
+    (1, 0, None), (1, 1, None), (1, 0, 0), (2, 2, None), (5, 0, None),
+    (16, 0, None), (16, 3, None), (16, 2, 6), (16, 0, 15)], ids=str)
+def test_child_nodes_equal_the_mask_expansion(depth, full_levels,
+                                              empty_level):
+    rng = np.random.default_rng(100 * depth + full_levels)
+    for _ in range(8):
+        levels = random_occupancy_levels(rng, depth, full_levels,
+                                         empty_level)
+        got = want = np.zeros(1, dtype=np.uint64)
+        for occupancy in levels:
+            got = codec._child_nodes(got, occupancy)
+            want = mask_child_nodes(want, occupancy)
+            assert got.dtype == want.dtype == np.uint64
+            np.testing.assert_array_equal(got, want)
+        stream = struct.pack("<3ffB", 0.0, 0.0, 0.0, 1.0, depth) + \
+            b"".join(level.tobytes() for level in levels)
+        assert octree_decode(stream).points.tobytes() == \
+            node_walk_octree_decode(stream).points.tobytes()
+
+
+def test_child_nodes_of_every_root_byte_equal_the_mask_expansion():
+    root = np.zeros(1, dtype=np.uint64)
+    for byte in range(256):
+        occupancy = np.array([byte], dtype=np.uint8)
+        np.testing.assert_array_equal(codec._child_nodes(root, occupancy),
+                                      mask_child_nodes(root, occupancy))
 
 
 def test_octree_decode_errors_match_node_walk_oracle():

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import outcome, scanned_forward
 from pcvstream import nn
 from pcvstream.codec import DEFAULT_BLOCK_POINTS, make_codec_model
 from pcvstream.nn import (
     Layer, NumericsError, _pairwise_distances, backward, dense, emd_loss,
-    forward, maxpool_backward, rotate_points, rotate_points_backward,
-    adam_step, rotation_matrix, total_loss,
+    forward, maxpool_backward, proves_finite, rotate_points,
+    rotate_points_backward, adam_step, rotation_matrix, total_loss,
 )
 
 H = 1e-5
@@ -143,6 +144,95 @@ def test_nan_weight_in_a_middle_layer_of_a_stack_names_that_layer():
     net[1].weights[3, 1] = np.nan
     with pytest.raises(NumericsError, match="layer 1 output"):
         forward(net, rng.normal(size=(5, 16, 3)))
+
+
+def stack_net(rng):
+    """Three dense layers over (5, 16, 3) point stacks: 80 rows, so that
+    `proves_finite` computes its bound rather than choosing the scans."""
+    return [dense(8, 3, rng), dense(8, 8, rng), dense(4, 8, rng)]
+
+
+def forward_out(layers, x):
+    return forward(layers, x)[0]
+
+
+def test_the_proof_is_computed_where_it_reads_less_than_the_scans():
+    model = make_codec_model(256, seed=44)
+    blocks = point_stack(8)
+    # 1024 rows x (32 + 64 + 256) outputs against 3,072 inputs and
+    # 18,848 weights and biases
+    assert proves_finite(model.encoder, blocks)
+    assert proves_finite(model.encoder[:-1], blocks)
+    # 8 latents x (128 + 256 + 384) outputs against 131,840 parameters
+    latents = forward(model.encoder, blocks)[0].max(axis=-2)
+    assert not proves_finite(model.decoder, latents)
+    # one row of a 3-wide layer reads 3 + 9 + 3 values to save 3
+    assert not proves_finite([dense(3, 3, np.random.default_rng(0))],
+                             np.ones(3))
+    assert not proves_finite(model.encoder, np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_a_non_finite_weight_fails_the_proof_and_names_its_layer(value,
+                                                                 layer):
+    rng = np.random.default_rng(45)
+    net, x = stack_net(rng), rng.normal(size=(5, 16, 3))
+    assert proves_finite(net, x)
+    net[layer].weights[1, 2] = value
+    assert not proves_finite(net, x)
+    want = f"NumericsError: non-finite values in layer {layer} output"
+    with np.errstate(all="ignore"):  # numpy's 0 * inf warning, an error here
+        assert outcome(scanned_forward, net, x) == want
+        assert outcome(forward_out, net, x) == want
+
+
+def test_coordinates_of_1e200_overflow_where_the_scans_said_so():
+    rng = np.random.default_rng(46)
+    net, x = stack_net(rng), rng.normal(size=(5, 16, 3)) * 1e200
+    # gains of a few per layer stay far from overflow: proven, same bytes
+    assert proves_finite(net, x)
+    assert outcome(forward_out, net, x) == outcome(scanned_forward, net, x)
+    # a 1e110 last layer overflows (about 1e310): the proof fails and the
+    # scans raise with the message they always gave
+    net[2].weights *= 1e110
+    assert not proves_finite(net, x)
+    want = "NumericsError: non-finite values in layer 2 output"
+    with np.errstate(over="ignore"):  # numpy's own warning, an error here
+        assert outcome(scanned_forward, net, x) == want
+        assert outcome(forward_out, net, x) == want
+
+
+def test_a_failed_proof_of_finite_values_gives_the_scanned_bytes():
+    # the bound sums magnitudes, so it overflows where cancelling weights
+    # keep every value finite
+    net = [Layer(np.array([[1e300, -1e300, 0.0]] * 4)),
+           Layer(np.full((2, 4), 1e8))]
+    x = np.ones((64, 3))
+    assert not proves_finite(net, x)
+    got = outcome(forward_out, net, x)
+    assert got == outcome(scanned_forward, net, x)
+    assert not got.startswith(b"NumericsError")
+
+
+@pytest.mark.parametrize("count", [1, 5, 8])
+def test_proven_and_scanned_forwards_give_equal_bytes_and_caches(count):
+    rng = np.random.default_rng(47)
+    for latent in (16, 64, 256):
+        encoder = make_codec_model(latent, seed=latent).encoder
+        x = point_stack(count, seed=latent)
+        assert proves_finite(encoder, x)
+        got, caches = forward(encoder, x)
+        assert got.tobytes() == scanned_forward(encoder, x).tobytes()
+        for i, cache in enumerate(caches):
+            assert cache.tobytes() == np.maximum(
+                scanned_forward(encoder[:i], x), 0.0 if i else -np.inf
+            ).tobytes()
+    # the ReLUs ran in place on forward's own arrays, never on the input
+    x = rng.normal(size=(count, 128, 3))
+    before = x.copy()
+    forward(make_codec_model(16).encoder, x)
+    np.testing.assert_array_equal(x, before)
 
 
 # ---------------------------------------------------------------------------
